@@ -121,15 +121,15 @@ func lgSetup() (*lgParties, error) {
 	}, nil
 }
 
-func (p *lgParties) engineConfig() session.Config {
-	return session.Config{
+func (p *lgParties) engineConfig() protocol.Config {
+	return protocol.Config{
 		Role: poc.RoleOperator, Plan: p.plan, Key: p.op.Private,
 		Strategy: core.OptimalStrategy{}, View: p.view,
 	}
 }
 
-func (p *lgParties) clientConfig() session.Config {
-	return session.Config{
+func (p *lgParties) clientConfig() protocol.Config {
+	return protocol.Config{
 		Role: poc.RoleEdge, Plan: p.plan, Key: p.edge.Private,
 		Strategy: core.OptimalStrategy{}, View: p.view,
 	}
@@ -328,7 +328,10 @@ func lgBaselineRun(p *lgParties, sessions, workers int) (lgRun, error) {
 	if err != nil {
 		return fail(err)
 	}
+	// The accept loop and the job producer are the only goroutines that
+	// fork (Fork draws from its parent), each from its own stream.
 	rng := sim.NewRNG(4242)
+	srvBase, cliBase := rng.Fork("srv"), rng.Fork("cli")
 	var awg sync.WaitGroup
 	awg.Add(1)
 	go func() {
@@ -342,7 +345,7 @@ func lgBaselineRun(p *lgParties, sessions, workers int) (lgRun, error) {
 				return
 			}
 			serial++
-			seed := serial
+			srvRNG := srvBase.Fork(strconv.Itoa(serial))
 			cwg.Add(1)
 			go func(conn net.Conn) {
 				defer cwg.Done()
@@ -366,7 +369,7 @@ func lgBaselineRun(p *lgParties, sessions, workers int) (lgRun, error) {
 				party := &protocol.Party{
 					Role: poc.RoleOperator, Plan: p.plan, Keys: p.op,
 					PeerKey: key, Strategy: core.OptimalStrategy{}, View: p.view,
-					RNG: rng.Fork("srv" + strconv.Itoa(seed)),
+					RNG: srvRNG,
 				}
 				_, _ = party.Run(conn, true)
 			}(conn)
@@ -379,14 +382,14 @@ func lgBaselineRun(p *lgParties, sessions, workers int) (lgRun, error) {
 		failed    int
 		latencies []float64
 	)
-	jobs := make(chan int)
+	jobs := make(chan *sim.RNG) // each session's RNG
 	var wwg sync.WaitGroup
 	start := time.Now()
 	for w := 0; w < workers; w++ {
 		wwg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wwg.Done()
-			for i := range jobs {
+			for cliRNG := range jobs {
 				err := func() error {
 					t0 := time.Since(start).Seconds()
 					conn, err := net.Dial("tcp", ln.Addr().String())
@@ -415,7 +418,7 @@ func lgBaselineRun(p *lgParties, sessions, workers int) (lgRun, error) {
 					party := &protocol.Party{
 						Role: poc.RoleEdge, Plan: p.plan, Keys: p.edge,
 						PeerKey: key, Strategy: core.OptimalStrategy{}, View: p.view,
-						RNG: rng.Fork("cli" + strconv.Itoa(i)),
+						RNG: cliRNG,
 					}
 					if _, err := party.Run(conn, false); err != nil {
 						return err
@@ -432,10 +435,10 @@ func lgBaselineRun(p *lgParties, sessions, workers int) (lgRun, error) {
 					mu.Unlock()
 				}
 			}
-		}(w)
+		}()
 	}
 	for i := 0; i < sessions; i++ {
-		jobs <- i
+		jobs <- cliBase.Fork(strconv.Itoa(i))
 	}
 	close(jobs)
 	wwg.Wait()

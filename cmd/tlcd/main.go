@@ -172,7 +172,7 @@ func main() {
 		}
 		procStart := time.Now()
 		eng, err := session.NewEngine(session.EngineConfig{
-			Config: session.Config{
+			Config: protocol.Config{
 				Role:     poc.RoleOperator,
 				Plan:     poc.Plan{TStart: plan.Start.UnixNano(), TEnd: plan.End.UnixNano(), C: plan.C},
 				Key:      keys.Signer(),

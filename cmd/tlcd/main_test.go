@@ -18,6 +18,7 @@ import (
 	"tlc/internal/ledger"
 	"tlc/internal/metrics"
 	"tlc/internal/poc"
+	"tlc/internal/protocol"
 	"tlc/internal/session"
 )
 
@@ -209,7 +210,7 @@ func TestOperatorMuxAndLegacyCoexist(t *testing.T) {
 		stop:       make(chan struct{}),
 	}
 	eng, err := session.NewEngine(session.EngineConfig{
-		Config: session.Config{
+		Config: protocol.Config{
 			Role:     poc.RoleOperator,
 			Plan:     poc.Plan{TStart: plan.Start.UnixNano(), TEnd: plan.End.UnixNano(), C: plan.C},
 			Key:      opKeys.Signer(),
@@ -243,7 +244,7 @@ func TestOperatorMuxAndLegacyCoexist(t *testing.T) {
 		conns[i] = c
 	}
 	res, err := session.RunClient(session.ClientConfig{
-		Config: session.Config{
+		Config: protocol.Config{
 			Role:     poc.RoleEdge,
 			Plan:     poc.Plan{TStart: plan.Start.UnixNano(), TEnd: plan.End.UnixNano(), C: plan.C},
 			Key:      edgeKeys.Signer(),
@@ -296,7 +297,7 @@ func TestOperatorLedgerAudit(t *testing.T) {
 	}
 	op.led, op.cycle = led, cycle
 	eng, err := session.NewEngine(session.EngineConfig{
-		Config: session.Config{
+		Config: protocol.Config{
 			Role:     poc.RoleOperator,
 			Plan:     poc.Plan{TStart: plan.Start.UnixNano(), TEnd: plan.End.UnixNano(), C: plan.C},
 			Key:      opKeys.Signer(),
@@ -326,7 +327,7 @@ func TestOperatorLedgerAudit(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := session.RunClient(session.ClientConfig{
-		Config: session.Config{
+		Config: protocol.Config{
 			Role:     poc.RoleEdge,
 			Plan:     poc.Plan{TStart: plan.Start.UnixNano(), TEnd: plan.End.UnixNano(), C: plan.C},
 			Key:      edgeKeys.Signer(),

@@ -5,10 +5,12 @@ import (
 	"errors"
 	"io"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
 	"tlc/internal/core"
+	"tlc/internal/metrics"
 	"tlc/internal/poc"
 	"tlc/internal/sim"
 )
@@ -44,25 +46,159 @@ type closableHalf struct {
 
 func (c *closableHalf) Close() error { c.closed = true; return c.Conn.Close() }
 
-// TestRunClosesOnTruncatedFrame: a peer that dies mid-frame must not
-// leave this side's transport open (the framing can never resync).
-func TestRunClosesOnTruncatedFrame(t *testing.T) {
-	view := core.View{Sent: 1000, Received: 900}
-	edge, _ := parties(core.OptimalStrategy{}, core.OptimalStrategy{}, view, view, 30)
-
-	ci, cr := net.Pipe()
-	go func() {
-		// Send 4 header bytes announcing 100, then die after 3.
-		_, _ = ci.Write([]byte{0, 0, 0, 100, 9, 9, 9})
-		_ = ci.Close()
-	}()
-	wrapped := &closableHalf{Conn: cr}
-	_, err := edge.Run(wrapped, false)
-	if !errors.Is(err, ErrFrameTruncated) {
-		t.Fatalf("err = %v, want ErrFrameTruncated", err)
+// protocolCounters snapshots every protocol_*_total counter.
+func protocolCounters() map[string]float64 {
+	out := map[string]float64{}
+	for name, v := range metrics.Default.Snapshot() {
+		if strings.HasPrefix(name, "protocol_") && strings.HasSuffix(name, "_total") {
+			out[name] = v
+		}
 	}
-	if !wrapped.closed {
-		t.Fatal("Run left the truncated connection open")
+	return out
+}
+
+// checkCounterDeltas compares every protocol_*_total counter's change
+// since before against want; counters absent from want must not move.
+func checkCounterDeltas(t *testing.T, before map[string]float64, want map[string]float64) {
+	t.Helper()
+	after := protocolCounters()
+	for name := range want {
+		if _, ok := after[name]; !ok {
+			t.Errorf("no counter %s", name)
+		}
+	}
+	for name, v := range after {
+		if got := v - before[name]; got != want[name] {
+			t.Errorf("%s moved by %v, want %v", name, got, want[name])
+		}
+	}
+}
+
+// runAgainst runs edge as the initiator over a pipe whose far end is
+// played by peer, and reports whether Run closed its end.
+func runAgainst(edge *Party, peer func(net.Conn)) (closed bool, err error) {
+	ci, cr := net.Pipe()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		peer(cr)
+	}()
+	wrapped := &closableHalf{Conn: ci}
+	_, err = edge.Run(wrapped, true)
+	closed = wrapped.closed
+	_ = ci.Close() // unblocks a peer still waiting on us
+	<-done
+	return closed, err
+}
+
+// TestRunOutcomeAccounting pins how Run and RunPair account each
+// outcome: the protocol_*_total counters it moves, the typed error it
+// returns, and whether a desynchronised or replayed stream gets its
+// transport closed. A failed RunPair classifies only the side that
+// failed; its peer counts as failed, unclassified.
+func TestRunOutcomeAccounting(t *testing.T) {
+	view := core.View{Sent: 1000, Received: 900}
+	e0, o0 := parties(core.OptimalStrategy{}, core.OptimalStrategy{}, view, view, 29)
+	ro, _, err := RunPair(o0, e0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale := ro.PoC
+
+	byzantine := func(mode string) func(net.Conn) {
+		return func(c net.Conn) {
+			b := &Byzantine{
+				Mode: mode, Role: poc.RoleOperator, Plan: plan,
+				Keys: opKeys, PeerKey: edgeKeys.Public, RNG: sim.NewRNG(34), Stale: stale,
+			}
+			_, _ = b.Run(c) // the honest side's verdict is what the row checks
+		}
+	}
+	const (
+		started   = "protocol_negotiations_started_total"
+		settled   = "protocol_negotiations_settled_total"
+		failed    = "protocol_negotiations_failed_total"
+		rounds    = "protocol_rounds_total"
+		staleRej  = "protocol_stale_proof_rejections_total"
+		byzRej    = "protocol_byzantine_rejections_total"
+		truncated = "protocol_frame_truncations_total"
+	)
+	cases := []struct {
+		name   string
+		run    func() (closed bool, err error)
+		want   error
+		deltas map[string]float64
+		closed bool
+	}{
+		{
+			name: "settled",
+			run: func() (bool, error) {
+				edge, op := parties(core.OptimalStrategy{}, core.OptimalStrategy{}, view, view, 30)
+				_, _, err := RunPair(op, edge)
+				return false, err
+			},
+			deltas: map[string]float64{started: 2, settled: 2, rounds: 2},
+		},
+		{
+			name: "stale_proof",
+			run: func() (bool, error) {
+				edge, _ := parties(core.OptimalStrategy{}, core.OptimalStrategy{}, view, view, 31)
+				return runAgainst(edge, byzantine(ByzReplay))
+			},
+			want:   ErrStaleProof,
+			deltas: map[string]float64{started: 1, failed: 1, staleRej: 1},
+			closed: true,
+		},
+		{
+			name: "bad_peer",
+			run: func() (bool, error) {
+				edge, _ := parties(core.OptimalStrategy{}, core.OptimalStrategy{}, view, view, 32)
+				return runAgainst(edge, byzantine(ByzTamper))
+			},
+			want:   ErrBadPeer,
+			deltas: map[string]float64{started: 1, failed: 1, byzRej: 1},
+		},
+		{
+			name: "truncated",
+			run: func() (bool, error) {
+				edge, _ := parties(core.OptimalStrategy{}, core.OptimalStrategy{}, view, view, 33)
+				return runAgainst(edge, func(c net.Conn) {
+					if _, err := ReadFrame(c); err != nil {
+						return
+					}
+					// Announce 100 body bytes, then die after 3.
+					_, _ = c.Write([]byte{0, 0, 0, 100, 9, 9, 9})
+					_ = c.Close()
+				})
+			},
+			want:   ErrFrameTruncated,
+			deltas: map[string]float64{started: 1, failed: 1, truncated: 1},
+			closed: true,
+		},
+		{
+			name: "no_convergence",
+			run: func() (bool, error) {
+				edge, op := parties(core.OptimalStrategy{}, core.AlwaysRejectStrategy{}, view, view, 34)
+				op.MaxRounds, edge.MaxRounds = 8, 256
+				_, _, err := RunPair(op, edge)
+				return false, err
+			},
+			want:   ErrNoConvergence,
+			deltas: map[string]float64{started: 2, failed: 2},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			before := protocolCounters()
+			closed, err := tc.run()
+			if !errors.Is(err, tc.want) {
+				t.Fatalf("err = %v, want %v", err, tc.want)
+			}
+			if closed != tc.closed {
+				t.Errorf("conn closed = %v, want %v", closed, tc.closed)
+			}
+			checkCounterDeltas(t, before, tc.deltas)
+		})
 	}
 }
 

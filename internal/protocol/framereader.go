@@ -6,18 +6,14 @@ import (
 	"io"
 )
 
-// FrameReader reads length-prefixed frames like ReadFrame but reuses
-// one internal body buffer across calls, so a steady stream of frames
-// costs zero allocations after the buffer has grown to the largest
-// frame seen. It is the live-path reader: cmd/tlcd's session engine
-// decodes hundreds of thousands of frames per second, where ReadFrame's
-// per-frame make([]byte, n) would dominate the allocation profile.
+// FrameReader reads length-prefixed frames, reusing one internal body
+// buffer across calls, so a steady stream of frames costs zero
+// allocations after the buffer has grown to the largest frame seen.
+// It is the one frame decoder: the session engine, Party.Run and
+// ReadFrame (one read through a fresh reader) all use it.
 //
 // The returned slice aliases the internal buffer and is only valid
 // until the next ReadFrame call; callers that queue frames must copy.
-// The simulator and the one-negotiation-per-conn paths keep using the
-// plain ReadFrame, whose fresh allocations make frames safe to retain
-// — their behaviour (and the fuzz oracle over it) stays byte-identical.
 type FrameReader struct {
 	r   io.Reader
 	hdr [4]byte // reused header scratch; a local would escape through io.ReadFull
@@ -30,10 +26,12 @@ func NewFrameReader(r io.Reader) *FrameReader {
 	return &FrameReader{r: r}
 }
 
-// ReadFrame reads one length-prefixed message with exactly ReadFrame's
-// semantics: clean EOF only on a frame boundary, ErrFrameTruncated on
-// a stream that dies mid-header or mid-body, and a hard error on a
-// header announcing more than MaxFrame bytes.
+// ReadFrame reads one length-prefixed message. It returns a clean
+// io.EOF only on a frame boundary and a hard error on a header
+// announcing more than MaxFrame bytes. A stream that ends mid-header
+// or mid-body is a truncation, not a clean EOF: it returns
+// ErrFrameTruncated so callers can fail closed (close the connection)
+// instead of leaving the peer mid-exchange on a half-consumed stream.
 func (fr *FrameReader) ReadFrame() ([]byte, error) {
 	if n, err := io.ReadFull(fr.r, fr.hdr[:]); err != nil {
 		if n > 0 {

@@ -2,55 +2,8 @@ package protocol
 
 import (
 	"bytes"
-	"errors"
-	"io"
 	"testing"
 )
-
-// TestFrameReaderParity pins FrameReader to ReadFrame's observable
-// behaviour over the same byte streams: identical frames on success,
-// identical error classification on every failure mode.
-func TestFrameReaderParity(t *testing.T) {
-	frame := func(body []byte) []byte {
-		var b bytes.Buffer
-		if err := WriteFrame(&b, body); err != nil {
-			t.Fatal(err)
-		}
-		return b.Bytes()
-	}
-	streams := [][]byte{
-		{},                       // clean EOF
-		{0, 0},                   // partial header
-		{0, 0, 0, 0},             // empty frame
-		frame([]byte("abc")),     // small frame
-		{0, 0, 0, 10, 1, 2},      // truncated body
-		{0xff, 0xff, 0xff, 0xff}, // oversize header
-		{0, 1, 0, 1},             // just past MaxFrame
-		append(frame([]byte("first")), frame(bytes.Repeat([]byte{7}, 512))...), // back-to-back
-	}
-	for _, stream := range streams {
-		ref := bytes.NewReader(stream)
-		fr := NewFrameReader(bytes.NewReader(stream))
-		for {
-			want, wantErr := ReadFrame(ref)
-			got, gotErr := fr.ReadFrame()
-			if (wantErr == nil) != (gotErr == nil) {
-				t.Fatalf("stream %x: ReadFrame err=%v FrameReader err=%v", stream, wantErr, gotErr)
-			}
-			if wantErr != nil {
-				for _, target := range []error{ErrFrameTruncated, io.EOF} {
-					if errors.Is(wantErr, target) != errors.Is(gotErr, target) {
-						t.Fatalf("stream %x: error class diverged: %v vs %v", stream, wantErr, gotErr)
-					}
-				}
-				break
-			}
-			if !bytes.Equal(want, got) {
-				t.Fatalf("stream %x: frame diverged: %x vs %x", stream, want, got)
-			}
-		}
-	}
-}
 
 // TestFrameReaderReuse: the returned slice aliases the internal buffer,
 // so the next call overwrites it — the documented contract callers copy

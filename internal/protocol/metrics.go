@@ -15,7 +15,8 @@ import "tlc/internal/metrics"
 // internal/ reads wall time, which keeps the tlcvet simtime pass
 // clean without waivers.
 var Metrics = struct {
-	// NegotiationsStarted/Settled/Failed count Party.Run outcomes.
+	// NegotiationsStarted/Settled/Failed count negotiation outcomes,
+	// one per side: Party.Run, RunPair and the session engine.
 	NegotiationsStarted *metrics.Counter
 	NegotiationsSettled *metrics.Counter
 	NegotiationsFailed  *metrics.Counter

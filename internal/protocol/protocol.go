@@ -1,8 +1,11 @@
 // Package protocol runs TLC's negotiation (Figure 7) as an
-// application-layer protocol over any stream transport: the signed
-// CDR/CDA/PoC messages of internal/poc exchanged with length-prefixed
-// framing, driving the Algorithm 1 game of internal/core. It works
-// identically over net.Pipe (tests, simulation) and TCP (cmd/tlcd).
+// application-layer protocol: the signed CDR/CDA/PoC messages of
+// internal/poc, exchanged with length-prefixed framing, drive the
+// Algorithm 1 game of internal/core. Machine is the one implementation
+// of that exchange. Party.Run drives a machine over any stream
+// transport (TCP in cmd/tlcd), RunPair pumps two machines in memory
+// (simulation), and internal/session multiplexes machines over shared
+// connections.
 package protocol
 
 import (
@@ -11,7 +14,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net"
 	"time"
 
@@ -38,28 +40,10 @@ func WriteFrame(w io.Writer, data []byte) error {
 	return err
 }
 
-// ReadFrame reads one length-prefixed message. A stream that ends
-// mid-frame — partway through the header or the announced body — is a
-// truncation, not a clean EOF, and returns ErrFrameTruncated so
-// callers can fail closed (close the connection) instead of leaving
-// the peer mid-exchange on a half-consumed stream.
+// ReadFrame reads one length-prefixed message into a fresh buffer the
+// caller may keep; FrameReader.ReadFrame documents the semantics.
 func ReadFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if n, err := io.ReadFull(r, hdr[:]); err != nil {
-		if n > 0 {
-			return nil, fmt.Errorf("%w: %d of 4 header bytes: %v", ErrFrameTruncated, n, err)
-		}
-		return nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > MaxFrame {
-		return nil, fmt.Errorf("protocol: frame of %d bytes exceeds max %d", n, MaxFrame)
-	}
-	data := make([]byte, n)
-	if m, err := io.ReadFull(r, data); err != nil {
-		return nil, fmt.Errorf("%w: %d of %d body bytes: %v", ErrFrameTruncated, m, n, err)
-	}
-	return data, nil
+	return NewFrameReader(r).ReadFrame()
 }
 
 // Errors surfaced by a negotiation run.
@@ -77,9 +61,10 @@ var (
 	ErrStaleProof = errors.New("protocol: stale proof")
 )
 
-// closeConn tears the transport down when the framing layer is
-// desynchronised; a half-read stream can never resynchronise, so
-// leaving it open would wedge the peer.
+// closeConn tears the transport down after a failure that leaves it
+// unusable: a half-read stream can never resynchronise, so leaving it
+// open would wedge the peer, and a peer replaying a stale proof gets no
+// further exchange on the same conn.
 func closeConn(conn io.ReadWriter) {
 	if c, ok := conn.(io.Closer); ok {
 		_ = c.Close() // already failing; the close result adds nothing
@@ -120,13 +105,6 @@ type Result struct {
 	Rounds int // claims this party sent or answered
 }
 
-func (p *Party) coreRole() core.Role {
-	if p.Role == poc.RoleEdge {
-		return core.EdgeRole
-	}
-	return core.OperatorRole
-}
-
 func (p *Party) rng() *sim.RNG {
 	if p.RNG == nil {
 		p.RNG = sim.NewRNG(0)
@@ -141,13 +119,6 @@ func (p *Party) nonceSource() io.Reader {
 	return p.rng()
 }
 
-func (p *Party) maxRounds() int {
-	if p.MaxRounds > 0 {
-		return p.MaxRounds
-	}
-	return core.DefaultMaxRounds
-}
-
 func (p *Party) deadline(conn io.ReadWriter) {
 	if p.Timeout <= 0 {
 		return
@@ -158,31 +129,38 @@ func (p *Party) deadline(conn io.ReadWriter) {
 	}
 }
 
-// validateCDR checks plan and signature of a peer claim.
-func (p *Party) validateCDR(c *poc.CDR) error {
-	if !c.Plan.Equal(p.Plan) {
-		return fmt.Errorf("%w: plan mismatch", ErrBadPeer)
+// machine builds the party's negotiation machine and the environment
+// it advances in.
+func (p *Party) machine() (*Machine, *Env, error) {
+	cfg := &Config{
+		Role: p.Role, Plan: p.Plan, Strategy: p.Strategy, View: p.View,
+		MaxRounds: p.MaxRounds, KeepProof: true, // record decodes the kept proof
 	}
-	if c.Role != p.Role.Other() {
-		return fmt.Errorf("%w: role mismatch", ErrBadPeer)
+	if p.Keys != nil {
+		cfg.Key = p.Keys.Private
 	}
-	if err := c.Verify(p.PeerKey); err != nil {
-		return fmt.Errorf("%w: %v", ErrBadPeer, err)
+	if err := cfg.Validate(); err != nil {
+		return nil, nil, err
 	}
-	return nil
+	if p.PeerKey == nil {
+		return nil, nil, errors.New("protocol: Party.PeerKey is required")
+	}
+	m := new(Machine)
+	m.Init(cfg, p.PeerKey)
+	return m, &Env{RNG: p.rng(), Nonce: p.nonceSource()}, nil
 }
 
-// Run executes the negotiation over the transport. The initiator
-// sends the first CDR; the responder waits for it. On success both
-// sides hold the same doubly signed PoC.
-func (p *Party) Run(conn io.ReadWriter, initiate bool) (*Result, error) {
-	Metrics.NegotiationsStarted.Inc()
-	res, err := p.run(conn, initiate)
-	switch {
-	case err == nil:
-		Metrics.NegotiationsSettled.Inc()
-		Metrics.RoundsTotal.Add(uint64(res.Rounds))
-	default:
+// record counts one side's finished negotiation in Metrics, settled
+// with its rounds or failed and classified by cause, and returns the
+// side's result.
+func record(m *Machine, err error) (*Result, error) {
+	var res *Result
+	if err == nil {
+		res = &Result{PoC: new(poc.PoC), X: m.x, Rounds: m.rounds}
+		// The machine built or verified these bytes; they always decode.
+		err = res.PoC.UnmarshalBinary(m.proof)
+	}
+	if err != nil {
 		Metrics.NegotiationsFailed.Inc()
 		switch {
 		case errors.Is(err, ErrStaleProof):
@@ -192,209 +170,82 @@ func (p *Party) Run(conn io.ReadWriter, initiate bool) (*Result, error) {
 		case errors.Is(err, ErrFrameTruncated):
 			Metrics.FrameTruncations.Inc()
 		}
+		return nil, err
 	}
-	return res, err
+	Metrics.NegotiationsSettled.Inc()
+	Metrics.RoundsTotal.Add(uint64(res.Rounds))
+	return res, nil
 }
 
-func (p *Party) run(conn io.ReadWriter, initiate bool) (*Result, error) {
-	if p.Strategy == nil || p.Keys == nil || p.PeerKey == nil {
-		return nil, errors.New("protocol: Strategy, Keys and PeerKey are required")
-	}
-	bounds := core.Bounds{Lower: 0, Upper: math.Inf(1)}
-	var (
-		seq         uint32
-		lastOwn     *poc.CDR // our latest outstanding claim
-		lastSentCDA *poc.CDA // the acceptance we sent, if any
-		rounds      int
-		myLastVol   = math.NaN()
-	)
-
-	sendCDR := func() error {
-		rounds++
-		if rounds > p.maxRounds() {
-			return ErrNoConvergence
-		}
-		vol := p.Strategy.Claim(p.coreRole(), p.View, bounds, rounds, p.rng())
-		myLastVol = vol
-		cdr, err := poc.BuildCDR(p.Plan, p.Role, seq, poc.RoundVolume(vol), p.nonceSource(), p.Keys.Private)
-		if err != nil {
-			return err
-		}
-		seq++
-		lastOwn = cdr
-		data, err := cdr.MarshalBinary()
-		if err != nil {
-			return err
-		}
-		p.deadline(conn)
-		return WriteFrame(conn, data)
-	}
-
-	// tighten implements Algorithm 1 line 12 after any reject.
-	tighten := func(peerVol uint64) {
-		if math.IsNaN(myLastVol) {
-			return
-		}
-		lo := math.Min(myLastVol, float64(peerVol))
-		hi := math.Max(myLastVol, float64(peerVol))
-		bounds = core.Bounds{Lower: lo, Upper: hi}
-	}
-
-	if initiate {
-		if err := sendCDR(); err != nil {
-			return nil, err
-		}
-	}
-
-	for {
-		p.deadline(conn)
-		frame, err := ReadFrame(conn)
-		if err != nil {
-			if errors.Is(err, ErrFrameTruncated) {
-				closeConn(conn)
-			}
-			return nil, err
-		}
-		if len(frame) == 0 {
-			return nil, ErrBadMessage
-		}
-		switch frame[0] {
-		case 1: // CDR: either the peer's opening claim or a reject/re-claim.
-			var cdr poc.CDR
-			if err := cdr.UnmarshalBinary(frame); err != nil {
-				return nil, fmt.Errorf("%w: %v", ErrBadMessage, err)
-			}
-			if err := p.validateCDR(&cdr); err != nil {
-				return nil, err
-			}
-			inWindow := bounds.Contains(float64(cdr.Volume))
-			accept := inWindow && p.Strategy.Decide(p.coreRole(), p.View, myLastVol, float64(cdr.Volume), rounds+1, p.rng())
-			if accept {
-				// Reply CDA carrying our own claim.
-				rounds++
-				if rounds > p.maxRounds() {
-					return nil, ErrNoConvergence
-				}
-				vol := p.Strategy.Claim(p.coreRole(), p.View, bounds, rounds, p.rng())
-				myLastVol = vol
-				cda, err := poc.BuildCDA(p.Plan, p.Role, cdr.Seq, poc.RoundVolume(vol), &cdr, p.nonceSource(), p.Keys.Private)
-				if err != nil {
-					return nil, err
-				}
-				seq = cdr.Seq + 1
-				data, err := cda.MarshalBinary()
-				if err != nil {
-					return nil, err
-				}
-				p.deadline(conn)
-				if err := WriteFrame(conn, data); err != nil {
-					return nil, err
-				}
-				lastSentCDA = cda
-				continue
-			}
-			// Implicit reject: tighten and re-claim (Figure 7 case 2/3).
-			tighten(cdr.Volume)
-			if err := sendCDR(); err != nil {
-				return nil, err
-			}
-
-		case 2: // CDA: the peer accepted our last CDR.
-			var cda poc.CDA
-			if err := cda.UnmarshalBinary(frame); err != nil {
-				return nil, fmt.Errorf("%w: %v", ErrBadMessage, err)
-			}
-			if !cda.Plan.Equal(p.Plan) || cda.Role != p.Role.Other() {
-				return nil, fmt.Errorf("%w: CDA plan/role", ErrBadPeer)
-			}
-			if err := cda.Verify(p.PeerKey); err != nil {
-				return nil, fmt.Errorf("%w: CDA signature: %v", ErrBadPeer, err)
-			}
-			// The embedded CDR must be exactly the claim we sent —
-			// no mix-and-match across rounds.
-			if lastOwn == nil || cda.Peer.Nonce != lastOwn.Nonce || cda.Peer.Volume != lastOwn.Volume {
-				return nil, fmt.Errorf("%w: CDA embeds a claim we did not send", ErrBadPeer)
-			}
-			accept := p.Strategy.Decide(p.coreRole(), p.View, myLastVol, float64(cda.Volume), rounds, p.rng())
-			if accept {
-				proof, err := poc.BuildPoC(&cda, p.Keys.Private)
-				if err != nil {
-					return nil, err
-				}
-				data, err := proof.MarshalBinary()
-				if err != nil {
-					return nil, err
-				}
-				p.deadline(conn)
-				if err := WriteFrame(conn, data); err != nil {
-					return nil, err
-				}
-				return &Result{PoC: proof, X: proof.X, Rounds: rounds}, nil
-			}
-			// Reject the acceptance: tighten and re-claim.
-			tighten(cda.Volume)
-			if err := sendCDR(); err != nil {
-				return nil, err
-			}
-
-		case 3: // PoC: the peer finished the negotiation.
-			var proof poc.PoC
-			if err := proof.UnmarshalBinary(frame); err != nil {
-				return nil, fmt.Errorf("%w: %v", ErrBadMessage, err)
-			}
-			// Validate the whole chain as an Algorithm 2 verifier
-			// would, with our key as one side.
-			var edgeKey, opKey *rsa.PublicKey
-			if p.Role == poc.RoleEdge {
-				edgeKey, opKey = p.Keys.Public, p.PeerKey
-			} else {
-				edgeKey, opKey = p.PeerKey, p.Keys.Public
-			}
-			if err := poc.VerifyStateless(&proof, p.Plan, edgeKey, opKey); err != nil {
-				return nil, fmt.Errorf("%w: PoC: %v", ErrBadPeer, err)
-			}
-			// Signature validity is not enough: a proof from an earlier
-			// negotiation also verifies. The PoC must embed the exact
-			// CDA this party sent in this exchange, or it is a replay.
-			if lastSentCDA == nil ||
-				proof.CDA.Nonce != lastSentCDA.Nonce ||
-				proof.CDA.Volume != lastSentCDA.Volume ||
-				proof.CDA.Seq != lastSentCDA.Seq {
-				closeConn(conn)
-				return nil, fmt.Errorf("%w: PoC does not embed the CDA we sent", ErrStaleProof)
-			}
-			return &Result{PoC: &proof, X: proof.X, Rounds: rounds}, nil
-
-		default:
-			return nil, fmt.Errorf("%w: unknown kind %d", ErrBadMessage, frame[0])
-		}
-	}
-}
-
-// RunPair drives both parties over an in-memory connection and
-// returns their results; it is the simulator's convenience entry.
-func RunPair(initiator, responder *Party) (*Result, *Result, error) {
-	ci, cr := net.Pipe()
-
-	type outcome struct {
-		res *Result
-		err error
-	}
-	ch := make(chan outcome, 1)
-	go func() {
-		res, err := responder.Run(cr, false)
-		// Closing unblocks the peer if we failed mid-exchange.
-		cr.Close() //tlcvet:allow errdiscard — net.Pipe close never fails; the call only unblocks the peer
-		ch <- outcome{res, err}
-	}()
-	ri, err := initiator.Run(ci, true)
-	ci.Close() //tlcvet:allow errdiscard — net.Pipe close never fails; the call only unblocks the peer
-	ro := <-ch
+// Run executes the negotiation over the transport: it reads a frame,
+// hands it to the party's Machine and writes what the machine emits,
+// until the machine settles or fails. The initiator sends the first
+// CDR; the responder waits for it. On success both sides hold the same
+// doubly signed PoC.
+func (p *Party) Run(conn io.ReadWriter, initiate bool) (*Result, error) {
+	Metrics.NegotiationsStarted.Inc()
+	m, env, err := p.machine()
 	if err != nil {
-		return nil, nil, fmt.Errorf("initiator: %w", err)
+		return record(nil, err)
 	}
-	if ro.err != nil {
-		return nil, nil, fmt.Errorf("responder: %w", ro.err)
+	emit := func(msg []byte) error {
+		p.deadline(conn)
+		return WriteFrame(conn, msg)
 	}
-	return ri, ro.res, nil
+	if initiate {
+		err = m.Start(env, emit)
+	}
+	fr := NewFrameReader(conn)
+	for err == nil && !m.Done() {
+		p.deadline(conn)
+		var frame []byte
+		if frame, err = fr.ReadFrame(); err == nil {
+			_, err = m.Handle(frame, env, emit)
+		}
+	}
+	if errors.Is(err, ErrFrameTruncated) || errors.Is(err, ErrStaleProof) {
+		closeConn(conn)
+	}
+	return record(m, err)
+}
+
+// RunPair negotiates between two parties in memory and returns their
+// results; it is the simulator's entry. Algorithm 1 is strictly
+// turn-based, so the pump carries the one message in flight from the
+// side that emitted it to the other. On failure it returns the error
+// of the side that failed, which Metrics classifies; the peer counts
+// as failed, unclassified.
+func RunPair(initiator, responder *Party) (*Result, *Result, error) {
+	Metrics.NegotiationsStarted.Add(2)
+	sides := [2]*Party{initiator, responder}
+	var (
+		ms   [2]*Machine
+		envs [2]*Env
+		err  error
+		at   int // the side acting; on failure, the side that failed
+	)
+	for at = range sides {
+		if ms[at], envs[at], err = sides[at].machine(); err != nil {
+			break
+		}
+	}
+	if err == nil {
+		var msg []byte
+		emit := func(b []byte) error { msg = b; return nil }
+		at = 0
+		err = ms[at].Start(envs[at], emit)
+		for err == nil && msg != nil {
+			in := msg
+			msg, at = nil, 1-at
+			_, err = ms[at].Handle(in, envs[at], emit)
+		}
+	}
+	if err != nil {
+		Metrics.NegotiationsFailed.Inc() // the peer, left mid-exchange
+		_, err = record(nil, err)
+		return nil, nil, fmt.Errorf("%s: %w", [2]string{"initiator", "responder"}[at], err)
+	}
+	ri, _ := record(ms[0], nil)
+	rr, _ := record(ms[1], nil)
+	return ri, rr, nil
 }

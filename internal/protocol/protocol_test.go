@@ -155,6 +155,33 @@ func TestAlwaysRejectExhaustsRounds(t *testing.T) {
 	}
 }
 
+// TestRunPairReportsFailingSide: when the responder is the side that
+// fails, RunPair returns the responder's typed error, not the
+// initiator's view of a transport that went away, and classifies the
+// failure once.
+func TestRunPairReportsFailingSide(t *testing.T) {
+	view := core.View{Sent: 1000, Received: 900}
+	edge, op := parties(core.OptimalStrategy{}, core.AlwaysRejectStrategy{}, view, view, 7)
+	op.MaxRounds, edge.MaxRounds = 256, 2
+	if _, _, err := RunPair(op, edge); !errors.Is(err, ErrNoConvergence) || !strings.HasPrefix(err.Error(), "responder: ") {
+		t.Fatalf("err = %v, want the responder's ErrNoConvergence", err)
+	}
+
+	// A plan mismatch fails the responder's first validation: one
+	// byzantine rejection, two failed negotiations.
+	edge, op = parties(core.OptimalStrategy{}, core.OptimalStrategy{}, view, view, 8)
+	op.Plan.C = 0.6
+	before := protocolCounters()
+	if _, _, err := RunPair(op, edge); !errors.Is(err, ErrBadPeer) || !strings.HasPrefix(err.Error(), "responder: ") {
+		t.Fatalf("err = %v, want the responder's ErrBadPeer", err)
+	}
+	checkCounterDeltas(t, before, map[string]float64{
+		"protocol_negotiations_started_total": 2,
+		"protocol_negotiations_failed_total":  2,
+		"protocol_byzantine_rejections_total": 1,
+	})
+}
+
 func TestRunOverTCP(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

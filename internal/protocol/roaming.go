@@ -4,7 +4,6 @@ import (
 	"crypto/rsa"
 	"errors"
 	"fmt"
-	"net"
 
 	"tlc/internal/core"
 	"tlc/internal/poc"
@@ -15,10 +14,11 @@ import (
 // the visited operator first settle their segment with the ordinary
 // bilateral negotiation; the visited operator countersigns that proof,
 // opens a second negotiation with the home operator claiming exactly
-// the settled volume, and after that segment settles hands the full
-// chain over on the same connection. The home operator verifies the
-// chain end to end before accepting it — a visited operator that
-// inflates, replays or tampers anything gets a typed rejection.
+// the settled volume, and after that segment settles hands over the
+// full chain in the chain codec's encoding. The home operator
+// verifies the chain end to end before accepting it — a visited
+// operator that inflates, replays or tampers anything gets a typed
+// rejection.
 
 // ErrBadChain marks a relayed settlement chain that failed end-to-end
 // verification at the home operator.
@@ -83,9 +83,9 @@ func (cfg *RoamingConfig) rng() *sim.RNG {
 	return cfg.RNG
 }
 
-// RunRoaming drives a full three-party settlement over in-memory
-// connections: downstream negotiation, countersignature, upstream
-// negotiation, chain handoff, home-side verification.
+// RunRoaming drives a full three-party settlement in memory:
+// downstream negotiation, countersignature, upstream negotiation, chain
+// handoff, home-side verification.
 func RunRoaming(cfg RoamingConfig) (*RoamingResult, error) {
 	rng := cfg.rng()
 
@@ -135,76 +135,42 @@ func RunRoaming(cfg RoamingConfig) (*RoamingResult, error) {
 			[]*rsa.PublicKey{cfg.VisitedKeys.Public}, cfg.HomeKeys.Public)
 	}
 
-	// Upstream negotiation and chain handoff share one connection: the
-	// chain frame (kind 5, the chain codec's own tag) follows the
-	// settlement on the same stream.
-	ci, cr := net.Pipe()
-	type homeOut struct {
-		res   *Result
-		chain *poc.Chain
-		err   error
+	resB, resHome, err := RunPair(visitedUp, home)
+	if err != nil {
+		return nil, fmt.Errorf("roaming upstream: %w", err)
 	}
-	ch := make(chan homeOut, 1)
-	go func() {
-		out := homeOut{}
-		out.res, out.err = home.Run(cr, false)
-		if out.err == nil {
-			out.chain, out.err = readChainFrame(cr, verifier, cfg.Plan)
-		}
-		cr.Close() //tlcvet:allow errdiscard — net.Pipe close never fails; the call only unblocks the peer
-		ch <- out
-	}()
-
-	resB, errB := visitedUp.Run(ci, true)
-	if errB == nil {
-		chain := &poc.Chain{
-			Links: []poc.ChainLink{{Proof: *resA.PoC, Endorse: *cs}},
-			Final: *resB.PoC,
-		}
-		if cfg.Forge != nil {
-			chain = cfg.Forge(chain)
-		}
-		errB = writeChainFrame(ci, chain)
+	chain := &poc.Chain{
+		Links: []poc.ChainLink{{Proof: *resA.PoC, Endorse: *cs}},
+		Final: *resB.PoC,
 	}
-	ci.Close() //tlcvet:allow errdiscard — net.Pipe close never fails; the call only unblocks the peer
-	out := <-ch
-	if errB != nil {
-		return nil, fmt.Errorf("roaming upstream (visited): %w", errB)
+	if cfg.Forge != nil {
+		chain = cfg.Forge(chain)
 	}
-	if out.err != nil {
-		return nil, fmt.Errorf("roaming upstream (home): %w", out.err)
+	// The handoff is the chain codec's bytes, as they would travel on
+	// the upstream conn after the settlement; the home operator trusts
+	// nothing it has not decoded and verified itself.
+	data, err := chain.MarshalBinary()
+	if err != nil {
+		return nil, fmt.Errorf("roaming upstream (visited): %w", err)
+	}
+	accepted, err := acceptChain(data, verifier, cfg.Plan)
+	if err != nil {
+		return nil, fmt.Errorf("roaming upstream (home): %w", err)
 	}
 
 	return &RoamingResult{
-		Chain:   out.chain,
+		Chain:   accepted,
 		X1:      resA.X,
-		X2:      out.res.X,
+		X2:      resHome.X,
 		RoundsA: resA.Rounds,
-		RoundsB: out.res.Rounds,
+		RoundsB: resHome.Rounds,
 	}, nil
 }
 
-// writeChainFrame sends the assembled chain; its first byte is the
-// chain codec's kind tag, distinct from the CDR/CDA/PoC kinds.
-func writeChainFrame(conn net.Conn, chain *poc.Chain) error {
-	data, err := chain.MarshalBinary()
-	if err != nil {
-		return err
-	}
-	return WriteFrame(conn, data)
-}
-
-// readChainFrame receives and fully verifies the settlement chain.
-func readChainFrame(conn net.Conn, verifier *poc.ChainVerifier, plan poc.Plan) (*poc.Chain, error) {
-	frame, err := ReadFrame(conn)
-	if err != nil {
-		if errors.Is(err, ErrFrameTruncated) {
-			closeConn(conn)
-		}
-		return nil, err
-	}
+// acceptChain decodes and fully verifies a relayed settlement chain.
+func acceptChain(data []byte, verifier *poc.ChainVerifier, plan poc.Plan) (*poc.Chain, error) {
 	var chain poc.Chain
-	if err := chain.UnmarshalBinary(frame); err != nil {
+	if err := chain.UnmarshalBinary(data); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadMessage, err)
 	}
 	if err := verifier.Verify(&chain, plan); err != nil {

@@ -20,7 +20,7 @@ import (
 type ClientConfig struct {
 	// Config is the edge-side negotiation configuration; the client
 	// initiates every session.
-	Config
+	protocol.Config
 	// Sessions is the number of negotiations to run, assigned to
 	// connections round-robin.
 	Sessions int
@@ -70,7 +70,7 @@ type ClientResult struct {
 // clientSession is one initiator-side negotiation.
 type clientSession struct {
 	sid      uint64
-	m        Machine
+	m        protocol.Machine
 	forged   bool
 	resolved bool
 	openedAt float64
@@ -84,7 +84,7 @@ type clientConn struct {
 	rw        io.ReadWriter
 	serverKey *rsa.PublicKey
 	out       *outQueue
-	env       Env
+	env       protocol.Env
 
 	mu       sync.Mutex
 	table    map[uint64]*clientSession
@@ -99,7 +99,7 @@ type clientConn struct {
 // blocks until every session resolves or its connection dies. It
 // leaves no goroutines behind.
 func RunClient(cc ClientConfig) (*ClientResult, error) {
-	if err := cc.Config.validate(); err != nil {
+	if err := cc.Config.Validate(); err != nil {
 		return nil, err
 	}
 	if cc.Sessions <= 0 || len(cc.Conns) == 0 {
@@ -133,7 +133,7 @@ func RunClient(cc ClientConfig) (*ClientResult, error) {
 			rw:        rw,
 			serverKey: serverKey,
 			out:       newOutQueue(),
-			env:       Env{RNG: base.Fork("conn" + strconv.Itoa(i)), Nonce: cc.Nonce},
+			env:       protocol.Env{RNG: base.Fork("conn" + strconv.Itoa(i)), Nonce: cc.Nonce},
 			table:     make(map[uint64]*clientSession),
 		}
 	}
@@ -165,7 +165,7 @@ func RunClient(cc ClientConfig) (*ClientResult, error) {
 	// through the table mutex, then queue the frame. Publishing before
 	// the push is the ordering that guarantees the reader finds the
 	// session when the server's response arrives.
-	openEnv := Env{RNG: base.Fork("opener"), Nonce: cc.Nonce}
+	openEnv := protocol.Env{RNG: base.Fork("opener"), Nonce: cc.Nonce}
 	openFailed := 0
 	for i := 0; i < cc.Sessions; i++ {
 		cn := conns[i%len(conns)]

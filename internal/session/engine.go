@@ -14,11 +14,19 @@ import (
 	"tlc/internal/protocol"
 )
 
+// Config, Env and Machine alias internal/protocol's negotiation types
+// for perfbench, a separate module that refers to them by these names.
+type (
+	Config  = protocol.Config
+	Env     = protocol.Env
+	Machine = protocol.Machine
+)
+
 // EngineConfig sizes the sharded engine.
 type EngineConfig struct {
 	// Config is the operator-side negotiation configuration shared by
 	// every session.
-	Config
+	protocol.Config
 	// Shards is the session-table split; power of two (default 8).
 	Shards int
 	// Workers is the crypto worker pool size (default 2).
@@ -67,7 +75,7 @@ type ProofRecord struct {
 // connection of a tlcd process. See the package comment for the
 // layering.
 type Engine struct {
-	cfg        Config
+	cfg        protocol.Config
 	table      *table
 	keys       *KeyCache
 	ownDER     []byte
@@ -87,7 +95,7 @@ type Engine struct {
 // NewEngine validates the configuration and builds the engine; call
 // Start before serving connections.
 func NewEngine(ec EngineConfig) (*Engine, error) {
-	if err := ec.Config.validate(); err != nil {
+	if err := ec.Config.Validate(); err != nil {
 		return nil, err
 	}
 	if ec.Shards == 0 {

@@ -14,14 +14,31 @@ import (
 	"tlc/internal/core"
 	"tlc/internal/poc"
 	"tlc/internal/protocol"
+	"tlc/internal/sim"
 )
 
-// testView settles at X=950 in one round under optimal/optimal.
-var testView = core.View{Sent: 1000, Received: 900}
+var (
+	edgeKeys *poc.KeyPair
+	opKeys   *poc.KeyPair
+	testPlan = poc.Plan{TStart: 0, TEnd: int64(time.Hour), C: 0.5}
+	// testView settles at X=950 in one round under optimal/optimal.
+	testView = core.View{Sent: 1000, Received: 900}
+)
+
+func init() {
+	rng := sim.NewRNG(4321)
+	var err error
+	if edgeKeys, err = poc.GenerateKeyPair(poc.DefaultKeyBits, rng.Fork("e")); err != nil {
+		panic(err)
+	}
+	if opKeys, err = poc.GenerateKeyPair(poc.DefaultKeyBits, rng.Fork("o")); err != nil {
+		panic(err)
+	}
+}
 
 func operatorEngineConfig() EngineConfig {
 	return EngineConfig{
-		Config: Config{
+		Config: protocol.Config{
 			Role: poc.RoleOperator, Plan: testPlan, Key: opKeys.Private,
 			Strategy: core.OptimalStrategy{}, View: testView,
 		},
@@ -31,7 +48,7 @@ func operatorEngineConfig() EngineConfig {
 
 func edgeClientConfig(sessions int, conns []net.Conn) ClientConfig {
 	cc := ClientConfig{
-		Config: Config{
+		Config: protocol.Config{
 			Role: poc.RoleEdge, Plan: testPlan, Key: edgeKeys.Private,
 			Strategy: core.OptimalStrategy{}, View: testView,
 		},

@@ -18,7 +18,8 @@
 //     across sessions, and a verified-key cache keeps x509 parsing
 //     off the hot path.
 //
-// Negotiations run as event-driven state machines (Machine), not
+// Negotiations run as event-driven state machines (protocol.Machine,
+// the same one protocol.Party.Run drives over a single conn), not
 // goroutine-per-session: a parked session is a few hundred bytes of
 // table state, which is what makes the million-session table fit.
 //

@@ -50,7 +50,7 @@ const (
 type session struct {
 	key  connSid
 	conn *muxConn
-	m    Machine
+	m    protocol.Machine
 	// state transitions exactly once from active via CAS; the winner
 	// performs removal and metric accounting.
 	state atomic.Int32
@@ -78,7 +78,7 @@ type shard struct {
 	pending  []workItem
 	spare    []workItem // recycled backing array for batch swaps
 	draining bool
-	env      Env // strategy RNG + nonce source, worker-owned while draining
+	env      protocol.Env // strategy RNG + nonce source, worker-owned while draining
 }
 
 // table is the sharded session table plus its admission limits.
@@ -100,7 +100,7 @@ func newTable(nshards, maxSessions, maxPending int, seed int64, nonce io.Reader)
 	for i := range t.shards {
 		t.shards[i] = &shard{
 			sessions: make(map[connSid]*session),
-			env: Env{
+			env: protocol.Env{
 				RNG:   base.Fork("shard" + strconv.Itoa(i)),
 				Nonce: nonce,
 			},

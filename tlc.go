@@ -25,6 +25,7 @@
 package tlc
 
 import (
+	"crypto/rand"
 	"crypto/rsa"
 	"errors"
 	"fmt"
@@ -181,8 +182,11 @@ func NewNegotiator(role Role, plan Plan, keys *KeyPair, peer *rsa.PublicKey, usa
 		PeerKey:  peer,
 		Strategy: strategy.core(),
 		View:     core.View{Sent: float64(usage.Sent), Received: float64(usage.Received)},
-		RNG:      sim.NewRNG(time.Now().UnixNano()),
-		Timeout:  30 * time.Second,
+		// Nonces are what make a PoC unforgeable, so a live negotiator
+		// draws them from crypto/rand; RNG only drives the strategy.
+		RNG:         sim.NewRNG(time.Now().UnixNano()),
+		NonceSource: rand.Reader,
+		Timeout:     30 * time.Second,
 	}}
 }
 
@@ -193,8 +197,11 @@ func (n *Negotiator) SetTimeout(d time.Duration) { n.party.Timeout = d }
 func (n *Negotiator) SetMaxRounds(r int) { n.party.MaxRounds = r }
 
 // SetSeed makes the negotiator's randomness deterministic (tests and
-// simulations).
-func (n *Negotiator) SetSeed(seed int64) { n.party.RNG = sim.NewRNG(seed) }
+// simulations): strategy and nonces both draw from the seeded stream.
+func (n *Negotiator) SetSeed(seed int64) {
+	n.party.RNG = sim.NewRNG(seed)
+	n.party.NonceSource = nil
+}
 
 // Negotiate runs the protocol over the transport; set initiate on
 // exactly one side. On success both sides hold the same receipt.

@@ -1,6 +1,8 @@
 package tlc
 
 import (
+	"bytes"
+	"crypto/rand"
 	"net"
 	"testing"
 	"time"
@@ -74,6 +76,34 @@ func TestNegotiateLocalAndVerify(t *testing.T) {
 	vol, err := ProofVolume(opR.Proof)
 	if err != nil || vol != want {
 		t.Fatalf("ProofVolume = %d, %v", vol, err)
+	}
+}
+
+// TestNegotiatorNonceSource: a live negotiator draws its nonces from
+// crypto/rand, and SetSeed puts them back on the seeded stream, so
+// NegotiateLocal stays byte-identical for a seed.
+func TestNegotiatorNonceSource(t *testing.T) {
+	edgeKeys, opKeys := testKeys(t)
+	plan := testPlan()
+	usage := Usage{Sent: 1_000_000, Received: 930_000}
+	n := NewNegotiator(Edge, plan, edgeKeys, opKeys.Public(), usage, Optimal)
+	if n.party.NonceSource != rand.Reader {
+		t.Fatalf("live nonce source = %T, want crypto/rand", n.party.NonceSource)
+	}
+	n.SetSeed(3)
+	if n.party.NonceSource != nil {
+		t.Fatalf("seeded nonce source = %T, want the seeded RNG", n.party.NonceSource)
+	}
+	a, _, err := NegotiateLocal(plan, edgeKeys, opKeys, usage, usage, Optimal, Optimal, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _, err := NegotiateLocal(plan, edgeKeys, opKeys, usage, usage, Optimal, Optimal, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Proof, b.Proof) {
+		t.Fatal("NegotiateLocal with one seed returned different proofs")
 	}
 }
 

@@ -45,6 +45,10 @@
 #   bench      — every benchmark compiles and survives one iteration,
 #                plus a quick sharded city run at -shards 2 through
 #                the tlcbench CLI (exercises the -shards plumbing)
+#   perfbench  — the benchmark's own module (perfbench/, a separate
+#                go.mod that the root build, vet and tests never
+#                compile): vet plus its short contract, parity and
+#                per-workload smoke tests
 #   roaming    — the multi-operator settlement chain: chain codec and
 #                verifier forgery battery, the three-party wire
 #                protocol, the chained-game/settlement property tests
@@ -71,6 +75,10 @@ stage() {
 
 city_smoke() {
 	go run ./cmd/tlcbench -experiment city -quick -shards 2 -json - >/dev/null
+}
+
+perfbench_check() {
+	(cd perfbench && go vet ./... && go test -short ./...)
 }
 
 gofmt_clean() {
@@ -100,6 +108,7 @@ stage ledger go run ./cmd/tlcbench -ledger-check BENCH_ledger.json
 stage allocs go test -run ZeroAlloc ./internal/sim ./internal/netem ./internal/metrics ./internal/protocol ./internal/ledger
 stage bench go test -run '^$' -bench . -benchtime 1x ./...
 stage bench city_smoke
+stage perfbench perfbench_check
 stage roaming go test -run 'Chain|Roaming|Byzantine|Settle|Forger|ChainedG' -race ./internal/poc ./internal/protocol ./internal/roaming ./internal/experiment
 stage roaming go test -run '^$' -fuzz '^FuzzChainVerify$' -fuzztime 10s ./internal/poc
 stage fuzz go test -run '^$' -fuzz '^FuzzReadFrame$' -fuzztime 10s ./internal/protocol
