@@ -375,6 +375,7 @@ func TestOperatorLedgerAudit(t *testing.T) {
 	if got := len(rep.PoCs); got != sessions+1 {
 		t.Fatalf("audit found %d PoCs, want %d (mux + legacy)", got, sessions+1)
 	}
+	var settled uint64
 	for i := range rep.PoCs {
 		rec := &rep.PoCs[i]
 		var proof poc.PoC
@@ -389,6 +390,26 @@ func TestOperatorLedgerAudit(t *testing.T) {
 		if proof.X != rec.X {
 			t.Fatalf("poc[%d] record X=%d but proof X=%d", i, rec.X, proof.X)
 		}
+		settled += rec.X
+	}
+
+	// The receipt archive's audit reads the same directory: Algorithm 2
+	// with one replay set across the mux and legacy sessions, and the
+	// ledger's audit total equals the settled proofs'.
+	archive, err := tlc.OpenArchive(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	arep, err := archive.Audit(edgeKeys.Public(), opKeys.Public())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := archive.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if arep.Valid != sessions+1 || arep.Invalid != 0 || arep.TotalSettled != settled {
+		t.Fatalf("archive audit = %d valid, %d invalid, %d bytes (failures %v); want %d valid, 0 invalid, %d bytes",
+			arep.Valid, arep.Invalid, arep.TotalSettled, arep.Failures, sessions+1, settled)
 	}
 
 	// The CLI text path renders the same report.

@@ -35,6 +35,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer archive.Close() //tlcvet:allow errdiscard — every Save is already fsynced; Close only releases the handle
 
 	// A month of hourly cycles condensed to six: each settles and its
 	// receipt lands in the auditor's archive.

@@ -344,15 +344,6 @@ func Handover(opt Options) Result {
 	return Result{ID: "handover", Title: "Extension: charging gap vs handover rate", Text: b.String(), Metrics: metrics}
 }
 
-// All runs every table and figure.
-func All(opt Options) []Result {
-	return []Result{
-		Headline(opt), Fig3(opt), Fig4(opt), Dataset(opt),
-		Fig12(opt), Table2(opt), Fig13(opt), Fig14(opt), Fig15(opt),
-		Fig16a(opt), Fig16b(opt), Fig17(opt), Fig18(opt), AppendixD(opt),
-	}
-}
-
 // ByID returns the runner for a single experiment id.
 func ByID(id string) (func(Options) Result, bool) {
 	m := map[string]func(Options) Result{

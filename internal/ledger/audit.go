@@ -27,7 +27,8 @@ type AuditReport struct {
 func (r *AuditReport) Volume() uint64 { return r.UL + r.DL }
 
 // Audit replays the ledger in dir (read-only; works on live and
-// closed ledgers alike) and reports on (subscriber, cycle).
+// closed ledgers alike) and reports on (subscriber, cycle). A damaged
+// log is an ErrCorrupt error, not a report on its verified prefix.
 func Audit(fsys FS, dir, subscriber string, cycle uint64) (*AuditReport, error) {
 	rep := &AuditReport{Subscriber: subscriber, Cycle: cycle}
 	err := Replay(fsys, dir, func(rec *Record) error {

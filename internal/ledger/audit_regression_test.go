@@ -53,6 +53,60 @@ func TestAuditSnapshotOnlyAnswer(t *testing.T) {
 	}
 }
 
+// TestAuditReportsDamage: one flipped byte inside the 2nd of five
+// settled PoCs used to end the replay quietly after the 1st, so the
+// audit answered "1 PoC" with a nil error where five had settled.
+// Replay and Audit must report the damage as ErrCorrupt, surface only
+// the intact prefix, and leave the log byte-identical: repair is
+// Open's job alone.
+func TestAuditReportsDamage(t *testing.T) {
+	const dir = "led"
+	fsys := NewMemFS()
+	l, err := Open(Options{Dir: dir, FS: fsys, SyncEvery: 1}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]Record, 5)
+	for i := range want {
+		want[i] = Record{Kind: KindPoC, Cycle: 7, Subscriber: "imsi-dmg",
+			X: uint64(1000 + i), Rounds: 1, Proof: []byte(strings.Repeat(string(rune('a'+i)), 200))}
+		if err := l.Append(&want[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	seg := join(dir, lastSegment(t, fsys, dir))
+	data, err := fsys.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A proof byte of the 2nd record: past the segment header, the
+	// whole 1st frame and the 2nd frame's own header.
+	data[segHeader+frameHeader+recordSize(&want[0])+frameHeader+recordSize(&want[1])-1] ^= 0x40
+	writeFile(t, fsys, seg, data)
+
+	var got []Record
+	if err := Replay(fsys, dir, collect(&got)); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Replay err = %v, want ErrCorrupt", err)
+	}
+	if len(got) != 1 {
+		t.Fatalf("Replay surfaced %d records, want the 1 before the damage", len(got))
+	}
+	requirePrefix(t, "replay", got, want)
+	if rep, err := Audit(fsys, dir, "imsi-dmg", 7); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Audit = %+v, %v; want ErrCorrupt", rep, err)
+	}
+	after, err := fsys.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(after) != string(data) {
+		t.Fatal("a read-only replay rewrote the damaged segment")
+	}
+}
+
 // TestAuditDirErrors: a nonexistent ledger directory gets its own
 // typed error (an operator typo, not an empty store), distinct from a
 // directory that exists but was never written.

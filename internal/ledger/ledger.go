@@ -373,9 +373,6 @@ func (l *Ledger) Close() error {
 	return nil
 }
 
-// Dir returns the ledger directory.
-func (l *Ledger) Dir() string { return l.opts.Dir }
-
 // segment bookkeeping --------------------------------------------------
 
 type segRef struct {

@@ -5,7 +5,8 @@
 // rotate at a size threshold; settled cycles compact into a snapshot
 // record under a generation switch; and replay on startup truncates
 // the log at the first torn record, so every recovered record is
-// either fully present or fully absent — never corrupt.
+// either fully present or fully absent — never corrupt (the read-only
+// Replay reports that damage as ErrCorrupt instead).
 //
 // The paper's premise is that billable state must survive adversity
 // at the cellular edge; this package is what turns the simulator's
@@ -102,9 +103,6 @@ type SnapEntry struct {
 	UL, DL     uint64
 	Records    uint32
 }
-
-// Volume returns the record's charged bytes in both directions.
-func (r *Record) Volume() uint64 { return r.UL + r.DL }
 
 // castagnoli is the CRC32C table (the polynomial storage systems use
 // for record framing; hardware-accelerated on amd64/arm64).

@@ -88,10 +88,17 @@ var ErrNoLedger = errors.New("ledger: no ledger")
 // not a legitimately empty store.
 var ErrDirNotExist = errors.New("ledger: directory does not exist")
 
+// ErrCorrupt is returned by Replay (and so Audit) at the first record
+// it cannot verify, after fn has seen every record before it. Replay
+// never repairs; Open is the one path that truncates damage away.
+var ErrCorrupt = errors.New("ledger: corrupt log")
+
 // Replay streams every verified record of the ledger in dir through
 // fn, read-only: no repair, no new segment, no handle kept. It is the
 // audit path — it works on a live ledger's directory as well as a
-// closed one. A torn tail simply ends the replay.
+// closed one, though there a record caught mid-write reads as damage.
+// Damage is reported as ErrCorrupt, never skipped, so an audit cannot
+// mistake a shortened log for the whole one.
 func Replay(fsys FS, dir string, fn func(*Record) error) error {
 	if fsys == nil {
 		fsys = DirFS{}
@@ -121,12 +128,12 @@ func Replay(fsys FS, dir string, fn func(*Record) error) error {
 		if err != nil {
 			return fmt.Errorf("ledger: read segment: %w", err)
 		}
-		if _, tear := replaySegment(data, seg.gen, seg.idx, fn); tear != nil {
+		if verified, tear := replaySegment(data, seg.gen, seg.idx, fn); tear != nil {
 			var cb callbackError
 			if errors.As(tear, &cb) {
 				return cb.err
 			}
-			return nil // verified prefix ends here
+			return fmt.Errorf("%w: %s at byte %d: %v", ErrCorrupt, seg.name, verified, tear)
 		}
 	}
 	return nil

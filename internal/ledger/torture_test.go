@@ -123,19 +123,7 @@ func cloneFS(t *testing.T, src *MemFS, dir string) *MemFS {
 		if err != nil {
 			t.Fatal(err)
 		}
-		f, err := dst.Create(join(dir, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := f.Write(data); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Sync(); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			t.Fatal(err)
-		}
+		writeFile(t, dst, join(dir, name), data)
 	}
 	return dst
 }
@@ -154,18 +142,14 @@ func lastSegment(t *testing.T, fsys FS, dir string) string {
 	return segs[len(segs)-1].name
 }
 
-// truncateFile rewrites name to its first k bytes, durable.
-func truncateFile(t *testing.T, fsys *MemFS, name string, k int) {
+// writeFile replaces name with data, durable.
+func writeFile(t *testing.T, fsys *MemFS, name string, data []byte) {
 	t.Helper()
-	data, err := fsys.ReadFile(name)
-	if err != nil {
-		t.Fatal(err)
-	}
 	f, err := fsys.Create(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Write(data[:k]); err != nil {
+	if _, err := f.Write(data); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Sync(); err != nil {
@@ -176,11 +160,46 @@ func truncateFile(t *testing.T, fsys *MemFS, name string, k int) {
 	}
 }
 
+// truncateFile rewrites name to its first k bytes, durable.
+func truncateFile(t *testing.T, fsys *MemFS, name string, k int) {
+	t.Helper()
+	data, err := fsys.ReadFile(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeFile(t, fsys, name, data[:k])
+}
+
+// segmentEnds redoes the writer's size accounting for want at segment
+// size segBytes, independently of the scanner under test: it returns
+// how many records landed wholly in segments before lastIdx and the
+// end offset of each record within segment lastIdx.
+func segmentEnds(want []Record, segBytes int, lastIdx uint64) (prior int, ends []int) {
+	curSize := segHeader
+	segIdx := uint64(1)
+	for i := range want {
+		framed := frameHeader + recordSize(&want[i])
+		if curSize > segHeader && curSize+framed > segBytes {
+			segIdx++
+			curSize = segHeader
+		}
+		curSize += framed
+		if segIdx == lastIdx {
+			ends = append(ends, curSize)
+		} else if segIdx < lastIdx {
+			prior++
+		}
+	}
+	return prior, ends
+}
+
 // TestTortureChopSweep cuts the final segment of a cleanly written
 // ledger at EVERY byte offset and reopens: replay must recover the
 // exact record prefix that fits in the surviving bytes — computed
 // independently from the known record sizes, so a framing bug cannot
-// hide by being self-consistent.
+// hide by being self-consistent. Before the reopen repairs it, the
+// read-only Replay must surface that same prefix and call the cut
+// clean only at a frame boundary: anywhere else it is ErrCorrupt.
 func TestTortureChopSweep(t *testing.T) {
 	const dir = "led"
 	base := NewMemFS()
@@ -199,28 +218,8 @@ func TestTortureChopSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Independently compute, for each record, which segment it
-	// landed in and its end offset there, by simulating the writer's
-	// size accounting.
-	segBytes := 1 << 10
-	curSize := segHeader
-	segIdx := uint64(1)
 	_, lastIdx, _ := parseSegName(last)
-	prior := 0 // records wholly in earlier segments
-	var ends []int
-	for i := range want {
-		framed := frameHeader + recordSize(&want[i])
-		if curSize > segHeader && curSize+framed > segBytes {
-			segIdx++
-			curSize = segHeader
-		}
-		curSize += framed
-		if segIdx == lastIdx {
-			ends = append(ends, curSize)
-		} else if segIdx < lastIdx {
-			prior++
-		}
-	}
+	prior, ends := segmentEnds(want, 1<<10, lastIdx)
 	wantLast := segHeader
 	if len(ends) > 0 {
 		wantLast = ends[len(ends)-1]
@@ -232,16 +231,29 @@ func TestTortureChopSweep(t *testing.T) {
 	for k := 0; k <= len(lastData); k++ {
 		fsys := cloneFS(t, base, dir)
 		truncateFile(t, fsys, join(dir, last), k)
-		var got []Record
-		l2, err := Open(Options{Dir: dir, FS: fsys, SegmentBytes: 1 << 10, SyncEvery: 1}, collect(&got))
-		if err != nil {
-			t.Fatalf("chop %d: reopen: %v", k, err)
-		}
-		expect := prior
+		expect, boundary := prior, k == segHeader
 		for _, end := range ends {
 			if end <= k {
 				expect++
 			}
+			boundary = boundary || end == k
+		}
+		var replayed []Record
+		err := Replay(fsys, dir, collect(&replayed))
+		switch {
+		case boundary && err != nil:
+			t.Fatalf("chop %d: replay of a cut at a frame boundary: %v", k, err)
+		case !boundary && !errors.Is(err, ErrCorrupt):
+			t.Fatalf("chop %d: replay of a torn tail: err = %v, want ErrCorrupt", k, err)
+		case len(replayed) != expect:
+			t.Fatalf("chop %d: replay surfaced %d records, want %d", k, len(replayed), expect)
+		}
+		requirePrefix(t, fmt.Sprintf("chop %d: replay", k), replayed, want)
+
+		var got []Record
+		l2, err := Open(Options{Dir: dir, FS: fsys, SegmentBytes: 1 << 10, SyncEvery: 1}, collect(&got))
+		if err != nil {
+			t.Fatalf("chop %d: reopen: %v", k, err)
 		}
 		if len(got) != expect {
 			t.Fatalf("chop %d: recovered %d records, want %d", k, len(got), expect)
@@ -264,7 +276,9 @@ func TestTortureChopSweep(t *testing.T) {
 // TestTortureBitFlipSweep corrupts every byte of the final segment in
 // turn (XOR 0x40) and reopens: the CRC must catch the damage, so the
 // replayed records are always an intact prefix — a corrupt record
-// must never surface.
+// must never surface. Before the reopen repairs it, the read-only
+// Replay must report every flip as ErrCorrupt after surfacing exactly
+// the records that end before the flipped byte.
 func TestTortureBitFlipSweep(t *testing.T) {
 	const dir = "led"
 	base := NewMemFS()
@@ -281,23 +295,28 @@ func TestTortureBitFlipSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	_, lastIdx, _ := parseSegName(last)
+	prior, ends := segmentEnds(want, 1<<12, lastIdx)
 	for k := 0; k < len(lastData); k++ {
 		fsys := cloneFS(t, base, dir)
 		data := append([]byte(nil), lastData...)
 		data[k] ^= 0x40
-		f, err := fsys.Create(join(dir, last))
-		if err != nil {
-			t.Fatal(err)
+		writeFile(t, fsys, join(dir, last), data)
+		expect := prior
+		for _, end := range ends {
+			if end <= k {
+				expect++
+			}
 		}
-		if _, err := f.Write(data); err != nil {
-			t.Fatal(err)
+		var replayed []Record
+		if err := Replay(fsys, dir, collect(&replayed)); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("flip %d: replay err = %v, want ErrCorrupt", k, err)
 		}
-		if err := f.Sync(); err != nil {
-			t.Fatal(err)
+		if len(replayed) != expect {
+			t.Fatalf("flip %d: replay surfaced %d records, want the %d before the flip", k, len(replayed), expect)
 		}
-		if err := f.Close(); err != nil {
-			t.Fatal(err)
-		}
+		requirePrefix(t, fmt.Sprintf("flip %d: replay", k), replayed, want)
+
 		var got []Record
 		if _, err := Open(Options{Dir: dir, FS: fsys, SyncEvery: 1}, collect(&got)); err != nil {
 			t.Fatalf("flip %d: reopen: %v", k, err)

@@ -59,9 +59,8 @@ type Analyzer struct {
 	Name string
 	// Doc is a one-line description shown by `tlcvet -list`.
 	Doc string
-	// Applies filters packages by import path; nil means every
-	// package. Program-level analyzers apply it themselves via
-	// Program.Packages.
+	// Applies filters the packages Run sees by import path; nil means
+	// every package. RunProgram always sees the whole program.
 	Applies func(importPath string) bool
 	// Run reports findings for one package.
 	Run func(*Pass)

@@ -59,21 +59,6 @@ func (prog *Program) Pass(pkg *Package, check string) *Pass {
 // had the chance to suppress something.
 func (prog *Program) Ran(check string) bool { return prog.ran[check] }
 
-// Packages returns the loaded packages an Applies filter admits (all
-// of them for nil).
-func (prog *Program) Packages(applies func(importPath string) bool) []*Package {
-	if applies == nil {
-		return prog.Pkgs
-	}
-	var out []*Package
-	for _, pkg := range prog.Pkgs {
-		if applies(pkg.Path) {
-			out = append(out, pkg)
-		}
-	}
-	return out
-}
-
 // declSite locates one function declaration and the package that owns
 // it.
 type declSite struct {

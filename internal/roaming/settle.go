@@ -1,7 +1,5 @@
 package roaming
 
-import "fmt"
-
 // PartyID indexes the four balance sheets of one roaming settlement.
 type PartyID int
 
@@ -16,22 +14,6 @@ const (
 	Vendor
 	numParties
 )
-
-// String implements fmt.Stringer.
-func (p PartyID) String() string {
-	switch p {
-	case Subscriber:
-		return "subscriber"
-	case Home:
-		return "home"
-	case Visited:
-		return "visited"
-	case Vendor:
-		return "vendor"
-	default:
-		return fmt.Sprintf("PartyID(%d)", int(p))
-	}
-}
 
 // Transfer is one directed payment of the settlement pass, in the
 // ledger's integer volume units (bytes of charged traffic).

@@ -58,13 +58,6 @@ func (kc *KeyCache) Stats() (hits, misses uint64) {
 	return kc.hits.Load(), kc.misses.Load()
 }
 
-// Len returns the number of cached keys.
-func (kc *KeyCache) Len() int {
-	kc.mu.RLock()
-	defer kc.mu.RUnlock()
-	return len(kc.m)
-}
-
 // bufPool recycles payload buffers: the conn reader's FrameReader
 // buffer is only valid until its next read, so each queued payload is
 // copied into a pooled buffer and returned after the worker consumes

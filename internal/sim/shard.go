@@ -105,9 +105,6 @@ func NewShardGroup(n int, lookahead time.Duration) *ShardGroup {
 	return g
 }
 
-// Lookahead returns the barrier window length.
-func (g *ShardGroup) Lookahead() time.Duration { return g.lookahead }
-
 // Partitions returns the number of partitions.
 func (g *ShardGroup) Partitions() int { return len(g.shards) }
 

@@ -34,9 +34,6 @@ type Event struct {
 // Cancelled reports whether the event was cancelled before it fired.
 func (e *Event) Cancelled() bool { return e.cancelled }
 
-// At returns the simulated time the event is (or was) scheduled for.
-func (e *Event) At() Time { return e.at }
-
 // The event queue is a hand-specialised 4-ary min-heap over (at, seq).
 // A one-hour charging cycle funnels tens of millions of events through
 // it, so the heap avoids container/heap entirely: no heap.Interface
@@ -436,15 +433,6 @@ func (g *RNG) Exp(mean time.Duration) time.Duration {
 // Norm returns a normally distributed value.
 func (g *RNG) Norm(mean, stddev float64) float64 {
 	return mean + stddev*g.r.NormFloat64()
-}
-
-// Perm returns a pseudo-random permutation of [0,n).
-func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
-
-// Bytes fills b with pseudo-random bytes and never fails. It lets the
-// simulator drive crypto key generation deterministically.
-func (g *RNG) Bytes(b []byte) {
-	_, _ = g.r.Read(b) // rand.Rand.Read is documented to always succeed
 }
 
 // Read implements io.Reader so an RNG can be passed to crypto key

@@ -32,11 +32,14 @@
 #                checked-in BENCH_tlcd_scale.json
 #   ledger     — the durable charging ledger: the crash-point torture
 #                sweeps (every kill offset of the tail segment, bit
-#                flips, injected fsync failpoints) plus the replay
-#                differential under the race detector, a short
-#                coverage-guided fuzz of segment replay, and schema +
-#                invariant validation of the checked-in
-#                BENCH_ledger.json durability cost curve
+#                flips, injected fsync failpoints; the read-only replay
+#                must report each as corrupt before reopen repairs it)
+#                plus the replay differential under the race detector,
+#                a short coverage-guided fuzz of segment replay, schema
+#                + invariant validation of the checked-in
+#                BENCH_ledger.json durability cost curve, and the
+#                examples/auditor run, which exits non-zero unless its
+#                receipt archive (a ledger) audits to the settled total
 #   allocs     — testing.AllocsPerRun guards for the event-engine,
 #                metrics-observation and frame-reader hot paths; these
 #                skip themselves under -race (its instrumentation
@@ -105,6 +108,7 @@ stage tlcdscale go run ./cmd/tlcbench -lg-check BENCH_tlcd_scale.json
 stage ledger go test -run 'Torture|Prop' -short -race ./internal/ledger
 stage ledger go test -run '^$' -fuzz '^FuzzLedgerReplay$' -fuzztime 10s ./internal/ledger
 stage ledger go run ./cmd/tlcbench -ledger-check BENCH_ledger.json
+stage ledger go run ./examples/auditor
 stage allocs go test -run ZeroAlloc ./internal/sim ./internal/netem ./internal/metrics ./internal/protocol ./internal/ledger
 stage bench go test -run '^$' -bench . -benchtime 1x ./...
 stage bench city_smoke
