@@ -112,23 +112,6 @@ func main() {
 		fmt.Println(strings.Join(experiment.IDs, "\n"))
 		return
 	}
-	if *flagLGCheck != "" {
-		lgCheck(*flagLGCheck)
-		return
-	}
-	if *flagLoadgen || *flagLGSmoke {
-		runLoadgen()
-		return
-	}
-	if *flagLedgerCheck != "" {
-		ledgerCheck(*flagLedgerCheck)
-		return
-	}
-	if *flagLedgerBench {
-		runLedgerBench()
-		return
-	}
-
 	opt := experiment.Options{Duration: *duration, Seeds: *seeds}
 	if *quick {
 		opt = experiment.Quick()

@@ -12,12 +12,14 @@
 //	     -proof-out cycle.poc
 //
 // The operator serves each connection in its own goroutine (bounded
-// by -max-conns), so one stalled client cannot block the others. With
-// -http it also exposes a debug endpoint: Prometheus /metrics,
-// /healthz, expvar under /debug/vars, and net/http/pprof under
-// /debug/pprof/. SIGINT or SIGTERM stops accepting, drains in-flight
-// negotiations (bounded by -drain-timeout), logs a final metrics
-// snapshot, and exits 0.
+// by -max-conns), so one stalled client cannot block the others. Its
+// session engine negotiates on every connection, whether the edge
+// opens one negotiation per connection (as tlcd -role edge does) or
+// multiplexes many (TLCMUX1). With -http it also exposes a debug
+// endpoint: Prometheus /metrics, /healthz, expvar under /debug/vars,
+// and net/http/pprof under /debug/pprof/. SIGINT or SIGTERM stops
+// accepting, drains in-flight negotiations (bounded by
+// -drain-timeout), logs a final metrics snapshot, and exits 0.
 //
 // The -faults flag injects seeded stream faults (corrupted reads,
 // truncated writes, write stalls) into the live connection, and
@@ -31,9 +33,7 @@ package main
 
 import (
 	"crypto/rsa"
-	"crypto/sha256"
 	"crypto/x509"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"expvar"
@@ -145,8 +145,7 @@ func main() {
 	switch *role {
 	case "operator":
 		op := &operator{
-			plan: plan, keys: keys, usage: usage, strat: strat,
-			proofOut: *proofOut, once: *once, spec: spec, faultSeed: *faultSd,
+			plan: plan, proofOut: *proofOut, once: *once, spec: spec, faultSeed: *faultSd,
 			maxConns: *maxConns, connTimeout: *connTO, drainTimeout: *drainTO,
 			verbose: *verbose, muxTimeout: *muxTO,
 		}
@@ -163,33 +162,13 @@ func main() {
 			log.Printf("settlement ledger at %s (cycle %d, fsync every %d)",
 				*ledDir, op.cycle, *ledSync)
 		}
-		var coreStrat core.Strategy = core.OptimalStrategy{}
-		switch strat {
-		case tlc.Honest:
-			coreStrat = core.HonestStrategy{}
-		case tlc.RandomSelfish:
-			coreStrat = core.RandomSelfishStrategy{}
-		}
-		procStart := time.Now()
-		eng, err := session.NewEngine(session.EngineConfig{
-			Config: protocol.Config{
-				Role:     poc.RoleOperator,
-				Plan:     poc.Plan{TStart: plan.Start.UnixNano(), TEnd: plan.End.UnixNano(), C: plan.C},
-				Key:      keys.Signer(),
-				Strategy: coreStrat,
-				View:     core.View{Sent: float64(usage.Sent), Received: float64(usage.Received)},
-			},
+		if err := op.newEngine(keys, usage, strat, session.EngineConfig{
 			Shards: *shards, Workers: *workers,
 			MaxSessions: *maxSess, MaxPending: *pending,
-			Seed:      time.Now().UnixNano(),
-			Stopwatch: func() float64 { return time.Since(procStart).Seconds() },
-			OnSettle:  op.onSettle,
-			Recorder:  op.recorder(),
-		})
-		if err != nil {
+			Seed: time.Now().UnixNano(),
+		}); err != nil {
 			log.Fatal(err)
 		}
-		op.engine = eng
 		if err := op.run(*listen, *httpAddr); err != nil {
 			log.Fatal(err)
 		}
@@ -217,13 +196,9 @@ func wrapFaults(conn net.Conn, spec *faults.Spec, seed int64) (io.ReadWriter, *f
 	}, tr
 }
 
-// exchangeKeys swaps PKIX-encoded public keys over the connection:
-// each side writes its key as one frame and reads the peer's. When
-// the caller already read the peer's frame (the operator sniffs the
-// first frame to route mux vs legacy conns), it passes the DER in and
-// only the write happens here — same wire order either way, since
-// both sides write before reading.
-func exchangeKeys(conn io.ReadWriter, own *rsa.PublicKey, peerDER []byte) (*rsa.PublicKey, error) {
+// exchangeKeys swaps PKIX-encoded public keys with the operator: the
+// edge writes its key as one frame and reads the operator's.
+func exchangeKeys(conn io.ReadWriter, own *rsa.PublicKey) (*rsa.PublicKey, error) {
 	der, err := x509.MarshalPKIXPublicKey(own)
 	if err != nil {
 		return nil, err
@@ -231,11 +206,9 @@ func exchangeKeys(conn io.ReadWriter, own *rsa.PublicKey, peerDER []byte) (*rsa.
 	if err := protocol.WriteFrame(conn, der); err != nil {
 		return nil, err
 	}
-	if peerDER == nil {
-		peerDER, err = protocol.ReadFrame(conn)
-		if err != nil {
-			return nil, err
-		}
+	peerDER, err := protocol.ReadFrame(conn)
+	if err != nil {
+		return nil, err
 	}
 	pub, err := x509.ParsePKIXPublicKey(peerDER)
 	if err != nil {
@@ -248,69 +221,42 @@ func exchangeKeys(conn io.ReadWriter, own *rsa.PublicKey, peerDER []byte) (*rsa.
 	return rsaPub, nil
 }
 
-// settleLogCount samples the settlement log line: at session-engine
-// scale an unconditional log.Printf per settlement serializes every
-// crypto worker behind the log mutex. The first settlement always
-// logs (single-shot runs keep their line); -v restores every line.
-var settleLogCount atomic.Uint64
-
-const settleLogSample = 1024
-
-func logSettled(verbose bool, x uint64, rounds, proofLen int) {
-	n := settleLogCount.Add(1)
-	if verbose || (n-1)%settleLogSample == 0 {
-		log.Printf("settled: %d bytes in %d round(s); proof %d bytes (%d total)",
-			x, rounds, proofLen, n)
-	}
-}
-
-// settle runs key exchange plus one negotiation, timing the whole
-// round trip into the protocol latency histogram. Wall-clock reads
-// live here, in cmd/, so internal/ stays tlcvet simtime-clean.
-// peerDER, when non-nil, is the peer's already-read key frame.
-// record, when non-nil, receives the settled proof keyed by the
-// peer-key fingerprint (the operator's durable-ledger hook).
-func settle(conn io.ReadWriter, role tlc.Role, plan tlc.Plan, keys *tlc.KeyPair,
-	usage tlc.Usage, strat tlc.Strategy, initiate bool, proofOut string,
-	verbose bool, peerDER []byte,
-	record func(peerFP string, x uint64, rounds int, proof []byte)) error {
-	start := time.Now()
-	peerKey, err := exchangeKeys(conn, keys.Public(), peerDER)
+// settle runs the edge's side of one legacy negotiation: key exchange,
+// then the operator's opening claim and the exchange it starts.
+func settle(conn io.ReadWriter, plan tlc.Plan, keys *tlc.KeyPair,
+	usage tlc.Usage, strat tlc.Strategy, proofOut string) error {
+	peerKey, err := exchangeKeys(conn, keys.Public())
 	if err != nil {
 		return fmt.Errorf("key exchange: %w", err)
 	}
-	n := tlc.NewNegotiator(role, plan, keys, peerKey, usage, strat)
-	receipt, err := n.Negotiate(conn, initiate)
+	n := tlc.NewNegotiator(tlc.Edge, plan, keys, peerKey, usage, strat)
+	receipt, err := n.Negotiate(conn, false)
 	if err != nil {
 		return fmt.Errorf("negotiate: %w", err)
 	}
-	protocol.Metrics.NegotiateSeconds.Observe(time.Since(start).Seconds())
-	logSettled(verbose, receipt.X, receipt.Rounds, len(receipt.Proof))
-	if record != nil {
-		der, err := x509.MarshalPKIXPublicKey(peerKey)
-		if err != nil {
-			return fmt.Errorf("fingerprint peer key: %w", err)
-		}
-		fp := sha256.Sum256(der)
-		record(hex.EncodeToString(fp[:]), receipt.X, receipt.Rounds, receipt.Proof)
+	log.Printf("settled: %d bytes in %d round(s); proof %d bytes",
+		receipt.X, receipt.Rounds, len(receipt.Proof))
+	return writeProof(proofOut, receipt.Proof)
+}
+
+// writeProof stores a settled proof at path, if one is set.
+func writeProof(path string, proof []byte) error {
+	if path == "" {
+		return nil
 	}
-	if proofOut != "" {
-		if err := os.WriteFile(proofOut, receipt.Proof, 0o644); err != nil {
-			return err
-		}
-		log.Printf("proof written to %s", proofOut)
+	if err := os.WriteFile(path, proof, 0o644); err != nil {
+		return err
 	}
+	log.Printf("proof written to %s", path)
 	return nil
 }
 
 // operator serves negotiations concurrently: each accepted connection
 // runs in its own goroutine behind a bounded semaphore, so a stalled
-// client occupies one slot instead of the whole listener.
+// client occupies one slot instead of the whole listener. The session
+// engine negotiates on every connection.
 type operator struct {
 	plan         tlc.Plan
-	keys         *tlc.KeyPair
-	usage        tlc.Usage
-	strat        tlc.Strategy
 	proofOut     string
 	once         bool
 	spec         *faults.Spec
@@ -320,15 +266,14 @@ type operator struct {
 	drainTimeout time.Duration
 	verbose      bool
 
-	// engine, when non-nil, serves multiplexed (TLCMUX1) connections;
-	// legacy single-session conns keep the settle path. muxTimeout is
-	// the deadline for mux conns, which carry many sessions.
+	// engine serves every connection; newEngine builds it. muxTimeout
+	// is the deadline for mux conns, which carry many sessions.
 	engine     *session.Engine
 	muxTimeout time.Duration
 
-	// led, when non-nil, durably records every settlement (mux and
-	// legacy alike) under cycle as the charging-cycle id; ledgerErrs
-	// counts appends the store refused (never fatal to serving).
+	// led, when non-nil, durably records every settlement under cycle
+	// as the charging-cycle id; ledgerErrs counts appends the store
+	// refused (never fatal to serving).
 	led        *ledger.Ledger
 	cycle      uint64
 	ledgerErrs atomic.Uint64
@@ -345,6 +290,35 @@ type operator struct {
 	// stop, when non-nil, is an extra shutdown trigger equivalent to
 	// a signal; tests close it instead of raising SIGTERM.
 	stop chan struct{}
+}
+
+// newEngine builds the session engine that negotiates on every
+// connection: the operator's side of the plan, signed with keys and
+// claimed from usage under strat, timed by a process stopwatch, and
+// hooked to the settle log and recorder. Set led and proofOut first;
+// ec carries the table sizing and seed.
+func (o *operator) newEngine(keys *tlc.KeyPair, usage tlc.Usage, strat tlc.Strategy, ec session.EngineConfig) error {
+	var coreStrat core.Strategy = core.OptimalStrategy{}
+	switch strat {
+	case tlc.Honest:
+		coreStrat = core.HonestStrategy{}
+	case tlc.RandomSelfish:
+		coreStrat = core.RandomSelfishStrategy{}
+	}
+	ec.Config = protocol.Config{
+		Role:     poc.RoleOperator,
+		Plan:     poc.Plan{TStart: o.plan.Start.UnixNano(), TEnd: o.plan.End.UnixNano(), C: o.plan.C},
+		Key:      keys.Signer(),
+		Strategy: coreStrat,
+		View:     core.View{Sent: float64(usage.Sent), Received: float64(usage.Received)},
+	}
+	start := time.Now()
+	ec.Stopwatch = func() float64 { return time.Since(start).Seconds() }
+	ec.OnSettle = o.onSettle
+	ec.Recorder = o.recorder()
+	eng, err := session.NewEngine(ec)
+	o.engine = eng
+	return err
 }
 
 func (o *operator) run(addr, httpAddr string) error {
@@ -376,9 +350,7 @@ func (o *operator) serveWith(ln, debugLn net.Listener) error {
 	if debugLn != nil {
 		debug = startDebugServer(debugLn)
 	}
-	if o.engine != nil {
-		o.engine.Start()
-	}
+	o.engine.Start()
 
 	sigCh := make(chan os.Signal, 1)
 	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
@@ -411,9 +383,7 @@ func (o *operator) serveWith(ln, debugLn net.Listener) error {
 		log.Printf("listener close: %v", err)
 	}
 	o.drain()
-	if o.engine != nil {
-		o.engine.Stop()
-	}
+	o.engine.Stop()
 	if o.led != nil {
 		// Flush the group-commit tail so the last settlements are
 		// durable before the process exits; the directory then audits
@@ -460,57 +430,59 @@ func (o *operator) acceptLoop(acceptErr chan<- error) {
 	}
 }
 
-// onSettle is the session engine's per-settlement hook; it shares the
-// sampled settlement log with the legacy path. It runs on a crypto
-// worker, so the non-logging case is one atomic increment.
+// settleLogCount samples the settlement log line: at session-engine
+// scale an unconditional log.Printf per settlement serializes every
+// crypto worker behind the log mutex. The first settlement always
+// logs (single-shot runs keep their line); -v restores every line.
+var settleLogCount atomic.Uint64
+
+const settleLogSample = 1024
+
+// onSettle is the session engine's per-settlement hook. It runs on a
+// crypto worker, so the non-logging case is one atomic increment.
 func (o *operator) onSettle(conn, sid, x uint64, rounds int) {
 	n := settleLogCount.Add(1)
 	if o.verbose || (n-1)%settleLogSample == 0 {
-		log.Printf("settled: %d bytes in %d round(s) (mux conn %d sid %d; %d total)",
+		log.Printf("settled: %d bytes in %d round(s) (conn %d sid %d; %d total)",
 			x, rounds, conn, sid, n)
 	}
 }
 
+// recorder is the session engine's settlement hook, or nil with
+// neither a ledger nor -proof-out (which keeps KeepProof off and the
+// engine's settle path allocation-free).
+func (o *operator) recorder() func(session.ProofRecord) {
+	if o.led == nil && o.proofOut == "" {
+		return nil
+	}
+	return func(pr session.ProofRecord) {
+		if o.led != nil {
+			o.recordProof(pr)
+		}
+		if err := writeProof(o.proofOut, pr.Proof); err != nil {
+			log.Printf("-proof-out: %v", err)
+		}
+	}
+}
+
 // recordProof appends one settled negotiation to the ledger; the
-// subscriber identity is the peer-key fingerprint both settlement
-// paths derive from the PKIX DER. Append failures are counted and
-// logged, never fatal — charging keeps serving on a sick disk, the
-// operator just loses durability (and hears about it).
-func (o *operator) recordProof(peerFP string, x uint64, rounds int, proof []byte) {
+// subscriber identity is the peer-key fingerprint. Append failures are
+// counted and logged, never fatal — charging keeps serving on a sick
+// disk, the operator just loses durability (and hears about it).
+func (o *operator) recordProof(pr session.ProofRecord) {
 	rec := ledger.Record{
 		Kind:       ledger.KindPoC,
 		Cycle:      o.cycle,
 		At:         time.Now().UnixNano(),
-		Subscriber: peerFP,
-		X:          x,
-		Rounds:     uint32(rounds),
-		Proof:      proof,
+		Subscriber: pr.PeerFP,
+		X:          pr.X,
+		Rounds:     uint32(pr.Rounds),
+		Proof:      pr.Proof,
 	}
 	if err := o.led.Append(&rec); err != nil {
 		if o.ledgerErrs.Add(1) == 1 {
 			log.Printf("ledger append failed (first of possibly many): %v", err)
 		}
-	}
-}
-
-// legacyRecord is recordProof as the legacy settle callback, or nil
-// without a ledger.
-func (o *operator) legacyRecord() func(string, uint64, int, []byte) {
-	if o.led == nil {
-		return nil
-	}
-	return o.recordProof
-}
-
-// recorder adapts recordProof to the session engine's hook, or nil
-// when no ledger is attached (which keeps KeepProof off and the
-// engine's settle path allocation-free).
-func (o *operator) recorder() func(session.ProofRecord) {
-	if o.led == nil {
-		return nil
-	}
-	return func(pr session.ProofRecord) {
-		o.recordProof(pr.PeerFP, pr.X, pr.Rounds, pr.Proof)
 	}
 }
 
@@ -563,9 +535,10 @@ func runAudit(w io.Writer, dir, query string) error {
 	return err
 }
 
-// serve routes one accepted connection by its first frame: a TLCMUX1
-// hello hands the whole connection to the session engine, anything
-// else (a bare PKIX key frame) is a legacy single-session negotiation.
+// serve hands one accepted connection to the session engine. A mux
+// conn (its first frame a TLCMUX1 hello) carries many sessions, so it
+// gets the longer deadline; per-session progress is bounded by
+// admission control, not the socket clock.
 func (o *operator) serve(conn net.Conn) {
 	defer conn.Close() //tlcvet:allow errdiscard — negotiation already settled or failed; close is cleanup
 	if err := conn.SetDeadline(time.Now().Add(o.connTimeout)); err != nil {
@@ -578,20 +551,14 @@ func (o *operator) serve(conn net.Conn) {
 		log.Printf("first frame from %s: %v", conn.RemoteAddr(), err)
 		return
 	}
-	if _, ok := session.IsHello(first); ok && o.engine != nil {
-		// Mux conns carry many sessions, so they get the longer
-		// deadline; per-session progress is bounded by admission
-		// control, not the socket clock.
+	if _, mux := session.IsHello(first); mux {
 		if err := conn.SetDeadline(time.Now().Add(o.muxTimeout)); err != nil {
 			log.Printf("set mux deadline for %s: %v", conn.RemoteAddr(), err)
 			return
 		}
-		if err := o.engine.ServeConn(rw, first); err != nil {
-			log.Printf("mux conn %s: %v", conn.RemoteAddr(), err)
-		}
-	} else if err := settle(rw, tlc.Operator, o.plan, o.keys, o.usage, o.strat,
-		true, o.proofOut, o.verbose, first, o.legacyRecord()); err != nil {
-		log.Printf("negotiation with %s failed: %v", conn.RemoteAddr(), err)
+	}
+	if err := o.engine.ServeConn(rw, first); err != nil {
+		log.Printf("conn %s: %v", conn.RemoteAddr(), err)
 	}
 	if tr != nil {
 		log.Printf("fault injection: %s", tr.Summary())
@@ -698,7 +665,7 @@ func runEdge(addr string, plan tlc.Plan, keys *tlc.KeyPair, usage tlc.Usage,
 		// A fresh fault stream per attempt, seeded off the attempt
 		// index so replays of the whole retry sequence are identical.
 		rw, tr := wrapFaults(conn, spec, faultSeed+int64(attempt))
-		serr := settle(rw, tlc.Edge, plan, keys, usage, strat, false, proofOut, true, nil, nil)
+		serr := settle(rw, plan, keys, usage, strat, proofOut)
 		if tr != nil {
 			log.Printf("attempt %d fault injection: %s", attempt+1, tr.Summary())
 		}

@@ -73,7 +73,7 @@ func edgeSettle(t *testing.T, addr string, keys *tlc.KeyPair, plan tlc.Plan, usa
 	if err := conn.SetDeadline(time.Now().Add(5 * time.Second)); err != nil {
 		t.Fatal(err)
 	}
-	return settle(conn, tlc.Edge, plan, keys, usage, tlc.Honest, false, "", true, nil, nil)
+	return settle(conn, plan, keys, usage, tlc.Honest, "")
 }
 
 func scrapeMetric(t *testing.T, debugAddr, series string) (float64, bool) {
@@ -113,10 +113,12 @@ func scrapeMetric(t *testing.T, debugAddr, series string) (float64, bool) {
 func TestOperatorConcurrentConnsAndScrape(t *testing.T) {
 	opKeys, edgeKeys, plan, usage := testParties(t)
 	op := &operator{
-		plan: plan, keys: opKeys, usage: usage, strat: tlc.Honest,
-		once: false, maxConns: 4,
+		plan: plan, once: false, maxConns: 4,
 		connTimeout: 30 * time.Second, drainTimeout: 5 * time.Second,
 		stop: make(chan struct{}),
+	}
+	if err := op.newEngine(opKeys, usage, tlc.Honest, session.EngineConfig{}); err != nil {
+		t.Fatal(err)
 	}
 	addr, debugAddr, exited := startOperator(t, op, true)
 
@@ -178,9 +180,11 @@ func TestOperatorConcurrentConnsAndScrape(t *testing.T) {
 func TestOperatorOnceExits(t *testing.T) {
 	opKeys, edgeKeys, plan, usage := testParties(t)
 	op := &operator{
-		plan: plan, keys: opKeys, usage: usage, strat: tlc.Honest,
-		once: true, maxConns: 4,
+		plan: plan, once: true, maxConns: 4,
 		connTimeout: 30 * time.Second, drainTimeout: 5 * time.Second,
+	}
+	if err := op.newEngine(opKeys, usage, tlc.Honest, session.EngineConfig{}); err != nil {
+		t.Fatal(err)
 	}
 	addr, _, exited := startOperator(t, op, false)
 	if err := edgeSettle(t, addr, edgeKeys, plan, usage); err != nil {
@@ -199,33 +203,21 @@ func TestOperatorOnceExits(t *testing.T) {
 // TestOperatorMuxAndLegacyCoexist drives both connection flavours at
 // one operator listener: a legacy single-session conn (bare key frame)
 // and multiplexed TLCMUX1 conns carrying many sessions each. The
-// first-frame sniff in serve must route both correctly.
+// session engine must serve both.
 func TestOperatorMuxAndLegacyCoexist(t *testing.T) {
 	opKeys, edgeKeys, plan, usage := testParties(t)
 	op := &operator{
-		plan: plan, keys: opKeys, usage: usage, strat: tlc.Optimal,
-		once: false, maxConns: 4,
+		plan: plan, once: false, maxConns: 4,
 		connTimeout: 30 * time.Second, drainTimeout: 5 * time.Second,
 		muxTimeout: 2 * time.Minute,
 		stop:       make(chan struct{}),
 	}
-	eng, err := session.NewEngine(session.EngineConfig{
-		Config: protocol.Config{
-			Role:     poc.RoleOperator,
-			Plan:     poc.Plan{TStart: plan.Start.UnixNano(), TEnd: plan.End.UnixNano(), C: plan.C},
-			Key:      opKeys.Signer(),
-			Strategy: core.OptimalStrategy{},
-			View:     core.View{Sent: float64(usage.Sent), Received: float64(usage.Received)},
-		},
-		Shards: 2, Workers: 2, Seed: 42,
-	})
-	if err != nil {
+	if err := op.newEngine(opKeys, usage, tlc.Optimal, session.EngineConfig{Shards: 2, Workers: 2, Seed: 42}); err != nil {
 		t.Fatal(err)
 	}
-	op.engine = eng
 	addr, _, exited := startOperator(t, op, false)
 
-	// Legacy conn first: the sniff must fall through to settle.
+	// Legacy conn first: the engine serves it as one session.
 	if err := edgeSettle(t, addr, edgeKeys, plan, usage); err != nil {
 		t.Fatalf("legacy settle against mux-enabled operator: %v", err)
 	}
@@ -276,10 +268,9 @@ func TestOperatorMuxAndLegacyCoexist(t *testing.T) {
 
 // TestOperatorLedgerAudit is the end-to-end durability path: an
 // operator with a real on-disk ledger records settlements from both
-// connection flavours (mux sessions through the engine Recorder,
-// a legacy conn through the settle callback), the shutdown flush
-// closes the ledger, and the -audit query path reads the proofs back
-// from the directory.
+// connection flavours (mux sessions and a legacy conn, all through
+// the engine Recorder), the shutdown flush closes the ledger, and the
+// -audit query path reads the proofs back from the directory.
 func TestOperatorLedgerAudit(t *testing.T) {
 	opKeys, edgeKeys, plan, usage := testParties(t)
 	dir := t.TempDir()
@@ -289,28 +280,15 @@ func TestOperatorLedgerAudit(t *testing.T) {
 	}
 	cycle := uint64(plan.Start.Unix())
 	op := &operator{
-		plan: plan, keys: opKeys, usage: usage, strat: tlc.Optimal,
-		once: false, maxConns: 4,
+		plan: plan, once: false, maxConns: 4,
 		connTimeout: 30 * time.Second, drainTimeout: 5 * time.Second,
 		muxTimeout: 2 * time.Minute,
 		stop:       make(chan struct{}),
 	}
 	op.led, op.cycle = led, cycle
-	eng, err := session.NewEngine(session.EngineConfig{
-		Config: protocol.Config{
-			Role:     poc.RoleOperator,
-			Plan:     poc.Plan{TStart: plan.Start.UnixNano(), TEnd: plan.End.UnixNano(), C: plan.C},
-			Key:      opKeys.Signer(),
-			Strategy: core.OptimalStrategy{},
-			View:     core.View{Sent: float64(usage.Sent), Received: float64(usage.Received)},
-		},
-		Shards: 2, Workers: 2, Seed: 42,
-		Recorder: op.recorder(),
-	})
-	if err != nil {
+	if err := op.newEngine(opKeys, usage, tlc.Optimal, session.EngineConfig{Shards: 2, Workers: 2, Seed: 42}); err != nil {
 		t.Fatal(err)
 	}
-	op.engine = eng
 	addr, _, exited := startOperator(t, op, false)
 
 	// One legacy settlement plus a batch of mux sessions.
@@ -441,10 +419,12 @@ func TestOperatorLedgerAudit(t *testing.T) {
 func TestOperatorStopWithoutTraffic(t *testing.T) {
 	opKeys, _, plan, usage := testParties(t)
 	op := &operator{
-		plan: plan, keys: opKeys, usage: usage, strat: tlc.Honest,
-		once: false, maxConns: 4,
+		plan: plan, once: false, maxConns: 4,
 		connTimeout: time.Second, drainTimeout: time.Second,
 		stop: make(chan struct{}),
+	}
+	if err := op.newEngine(opKeys, usage, tlc.Honest, session.EngineConfig{}); err != nil {
+		t.Fatal(err)
 	}
 	_, _, exited := startOperator(t, op, false)
 	close(op.stop)

@@ -445,10 +445,12 @@ func TestRetrierSleepCappedAtDeadline(t *testing.T) {
 
 // TestRunWithRetryRecoversFromTruncation: the first dial hits a
 // transport that dies mid-frame; the retry dials again and settles.
+// Each attempt runs the party over a fresh conn inside Retrier.Do, as
+// tlcd's edge does.
 func TestRunWithRetryRecoversFromTruncation(t *testing.T) {
 	view := core.View{Sent: 1000, Received: 900}
 	dials := 0
-	dial := func() (io.ReadWriteCloser, error) {
+	dial := func() io.ReadWriteCloser {
 		dials++
 		ci, cr := net.Pipe()
 		if dials == 1 {
@@ -460,7 +462,7 @@ func TestRunWithRetryRecoversFromTruncation(t *testing.T) {
 				_, _ = cr.Write([]byte{0, 0, 1, 0, 2}) // announce 256, die
 				_ = cr.Close()
 			}()
-			return ci, nil
+			return ci
 		}
 		op := &Party{
 			Role: poc.RoleOperator, Plan: plan, Keys: opKeys, PeerKey: edgeKeys.Public,
@@ -470,13 +472,20 @@ func TestRunWithRetryRecoversFromTruncation(t *testing.T) {
 			_, _ = op.Run(cr, false)
 			_ = cr.Close()
 		}()
-		return ci, nil
+		return ci
 	}
 	edge := &Party{
 		Role: poc.RoleEdge, Plan: plan, Keys: edgeKeys, PeerKey: opKeys.Public,
 		Strategy: core.OptimalStrategy{}, View: view, RNG: sim.NewRNG(60),
 	}
-	res, err := edge.RunWithRetry(dial, true, &Retrier{MaxAttempts: 3})
+	var res *Result
+	err := (&Retrier{MaxAttempts: 3}).Do(func(int) error {
+		conn := dial()
+		defer conn.Close() //tlcvet:allow errdiscard — test teardown; Run already closed on framing faults
+		var err error
+		res, err = edge.Run(conn, true)
+		return err
+	})
 	if err != nil {
 		t.Fatalf("retry did not recover: %v", err)
 	}

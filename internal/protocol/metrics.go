@@ -10,9 +10,9 @@ import "tlc/internal/metrics"
 // simulation-driven negotiations (RunPair in the experiment suite)
 // stay byte-deterministic.
 //
-// NegotiateSeconds is observed by the caller that owns a real clock
-// (cmd/tlcd wraps each settlement with time.Since); nothing in
-// internal/ reads wall time, which keeps the tlcvet simtime pass
+// NegotiateSeconds is observed by the session engine through the
+// Stopwatch its caller injects (tlcd's reads time.Since); nothing
+// in internal/ reads wall time, which keeps the tlcvet simtime pass
 // clean without waivers.
 var Metrics = struct {
 	// NegotiationsStarted/Settled/Failed count negotiation outcomes,
@@ -32,8 +32,9 @@ var Metrics = struct {
 	StaleProofRejections *metrics.Counter
 	ByzantineRejections  *metrics.Counter
 	FrameTruncations     *metrics.Counter
-	// NegotiateSeconds is the negotiation round-trip latency
-	// histogram, observed by live callers (cmd/tlcd).
+	// NegotiateSeconds is the negotiation latency histogram, from
+	// admission to settlement, observed by the session engine when it
+	// has a Stopwatch.
 	NegotiateSeconds *metrics.Histogram
 }{
 	NegotiationsStarted: metrics.Default.Counter("protocol_negotiations_started_total",

@@ -3,7 +3,6 @@ package protocol
 import (
 	"errors"
 	"fmt"
-	"io"
 	"time"
 )
 
@@ -121,28 +120,4 @@ func (r *Retrier) Do(op func(attempt int) error) error {
 		}
 	}
 	return fmt.Errorf("%w: %d attempts: %v", ErrRetryBudget, r.maxAttempts(), last)
-}
-
-// RunWithRetry runs the negotiation with a fresh connection per
-// attempt: transient transport faults (truncated frames, resets,
-// stalls that trip the deadline) retry with backoff, while protocol
-// verdicts fail closed immediately.
-func (p *Party) RunWithRetry(dial func() (io.ReadWriteCloser, error), initiate bool, r *Retrier) (*Result, error) {
-	if r == nil {
-		r = &Retrier{}
-	}
-	var res *Result
-	err := r.Do(func(int) error {
-		conn, err := dial()
-		if err != nil {
-			return err
-		}
-		res, err = p.Run(conn, initiate)
-		_ = conn.Close() // best-effort teardown; Run already closed on framing faults
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
 }

@@ -147,6 +147,13 @@ func RunClient(cc ClientConfig) (*ClientResult, error) {
 	if !cc.OpenFirst {
 		close(gate)
 	}
+	// herd holds every OpenFirst reader until all of them have buffered
+	// their conn's responses, so no session advances while another
+	// conn's are still being admitted.
+	var herd sync.WaitGroup
+	if cc.OpenFirst {
+		herd.Add(len(conns))
+	}
 	var wg sync.WaitGroup
 	for _, cn := range conns {
 		wg.Add(2)
@@ -157,7 +164,7 @@ func RunClient(cc ClientConfig) (*ClientResult, error) {
 		go func(cn *clientConn) {
 			defer wg.Done()
 			<-gate
-			cn.readLoop(&cc)
+			cn.readLoop(&cc, &herd)
 		}(cn)
 	}
 
@@ -261,10 +268,11 @@ func (cn *clientConn) emit(cc *ClientConfig, s *clientSession) func([]byte) erro
 
 // readLoop processes server frames until every assigned session
 // resolves or the connection dies, then shuts the writer down.
-func (cn *clientConn) readLoop(cc *ClientConfig) {
+func (cn *clientConn) readLoop(cc *ClientConfig, herd *sync.WaitGroup) {
 	fr := protocol.NewFrameReader(cn.rw)
 
-	// OpenFirst phase: buffer one response per opened session before
+	// OpenFirst phase: buffer one response per opened session, and
+	// wait for every other conn's reader to do the same, before
 	// advancing any negotiation. A read error here falls through to
 	// the main loop, which fails whatever never resolved.
 	var buffered [][]byte
@@ -276,6 +284,8 @@ func (cn *clientConn) readLoop(cc *ClientConfig) {
 			}
 			buffered = append(buffered, append([]byte(nil), frame...))
 		}
+		herd.Done()
+		herd.Wait()
 	}
 
 	for cn.remaining() > 0 {

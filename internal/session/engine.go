@@ -170,8 +170,7 @@ func (e *Engine) PeakActive() int64 { return e.peakActive.Load() }
 func (e *Engine) KeyCacheStats() (hits, misses uint64) { return e.keys.Stats() }
 
 // muxConn is the engine's per-connection state: the peer's verified
-// key, the outbound queue its single writer goroutine drains, and the
-// reader-goroutine-local session index used for teardown.
+// key and the outbound queue its single writer goroutine drains.
 type muxConn struct {
 	id      uint64
 	peerKey *rsa.PublicKey
@@ -180,14 +179,32 @@ type muxConn struct {
 	// identity for settled proofs.
 	peerFP string
 	out    *outQueue
-	// sessions indexes this conn's sessions by sid. Only the reader
-	// goroutine touches it (dispatch inserts, teardown sweeps after
-	// the read loop exits), so it needs no lock. Finished sessions
-	// linger until teardown; their state CAS makes the sweep a no-op.
-	sessions map[uint64]*session
+	// legacy marks a conn whose peer opened with a bare key instead of
+	// a TLCMUX1 hello. It carries one session (sid 0) as bare protocol
+	// frames, with no mux header and no reject or ack frame.
+	legacy bool
 }
 
+// sendData queues one negotiation message for sid: a TypeData frame,
+// or the bare message on a legacy conn.
+func (c *muxConn) sendData(sid uint64, msg []byte) {
+	out := bufPool.Get().(*[]byte)
+	if c.legacy {
+		*out = append((*out)[:0], msg...)
+	} else {
+		*out = AppendMux((*out)[:0], TypeData, sid, msg)
+	}
+	c.out.push(out)
+}
+
+// sendReject tells the peer that session sid ended without settling.
+// A legacy conn has no reject frame and carries no other session, so
+// there the reject is the close: the writer flushes and hangs up.
 func (c *muxConn) sendReject(sid uint64, code byte, detail string) {
+	if c.legacy {
+		c.out.close()
+		return
+	}
 	out := bufPool.Get().(*[]byte)
 	*out = AppendMux((*out)[:0], TypeReject, sid, nil)
 	*out = append(*out, code)
@@ -195,18 +212,23 @@ func (c *muxConn) sendReject(sid uint64, code byte, detail string) {
 	c.out.push(out)
 }
 
-// ServeConn runs one mux connection to completion: hello is the
-// already-read first frame (the caller sniffed it with IsHello to
-// route between mux and legacy service). ServeConn blocks until the
-// peer hangs up or breaks framing, and returns with no goroutines
-// left behind.
-func (e *Engine) ServeConn(conn io.ReadWriter, hello []byte) error {
+// ServeConn runs one connection to completion. first is the
+// already-read first frame. A TLCMUX1 hello (see IsHello) opens a mux
+// connection that carries many sessions. Any other first frame is a
+// legacy peer's bare PKIX key: the engine answers with its own key,
+// admits the conn's one session and sends its opening claim, since
+// the operator initiates on that wire. The engine closes a legacy
+// conn when that session ends, so the peer learns of a refusal or a
+// failure from the close. ServeConn blocks until the peer hangs up or
+// breaks framing, or a legacy conn's session ends, and returns with
+// no goroutines left behind.
+func (e *Engine) ServeConn(conn io.ReadWriter, first []byte) error {
 	if e.stopped.Load() {
 		return ErrEngineStopped
 	}
-	der, ok := IsHello(hello)
-	if !ok {
-		return fmt.Errorf("%w: not a mux hello", ErrMuxFrame)
+	der, mux := IsHello(first)
+	if !mux {
+		der = first
 	}
 	peerKey, hit, err := e.keys.Parse(der)
 	if err != nil {
@@ -224,10 +246,10 @@ func (e *Engine) ServeConn(conn io.ReadWriter, hello []byte) error {
 	}
 
 	c := &muxConn{
-		id:       e.connID.Add(1),
-		peerKey:  peerKey,
-		out:      newOutQueue(),
-		sessions: make(map[uint64]*session),
+		id:      e.connID.Add(1),
+		peerKey: peerKey,
+		out:     newOutQueue(),
+		legacy:  !mux,
 	}
 	if e.recorder != nil {
 		fp := sha256.Sum256(der)
@@ -237,17 +259,29 @@ func (e *Engine) ServeConn(conn io.ReadWriter, hello []byte) error {
 	go func() {
 		defer close(writerDone)
 		c.writeLoop(conn)
+		if closer, ok := conn.(io.Closer); c.legacy && ok {
+			_ = closer.Close() // the session is over; the close is the peer's only word of it
+		}
 	}()
+	if c.legacy {
+		e.open(c)
+	}
 
 	fr := protocol.NewFrameReader(conn)
 	var readErr error
 	for {
 		frame, err := fr.ReadFrame()
 		if err != nil {
-			if err != io.EOF {
+			// A legacy conn whose session is over was closed by its
+			// writer, which ends this read; that is no failure.
+			if err != io.EOF && !(c.legacy && c.out.isClosed()) {
 				readErr = err
 			}
 			break
+		}
+		if c.legacy {
+			e.dispatch(c, 0, frame)
+			continue
 		}
 		typ, sid, payload, err := DecodeMux(frame)
 		if err != nil {
@@ -259,10 +293,7 @@ func (e *Engine) ServeConn(conn io.ReadWriter, hello []byte) error {
 		case TypeData:
 			e.dispatch(c, sid, payload)
 		case TypeReject:
-			// Client-side abort of one session.
-			if s := c.sessions[sid]; s != nil {
-				e.failSession(s, RejectFailed, nil)
-			}
+			e.abort(c, sid)
 		case TypeDone:
 			// Servers never expect acks; ignore.
 		}
@@ -270,13 +301,12 @@ func (e *Engine) ServeConn(conn io.ReadWriter, hello []byte) error {
 
 	// Teardown: fail whatever is still resident for this conn before
 	// its id could ever be observed again, then let the writer flush
-	// and exit. The table-wide sweep (not the reader-local c.sessions
-	// index) is authoritative — it also evicts sessions another
-	// muxConn admitted under the same id, so a reused conn id can
+	// and exit. The sweep is table-wide, so it also evicts sessions
+	// another muxConn admitted under the same id: a reused conn id can
 	// never alias a dead conn's sessions. Workers may be settling
 	// these sessions concurrently; the per-session state CAS
 	// arbitrates.
-	e.evictConn(c.id)
+	e.evictConn(c.id, readErr)
 	c.out.close()
 	<-writerDone
 	return readErr
@@ -374,6 +404,12 @@ func (q *outQueue) empty() bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return len(q.items) == 0
+}
+
+func (q *outQueue) isClosed() bool {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.closed
 }
 
 // close stops accepting pushes; the writer drains what is queued and

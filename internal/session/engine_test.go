@@ -3,7 +3,9 @@ package session
 import (
 	"crypto/sha256"
 	"crypto/x509"
+	"encoding/binary"
 	"encoding/hex"
+	"io"
 	"net"
 	"runtime"
 	"sync"
@@ -130,43 +132,192 @@ func dialConns(t *testing.T, addr string, n int) []net.Conn {
 }
 
 func TestEngineSettlesMuxedSessions(t *testing.T) {
-	settledBefore := Metrics.Settled.Value()
-	ec := operatorEngineConfig()
-	ec.Shards = 4
-	ec.Workers = 2
-	eng, addr, _ := startEngine(t, ec)
+	cases := []struct {
+		name                    string
+		sessions, conns, shards int
+		maxPending              int
+		openFirst               bool
+	}{
+		// Every claim is queued before any response, so resident
+		// sessions peak at the full load.
+		{name: "herd", sessions: 300, conns: 3, shards: 4, openFirst: true},
+		// Sessions settle while later ones open, with the pending queue
+		// sized to the load: nothing is refused below the session cap.
+		{name: "steady_shards1", sessions: 2000, conns: 8, shards: 1, maxPending: 2000},
+		{name: "steady_shards8", sessions: 2000, conns: 8, shards: 8, maxPending: 2000},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			settledBefore := Metrics.Settled.Value()
+			ec := operatorEngineConfig()
+			ec.Shards = tc.shards
+			ec.Workers = 2
+			ec.MaxPending = tc.maxPending
+			eng, addr, _ := startEngine(t, ec)
 
-	const sessions = 300
-	conns := dialConns(t, addr, 3)
-	cc := edgeClientConfig(sessions, conns)
-	var ticks atomic.Int64
-	cc.Stopwatch = func() float64 { return float64(ticks.Add(1)) }
-	res, err := RunClient(cc)
+			conns := dialConns(t, addr, tc.conns)
+			cc := edgeClientConfig(tc.sessions, conns)
+			cc.OpenFirst = tc.openFirst
+			var ticks atomic.Int64
+			cc.Stopwatch = func() float64 { return float64(ticks.Add(1)) }
+			res, err := RunClient(cc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Settled != tc.sessions || res.Rejected != 0 || res.Failed != 0 {
+				t.Fatalf("settled/rejected/failed = %d/%d/%d, want %d/0/0",
+					res.Settled, res.Rejected, res.Failed, tc.sessions)
+			}
+			if len(res.Latencies) != tc.sessions {
+				t.Fatalf("latencies = %d, want %d", len(res.Latencies), tc.sessions)
+			}
+			if got := eng.PeakActive(); tc.openFirst && got != int64(tc.sessions) {
+				t.Fatalf("peak active = %d, want %d", got, tc.sessions)
+			}
+			// Every conn presented the same edge key: one parse, the
+			// rest cache hits.
+			if hits, misses := eng.KeyCacheStats(); hits != uint64(tc.conns-1) || misses != 1 {
+				t.Fatalf("key cache hits/misses = %d/%d, want %d/1", hits, misses, tc.conns-1)
+			}
+			if got := Metrics.Settled.Value() - settledBefore; got != uint64(tc.sessions) {
+				t.Fatalf("sessions_settled_total delta = %d, want %d", got, tc.sessions)
+			}
+			if got := Metrics.Active.Value(); got != 0 {
+				t.Fatalf("sessions_active = %d after drain, want 0", got)
+			}
+		})
+	}
+}
+
+// TestEngineForgetsSettledSessions: a conn that stays open retains no
+// state for the sessions it settled, so the heap an open conn holds
+// does not grow with the sessions it has carried. Each point is a
+// fresh engine whose one conn is still open when the heap is read.
+func TestEngineForgetsSettledSessions(t *testing.T) {
+	heapAfter := func(sessions int) float64 {
+		_, addr, stop := startEngine(t, operatorEngineConfig())
+		conns := dialConns(t, addr, 1)
+		cc := edgeClientConfig(sessions, conns)
+		cc.OpenFirst = false
+		res, err := RunClient(cc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Settled != sessions {
+			t.Fatalf("settled = %d, want %d", res.Settled, sessions)
+		}
+		// Two collections: the first moves pooled buffers to the
+		// victim cache, the second frees them.
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		_ = conns[0].Close()
+		stop()
+		return float64(ms.HeapAlloc)
+	}
+	const few, many = 500, 2500
+	perSession := (heapAfter(many) - heapAfter(few)) / (many - few)
+	// The bound leaves room for the shard maps, which keep the buckets
+	// their peak residency grew, but not for a record per session.
+	if perSession > 200 {
+		t.Fatalf("an open conn retains %.0f B per settled session, want <= 200", perSession)
+	}
+}
+
+// TestEngineClientAbort: a client's TypeReject fails its session once,
+// and the session with the same sid on another conn settles untouched.
+func TestEngineClientAbort(t *testing.T) {
+	_, addr, _ := startEngine(t, operatorEngineConfig())
+	failedBefore := Metrics.Failed.Value()
+	edgeDER, err := x509.MarshalPKIXPublicKey(&edgeKeys.Private.PublicKey)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Settled != sessions || res.Rejected != 0 || res.Failed != 0 {
-		t.Fatalf("settled/rejected/failed = %d/%d/%d, want %d/0/0",
-			res.Settled, res.Rejected, res.Failed, sessions)
+	cfg := edgeClientConfig(1, nil).Config
+	type peer struct {
+		conn net.Conn
+		fr   *protocol.FrameReader
+		m    protocol.Machine
+		env  protocol.Env
+		cda  []byte
 	}
-	if len(res.Latencies) != sessions {
-		t.Fatalf("latencies = %d, want %d", len(res.Latencies), sessions)
+	send := func(p *peer, typ byte, payload []byte) {
+		t.Helper()
+		if err := protocol.WriteFrame(p.conn, AppendMux(nil, typ, 1, payload)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	// OpenFirst holds every response until all claims are queued, so
-	// the engine's resident count must peak at the full load.
-	if got := eng.PeakActive(); got != sessions {
-		t.Fatalf("peak active = %d, want %d", got, sessions)
+	recv := func(p *peer) (byte, []byte) {
+		t.Helper()
+		frame, err := p.fr.ReadFrame()
+		if err != nil {
+			t.Fatal(err)
+		}
+		typ, sid, payload, err := DecodeMux(frame)
+		if err != nil || sid != 1 {
+			t.Fatalf("frame for sid %d: %v", sid, err)
+		}
+		return typ, payload
 	}
-	// All three conns presented the same edge key: one parse, two
-	// cache hits.
-	if hits, misses := eng.KeyCacheStats(); hits != 2 || misses != 1 {
-		t.Fatalf("key cache hits/misses = %d/%d, want 2/1", hits, misses)
+	// Each conn opens sid 1; the engine's CDA shows it is resident.
+	var peers [2]*peer
+	for i, c := range dialConns(t, addr, 2) {
+		p := &peer{conn: c, fr: protocol.NewFrameReader(c), env: protocol.Env{RNG: sim.NewRNG(int64(i))}}
+		if err := protocol.WriteFrame(c, Hello(edgeDER)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.fr.ReadFrame(); err != nil {
+			t.Fatal(err)
+		}
+		p.m.Init(&cfg, &opKeys.Private.PublicKey)
+		if err := p.m.Start(&p.env, func(msg []byte) error { send(p, TypeData, msg); return nil }); err != nil {
+			t.Fatal(err)
+		}
+		typ, cda := recv(p)
+		if typ != TypeData {
+			t.Fatalf("conn %d: answer type %d, want TypeData", i, typ)
+		}
+		p.cda = append([]byte(nil), cda...)
+		peers[i] = p
 	}
-	if got := Metrics.Settled.Value() - settledBefore; got != sessions {
-		t.Fatalf("sessions_settled_total delta = %d, want %d", got, sessions)
+
+	// Abort twice, then hang up: the engine has read both aborts when
+	// the conn reaches EOF.
+	aborter := peers[0]
+	send(aborter, TypeReject, []byte{RejectFailed})
+	send(aborter, TypeReject, []byte{RejectFailed})
+	if err := aborter.conn.(*net.TCPConn).CloseWrite(); err != nil {
+		t.Fatal(err)
+	}
+	if typ, payload := recv(aborter); typ != TypeReject || payload[0] != RejectFailed {
+		t.Fatalf("abort answered with type %d payload %v, want one RejectFailed", typ, payload)
+	}
+	if frame, err := aborter.fr.ReadFrame(); err != io.EOF {
+		t.Fatalf("after the abort: frame %v, err %v; want EOF", frame, err)
+	}
+	if got := Metrics.Failed.Value() - failedBefore; got != 1 {
+		t.Fatalf("sessions_failed_total moved by %d, want 1", got)
+	}
+
+	// The other conn's sid 1 settles as if nothing happened.
+	other := peers[1]
+	finished, err := other.m.Handle(other.cda, &other.env, func(msg []byte) error {
+		send(other, TypeData, msg)
+		return nil
+	})
+	if err != nil || !finished {
+		t.Fatalf("other conn's session: finished %v, err %v", finished, err)
+	}
+	typ, payload := recv(other)
+	if typ != TypeDone || len(payload) != 8 || binary.BigEndian.Uint64(payload) != other.m.X() {
+		t.Fatalf("other conn's session ended with type %d payload %v, want TypeDone X=%d", typ, payload, other.m.X())
 	}
 	if got := Metrics.Active.Value(); got != 0 {
-		t.Fatalf("sessions_active = %d after drain, want 0", got)
+		t.Fatalf("sessions_active = %d, want 0", got)
+	}
+	if got := Metrics.Failed.Value() - failedBefore; got != 1 {
+		t.Fatalf("sessions_failed_total moved by %d, want 1", got)
 	}
 }
 

@@ -21,7 +21,9 @@
 // Negotiations run as event-driven state machines (protocol.Machine,
 // the same one protocol.Party.Run drives over a single conn), not
 // goroutine-per-session: a parked session is a few hundred bytes of
-// table state, which is what makes the million-session table fit.
+// table state, which is what makes the million-session table fit. The
+// engine also serves legacy conns, which carry one negotiation each
+// as bare protocol frames (see Magic).
 //
 // Nothing in this package reads a wall clock (tlcvet's simtime rule);
 // callers in cmd/ inject a Stopwatch for latency observation.
@@ -35,8 +37,9 @@ import (
 
 // Magic opens a mux connection: the client's first frame is Magic
 // followed by its PKIX public key DER. A first frame without the
-// prefix is a legacy one-negotiation-per-conn client (whose first
-// frame is the bare DER), which keeps both protocols on one port.
+// prefix is a legacy one-negotiation-per-conn client's bare DER; the
+// engine serves that conn as one session without the mux header, so
+// both wires share one port and one serving path.
 var Magic = []byte("TLCMUX1")
 
 // Mux frame types. A mux frame rides inside one protocol frame as

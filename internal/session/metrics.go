@@ -5,10 +5,8 @@ import "tlc/internal/metrics"
 // Metrics are the session-engine instruments, observed inline on the
 // live path (same discipline as protocol.Metrics: single atomic ops on
 // pre-registered instruments, no locks, no clock reads). The engine
-// additionally feeds protocol.Metrics — a negotiation settled by the
-// sharded engine counts exactly like one settled by the legacy
-// goroutine-per-conn path, so dashboards don't care which path served
-// it.
+// additionally feeds protocol.Metrics, so a negotiation it settles
+// counts exactly like one Party.Run or RunPair settles.
 var Metrics = struct {
 	// Active is the sessions currently resident in the shard tables
 	// (opened, not yet settled/failed/rejected).

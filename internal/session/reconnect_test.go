@@ -14,13 +14,12 @@ import (
 // table-wide teardown sweep.
 
 // staleConn builds a muxConn the way ServeConn does, minus the
-// transport: dispatch and eviction only touch id/peerKey/out/sessions.
+// transport: dispatch and eviction only touch id/peerKey/out.
 func staleConn(id uint64) *muxConn {
 	return &muxConn{
-		id:       id,
-		peerKey:  &edgeKeys.Private.PublicKey,
-		out:      newOutQueue(),
-		sessions: make(map[uint64]*session),
+		id:      id,
+		peerKey: &edgeKeys.Private.PublicKey,
+		out:     newOutQueue(),
 	}
 }
 
@@ -70,8 +69,8 @@ func TestDispatchEvictsStaleConnIDReuse(t *testing.T) {
 }
 
 // TestEvictConnSweepsTable: ServeConn teardown evicts by scanning the
-// table for the conn id, so sessions the reader-local index never saw
-// (admitted by another muxConn object under the same id) go too.
+// table for the conn id, so sessions admitted by another muxConn
+// object under the same id go too.
 func TestEvictConnSweepsTable(t *testing.T) {
 	eng, err := NewEngine(operatorEngineConfig())
 	if err != nil {
@@ -82,13 +81,12 @@ func TestEvictConnSweepsTable(t *testing.T) {
 	for sid := uint64(1); sid <= 16; sid++ {
 		eng.dispatch(doomed, sid, payload)
 	}
-	// twin shares the id but is a different muxConn, so its session
-	// (a fresh sid: no alias to evict) is invisible to doomed's
-	// reader-local index — only the table sweep can find it.
+	// twin shares the id but is a different muxConn; its session (a
+	// fresh sid: no alias to evict) must go with doomed's.
 	eng.dispatch(twin, 17, payload)
 	eng.dispatch(bystander, 1, payload)
 
-	eng.evictConn(9)
+	eng.evictConn(9, nil)
 
 	for _, sh := range eng.table.shards {
 		sh.mu.Lock()
@@ -136,10 +134,10 @@ func TestReconnectReuseConcurrent(t *testing.T) {
 	}()
 	go func() {
 		defer wg.Done()
-		eng.evictConn(77)
+		eng.evictConn(77, nil)
 	}()
 	wg.Wait()
-	eng.evictConn(77)
+	eng.evictConn(77, nil)
 	for _, sh := range eng.table.shards {
 		sh.mu.Lock()
 		for k := range sh.sessions {
@@ -149,5 +147,29 @@ func TestReconnectReuseConcurrent(t *testing.T) {
 			}
 		}
 		sh.mu.Unlock()
+	}
+}
+
+// TestAbortIgnoresConnIDAlias: a client abort from a conn whose id
+// aliases another conn's resident session must not fail that session;
+// only its own conn's abort does.
+func TestAbortIgnoresConnIDAlias(t *testing.T) {
+	eng, err := NewEngine(operatorEngineConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	owner, alias := staleConn(42), staleConn(42)
+	eng.dispatch(owner, 7, []byte{0x01})
+	s := residentSession(eng, connSid{conn: 42, sid: 7})
+	if s == nil || s.conn != owner {
+		t.Fatalf("session not admitted for its owner: %+v", s)
+	}
+	eng.abort(alias, 7)
+	if got := s.state.Load(); got != stateActive {
+		t.Fatalf("aliasing conn aborted the session: state %d", got)
+	}
+	eng.abort(owner, 7)
+	if got := s.state.Load(); got != stateFailed {
+		t.Fatalf("owner's abort left state %d, want stateFailed", got)
 	}
 }

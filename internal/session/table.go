@@ -61,7 +61,7 @@ type session struct {
 
 // workItem is one queued frame for one session. payload is a pooled
 // copy (the conn reader's buffer is reused per frame); the draining
-// worker recycles it.
+// worker recycles it. A nil payload is the session's opening claim.
 type workItem struct {
 	s       *session
 	payload *[]byte
@@ -113,10 +113,9 @@ func (t *table) shard(k connSid) *shard {
 	return t.shards[k.fnv1a()&t.mask]
 }
 
-// dispatch routes one TypeData payload. It runs on the connection's
-// reader goroutine; all crypto happens later on a worker. The bool
-// reports whether a drain notification must be sent (the caller owns
-// the work channel).
+// dispatch routes one TypeData payload, or one bare frame on a legacy
+// conn. It runs on the connection's reader goroutine; all crypto
+// happens later on a worker.
 func (e *Engine) dispatch(c *muxConn, sid uint64, payload []byte) {
 	key := connSid{conn: c.id, sid: sid}
 	sh := e.table.shard(key)
@@ -144,42 +143,22 @@ func (e *Engine) dispatch(c *muxConn, sid uint64, payload []byte) {
 			return
 		}
 	}
-	if s == nil {
+	switch {
+	case s == nil && c.legacy:
+		// The conn's one session is over and its close is on the way;
+		// a legacy peer never opens another.
+		sh.mu.Unlock()
+		return
+	case s == nil:
 		// First frame for this id: admission control, then open.
-		if e.stopped.Load() {
-			sh.mu.Unlock()
-			c.sendReject(sid, RejectShutdown, "engine stopping")
+		if s = e.admit(sh, c, key); s == nil {
 			return
 		}
-		if len(sh.sessions) >= e.table.maxPerShard || len(sh.pending) >= e.table.maxPending {
-			sh.mu.Unlock()
-			Metrics.Rejected.Inc()
-			c.sendReject(sid, RejectOverload, ErrOverload.Error())
-			return
-		}
-		s = &session{key: key, conn: c}
-		s.m.Init(&e.cfg, c.peerKey)
-		if e.stopwatch != nil {
-			s.start = e.stopwatch()
-		}
-		sh.sessions[key] = s
-		c.sessions[sid] = s // reader-goroutine-only map, no lock
-		Metrics.Opened.Inc()
-		protocol.Metrics.NegotiationsStarted.Inc()
-		active := e.active.Add(1)
-		Metrics.Active.Set(active)
-		for {
-			peak := e.peakActive.Load()
-			if active <= peak || e.peakActive.CompareAndSwap(peak, active) {
-				break
-			}
-		}
-	} else if s.state.Load() != stateActive {
+	case s.state.Load() != stateActive:
 		// Late frame for a finished session; drop it.
 		sh.mu.Unlock()
 		return
-	}
-	if len(sh.pending) >= e.table.maxPending {
+	case len(sh.pending) >= e.table.maxPending:
 		// The admitted session is outrunning the crypto pipeline.
 		// Shedding the session (not silently dropping the frame) keeps
 		// the failure visible to the peer.
@@ -188,12 +167,60 @@ func (e *Engine) dispatch(c *muxConn, sid uint64, payload []byte) {
 		e.failSession(s, RejectOverload, ErrOverload)
 		return
 	}
-	sh.pending = append(sh.pending, workItem{s: s, payload: copyToPooled(payload)})
-	notify := false
-	if !sh.draining {
-		sh.draining = true
-		notify = true
+	e.enqueue(sh, workItem{s: s, payload: copyToPooled(payload)})
+}
+
+// open admits a legacy conn's one session and queues its opening
+// claim.
+func (e *Engine) open(c *muxConn) {
+	key := connSid{conn: c.id}
+	sh := e.table.shard(key)
+	sh.mu.Lock()
+	if s := e.admit(sh, c, key); s != nil {
+		e.enqueue(sh, workItem{s: s})
 	}
+}
+
+// admit runs admission control for a new session and makes it
+// resident. It is called with sh.mu held; on refusal it unlocks,
+// rejects and returns nil.
+func (e *Engine) admit(sh *shard, c *muxConn, key connSid) *session {
+	if e.stopped.Load() {
+		sh.mu.Unlock()
+		c.sendReject(key.sid, RejectShutdown, "engine stopping")
+		return nil
+	}
+	if len(sh.sessions) >= e.table.maxPerShard || len(sh.pending) >= e.table.maxPending {
+		sh.mu.Unlock()
+		Metrics.Rejected.Inc()
+		c.sendReject(key.sid, RejectOverload, ErrOverload.Error())
+		return nil
+	}
+	s := &session{key: key, conn: c}
+	s.m.Init(&e.cfg, c.peerKey)
+	if e.stopwatch != nil {
+		s.start = e.stopwatch()
+	}
+	sh.sessions[key] = s
+	Metrics.Opened.Inc()
+	protocol.Metrics.NegotiationsStarted.Inc()
+	active := e.active.Add(1)
+	Metrics.Active.Set(active)
+	for {
+		peak := e.peakActive.Load()
+		if active <= peak || e.peakActive.CompareAndSwap(peak, active) {
+			break
+		}
+	}
+	return s
+}
+
+// enqueue queues one work item and hands the shard to a worker unless
+// one already holds it. It is called with sh.mu held and unlocks it.
+func (e *Engine) enqueue(sh *shard, it workItem) {
+	sh.pending = append(sh.pending, it)
+	notify := !sh.draining
+	sh.draining = true
 	sh.mu.Unlock()
 	if notify {
 		// Never blocks: the draining flag caps in-flight notifications
@@ -228,19 +255,25 @@ func (e *Engine) drain(sh *shard) {
 	}
 }
 
-// process advances one session by one frame. All RSA work happens
-// here, on a worker, batched with the rest of the shard's backlog.
+// process advances one session by one frame, or sends its opening
+// claim. All RSA work happens here, on a worker, batched with the rest
+// of the shard's backlog.
 func (e *Engine) process(sh *shard, it workItem) {
 	s := it.s
 	if s.state.Load() != stateActive {
 		return
 	}
-	finished, err := s.m.Handle(*it.payload, &sh.env, func(msg []byte) error {
-		out := bufPool.Get().(*[]byte)
-		*out = AppendMux((*out)[:0], TypeData, s.key.sid, msg)
-		s.conn.out.push(out)
+	emit := func(msg []byte) error {
+		s.conn.sendData(s.key.sid, msg)
 		return nil
-	})
+	}
+	var finished bool
+	var err error
+	if it.payload == nil {
+		err = s.m.Start(&sh.env, emit)
+	} else {
+		finished, err = s.m.Handle(*it.payload, &sh.env, emit)
+	}
 	if err != nil {
 		code := byte(RejectFailed)
 		if errors.Is(err, protocol.ErrBadMessage) {
@@ -267,7 +300,11 @@ func (e *Engine) settleSession(s *session) {
 	if e.stopwatch != nil {
 		protocol.Metrics.NegotiateSeconds.Observe(e.stopwatch() - s.start)
 	}
-	if !s.m.Finisher() {
+	switch {
+	case s.conn.legacy:
+		// No ack on the legacy wire: the conn closes with its session.
+		s.conn.out.close()
+	case !s.m.Finisher():
 		// The peer sent the final PoC; ack settlement with X.
 		out := bufPool.Get().(*[]byte)
 		var xb [8]byte
@@ -304,6 +341,8 @@ func (e *Engine) failSession(s *session, code byte, cause error) {
 		protocol.Metrics.StaleProofRejections.Inc()
 	case errors.Is(cause, protocol.ErrBadPeer):
 		protocol.Metrics.ByzantineRejections.Inc()
+	case errors.Is(cause, protocol.ErrFrameTruncated):
+		protocol.Metrics.FrameTruncations.Inc()
 	}
 	detail := ""
 	if cause != nil {
@@ -312,14 +351,29 @@ func (e *Engine) failSession(s *session, code byte, cause error) {
 	s.conn.sendReject(s.key.sid, code, detail)
 }
 
+// abort fails a session its client gave up on. Only a session this
+// conn owns is failed, so a reused conn id cannot abort another conn's
+// session.
+func (e *Engine) abort(c *muxConn, sid uint64) {
+	key := connSid{conn: c.id, sid: sid}
+	sh := e.table.shard(key)
+	sh.mu.Lock()
+	s := sh.sessions[key]
+	sh.mu.Unlock()
+	if s != nil && s.conn == c {
+		e.failSession(s, RejectFailed, nil)
+	}
+}
+
 // evictConn fails every session still resident in the table under
-// conn id. It is the authoritative teardown sweep: unlike the
-// reader-local c.sessions index, it also catches sessions admitted by
-// a *different* muxConn carrying the same id, so a connection id can
-// never be reused while a dead conn's sessions still alias its keys.
-// Victims are collected under the shard lock but failed outside it
-// (failSession re-enters the shard lock through removeSession).
-func (e *Engine) evictConn(id uint64) {
+// conn id, with cause the error that ended the conn (nil for a clean
+// hang-up). The sweep is table-wide, so it also catches sessions
+// admitted by a *different* muxConn carrying the same id: a
+// connection id can never be reused while a dead conn's sessions
+// still alias its keys. Victims are collected under the shard lock but
+// failed outside it (failSession re-enters the shard lock through
+// removeSession).
+func (e *Engine) evictConn(id uint64, cause error) {
 	var victims []*session
 	for _, sh := range e.table.shards {
 		sh.mu.Lock()
@@ -331,12 +385,11 @@ func (e *Engine) evictConn(id uint64) {
 		sh.mu.Unlock()
 	}
 	for _, s := range victims {
-		e.failSession(s, RejectShutdown, nil)
+		e.failSession(s, RejectShutdown, cause)
 	}
 }
 
-// removeSession deletes the session from its shard. The conn-side
-// index is cleaned up lazily by the reader (it is reader-local state).
+// removeSession deletes the session from its shard.
 func (e *Engine) removeSession(s *session) {
 	sh := e.table.shard(s.key)
 	sh.mu.Lock()

@@ -1,27 +1,20 @@
 // Package trace records and replays packet traces. The paper replays
 // tcpdump logs of VRidge/Portal-2 and King of Glory through its
 // testbed (via tcprelay); this package provides the equivalent
-// mechanism — a compact binary trace format, a Recorder that taps a
-// packet path, and a Replayer that re-emits a trace into the emulated
-// network — together with synthesizers that build traces from the
-// workload models since the original captures are proprietary.
+// mechanism — an in-memory trace, a Recorder that taps a packet path,
+// and a Replayer that re-emits a trace into the emulated network —
+// together with synthesizers that build traces from the workload
+// models since the original captures are proprietary.
 package trace
 
 import (
-	"bufio"
-	"encoding/binary"
-	"errors"
 	"fmt"
-	"io"
 	"time"
 
 	"tlc/internal/apps"
 	"tlc/internal/netem"
 	"tlc/internal/sim"
 )
-
-// Magic identifies the trace file format.
-const Magic = "TLCTRC01"
 
 // Trace is an in-memory packet trace for a single flow.
 type Trace struct {
@@ -65,119 +58,6 @@ func (t *Trace) Append(at sim.Time, size int) error {
 	t.Times = append(t.Times, at)
 	t.Sizes = append(t.Sizes, int32(size))
 	return nil
-}
-
-// WriteTo serialises the trace. Format: magic, flow, imsi, dir, qci,
-// count, then per packet a varint time delta (ns) and varint size.
-func (t *Trace) WriteTo(w io.Writer) (int64, error) {
-	bw := bufio.NewWriter(w)
-	n := int64(0)
-	count := func(k int, err error) error {
-		n += int64(k)
-		return err
-	}
-	if err := count(bw.WriteString(Magic)); err != nil {
-		return n, err
-	}
-	writeStr := func(s string) error {
-		var buf [binary.MaxVarintLen64]byte
-		k := binary.PutUvarint(buf[:], uint64(len(s)))
-		if err := count(bw.Write(buf[:k])); err != nil {
-			return err
-		}
-		return count(bw.WriteString(s))
-	}
-	if err := writeStr(t.Flow); err != nil {
-		return n, err
-	}
-	if err := writeStr(t.IMSI); err != nil {
-		return n, err
-	}
-	if err := count(bw.Write([]byte{byte(t.Dir), t.QCI})); err != nil {
-		return n, err
-	}
-	var buf [binary.MaxVarintLen64]byte
-	k := binary.PutUvarint(buf[:], uint64(len(t.Times)))
-	if err := count(bw.Write(buf[:k])); err != nil {
-		return n, err
-	}
-	prev := sim.Time(0)
-	for i := range t.Times {
-		k = binary.PutUvarint(buf[:], uint64(t.Times[i]-prev))
-		if err := count(bw.Write(buf[:k])); err != nil {
-			return n, err
-		}
-		prev = t.Times[i]
-		k = binary.PutUvarint(buf[:], uint64(t.Sizes[i]))
-		if err := count(bw.Write(buf[:k])); err != nil {
-			return n, err
-		}
-	}
-	return n, bw.Flush()
-}
-
-// Read parses a trace written by WriteTo.
-func Read(r io.Reader) (*Trace, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, len(Magic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("trace: short magic: %w", err)
-	}
-	if string(magic) != Magic {
-		return nil, errors.New("trace: bad magic")
-	}
-	readStr := func() (string, error) {
-		l, err := binary.ReadUvarint(br)
-		if err != nil {
-			return "", err
-		}
-		if l > 1<<20 {
-			return "", errors.New("trace: unreasonable string length")
-		}
-		b := make([]byte, l)
-		if _, err := io.ReadFull(br, b); err != nil {
-			return "", err
-		}
-		return string(b), nil
-	}
-	t := &Trace{}
-	var err error
-	if t.Flow, err = readStr(); err != nil {
-		return nil, fmt.Errorf("trace: flow: %w", err)
-	}
-	if t.IMSI, err = readStr(); err != nil {
-		return nil, fmt.Errorf("trace: imsi: %w", err)
-	}
-	var hdr [2]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, fmt.Errorf("trace: header: %w", err)
-	}
-	t.Dir = netem.Direction(hdr[0])
-	t.QCI = hdr[1]
-	count, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("trace: count: %w", err)
-	}
-	if count > 1<<30 {
-		return nil, errors.New("trace: unreasonable packet count")
-	}
-	t.Times = make([]sim.Time, 0, count)
-	t.Sizes = make([]int32, 0, count)
-	prev := sim.Time(0)
-	for i := uint64(0); i < count; i++ {
-		dt, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("trace: record %d time: %w", i, err)
-		}
-		size, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("trace: record %d size: %w", i, err)
-		}
-		prev += sim.Time(dt)
-		t.Times = append(t.Times, prev)
-		t.Sizes = append(t.Sizes, int32(size))
-	}
-	return t, nil
 }
 
 // Recorder taps a packet path and accumulates a Trace.

@@ -1,9 +1,7 @@
 package trace
 
 import (
-	"bytes"
 	"testing"
-	"testing/quick"
 	"time"
 
 	"tlc/internal/apps"
@@ -49,79 +47,6 @@ func TestAppendValidation(t *testing.T) {
 	}
 	if err := tr.Append(time.Second, 100); err != nil {
 		t.Fatal("equal-time append rejected")
-	}
-}
-
-func TestWriteReadRoundTrip(t *testing.T) {
-	tr := sampleTrace(t)
-	var buf bytes.Buffer
-	if _, err := tr.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Flow != tr.Flow || back.IMSI != tr.IMSI || back.Dir != tr.Dir || back.QCI != tr.QCI {
-		t.Fatalf("metadata mismatch: %+v", back)
-	}
-	if back.Len() != tr.Len() {
-		t.Fatalf("len = %d", back.Len())
-	}
-	for i := range tr.Times {
-		if back.Times[i] != tr.Times[i] || back.Sizes[i] != tr.Sizes[i] {
-			t.Fatalf("record %d mismatch", i)
-		}
-	}
-}
-
-func TestReadRejectsGarbage(t *testing.T) {
-	if _, err := Read(bytes.NewReader([]byte("NOTATRACE..."))); err == nil {
-		t.Fatal("bad magic accepted")
-	}
-	if _, err := Read(bytes.NewReader([]byte("TL"))); err == nil {
-		t.Fatal("truncated magic accepted")
-	}
-	// Valid magic, then truncation.
-	if _, err := Read(bytes.NewReader([]byte(Magic))); err == nil {
-		t.Fatal("empty body accepted")
-	}
-}
-
-func TestRoundTripProperty(t *testing.T) {
-	f := func(deltas []uint16, sizes []uint16) bool {
-		tr := &Trace{Flow: "f", IMSI: "i", Dir: netem.Uplink, QCI: 7}
-		at := sim.Time(0)
-		n := len(deltas)
-		if len(sizes) < n {
-			n = len(sizes)
-		}
-		for i := 0; i < n; i++ {
-			at += sim.Time(deltas[i])
-			if err := tr.Append(at, int(sizes[i])+1); err != nil {
-				return false
-			}
-		}
-		var buf bytes.Buffer
-		if _, err := tr.WriteTo(&buf); err != nil {
-			return false
-		}
-		back, err := Read(&buf)
-		if err != nil {
-			return false
-		}
-		if back.Len() != tr.Len() || back.Bytes() != tr.Bytes() {
-			return false
-		}
-		for i := range tr.Times {
-			if back.Times[i] != tr.Times[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -22,22 +22,20 @@
 #   race       — full test suite under the race detector
 #   operator   — the live tlcd operator: concurrent connections
 #                (stalled-client regression), a real HTTP scrape of
-#                /metrics and /healthz, signal-driven drain, and the
-#                mux/legacy first-frame routing
-#   tlcdscale  — the sharded session engine: admission-control overload
-#                regression under the race detector (reject, never
-#                deadlock or leak), a ~2k-session loadgen smoke under
-#                -race asserting zero rejections below the admission
-#                cap, and schema + invariant validation of the
-#                checked-in BENCH_tlcd_scale.json
+#                /metrics and /healthz, signal-driven drain, and mux
+#                and legacy connections served side by side by the
+#                session engine
+#   tlcdscale  — the sharded session engine under the race detector:
+#                the admission-control overload regression (reject,
+#                never deadlock or leak) and 2,000 sessions over 8
+#                conns at 1 and 8 shards settling with zero rejections
+#                or failures below the admission cap
 #   ledger     — the durable charging ledger: the crash-point torture
 #                sweeps (every kill offset of the tail segment, bit
 #                flips, injected fsync failpoints; the read-only replay
 #                must report each as corrupt before reopen repairs it)
 #                plus the replay differential under the race detector,
-#                a short coverage-guided fuzz of segment replay, schema
-#                + invariant validation of the checked-in
-#                BENCH_ledger.json durability cost curve, and the
+#                a short coverage-guided fuzz of segment replay, and the
 #                examples/auditor run, which exits non-zero unless its
 #                receipt archive (a ledger) audits to the settled total
 #   allocs     — testing.AllocsPerRun guards for the event-engine,
@@ -102,12 +100,9 @@ stage shardparity go test -run ShardParity -race ./internal/sim ./internal/netem
 stage chaos go test -run Chaos -race ./internal/experiment
 stage race go test -race ./...
 stage operator go test -run Operator -race -count=1 ./cmd/tlcd
-stage tlcdscale go test -run EngineOverload -race -count=1 ./internal/session
-stage tlcdscale go run -race ./cmd/tlcbench -lg-smoke -lg-sessions 2000
-stage tlcdscale go run ./cmd/tlcbench -lg-check BENCH_tlcd_scale.json
+stage tlcdscale go test -run 'EngineOverload|EngineSettlesMuxedSessions' -race -count=1 ./internal/session
 stage ledger go test -run 'Torture|Prop' -short -race ./internal/ledger
 stage ledger go test -run '^$' -fuzz '^FuzzLedgerReplay$' -fuzztime 10s ./internal/ledger
-stage ledger go run ./cmd/tlcbench -ledger-check BENCH_ledger.json
 stage ledger go run ./examples/auditor
 stage allocs go test -run ZeroAlloc ./internal/sim ./internal/netem ./internal/metrics ./internal/protocol ./internal/ledger
 stage bench go test -run '^$' -bench . -benchtime 1x ./...
