@@ -3,7 +3,9 @@ package ledger
 import (
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -78,10 +80,7 @@ func TestAuditReportsDamage(t *testing.T) {
 		t.Fatal(err)
 	}
 	seg := join(dir, lastSegment(t, fsys, dir))
-	data, err := fsys.ReadFile(seg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := readFile(t, fsys, seg)
 	// A proof byte of the 2nd record: past the segment header, the
 	// whole 1st frame and the 2nd frame's own header.
 	data[segHeader+frameHeader+recordSize(&want[0])+frameHeader+recordSize(&want[1])-1] ^= 0x40
@@ -98,11 +97,7 @@ func TestAuditReportsDamage(t *testing.T) {
 	if rep, err := Audit(fsys, dir, "imsi-dmg", 7); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("Audit = %+v, %v; want ErrCorrupt", rep, err)
 	}
-	after, err := fsys.ReadFile(seg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(after) != string(data) {
+	if after := readFile(t, fsys, seg); string(after) != string(data) {
 		t.Fatal("a read-only replay rewrote the damaged segment")
 	}
 }
@@ -123,20 +118,20 @@ func TestAuditDirErrors(t *testing.T) {
 	}
 }
 
-// denyFS fails ReadFile on CURRENT with a permission error, leaving
+// denyFS fails Open on CURRENT with a permission error, leaving
 // everything else intact — the shape of a ledger directory an
 // operator can list but not read.
 type denyFS struct{ *MemFS }
 
-func (d denyFS) ReadFile(name string) ([]byte, error) {
+func (d denyFS) Open(name string) (io.ReadCloser, error) {
 	if strings.HasSuffix(name, currentFile) {
 		return nil, &fs.PathError{Op: "open", Path: name, Err: fs.ErrPermission}
 	}
-	return d.MemFS.ReadFile(name)
+	return d.MemFS.Open(name)
 }
 
 // TestOpenPropagatesCurrentReadError: an unreadable CURRENT must fail
-// Open. The old behavior treated every ReadFile error as "fresh
+// Open. The old behavior treated every read error as "fresh
 // ledger" and silently started generation 1 over the existing log —
 // the next compaction would then delete the real data as orphans.
 func TestOpenPropagatesCurrentReadError(t *testing.T) {
@@ -274,4 +269,67 @@ func TestCompactFailureLeavesAppendable(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestMissingSegmentIsCorrupt: a generation's segments are numbered
+// 1..n, so a hole in the numbering is a lost file. Replay used to
+// walk past it and return the records around it with a nil error, and
+// Open replayed them too and started its next segment after the hole.
+// Replay must hand fn the records before the hole and then return
+// ErrCorrupt naming the missing segment; Open must return the same
+// error and leave every file as it was, because the segments after
+// the hole are intact receipts.
+func TestMissingSegmentIsCorrupt(t *testing.T) {
+	for _, missing := range []uint64{1, 3} {
+		t.Run(fmt.Sprintf("segment%d", missing), func(t *testing.T) {
+			const dir = "led"
+			const segBytes = 512
+			fsys := NewMemFS()
+			l, err := Open(Options{Dir: dir, FS: fsys, SegmentBytes: segBytes, SyncEvery: 1}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := fill(t, l, 0x707, 40)
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			name := segName(1, missing)
+			if err := fsys.Remove(join(dir, name)); err != nil {
+				t.Fatal(err)
+			}
+			before := dirContents(t, fsys, dir)
+			prior, _ := segmentEnds(want, segBytes, missing)
+
+			var got []Record
+			err = Replay(fsys, dir, collect(&got))
+			if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), name) {
+				t.Fatalf("Replay err = %v, want ErrCorrupt naming %s", err, name)
+			}
+			if len(got) != prior {
+				t.Fatalf("Replay surfaced %d records, want the %d before the hole", len(got), prior)
+			}
+			requirePrefix(t, "replay", got, want)
+
+			if _, err := Open(Options{Dir: dir, FS: fsys, SegmentBytes: segBytes}, nil); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), name) {
+				t.Fatalf("Open err = %v, want ErrCorrupt naming %s", err, name)
+			}
+			if after := dirContents(t, fsys, dir); !reflect.DeepEqual(after, before) {
+				t.Fatalf("Open changed the directory around a hole: %d files before, %d after", len(before), len(after))
+			}
+		})
+	}
+}
+
+// dirContents maps every file in dir to its content.
+func dirContents(t *testing.T, fsys *MemFS, dir string) map[string]string {
+	t.Helper()
+	names, err := fsys.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := make(map[string]string, len(names))
+	for _, name := range names {
+		files[name] = string(readFile(t, fsys, join(dir, name)))
+	}
+	return files
 }

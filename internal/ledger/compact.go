@@ -63,18 +63,22 @@ func (l *Ledger) Compact() error {
 	}
 
 	st := NewState()
-	segs, err := listSegments(l.fs, l.opts.Dir, l.gen)
+	segs, gap, err := listSegments(l.fs, l.opts.Dir, l.gen)
+	if err == nil {
+		err = gap
+	}
 	if err != nil {
 		return fail(err)
 	}
+	sc := newScanner()
 	for _, seg := range segs {
-		data, err := l.fs.ReadFile(join(l.opts.Dir, seg.name))
-		if err != nil {
-			return fail(fmt.Errorf("ledger: compaction read: %w", err))
+		end, err := sc.scanFile(l.fs, l.opts.Dir, seg, st.Apply)
+		if err == nil {
+			err = end.tear
 		}
-		if _, tear := replaySegment(data, seg.gen, seg.idx, st.Apply); tear != nil {
+		if err != nil {
 			// A synced, live ledger must replay clean end to end.
-			return fail(fmt.Errorf("ledger: compaction replay: %w", tear))
+			return fail(fmt.Errorf("ledger: compaction replay: %w", err))
 		}
 	}
 	preFold := len(st.CDRs)

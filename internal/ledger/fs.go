@@ -24,8 +24,10 @@ type File interface {
 type FS interface {
 	// Create truncates-or-creates the named file for writing.
 	Create(name string) (File, error)
-	// ReadFile returns the file's durable-or-better contents.
-	ReadFile(name string) ([]byte, error)
+	// Open opens the named file for reading. The reader sees the
+	// file's durable-or-better contents; a missing file is an error
+	// matching fs.ErrNotExist.
+	Open(name string) (io.ReadCloser, error)
 	// ReadDir lists the names (not paths) of files in dir, sorted.
 	ReadDir(dir string) ([]string, error)
 	// Rename atomically replaces newname with oldname.
@@ -53,8 +55,14 @@ func (DirFS) Create(name string) (File, error) {
 	return osFile{f}, nil
 }
 
-// ReadFile implements FS.
-func (DirFS) ReadFile(name string) ([]byte, error) { return os.ReadFile(name) }
+// Open implements FS.
+func (DirFS) Open(name string) (io.ReadCloser, error) {
+	f, err := os.Open(name)
+	if err != nil {
+		return nil, err
+	}
+	return f, nil
+}
 
 // ReadDir implements FS.
 func (DirFS) ReadDir(dir string) ([]string, error) {

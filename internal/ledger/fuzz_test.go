@@ -2,15 +2,21 @@ package ledger
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"testing"
+	"testing/iotest"
 )
 
 // FuzzLedgerReplay is the adversarial-surface guard for the segment
-// reader (the ledger's analogue of protocol.FuzzReadFrame): arbitrary
-// bytes fed to the scanner must never panic, never claim more
-// verified bytes than exist, and — the core invariant — never surface
-// a corrupt record: every record handed to the replay callback must
-// re-encode to exactly the payload bytes the CRC vouched for.
+// scanner (the ledger's analogue of protocol.FuzzReadFrame). Each
+// input is the frame region of a segment: arbitrary bytes behind a
+// valid header must never panic the scanner, never verify more bytes
+// than exist, and — the core invariant — never surface a corrupt
+// record: every record handed to the callback, framed again, must
+// equal exactly the bytes it was read from. The scan runs twice, over
+// the whole input and one byte per read, and both runs must reach the
+// same verdict: how reads are chunked can never change what verifies.
 func FuzzLedgerReplay(f *testing.F) {
 	// Seeds: an empty log, one valid record, two records with a torn
 	// tail, a CRC-flipped record, an absurd length prefix, and a
@@ -33,36 +39,51 @@ func FuzzLedgerReplay(f *testing.F) {
 	f.Add(append(hdr[:], one...)) // full segment image
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// Re-scan manually in lockstep so every surfaced record can
-		// be checked against the exact payload it came from.
-		off := 0
-		verified, tear := scanSegment(data, func(got *Record) error {
-			payload, size, err := nextFrame(data[off:])
-			if err != nil {
-				t.Fatalf("scanner surfaced a record where nextFrame fails: %v", err)
-			}
-			reenc := appendRecord(nil, got)
-			if !bytes.Equal(reenc, payload) {
-				t.Fatalf("corrupt record surfaced: re-encoding differs from CRC-verified payload\npayload: %x\nreenc:   %x", payload, reenc)
-			}
-			off += size
-			return nil
-		})
-		if verified != off {
-			t.Fatalf("verified prefix %d does not match the surfaced records' extent %d", verified, off)
+		seg := append(hdr[:], data...)
+		whole, frames := scanChecked(t, seg, bytes.NewReader(seg))
+		split, splitFrames := scanChecked(t, seg, iotest.OneByteReader(bytes.NewReader(seg)))
+		if whole.verified != split.verified || whole.size != split.size || fmt.Sprint(whole.tear) != fmt.Sprint(split.tear) {
+			t.Fatalf("one-byte reads changed the verdict: whole %+v, split %+v", whole, split)
 		}
-		if verified > len(data) {
-			t.Fatalf("verified %d bytes of a %d-byte input", verified, len(data))
+		if len(frames) != len(splitFrames) {
+			t.Fatalf("one-byte reads surfaced %d records, whole reads %d", len(splitFrames), len(frames))
 		}
-		if tear == nil && verified != len(data) {
-			t.Fatalf("clean scan stopped early: %d of %d bytes", verified, len(data))
-		}
-		// The segment-level entry point (header + frames) must hold
-		// the same no-panic guarantee.
-		if v, _ := replaySegment(data, 1, 1, nil); v > len(data) {
-			t.Fatalf("segment verified %d bytes of %d", v, len(data))
+		// The raw input read as a whole segment exercises the header
+		// check; it too must stay within the bytes that exist.
+		end, err := newScanner().scan(bytes.NewReader(data), 1, 1, nil)
+		if err != nil || end.verified > end.size || end.size != int64(len(data)) {
+			t.Fatalf("raw segment: %+v, %v for %d bytes", end, err, len(data))
 		}
 	})
+}
+
+// scanChecked scans seg, read through r, and checks every surfaced
+// record against the bytes it came from. It returns where the scan
+// stopped and the surfaced records, framed again.
+func scanChecked(t *testing.T, seg []byte, r io.Reader) (segEnd, [][]byte) {
+	t.Helper()
+	off := segHeader
+	var frames [][]byte
+	end, err := newScanner().scan(r, 1, 1, func(got *Record) error {
+		frame := appendFrame(nil, appendRecord(nil, got))
+		if off+len(frame) > len(seg) || !bytes.Equal(frame, seg[off:off+len(frame)]) {
+			t.Fatalf("corrupt record surfaced at byte %d: framed again it reads %x", off, frame)
+		}
+		frames = append(frames, frame)
+		off += len(frame)
+		return nil
+	})
+	switch {
+	case err != nil:
+		t.Fatalf("scan of an in-memory segment failed: %v", err)
+	case end.verified != int64(off):
+		t.Fatalf("verified prefix %d does not match the surfaced records' extent %d", end.verified, off)
+	case end.size != int64(len(seg)):
+		t.Fatalf("scan counted %d bytes of a %d-byte segment", end.size, len(seg))
+	case end.tear == nil && end.verified != end.size:
+		t.Fatalf("clean scan stopped early: %d of %d bytes", end.verified, end.size)
+	}
+	return end, frames
 }
 
 // TestSeedCorpusPresent pins the checked-in seed corpus: the fuzz

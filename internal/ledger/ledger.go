@@ -3,6 +3,7 @@ package ledger
 import (
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"sort"
 	"strconv"
@@ -19,7 +20,8 @@ type Options struct {
 	// Simulations and torture tests pass a MemFS.
 	FS FS
 	// SegmentBytes rotates the active segment once it reaches this
-	// size. Default 4 MiB.
+	// size. Default 4 MiB. Reads stream each segment through a fixed
+	// buffer, so replay memory does not grow with it.
 	SegmentBytes int
 	// SyncEvery is the group-commit window: one fsync covers up to
 	// this many appends. 1 syncs every append (no loss window);
@@ -74,7 +76,9 @@ type Ledger struct {
 // every verified record through fn in append order, repairs a torn
 // tail (the damaged segment is rewritten to its verified prefix and
 // later segments removed), and starts a fresh segment for appends.
-// fn may be nil when the caller only wants the store open.
+// fn may be nil when the caller only wants the store open. A missing
+// segment is not a tear: Open returns ErrCorrupt and changes nothing,
+// because the segments after the hole are intact receipts.
 //
 // The replay invariant: every record passed to fn was fully written
 // and CRC-verified; a record that was mid-write at the crash is
@@ -98,8 +102,18 @@ func (l *Ledger) open(fn func(*Record) error) error {
 	if err != nil {
 		return err
 	}
-	if gen == 0 {
+	fresh := gen == 0
+	if fresh {
 		gen = 1
+	}
+	segs, gap, err := listSegments(l.fs, l.opts.Dir, gen)
+	if err != nil {
+		return err
+	}
+	if gap != nil {
+		return gap
+	}
+	if fresh {
 		if err := writeCurrent(l.fs, l.opts.Dir, gen); err != nil {
 			return err
 		}
@@ -107,46 +121,26 @@ func (l *Ledger) open(fn func(*Record) error) error {
 	if err := removeOrphans(l.fs, l.opts.Dir, gen); err != nil {
 		return err
 	}
-	segs, err := listSegments(l.fs, l.opts.Dir, gen)
-	if err != nil {
-		return err
-	}
+	sc := newScanner()
 	lastIdx := uint64(0)
-	stop := false
-	for _, seg := range segs {
-		if stop {
-			// Everything after the first torn record is
-			// unreachable log: remove it.
-			if err := l.fs.Remove(join(l.opts.Dir, seg.name)); err != nil {
-				return fmt.Errorf("ledger: drop post-tear segment: %w", err)
-			}
+	for i, seg := range segs {
+		end, err := sc.scanFile(l.fs, l.opts.Dir, seg, fn)
+		if err != nil {
+			return err
+		}
+		if end.tear == nil {
+			lastIdx = seg.idx
 			continue
 		}
-		data, err := l.fs.ReadFile(join(l.opts.Dir, seg.name))
-		if err != nil {
-			return fmt.Errorf("ledger: read segment: %w", err)
+		Metrics.TornTails.Inc()
+		Metrics.TruncatedBytes.Add(uint64(end.size - end.verified))
+		if err := truncateLog(l.fs, l.opts.Dir, segs[i:], end.verified); err != nil {
+			return err
 		}
-		verified, torn := replaySegment(data, seg.gen, seg.idx, fn)
-		if torn != nil {
-			var cb callbackError
-			if errors.As(torn, &cb) {
-				return cb.err
-			}
-			Metrics.TornTails.Inc()
-			Metrics.TruncatedBytes.Add(uint64(len(data) - verified))
-			stop = true
-			if verified <= segHeader {
-				// Nothing valid in this segment at all.
-				if err := l.fs.Remove(join(l.opts.Dir, seg.name)); err != nil {
-					return fmt.Errorf("ledger: drop torn segment: %w", err)
-				}
-				continue
-			}
-			if err := rewritePrefix(l.fs, l.opts.Dir, seg.name, data[:verified]); err != nil {
-				return err
-			}
+		if end.verified > segHeader {
+			lastIdx = seg.idx
 		}
-		lastIdx = seg.idx
+		break
 	}
 	l.gen = gen
 	l.nextIdx = lastIdx + 1
@@ -162,16 +156,43 @@ func (l *Ledger) open(fn func(*Record) error) error {
 	return nil
 }
 
-// rewritePrefix replaces dir/name with its verified prefix via a tmp
+// truncateLog cuts the log back to the first verified bytes of
+// segs[0], where a scan found a tear. Every later segment is
+// unreachable log; they go first, last one first, so a failure part
+// way leaves the indices contiguous and the same tear for the next
+// Open to find. Then segs[0] is rewritten to its verified prefix, or
+// removed if no record in it verified.
+func truncateLog(fsys FS, dir string, segs []segRef, verified int64) error {
+	for i := len(segs) - 1; i > 0; i-- {
+		if err := fsys.Remove(join(dir, segs[i].name)); err != nil {
+			return fmt.Errorf("ledger: drop post-tear segment: %w", err)
+		}
+	}
+	if verified > segHeader {
+		return rewritePrefix(fsys, dir, segs[0].name, verified)
+	}
+	if err := fsys.Remove(join(dir, segs[0].name)); err != nil {
+		return fmt.Errorf("ledger: drop torn segment: %w", err)
+	}
+	return nil
+}
+
+// rewritePrefix replaces dir/name with its first n bytes via a tmp
 // file and an atomic rename, then syncs the replacement so the repair
-// itself is durable.
-func rewritePrefix(fsys FS, dir, name string, prefix []byte) error {
-	tmp := join(dir, name+".tmp")
+// itself is durable. The prefix streams across with io.CopyN.
+func rewritePrefix(fsys FS, dir, name string, n int64) error {
+	path := join(dir, name)
+	src, err := fsys.Open(path)
+	if err != nil {
+		return fmt.Errorf("ledger: repair read: %w", err)
+	}
+	defer src.Close() //tlcvet:allow errdiscard — read-only handle; a failed close loses nothing
+	tmp := path + ".tmp"
 	f, err := fsys.Create(tmp)
 	if err != nil {
 		return fmt.Errorf("ledger: repair create: %w", err)
 	}
-	if _, err := f.Write(prefix); err != nil {
+	if _, err := io.CopyN(f, src, n); err != nil {
 		_ = f.Close()
 		return fmt.Errorf("ledger: repair write: %w", err)
 	}
@@ -182,7 +203,7 @@ func rewritePrefix(fsys FS, dir, name string, prefix []byte) error {
 	if err := f.Close(); err != nil {
 		return fmt.Errorf("ledger: repair close: %w", err)
 	}
-	if err := fsys.Rename(tmp, join(dir, name)); err != nil {
+	if err := fsys.Rename(tmp, path); err != nil {
 		return fmt.Errorf("ledger: repair rename: %w", err)
 	}
 	return nil
@@ -381,8 +402,7 @@ type segRef struct {
 	idx  uint64
 }
 
-// segName names segment idx of generation gen. Lexicographic order of
-// the names equals numeric order, which listSegments relies on.
+// segName names segment idx of generation gen.
 func segName(gen, idx uint64) string {
 	return fmt.Sprintf("g%06d-%08d.seg", gen, idx)
 }
@@ -427,12 +447,18 @@ func removeOrphans(fsys FS, dir string, gen uint64) error {
 }
 
 // listSegments returns generation gen's segments in index order.
-func listSegments(fsys FS, dir string, gen uint64) ([]segRef, error) {
+// They are numbered 1..n: rotation adds segments only at the end,
+// repair drops them only from the end and compaction starts the next
+// generation at 1. So a hole in the numbering can only come from
+// outside the ledger, a deleted file or a lost directory entry. If
+// there is one, segs holds the run before it and gap is the
+// ErrCorrupt naming the first missing segment. (A lost last segment
+// leaves no hole; it reads as a shorter log.)
+func listSegments(fsys FS, dir string, gen uint64) (segs []segRef, gap, err error) {
 	names, err := fsys.ReadDir(dir)
 	if err != nil {
-		return nil, fmt.Errorf("ledger: list segments: %w", err)
+		return nil, nil, fmt.Errorf("ledger: list segments: %w", err)
 	}
-	var segs []segRef
 	for _, name := range names {
 		g, idx, ok := parseSegName(name)
 		if !ok || g != gen {
@@ -441,7 +467,12 @@ func listSegments(fsys FS, dir string, gen uint64) ([]segRef, error) {
 		segs = append(segs, segRef{name: name, gen: g, idx: idx})
 	}
 	sort.Slice(segs, func(i, j int) bool { return segs[i].idx < segs[j].idx })
-	return segs, nil
+	for i := range segs {
+		if want := uint64(i) + 1; segs[i].idx != want {
+			return segs[:i], fmt.Errorf("%w: segment %s is missing", ErrCorrupt, segName(gen, want)), nil
+		}
+	}
+	return segs, nil, nil
 }
 
 // currentFile is the generation pointer: its content is the decimal
@@ -450,7 +481,7 @@ func listSegments(fsys FS, dir string, gen uint64) ([]segRef, error) {
 const currentFile = "CURRENT"
 
 func readCurrent(fsys FS, dir string) (uint64, error) {
-	data, err := fsys.ReadFile(join(dir, currentFile))
+	f, err := fsys.Open(join(dir, currentFile))
 	if err != nil {
 		if errors.Is(err, fs.ErrNotExist) {
 			return 0, nil // no CURRENT yet: fresh ledger
@@ -458,6 +489,11 @@ func readCurrent(fsys FS, dir string) (uint64, error) {
 		// Any other failure (permissions, I/O) must NOT look like a
 		// fresh ledger: starting generation 1 over an unreadable
 		// CURRENT would orphan the real log on the next compaction.
+		return 0, fmt.Errorf("ledger: read CURRENT: %w", err)
+	}
+	data, err := io.ReadAll(f)
+	_ = f.Close() // read-only: a failed close loses nothing
+	if err != nil {
 		return 0, fmt.Errorf("ledger: read CURRENT: %w", err)
 	}
 	var gen uint64

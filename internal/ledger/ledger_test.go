@@ -345,9 +345,9 @@ func TestRotationProducesSegments(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	segs, err := listSegments(fsys, dir, 1)
-	if err != nil {
-		t.Fatal(err)
+	segs, gap, err := listSegments(fsys, dir, 1)
+	if err != nil || gap != nil {
+		t.Fatal(err, gap)
 	}
 	if len(segs) < 3 {
 		t.Fatalf("expected rotation to produce several segments, got %d", len(segs))
@@ -386,4 +386,53 @@ func TestDirFSRoundTrip(t *testing.T) {
 	if err := l2.Close(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestReplayRecordLargerThanReadBuffer: a record larger than the
+// scanner's 64 KiB read buffer (a 512 KiB proof) must replay intact,
+// between two small records, through Replay and through Open.
+func TestReplayRecordLargerThanReadBuffer(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(Options{Dir: dir, SyncEvery: 1}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := sim.NewRNG(0xB16)
+	proof := make([]byte, 512<<10)
+	for i := range proof {
+		proof[i] = byte(rng.Intn(256))
+	}
+	want := []Record{
+		{Kind: KindCDR, Cycle: 1, Subscriber: "imsi-1", UL: 10, DL: 20},
+		{Kind: KindPoC, Cycle: 1, Subscriber: "imsi-1", X: 30, Rounds: 2, Proof: proof},
+		{Kind: KindMark, Cycle: 1},
+	}
+	for i := range want {
+		if err := l.Append(&want[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var replayed []Record
+	if err := Replay(nil, dir, collect(&replayed)); err != nil {
+		t.Fatal(err)
+	}
+	if len(replayed) != len(want) {
+		t.Fatalf("Replay surfaced %d of %d records", len(replayed), len(want))
+	}
+	requirePrefix(t, "replay", replayed, want)
+	var opened []Record
+	l, err = Open(Options{Dir: dir}, collect(&opened))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if len(opened) != len(want) {
+		t.Fatalf("Open replayed %d of %d records", len(opened), len(want))
+	}
+	requirePrefix(t, "open", opened, want)
 }

@@ -1,7 +1,9 @@
 package ledger
 
 import (
+	"bytes"
 	"errors"
+	"io"
 	"io/fs"
 	"path/filepath"
 	"sort"
@@ -130,16 +132,18 @@ func (m *MemFS) Create(name string) (File, error) {
 	return memHandle{fs: m, name: name}, nil
 }
 
-// ReadFile implements FS. Reads observe the page cache (volatile
-// content), exactly like a reader on a live machine.
-func (m *MemFS) ReadFile(name string) ([]byte, error) {
+// Open implements FS. The reader observes the page cache (volatile
+// content), exactly like a reader on a live machine, but reads a
+// snapshot copy taken here: a later append, Crash or Create cannot
+// change the bytes under an open reader.
+func (m *MemFS) Open(name string) (io.ReadCloser, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	f := m.files[name]
 	if f == nil {
 		return nil, &fs.PathError{Op: "open", Path: name, Err: fs.ErrNotExist}
 	}
-	return append([]byte(nil), f.content...), nil
+	return io.NopCloser(bytes.NewReader(append([]byte(nil), f.content...))), nil
 }
 
 // ReadDir implements FS.

@@ -156,27 +156,6 @@ func appendU64(dst []byte, v uint64) []byte {
 	return dst
 }
 
-// nextFrame decodes the frame at the head of b, returning the payload
-// and the total framed size. Any defect — short header, absurd
-// length, short body, CRC mismatch — is a torn record.
-func nextFrame(b []byte) (payload []byte, size int, err error) {
-	if len(b) < frameHeader {
-		return nil, 0, errShortFrame
-	}
-	n := binary.LittleEndian.Uint32(b[0:4])
-	if n == 0 || n > MaxRecordBytes {
-		return nil, 0, errBadLength
-	}
-	if len(b) < frameHeader+int(n) {
-		return nil, 0, errShortBody
-	}
-	payload = b[frameHeader : frameHeader+int(n)]
-	if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(b[4:8]) {
-		return nil, 0, errBadCRC
-	}
-	return payload, frameHeader + int(n), nil
-}
-
 // appendRecord appends the canonical payload encoding of rec to dst.
 //
 //tlcvet:hotpath

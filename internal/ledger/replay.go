@@ -1,9 +1,12 @@
 package ledger
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"io"
 	"io/fs"
 	"sort"
 )
@@ -22,60 +25,143 @@ func segmentHeader(gen, idx uint64) [segHeader]byte {
 	return h
 }
 
-// replaySegment verifies data as segment (gen, idx) and streams every
-// verified record through fn (which may be nil). It returns the byte
-// offset of the verified prefix and, if the segment ends in a torn or
-// corrupt record — or fn itself errored — a non-nil tear describing
-// why the scan stopped there.
-func replaySegment(data []byte, gen, idx uint64, fn func(*Record) error) (verified int, tear error) {
-	if len(data) < segHeader {
-		return 0, errShortFrame
-	}
-	want := segmentHeader(gen, idx)
-	for i := 0; i < segHeader; i++ {
-		if data[i] != want[i] {
-			return 0, fmt.Errorf("ledger: segment header mismatch at byte %d", i)
-		}
-	}
-	n, tear := scanSegment(data[segHeader:], fn)
-	return segHeader + n, tear
+// readBufBytes is the scanner's fixed read buffer: the FS sees reads
+// of this size however small the records are.
+const readBufBytes = 64 << 10
+
+// scanner is the ledger's one segment decoder: Open, Replay and
+// compaction all read through it. It holds a fixed readBufBytes read
+// buffer and one record buffer that grows to the largest frame seen
+// (at most MaxRecordBytes), so a read holds one record, never a whole
+// segment. One scanner serves every segment of a replay.
+type scanner struct {
+	br  *bufio.Reader
+	hdr [segHeader]byte // segment header, then each frame header
+	buf []byte          // the current frame's payload
+	rec Record
+	pos int64 // bytes consumed from the current segment
 }
 
-// scanSegment walks the framed records in b (no segment header),
-// calling fn for each verified, decodable record. It returns the
-// length of the verified prefix and a non-nil tear if the scan
-// stopped before the end. It never panics on arbitrary input — the
-// fuzz target FuzzLedgerReplay holds it to that.
-func scanSegment(b []byte, fn func(*Record) error) (verified int, tear error) {
-	off := 0
-	var rec Record
-	for off < len(b) {
-		payload, size, err := nextFrame(b[off:])
-		if err != nil {
-			return off, err
+func newScanner() *scanner {
+	return &scanner{br: bufio.NewReaderSize(nil, readBufBytes)}
+}
+
+// segEnd is where the scan of one segment stopped.
+type segEnd struct {
+	verified int64 // length of the verified prefix
+	size     int64 // bytes in the segment
+	tear     error // why the segment does not verify to its end; nil if it does
+}
+
+// scanFile opens segment seg of dir and scans it.
+func (s *scanner) scanFile(fsys FS, dir string, seg segRef, fn func(*Record) error) (segEnd, error) {
+	f, err := fsys.Open(join(dir, seg.name))
+	if err != nil {
+		return segEnd{}, fmt.Errorf("ledger: read segment: %w", err)
+	}
+	defer f.Close() //tlcvet:allow errdiscard — read-only handle; a failed close loses nothing
+	return s.scan(f, seg.gen, seg.idx, fn)
+}
+
+// scan reads segment (gen, idx) from r and hands fn (which may be nil)
+// every verified, decodable record in order. The segEnd says how far
+// the segment verified and, if not to its end, why: a bad header, or a
+// torn, corrupt or undecodable frame. err is a read failure, or fn's
+// own error returned as is: neither is damage, so neither may trigger
+// repair. scan never panics on arbitrary input, and how r splits its
+// reads cannot change the outcome; the fuzz target FuzzLedgerReplay
+// holds it to both.
+func (s *scanner) scan(r io.Reader, gen, idx uint64, fn func(*Record) error) (segEnd, error) {
+	s.br.Reset(r)
+	s.pos = 0
+	var end segEnd
+	ok, err := s.fill(s.hdr[:])
+	if err != nil {
+		return end, err
+	}
+	if !ok {
+		return s.torn(end, errShortFrame)
+	}
+	want := segmentHeader(gen, idx)
+	for i := range want {
+		if s.hdr[i] != want[i] {
+			return s.torn(end, fmt.Errorf("ledger: segment header mismatch at byte %d", i))
 		}
-		if err := decodeRecord(payload, &rec); err != nil {
+	}
+	end.verified = segHeader
+	for {
+		fh := s.hdr[:frameHeader]
+		if ok, err = s.fill(fh); err != nil {
+			return end, err
+		}
+		if !ok {
+			if s.pos == end.verified {
+				end.size = s.pos
+				return end, nil // the segment ends at a frame boundary
+			}
+			return s.torn(end, errShortFrame)
+		}
+		n := binary.LittleEndian.Uint32(fh[0:4])
+		sum := binary.LittleEndian.Uint32(fh[4:8])
+		if n == 0 || n > MaxRecordBytes {
+			return s.torn(end, errBadLength)
+		}
+		if cap(s.buf) < int(n) {
+			s.buf = make([]byte, n)
+		}
+		payload := s.buf[:n]
+		if ok, err = s.fill(payload); err != nil {
+			return end, err
+		}
+		if !ok {
+			return s.torn(end, errShortBody)
+		}
+		if crc32.Checksum(payload, castagnoli) != sum {
+			return s.torn(end, errBadCRC)
+		}
+		// The next frame overwrites payload, so what fn sees must not
+		// alias it: decodeRecord copies Proof and every string out.
+		if err := decodeRecord(payload, &s.rec); err != nil {
 			// CRC says the bytes are what was written, but the
 			// payload doesn't decode: a writer bug or hand-edited
 			// log. Refuse to surface it.
-			return off, err
+			return s.torn(end, err)
 		}
 		if fn != nil {
-			if err := fn(&rec); err != nil {
-				return off, callbackError{err}
+			if err := fn(&s.rec); err != nil {
+				return end, err
 			}
 		}
-		off += size
+		end.verified = s.pos
 	}
-	return off, nil
 }
 
-// callbackError marks a replay stop caused by the caller's fn, not by
-// log damage: it must propagate as an error, never trigger repair.
-type callbackError struct{ err error }
+// fill reads len(p) bytes into p. ok is false, with a nil error, if
+// the segment ends first.
+func (s *scanner) fill(p []byte) (ok bool, err error) {
+	n, err := io.ReadFull(s.br, p)
+	s.pos += int64(n)
+	switch err {
+	case nil:
+		return true, nil
+	case io.EOF, io.ErrUnexpectedEOF:
+		return false, nil
+	}
+	return false, fmt.Errorf("ledger: read segment: %w", err)
+}
 
-func (e callbackError) Error() string { return "ledger: replay callback: " + e.err.Error() }
-func (e callbackError) Unwrap() error { return e.err }
+// torn ends a scan at the damage why, found at end.verified. It drains
+// the rest of the segment so that end.size counts every byte: Open
+// reports how many bytes its repair cuts.
+func (s *scanner) torn(end segEnd, why error) (segEnd, error) {
+	n, err := io.Copy(io.Discard, s.br)
+	if err != nil {
+		return end, fmt.Errorf("ledger: read segment: %w", err)
+	}
+	end.size = s.pos + n
+	end.tear = why
+	return end, nil
+}
 
 // ErrNoLedger is returned by Replay (and so Audit) when the directory
 // exists but holds no ledger generation — nothing was ever appended
@@ -97,8 +183,10 @@ var ErrCorrupt = errors.New("ledger: corrupt log")
 // fn, read-only: no repair, no new segment, no handle kept. It is the
 // audit path — it works on a live ledger's directory as well as a
 // closed one, though there a record caught mid-write reads as damage.
-// Damage is reported as ErrCorrupt, never skipped, so an audit cannot
-// mistake a shortened log for the whole one.
+// Damage, a missing segment included, is reported as ErrCorrupt,
+// never skipped, so an audit cannot mistake a shortened log for the
+// whole one. It reads one record at a time: memory does not grow with
+// the segment size.
 func Replay(fsys FS, dir string, fn func(*Record) error) error {
 	if fsys == nil {
 		fsys = DirFS{}
@@ -119,24 +207,21 @@ func Replay(fsys FS, dir string, fn func(*Record) error) error {
 		}
 		return fmt.Errorf("%w at %s", ErrNoLedger, dir)
 	}
-	segs, err := listSegments(fsys, dir, gen)
+	segs, gap, err := listSegments(fsys, dir, gen)
 	if err != nil {
 		return err
 	}
+	sc := newScanner()
 	for _, seg := range segs {
-		data, err := fsys.ReadFile(join(dir, seg.name))
+		end, err := sc.scanFile(fsys, dir, seg, fn)
 		if err != nil {
-			return fmt.Errorf("ledger: read segment: %w", err)
+			return err
 		}
-		if verified, tear := replaySegment(data, seg.gen, seg.idx, fn); tear != nil {
-			var cb callbackError
-			if errors.As(tear, &cb) {
-				return cb.err
-			}
-			return fmt.Errorf("%w: %s at byte %d: %v", ErrCorrupt, seg.name, verified, tear)
+		if end.tear != nil {
+			return fmt.Errorf("%w: %s at byte %d: %v", ErrCorrupt, seg.name, end.verified, end.tear)
 		}
 	}
-	return nil
+	return gap
 }
 
 // UsageKey identifies one subscriber's usage within one cycle.

@@ -33,18 +33,24 @@
 #   ledger     — the durable charging ledger: the crash-point torture
 #                sweeps (every kill offset of the tail segment, bit
 #                flips, injected fsync failpoints; the read-only replay
-#                must report each as corrupt before reopen repairs it)
-#                plus the replay differential under the race detector,
-#                a short coverage-guided fuzz of segment replay, and the
+#                must report each as corrupt before reopen repairs it,
+#                with whole and with half reads) plus the replay
+#                differential under the race detector, a short
+#                coverage-guided fuzz of the segment scanner (whole and
+#                one-byte reads must agree), and the
 #                examples/auditor run, which exits non-zero unless its
 #                receipt archive (a ledger) audits to the settled total
 #   allocs     — testing.AllocsPerRun guards for the event-engine,
-#                metrics-observation and frame-reader hot paths; these
-#                skip themselves under -race (its instrumentation
-#                perturbs counts), so they need this separate non-race
-#                pass
-#   bench      — every benchmark compiles and survives one iteration,
-#                plus a quick sharded city run at -shards 2 through
+#                metrics-observation and frame-reader hot paths, plus
+#                the ledger read bound (replaying a real-disk ledger of
+#                full segments allocates under half a record's framed
+#                size per record: reads hold one record, not a
+#                segment); these skip themselves under -race (its
+#                instrumentation perturbs counts), so they need this
+#                separate non-race pass
+#   bench      — every benchmark compiles and survives one iteration
+#                (BenchmarkReplay/DirFS streams a ledger off the real
+#                disk), plus a quick sharded city run at -shards 2 through
 #                the tlcbench CLI (exercises the -shards plumbing)
 #   perfbench  — the benchmark's own module (perfbench/, a separate
 #                go.mod that the root build, vet and tests never
@@ -104,7 +110,7 @@ stage tlcdscale go test -run 'EngineOverload|EngineSettlesMuxedSessions' -race -
 stage ledger go test -run 'Torture|Prop' -short -race ./internal/ledger
 stage ledger go test -run '^$' -fuzz '^FuzzLedgerReplay$' -fuzztime 10s ./internal/ledger
 stage ledger go run ./examples/auditor
-stage allocs go test -run ZeroAlloc ./internal/sim ./internal/netem ./internal/metrics ./internal/protocol ./internal/ledger
+stage allocs go test -run 'ZeroAlloc|AllocsPerRecord' ./internal/sim ./internal/netem ./internal/metrics ./internal/protocol ./internal/ledger
 stage bench go test -run '^$' -bench . -benchtime 1x ./...
 stage bench city_smoke
 stage perfbench perfbench_check
