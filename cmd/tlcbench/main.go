@@ -46,10 +46,11 @@ import (
 
 // jsonReport is the -json document.
 type jsonReport struct {
-	// GoMaxProcs, Workers and Shards record the parallelism the run
-	// used: sweep workers for the cell sweeps, shard worker counts
-	// for the sharded city simulation.
+	// GoMaxProcs, NumCPU, Workers and Shards record the parallelism
+	// the run used and the host offered: sweep workers for the cell
+	// sweeps, shard worker counts for the sharded city simulation.
 	GoMaxProcs int   `json:"gomaxprocs"`
+	NumCPU     int   `json:"numcpu"`
 	Workers    int   `json:"workers"`
 	Shards     []int `json:"shards"`
 	// Note is a free-form host annotation (e.g. "single-core CI: no
@@ -170,6 +171,7 @@ func main() {
 
 	report := jsonReport{
 		GoMaxProcs:  runtime.GOMAXPROCS(0),
+		NumCPU:      runtime.NumCPU(),
 		Workers:     *workers,
 		Shards:      shardCounts,
 		Note:        *note,

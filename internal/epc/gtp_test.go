@@ -135,3 +135,25 @@ func TestGTPSkipsBackgroundAndUntunneled(t *testing.T) {
 		t.Fatalf("forwarded %d, want 2", sink.Packets)
 	}
 }
+
+// TestGTPTunnelZeroAllocs asserts that a packet on an established
+// bearer crosses the tunnel, encapsulation then decapsulation, without
+// allocating: GTPEncap looks the bearer up on every packet, so its key
+// must not be formatted per lookup.
+func TestGTPTunnelZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are perturbed by -race instrumentation")
+	}
+	bt := NewBearerTable()
+	delivered := 0
+	decap := &GTPDecap{Bearers: bt, Next: netem.NodeFunc(func(*netem.Packet) { delivered++ })}
+	encap := &GTPEncap{Bearers: bt, Next: decap}
+	p := &netem.Packet{IMSI: "001010000000001", QCI: 9, Size: 1400}
+	encap.Recv(p) // establish the bearer
+	if avg := testing.AllocsPerRun(1000, func() { encap.Recv(p) }); avg != 0 {
+		t.Fatalf("GTP tunnel allocates %v per packet, want 0", avg)
+	}
+	if delivered != 1002 || bt.Len() != 1 || p.Size != 1400 {
+		t.Fatalf("delivered %d packets over %d bearers, size %d; want 1002 over 1, size 1400", delivered, bt.Len(), p.Size)
+	}
+}

@@ -272,11 +272,11 @@ type sweepCell struct {
 	res map[string]SchemeResult
 }
 
-// standardSweep runs the §7.1 evaluation grid for one app at a given
-// c: background levels × intermittency × seeds. Each grid point's
-// seed is a function of its (seed, bg, rss) coordinates only, so the
+// standardGrid builds the §7.1 evaluation grid for one app at a given
+// c: background levels × intermittency × seeds. Each grid point's seed
+// is a function of its (seed, bg, rss) coordinates only, so the
 // parallel fan-out is byte-identical to the sequential order.
-func standardSweep(app apps.Profile, c float64, opt Options, baseSeed int64) []sweepCell {
+func standardGrid(app apps.Profile, c float64, opt Options, baseSeed int64) []Config {
 	rssSpecs := []RSSSpec{
 		{},           // good radio
 		{Base: -112}, // cell edge: MCS adaptation throttles the UE (paper sweeps RSS to -120dBm)
@@ -293,10 +293,36 @@ func standardSweep(app apps.Profile, c float64, opt Options, baseSeed int64) []s
 			}
 		}
 	}
-	return Sweep(cfgs, opt.Workers, func(cfg Config) sweepCell {
+	return cfgs
+}
+
+// sweepGrids runs every grid as one sweep, so the engine balances
+// cells across all of them instead of idling a worker at the end of
+// each, and returns each grid's cells in grid order.
+func sweepGrids(opt Options, grids [][]Config) [][]sweepCell {
+	var cfgs []Config
+	for _, g := range grids {
+		cfgs = append(cfgs, g...)
+	}
+	cells := Sweep(cfgs, opt.Workers, func(cfg Config) sweepCell {
 		r := NewTestbed(cfg).Run()
 		return sweepCell{r: r, res: EvaluateAll(r, cfg.Seed+1)}
 	})
+	out := make([][]sweepCell, len(grids))
+	for i, g := range grids {
+		out[i], cells = cells[:len(g)], cells[len(g):]
+	}
+	return out
+}
+
+// appGrids is the standard grid of every workload at c, each app's
+// seeds offset by 100 from baseSeed.
+func appGrids(opt Options, c float64, baseSeed int64) [][]Config {
+	grids := make([][]Config, len(apps.Workloads))
+	for i, app := range apps.Workloads {
+		grids[i] = standardGrid(app, c, opt, baseSeed+int64(100*i))
+	}
+	return grids
 }
 
 // Fig12 reproduces Figure 12: the CDF of the per-hour charging gap
@@ -309,9 +335,8 @@ func Fig12(opt Options) Result {
 	for _, scheme := range Schemes {
 		all[scheme] = stats.NewSample()
 	}
-	for i, app := range apps.Workloads {
-		cells := standardSweep(app, 0.5, opt, int64(1200+100*i))
-		fmt.Fprintf(&b, "-- %s --\n", app.Name)
+	for i, cells := range sweepGrids(opt, appGrids(opt, 0.5, 1200)) {
+		fmt.Fprintf(&b, "-- %s --\n", apps.Workloads[i].Name)
 		for _, scheme := range Schemes {
 			s := stats.NewSample()
 			for _, cell := range cells {
@@ -339,8 +364,7 @@ func Table2(opt Options) Result {
 	for _, scheme := range Schemes {
 		overall[scheme] = stats.NewSample()
 	}
-	for i, app := range apps.Workloads {
-		cells := standardSweep(app, 0.5, opt, int64(2200+100*i))
+	for i, cells := range sweepGrids(opt, appGrids(opt, 0.5, 2200)) {
 		var bitrate float64
 		deltas := map[string]*stats.Sample{}
 		epsilons := map[string]*stats.Sample{}
@@ -358,7 +382,7 @@ func Table2(opt Options) Result {
 		}
 		bitrate /= float64(len(cells))
 		fmt.Fprintf(&b, "%-16s %10.2f | %12.2f %6.1f%% | %12.2f %6.1f%% | %12.2f %6.1f%%\n",
-			app.Name, bitrate,
+			apps.Workloads[i].Name, bitrate,
 			deltas[SchemeLegacy].Mean(), epsilons[SchemeLegacy].Mean()*100,
 			deltas[SchemeOptimal].Mean(), epsilons[SchemeOptimal].Mean()*100,
 			deltas[SchemeRandom].Mean(), epsilons[SchemeRandom].Mean()*100)
@@ -510,16 +534,20 @@ func Fig15(opt Options) Result {
 	opt = opt.withDefaults()
 	var b strings.Builder
 	metrics := map[string]float64{}
-	for _, c := range []float64{0, 0.25, 0.5, 0.75, 1} {
+	cs := []float64{0, 0.25, 0.5, 0.75, 1}
+	grids := make([][]Config, len(cs))
+	for j, c := range cs {
+		grids[j] = standardGrid(apps.VRidgeGVSP, c, opt, int64(5500+int(c*100)))
+	}
+	for j, cells := range sweepGrids(opt, grids) {
 		sample := stats.NewSample()
-		cells := standardSweep(apps.VRidgeGVSP, c, opt, int64(5500+int(c*100)))
 		for _, cell := range cells {
 			leg := cell.res[SchemeLegacy]
 			tlc := cell.res[SchemeOptimal]
 			sample.Add(GapReduction(leg.X, tlc.X) * 100)
 		}
-		metrics[fmt.Sprintf("mu_pct_mean_c%.2f", c)] = sample.Mean()
-		b.WriteString(stats.RenderCDF(fmt.Sprintf("c=%.2f  µ (%%)", c), sample, 4))
+		metrics[fmt.Sprintf("mu_pct_mean_c%.2f", cs[j])] = sample.Mean()
+		b.WriteString(stats.RenderCDF(fmt.Sprintf("c=%.2f  µ (%%)", cs[j]), sample, 4))
 	}
 	b.WriteString("(paper: smaller c ⇒ larger reduction; c=1 ⇒ TLC equals honest legacy)\n")
 	return Result{ID: "fig15", Title: "Figure 15: TLC-optimal gap reduction under various plans c", Text: b.String(), Metrics: metrics}

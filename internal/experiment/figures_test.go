@@ -66,6 +66,12 @@ func TestDatasetCountsCDRs(t *testing.T) {
 	}
 }
 
+// standardSweep runs one app's §7.1 grid at c on its own, for tests
+// that check one app or one c at a time.
+func standardSweep(app apps.Profile, c float64, opt Options, baseSeed int64) []sweepCell {
+	return sweepGrids(opt, [][]Config{standardGrid(app, c, opt, baseSeed)})[0]
+}
+
 func TestTable2SchemeOrdering(t *testing.T) {
 	opt := Quick()
 	opt.Duration = 20 * time.Second

@@ -5,8 +5,11 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
+
+	"tlc/internal/apps"
 )
 
 // parityOpt is a small-but-real grid: two background levels × three
@@ -23,7 +26,8 @@ func parityOpt(workers int) Options {
 
 // TestParallelFig12Table2Parity is the engine's core contract: the
 // regenerated figure text and metrics are byte-identical at every
-// worker count, and across repeated runs at the same count.
+// worker count, and across repeated runs at the same count. Each of
+// these figures runs its whole grid as one heaviest-first sweep.
 func TestParallelFig12Table2Parity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("parity sweep is slow")
@@ -32,7 +36,7 @@ func TestParallelFig12Table2Parity(t *testing.T) {
 		name string
 		run  func(Options) Result
 	}
-	for _, fig := range []figure{{"fig12", Fig12}, {"table2", Table2}} {
+	for _, fig := range []figure{{"fig12", Fig12}, {"table2", Table2}, {"fig15", Fig15}} {
 		fig := fig
 		t.Run(fig.name, func(t *testing.T) {
 			t.Parallel()
@@ -97,12 +101,59 @@ func TestParallelSweepOrdering(t *testing.T) {
 	}
 }
 
+// TestSweepDispatchHeaviestFirst: over testbed Configs a single worker
+// starts cells in descending offered load, ties in grid order, while
+// every result still lands at its own grid index. Workers 0 runs
+// inline in grid order.
+func TestSweepDispatchHeaviestFirst(t *testing.T) {
+	d := 10 * time.Second
+	cfgs := []Config{
+		{App: apps.Gaming, Duration: d},                          // lightest
+		{App: apps.WebCamRTSP, Duration: d, BackgroundMbps: 160}, // heaviest
+		{App: apps.VRidgeGVSP, Duration: d},                      // ≈9 Mb/s
+		{App: apps.WebCamRTSP, Duration: 2 * d},                  // twice cell 5's load
+		{App: apps.WebCamRTSP, Duration: d, BackgroundMbps: 160}, // ties with cell 1
+		{App: apps.WebCamRTSP, Duration: d},
+	}
+	for i := range cfgs {
+		cfgs[i].Seed = int64(i)
+	}
+	for _, tc := range []struct {
+		workers int
+		want    []int
+	}{
+		{1, []int{1, 4, 2, 3, 5, 0}},
+		{0, []int{0, 1, 2, 3, 4, 5}},
+	} {
+		var started []int
+		out := Sweep(cfgs, tc.workers, func(c Config) int64 {
+			started = append(started, int(c.Seed))
+			return c.Seed
+		})
+		if !reflect.DeepEqual(started, tc.want) {
+			t.Errorf("workers=%d: cells started in order %v, want %v", tc.workers, started, tc.want)
+		}
+		for i, seed := range out {
+			if seed != cfgs[i].Seed {
+				t.Errorf("workers=%d: out[%d] came from cell %d", tc.workers, i, seed)
+			}
+		}
+	}
+}
+
 // TestParallelSweepPanic: a panicking cell must not crash the other
 // workers mid-flight, and the re-raised panic is deterministically the
-// lowest-indexed failure regardless of completion order.
+// lowest-indexed failure regardless of completion order. Offered load
+// grows with the grid index here, so the engine dispatches the two
+// failing cells in reverse grid order; the panic still names cell 7.
 func TestParallelSweepPanic(t *testing.T) {
+	cfgs := make([]Config, 64)
+	for i := range cfgs {
+		cfgs[i] = Config{App: apps.Gaming, Duration: time.Second, BackgroundMbps: float64(i), Seed: int64(i)}
+	}
 	for _, workers := range []int{1, 4, -1} {
 		var ran [64]bool
+		var failed []int
 		func() {
 			defer func() {
 				r := recover()
@@ -114,14 +165,24 @@ func TestParallelSweepPanic(t *testing.T) {
 					t.Fatalf("workers=%d: wrong panic %q, want lowest failing cell 7", workers, msg)
 				}
 			}()
-			SweepN(len(ran), workers, func(i int) int {
+			var mu sync.Mutex
+			Sweep(cfgs, workers, func(c Config) int {
+				i := int(c.Seed)
+				mu.Lock()
 				ran[i] = true
+				if i == 7 || i == 23 {
+					failed = append(failed, i)
+				}
+				mu.Unlock()
 				if i == 7 || i == 23 {
 					panic(fmt.Sprintf("boom-%d", i))
 				}
 				return i
 			})
 		}()
+		if workers == 1 && !reflect.DeepEqual(failed, []int{23, 7}) {
+			t.Fatalf("workers=1: failing cells ran in order %v, want [23 7] (heaviest first)", failed)
+		}
 		// Every cell still ran: one failure does not starve the rest.
 		for i, ok := range ran {
 			if !ok {

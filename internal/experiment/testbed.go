@@ -137,6 +137,14 @@ func (c *Config) withDefaults() Config {
 	return out
 }
 
+// offeredLoad is the traffic the cycle offers in bits: the app's
+// nominal bitrate plus the background cross traffic, over the cycle.
+// The sweep engine dispatches heavier cells first by it.
+func (c *Config) offeredLoad() float64 {
+	d := c.withDefaults()
+	return (d.App.AvgBitrate() + d.BackgroundMbps*1e6) * d.Duration.Seconds()
+}
+
 // Link/loss parameters of the emulated testbed, tuned so the legacy
 // charging-gap ratios land in the paper's regimes (§3.2's 6.7-8.3%
 // baseline, growing past 20% under heavy congestion).

@@ -267,7 +267,11 @@ type Link struct {
 
 	Stats LinkStats
 
+	// queue is the live window of qbuf, the queue's whole backing
+	// array: kick advances the window's base, and enqueue slides the
+	// window back to qbuf's front instead of growing the array.
 	queue        []*Packet
+	qbuf         []*Packet
 	queuedBytes  int
 	transmitting bool
 
@@ -399,11 +403,23 @@ func (l *Link) evictLowerPriority(pkt *Packet) bool {
 
 // enqueue inserts by QCI priority (stable within a class).
 func (l *Link) enqueue(pkt *Packet) {
+	if n := len(l.queue); n == cap(l.queue) && n < cap(l.qbuf) {
+		// The window ends at the array's end but kick has advanced its
+		// base: slide it back to the front rather than let append
+		// reallocate. A backlogged link that never drains would
+		// otherwise regrow its queue every few dozen packets.
+		copy(l.qbuf, l.queue)
+		clear(l.qbuf[n:])
+		l.queue = l.qbuf[:n]
+	}
 	i := len(l.queue)
 	for i > 0 && l.queue[i-1].QCI > pkt.QCI {
 		i--
 	}
 	l.queue = append(l.queue, nil)
+	if cap(l.queue) > cap(l.qbuf) {
+		l.qbuf = l.queue[:cap(l.queue)]
+	}
 	copy(l.queue[i+1:], l.queue[i:])
 	l.queue[i] = pkt
 	l.queuedBytes += pkt.Size
@@ -425,11 +441,10 @@ func (l *Link) kick() {
 	pkt := l.queue[0]
 	l.queue[0] = nil
 	if len(l.queue) == 1 {
-		// Drained: rewind to the backing array's start so steady-state
-		// enqueue/dequeue churn reuses it. Advancing the base with
-		// queue[1:] here would erode the capacity and make the next
-		// append reallocate — one hidden allocation per packet.
-		l.queue = l.queue[:0]
+		// Drained: rewind the window to the backing array's start.
+		// Re-slicing queue[:0] would keep the advanced base, so the
+		// rewind has to go through qbuf.
+		l.queue = l.qbuf[:0]
 	} else {
 		l.queue = l.queue[1:]
 	}

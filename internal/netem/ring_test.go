@@ -1,6 +1,7 @@
 package netem
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -71,6 +72,55 @@ func TestLinkSteadyStateZeroAllocs(t *testing.T) {
 	}
 	if delivered == 0 {
 		t.Fatal("nothing delivered")
+	}
+}
+
+// TestLinkBacklogZeroAllocs offers a bounded link twice its rate, so
+// the queue stays backlogged at its byte cap and never drains, and
+// asserts the steady state allocates nothing. kick advances the
+// queue's base on every transmission; unless enqueue slides the window
+// back to the front of the backing array, append regrows the queue
+// each time the window reaches the array's end, about once per queue
+// length of transmissions. testing.AllocsPerRun divides its total by
+// the run count in integers, so one allocation every ~64 packets
+// reads as 0 per run; that is how TestLinkSteadyStateZeroAllocs missed
+// the regrowth. This test counts raw runtime.MemStats.Mallocs over the
+// whole backlogged run instead.
+func TestLinkBacklogZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are perturbed by -race instrumentation")
+	}
+	s := sim.NewScheduler()
+	pp := &PacketPool{}
+	dst := NodeFunc(func(p *Packet) { pp.Put(p) })
+	// 1 Mb/s and 1000-byte packets: 8 ms per transmission, offered
+	// every 4 ms, into a 64-packet queue.
+	l := NewLink("backlog", s, 1e6, 2*time.Millisecond, 64*1000, dst)
+	l.Pool = pp
+	step := func() {
+		p := pp.Get()
+		p.Size, p.QCI = 1000, 9
+		l.Recv(p)
+		s.RunUntil(s.Now() + 4*time.Millisecond)
+	}
+	for i := 0; i < 1000; i++ { // fill the queue; warm pools, heap and ring
+		step()
+	}
+	if l.QueueLen() < 32 {
+		t.Fatalf("queue holds %d packets after warm-up; the link is not backlogged", l.QueueLen())
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 10000; i++ {
+		step()
+	}
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Fatalf("backlogged link made %d allocations (%d bytes) over 10000 packets, want 0",
+			n, after.TotalAlloc-before.TotalAlloc)
+	}
+	if l.Stats.QueueDrops == 0 {
+		t.Fatal("no queue drops: the link was not offered more than its rate")
 	}
 }
 

@@ -41,7 +41,9 @@
 #                examples/auditor run, which exits non-zero unless its
 #                receipt archive (a ledger) audits to the settled total
 #   allocs     — testing.AllocsPerRun guards for the event-engine,
-#                metrics-observation and frame-reader hot paths, plus
+#                metrics-observation, GTP tunnel and frame-reader hot
+#                paths, a raw malloc count over a backlogged link (its
+#                queue must slide, not regrow), plus
 #                the ledger read bound (replaying a real-disk ledger of
 #                full segments allocates under half a record's framed
 #                size per record: reads hold one record, not a
@@ -110,7 +112,7 @@ stage tlcdscale go test -run 'EngineOverload|EngineSettlesMuxedSessions' -race -
 stage ledger go test -run 'Torture|Prop' -short -race ./internal/ledger
 stage ledger go test -run '^$' -fuzz '^FuzzLedgerReplay$' -fuzztime 10s ./internal/ledger
 stage ledger go run ./examples/auditor
-stage allocs go test -run 'ZeroAlloc|AllocsPerRecord' ./internal/sim ./internal/netem ./internal/metrics ./internal/protocol ./internal/ledger
+stage allocs go test -run 'ZeroAlloc|AllocsPerRecord' ./internal/sim ./internal/netem ./internal/epc ./internal/metrics ./internal/protocol ./internal/ledger
 stage bench go test -run '^$' -bench . -benchtime 1x ./...
 stage bench city_smoke
 stage perfbench perfbench_check
