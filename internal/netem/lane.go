@@ -16,10 +16,9 @@
 // within the lane — and schedules arrivals in that merged order, so
 // the destination scheduler assigns (at, seq) event keys identically
 // no matter how many worker goroutines ran the window. Arrivals ride
-// the same cached-callback FIFO ring trick as Link delivery: within
-// an Inbox every lane shares one Delay, so merged arrival times are
-// non-decreasing across flushes and each pooled delivery event pops
-// exactly the packet pushed with it.
+// one sim.FIFO stream per Inbox, as Link deliveries do: within an
+// Inbox every lane shares one Delay, so merged arrival times are
+// non-decreasing across flushes.
 package netem
 
 import (
@@ -95,7 +94,7 @@ type InboxStats struct {
 // Inbox is the receiving half: all lanes into one partition. It
 // implements sim.Exchanger; register it on the shard group and attach
 // every inbound lane. All attached lanes must share one Delay (the
-// FIFO arrival ring depends on it; see the package comment).
+// FIFO arrival stream depends on it; see the package comment).
 type Inbox struct {
 	Name  string
 	Sched *sim.Scheduler // destination partition's scheduler
@@ -107,10 +106,7 @@ type Inbox struct {
 	lanes []*Lane
 	heads []int // per-lane merge cursor, reused across flushes
 
-	ring      []*Packet // FIFO of packets awaiting their delivery event
-	ringHead  int
-	ringLen   int
-	deliverFn func()
+	arrivals *sim.FIFO[*Packet] // flushed packets awaiting delivery
 
 	published bool
 }
@@ -118,7 +114,9 @@ type Inbox struct {
 // NewInbox returns the receiving half for the partition owning sched
 // and pool, delivering arrivals to dst.
 func NewInbox(name string, sched *sim.Scheduler, pool *PacketPool, dst Node) *Inbox {
-	return &Inbox{Name: name, Sched: sched, Pool: pool, Dst: dst}
+	ib := &Inbox{Name: name, Sched: sched, Pool: pool, Dst: dst}
+	ib.arrivals = sim.NewFIFO(sched, ib.deliver)
+	return ib
 }
 
 // Attach registers an inbound lane. Lanes merge in attach order —
@@ -126,7 +124,7 @@ func NewInbox(name string, sched *sim.Scheduler, pool *PacketPool, dst Node) *In
 // the inbox's single Delay.
 func (ib *Inbox) Attach(l *Lane) {
 	if len(ib.lanes) > 0 && l.Delay != ib.lanes[0].Delay {
-		panic(fmt.Sprintf("netem: inbox %q mixes lane delays %v and %v; the arrival ring needs one",
+		panic(fmt.Sprintf("netem: inbox %q mixes lane delays %v and %v; the arrival stream needs one",
 			ib.Name, ib.lanes[0].Delay, l.Delay))
 	}
 	ib.lanes = append(ib.lanes, l)
@@ -173,17 +171,7 @@ func (ib *Inbox) Flush(limit sim.Time) {
 		ib.Stats.Bytes += uint64(m.pkt.Size)
 		p := ib.Pool.Get()
 		*p = m.pkt
-		ib.ringPush(p)
-		if ib.deliverFn == nil {
-			//tlcvet:allow hotalloc — allocated once per inbox on first use, then cached in deliverFn
-			ib.deliverFn = func() {
-				pkt := ib.ringPop()
-				if ib.Dst != nil {
-					ib.Dst.Recv(pkt)
-				}
-			}
-		}
-		ib.Sched.AtPooled(m.at, ib.deliverFn)
+		ib.arrivals.Push(m.at, p)
 	}
 	for li, l := range ib.lanes {
 		if ib.heads[li] > 0 {
@@ -193,38 +181,12 @@ func (ib *Inbox) Flush(limit sim.Time) {
 	}
 }
 
-// ringPush appends to the arrival ring, growing it when full.
-func (ib *Inbox) ringPush(p *Packet) {
-	if ib.ringLen == len(ib.ring) {
-		ib.ringGrow()
+// deliver hands a flushed packet to the destination at its arrival
+// time.
+func (ib *Inbox) deliver(p *Packet) {
+	if ib.Dst != nil {
+		ib.Dst.Recv(p)
 	}
-	ib.ring[(ib.ringHead+ib.ringLen)&(len(ib.ring)-1)] = p
-	ib.ringLen++
-}
-
-// ringPop removes and returns the oldest pending arrival.
-func (ib *Inbox) ringPop() *Packet {
-	p := ib.ring[ib.ringHead]
-	ib.ring[ib.ringHead] = nil
-	ib.ringHead = (ib.ringHead + 1) & (len(ib.ring) - 1)
-	ib.ringLen--
-	return p
-}
-
-// ringGrow doubles the ring (16 slots minimum), unwrapping the FIFO
-// to the front of the new buffer.
-func (ib *Inbox) ringGrow() {
-	n := len(ib.ring) * 2
-	if n == 0 {
-		n = 16
-	}
-	//tlcvet:allow hotalloc — geometric doubling; amortized O(1) per push and quiescent once the ring reaches the in-flight high-water mark
-	buf := make([]*Packet, n)
-	for i := 0; i < ib.ringLen; i++ {
-		buf[i] = ib.ring[(ib.ringHead+i)&(len(ib.ring)-1)]
-	}
-	ib.ring = buf
-	ib.ringHead = 0
 }
 
 // Arrived returns the number of packets delivered into this partition

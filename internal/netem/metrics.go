@@ -78,7 +78,7 @@ func (l *Link) PublishMetrics() {
 	mLinkEnq.add(&l.qciEnq)
 	mLinkDrop.add(&l.qciDrop)
 	mLinkOut.add(&l.qciOut)
-	mLinkInFlight.Add(int64(l.ringLen))
+	mLinkInFlight.Add(int64(l.InFlight()))
 }
 
 // PublishMetrics flushes the dropper's counters into the process

@@ -282,20 +282,11 @@ type Link struct {
 	gateRetryFn func()
 	txDoneFn    func()
 
-	// ring is the FIFO of packets on the wire: transmitted and
-	// loss-checked, awaiting delivery after Delay. Deliveries share
-	// the single cached pooled callback deliverFn instead of closing
-	// over each packet; see propagate for why FIFO pairing preserves
-	// the exact (time, seq) delivery schedule. The buffer is a
-	// power-of-two circular queue.
-	ring      []*Packet
-	ringHead  int
-	ringLen   int
-	deliverFn func()
-
-	// evictIdx is scratch for evictLowerPriority, reused across
-	// overflows so the queue-overflow path does not allocate.
-	evictIdx []int
+	// wire holds the packets on the wire: transmitted and
+	// loss-checked, each delivered Delay after it was sent. Delay is
+	// fixed per link, so their delivery times never decrease and one
+	// FIFO stream carries them all under a single heap entry.
+	wire *sim.FIFO[*Packet]
 
 	// Per-QCI accounting for the metrics registry: offered, dropped
 	// (queue, loss and fault drops combined) and delivered packets by
@@ -311,7 +302,7 @@ type Link struct {
 
 // NewLink returns a ready link. Loss defaults to NoLoss.
 func NewLink(name string, sched *sim.Scheduler, rateBps float64, delay time.Duration, queueBytes int, dst Node) *Link {
-	return &Link{
+	l := &Link{
 		Name:       name,
 		Sched:      sched,
 		RateBps:    rateBps,
@@ -320,6 +311,8 @@ func NewLink(name string, sched *sim.Scheduler, rateBps float64, delay time.Dura
 		Loss:       NoLoss{},
 		Dst:        dst,
 	}
+	l.wire = sim.NewFIFO(sched, l.deliver)
+	return l
 }
 
 // QueueLen returns the number of queued packets (excluding the packet
@@ -331,7 +324,7 @@ func (l *Link) QueuedBytes() int { return l.queuedBytes }
 
 // Recv implements Node: the link accepts the packet for transmission.
 //
-//tlcvet:hotpath per-packet ingress; enqueue/propagate/send/deliver and the ring helpers are all reached from here
+//tlcvet:hotpath per-packet ingress; enqueue/propagate/send/deliver are all reached from here
 func (l *Link) Recv(pkt *Packet) {
 	l.Stats.InPackets++
 	l.Stats.InBytes += uint64(pkt.Size)
@@ -358,46 +351,39 @@ func (l *Link) Recv(pkt *Packet) {
 
 // evictLowerPriority makes room for pkt by dropping strictly lower
 // priority queued packets (higher QCI value) from the back of the
-// queue. It reports whether enough room was freed.
+// queue. It reports whether enough room was freed; if not, it drops
+// nothing.
+//
+// The queue is always sorted by QCI: enqueue inserts stably by class,
+// and kick, DropQueuedFraction and this eviction only cut packets off
+// its ends. So the packets with a QCI above pkt's form the queue's
+// tail, and the scan from the back stops at the first packet it may
+// not evict: no packet in front of that one is evictable either. The
+// victims are the shortest tail that frees enough room, the same
+// packets a scan of the whole queue would pick.
 func (l *Link) evictLowerPriority(pkt *Packet) bool {
 	need := l.queuedBytes + pkt.Size - l.QueueBytes
 	if need <= 0 {
 		return true
 	}
-	// Scan from the back (lowest priority sits last due to priority
-	// insertion) marking evictable packets. evictIdx collects the
-	// victims in descending index order.
 	freed := 0
-	l.evictIdx = l.evictIdx[:0]
-	for i := len(l.queue) - 1; i >= 0 && freed < need; i-- {
-		if l.queue[i].QCI > pkt.QCI {
-			freed += l.queue[i].Size
-			l.evictIdx = append(l.evictIdx, i)
-		}
+	i := len(l.queue)
+	for i > 0 && freed < need && l.queue[i-1].QCI > pkt.QCI {
+		i--
+		freed += l.queue[i].Size
 	}
 	if freed < need {
 		return false
 	}
-	// Compact in place: evictIdx is descending, so its last entry is
-	// the smallest victim index.
-	next := len(l.evictIdx) - 1
-	keep := l.queue[:0]
-	for i, q := range l.queue {
-		if next >= 0 && i == l.evictIdx[next] {
-			next--
-			l.queuedBytes -= q.Size
-			l.Stats.QueueDrops++
-			l.Stats.QueueDropped += uint64(q.Size)
-			l.qciDrop[q.QCI]++
-			l.Pool.Put(q)
-			continue
-		}
-		keep = append(keep, q)
+	for j, q := range l.queue[i:] {
+		l.Stats.QueueDrops++
+		l.Stats.QueueDropped += uint64(q.Size)
+		l.qciDrop[q.QCI]++
+		l.Pool.Put(q)
+		l.queue[i+j] = nil
 	}
-	for i := len(keep); i < len(l.queue); i++ {
-		l.queue[i] = nil
-	}
-	l.queue = keep
+	l.queue = l.queue[:i]
+	l.queuedBytes -= freed
 	return true
 }
 
@@ -495,18 +481,6 @@ func (l *Link) txDone() func() {
 }
 
 // propagate applies the loss model and delivers after Delay.
-//
-// Delayed deliveries ride the link's FIFO ring: the packet is pushed
-// here and a pooled event — sharing the cached deliverFn rather than
-// closing over the packet — is scheduled for now+Delay. The event's
-// scheduler seq is reserved by AfterPooled at this moment, exactly
-// when the per-packet closure used to reserve it, and simulated time
-// never decreases while Delay is fixed per link, so delivery events
-// fire in enqueue order and each firing pops the packet enqueued with
-// it. The (time, seq) delivery schedule is therefore bit-for-bit what
-// the closure version produced, without the per-packet allocation.
-// (Mutating Delay while packets are in flight would break the FIFO
-// pairing; no caller does.)
 func (l *Link) propagate(pkt *Packet) {
 	if l.Loss != nil && l.Loss.Drop(pkt, l.Sched.Now()) {
 		l.Stats.LossDrops++
@@ -540,26 +514,20 @@ func (l *Link) propagate(pkt *Packet) {
 }
 
 // send puts the packet on the wire. extra == 0 is the normal path and
-// rides the FIFO delivery ring. extra > 0 (a fault's reorder hold or
+// rides the link's FIFO stream. extra > 0 (a fault's reorder hold or
 // delay spike) deliberately breaks the link's FIFO order, so it must
-// bypass the ring — the ring's deliverFn pops strictly in push order
-// and a longer-delayed packet would make a later pop hand back the
-// wrong struct. Those packets get a dedicated per-packet closure
-// event instead; the allocation only happens on faulted packets.
+// bypass the stream, whose fire times may never decrease. Those
+// packets get a dedicated per-packet closure event instead; the
+// allocation only happens on faulted packets.
 func (l *Link) send(pkt *Packet, extra time.Duration) {
 	if extra > 0 {
 		p := pkt
-		//tlcvet:allow hotalloc — out-of-FIFO delivery must bypass the ring (see doc comment); only faulted packets pay this closure
+		//tlcvet:allow hotalloc — out-of-FIFO delivery must bypass the stream (see doc comment); only faulted packets pay this closure
 		l.Sched.After(l.Delay+extra, func() { l.deliver(p) })
 		return
 	}
 	if l.Delay > 0 {
-		l.ringPush(pkt)
-		if l.deliverFn == nil {
-			//tlcvet:allow hotalloc — allocated once per link on first use, then cached in deliverFn
-			l.deliverFn = func() { l.deliver(l.ringPop()) }
-		}
-		l.Sched.AfterPooled(l.Delay, l.deliverFn)
+		l.wire.Push(l.Sched.Now()+l.Delay, pkt)
 	} else {
 		l.deliver(pkt)
 	}
@@ -576,42 +544,9 @@ func (l *Link) deliver(pkt *Packet) {
 }
 
 // InFlight returns the number of packets propagating on the wire
-// (transmitted, not yet delivered).
-func (l *Link) InFlight() int { return l.ringLen }
-
-// ringPush appends to the delivery ring, growing it when full.
-func (l *Link) ringPush(p *Packet) {
-	if l.ringLen == len(l.ring) {
-		l.ringGrow()
-	}
-	l.ring[(l.ringHead+l.ringLen)&(len(l.ring)-1)] = p
-	l.ringLen++
-}
-
-// ringPop removes and returns the oldest in-flight packet.
-func (l *Link) ringPop() *Packet {
-	p := l.ring[l.ringHead]
-	l.ring[l.ringHead] = nil
-	l.ringHead = (l.ringHead + 1) & (len(l.ring) - 1)
-	l.ringLen--
-	return p
-}
-
-// ringGrow doubles the ring (16 slots minimum), unwrapping the FIFO to
-// the front of the new buffer.
-func (l *Link) ringGrow() {
-	n := len(l.ring) * 2
-	if n == 0 {
-		n = 16
-	}
-	//tlcvet:allow hotalloc — geometric doubling; amortized O(1) per push and quiescent once the ring reaches the in-flight high-water mark
-	buf := make([]*Packet, n)
-	for i := 0; i < l.ringLen; i++ {
-		buf[i] = l.ring[(l.ringHead+i)&(len(l.ring)-1)]
-	}
-	l.ring = buf
-	l.ringHead = 0
-}
+// (transmitted, not yet delivered). Packets a fault injector delays
+// out of FIFO order are not counted.
+func (l *Link) InFlight() int { return l.wire.Len() }
 
 // Kick re-evaluates the transmitter; the RAN calls it when a gate
 // opens so buffered packets flush immediately.

@@ -147,6 +147,113 @@ func TestLinkHighPriorityCannotEvictEqualPriority(t *testing.T) {
 	}
 }
 
+// TestEvictMatchesFullScan checks the early-stopping eviction against
+// a reference that scans the whole queue, over random QCI mixes,
+// packet sizes and queue caps, with handover flushes mixed in: after
+// every arrival the same packets are dropped in the same order, and
+// the same packets stay queued under the same byte count.
+func TestEvictMatchesFullScan(t *testing.T) {
+	rng := sim.NewRNG(20261017)
+	qcis := []uint8{1, 5, 6, 7, 7, 8, 9, 9, 9}
+	for trial := 0; trial < 200; trial++ {
+		capBytes := 2000 + rng.Intn(20000)
+		pp := &PacketPool{}
+		l := NewLink("evict", sim.NewScheduler(), 1e6, 0, capBytes, &Sink{})
+		l.Pool = pp
+		l.Gate = func(sim.Time) bool { return false } // only drops leave the queue
+		var ref []*Packet
+		refBytes := 0
+		for i := 0; i < 200; i++ {
+			if rng.Intn(16) == 0 {
+				// A handover flush: DropQueuedFraction also keeps the
+				// queue sorted, which the early stop relies on.
+				frac := rng.Float64()
+				target := int(float64(refBytes) * frac)
+				var victims []*Packet
+				for dropped := 0; len(ref) > 0 && dropped < target; {
+					q := ref[len(ref)-1]
+					ref = ref[:len(ref)-1]
+					dropped += q.Size
+					refBytes -= q.Size
+					victims = append(victims, q)
+				}
+				before := len(pp.free)
+				l.DropQueuedFraction(frac)
+				checkEviction(t, trial, i, pp.free[before:], victims, l, ref, refBytes)
+				continue
+			}
+			p := &Packet{ID: uint64(i + 1), Size: 100 + rng.Intn(1400), QCI: qcis[rng.Intn(len(qcis))]}
+			// The reference: mark every evictable packet from the back
+			// until enough room is freed, then compact.
+			admitted := true
+			var victims []*Packet
+			if need := refBytes + p.Size - capBytes; need > 0 {
+				freed := 0
+				marked := make(map[int]bool)
+				for j := len(ref) - 1; j >= 0 && freed < need; j-- {
+					if ref[j].QCI > p.QCI {
+						freed += ref[j].Size
+						marked[j] = true
+					}
+				}
+				if freed < need {
+					admitted = false
+					victims = []*Packet{p}
+				} else {
+					var keep []*Packet
+					for j, q := range ref {
+						if marked[j] {
+							victims = append(victims, q)
+							refBytes -= q.Size
+						} else {
+							keep = append(keep, q)
+						}
+					}
+					ref = keep
+				}
+			}
+			if admitted {
+				j := len(ref)
+				for j > 0 && ref[j-1].QCI > p.QCI {
+					j--
+				}
+				ref = append(ref[:j], append([]*Packet{p}, ref[j:]...)...)
+				refBytes += p.Size
+			}
+			before := len(pp.free)
+			l.Recv(p)
+			checkEviction(t, trial, i, pp.free[before:], victims, l, ref, refBytes)
+		}
+	}
+}
+
+// checkEviction compares one step of TestEvictMatchesFullScan with its
+// reference: the packets returned to the pool, then the queue.
+func checkEviction(t *testing.T, trial, step int, dropped, victims []*Packet, l *Link, ref []*Packet, refBytes int) {
+	t.Helper()
+	if len(dropped) != len(victims) {
+		t.Fatalf("trial %d step %d: dropped %d packets, the full scan drops %d", trial, step, len(dropped), len(victims))
+	}
+	for k := range victims {
+		if dropped[k] != victims[k] {
+			t.Fatalf("trial %d step %d: drop %d is packet %d, the full scan drops %d",
+				trial, step, k, dropped[k].ID, victims[k].ID)
+		}
+	}
+	if len(l.queue) != len(ref) {
+		t.Fatalf("trial %d step %d: %d packets queued, the full scan keeps %d", trial, step, len(l.queue), len(ref))
+	}
+	for k := range ref {
+		if l.queue[k] != ref[k] {
+			t.Fatalf("trial %d step %d: queue slot %d holds packet %d, the full scan has %d",
+				trial, step, k, l.queue[k].ID, ref[k].ID)
+		}
+	}
+	if l.QueuedBytes() != refBytes {
+		t.Fatalf("trial %d step %d: %d bytes queued, the full scan has %d", trial, step, l.QueuedBytes(), refBytes)
+	}
+}
+
 func TestBernoulliLoss(t *testing.T) {
 	rng := sim.NewRNG(5)
 	always := &BernoulliLoss{P: 1, RNG: rng}

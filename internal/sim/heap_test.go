@@ -7,8 +7,9 @@ import (
 )
 
 // TestHeapMatchesReferenceOrder drives the 4-ary heap with a
-// randomized schedule — duplicate fire times, interleaved pushes and
-// pops, cancellations — and checks the execution order against a
+// randomized schedule — duplicate fire times, cancellations, and
+// pushes into several FIFO streams whose times tie with each other and
+// with plain events — and checks the execution order against a
 // reference model sorted by (at, seq).
 func TestHeapMatchesReferenceOrder(t *testing.T) {
 	rng := NewRNG(20260805)
@@ -20,14 +21,28 @@ func TestHeapMatchesReferenceOrder(t *testing.T) {
 		}
 		var want []ref
 		var got []int
+		streams := make([]*FIFO[int], 1+rng.Intn(4))
+		tails := make([]Time, len(streams))
+		for k := range streams {
+			streams[k] = NewFIFO(s, func(i int) { got = append(got, i) })
+		}
 		n := 1 + rng.Intn(300)
 		for i := 0; i < n; i++ {
 			// Few distinct times so equal-time FIFO is exercised hard.
 			at := Time(rng.Intn(16)) * time.Millisecond
 			i := i
-			if rng.Intn(4) == 0 {
+			switch rng.Intn(3) {
+			case 0:
 				s.AtPooled(at, func() { got = append(got, i) })
-			} else {
+			case 1:
+				// A stream's times never decrease: clamp to its tail.
+				k := rng.Intn(len(streams))
+				if at < tails[k] {
+					at = tails[k]
+				}
+				tails[k] = at
+				streams[k].Push(at, i)
+			default:
 				ev := s.At(at, func() { got = append(got, i) })
 				if rng.Intn(5) == 0 {
 					s.Cancel(ev)
@@ -78,8 +93,8 @@ func TestHeapInterleavedPushPop(t *testing.T) {
 }
 
 // TestRunUntilCancelledAtRoot cancels the earliest queued events — the
-// heap root RunUntil peeks at — and checks the peek loop discards and
-// recycles them without firing or stalling.
+// heap root RunUntil peeks at — and checks the peek loop discards them
+// without firing or stalling.
 func TestRunUntilCancelledAtRoot(t *testing.T) {
 	s := NewScheduler()
 	var got []int
@@ -110,43 +125,15 @@ func TestRunUntilCancelledAtRoot(t *testing.T) {
 	}
 }
 
-// TestFreeListCap floods the scheduler with more simultaneously
-// in-flight pooled events than freeListCap and checks the free list
-// stays bounded, the overflow is counted, and scheduling still works.
-func TestFreeListCap(t *testing.T) {
-	s := NewScheduler()
-	n := freeListCap + 1000
-	fired := 0
-	for i := 0; i < n; i++ {
-		s.AtPooled(time.Millisecond, func() { fired++ })
-	}
-	s.Run()
-	if fired != n {
-		t.Fatalf("fired %d, want %d", fired, n)
-	}
-	if len(s.free) != freeListCap {
-		t.Fatalf("free list len %d, want capped at %d", len(s.free), freeListCap)
-	}
-	if s.FreeDrops() != 1000 {
-		t.Fatalf("FreeDrops = %d, want 1000", s.FreeDrops())
-	}
-	// The capped scheduler keeps recycling normally.
-	s.AfterPooled(time.Millisecond, func() { fired++ })
-	s.Run()
-	if fired != n+1 || len(s.free) != freeListCap {
-		t.Fatalf("post-cap scheduling broken: fired %d, free %d", fired, len(s.free))
-	}
-}
-
 // TestAtPooledZeroAllocSteadyState asserts the pooled scheduling path
-// allocates nothing once the free list and heap are warm.
+// allocates nothing once the heap is warm.
 func TestAtPooledZeroAllocSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are perturbed by -race instrumentation")
 	}
 	s := NewScheduler()
 	fn := func() {}
-	for i := 0; i < 256; i++ { // warm the heap slice and free list
+	for i := 0; i < 256; i++ { // warm the heap slice
 		s.AfterPooled(time.Duration(i)*time.Microsecond, fn)
 	}
 	s.Run()

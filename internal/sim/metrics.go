@@ -2,28 +2,22 @@ package sim
 
 import "tlc/internal/metrics"
 
-// Registry instruments for the event engine. The scheduler hot path
-// never touches these: Step keeps counting into the scheduler's plain
-// fields (fired, freeDrops) exactly as before, and PublishMetrics
-// flushes the delta at run boundaries. Per-event atomic traffic would
-// cost nothing in allocations but would put one contended cache line
-// under every parallel sweep worker; delta-flushing keeps the hot
-// path untouched and the published totals exact.
-var (
-	mEventsFired = metrics.Default.Counter("sim_events_fired_total",
-		"simulator events executed across all published scheduler runs")
-	mFreeDrops = metrics.Default.Counter("sim_free_list_drops_total",
-		"pooled events discarded because the scheduler free list was at capacity")
-)
+// Registry instrument for the event engine. The scheduler hot path
+// never touches it: Step counts into the scheduler's plain fired
+// field, and PublishMetrics flushes the delta at run boundaries.
+// Per-event atomic traffic would cost nothing in allocations but would
+// put one contended cache line under every parallel sweep worker;
+// delta-flushing keeps the hot path untouched and the published
+// totals exact.
+var mEventsFired = metrics.Default.Counter("sim_events_fired_total",
+	"simulator events executed across all published scheduler runs")
 
-// PublishMetrics flushes the scheduler's event counters into the
+// PublishMetrics flushes the scheduler's event counter into the
 // process metrics registry (the delta since the previous publish, so
 // calling it at every run boundary is safe and exact).
 func (s *Scheduler) PublishMetrics() {
 	mEventsFired.Add(s.fired - s.publishedFired)
 	s.publishedFired = s.fired
-	mFreeDrops.Add(s.freeDrops - s.publishedFreeDrops)
-	s.publishedFreeDrops = s.freeDrops
 }
 
 // EventsFiredTotal returns the registry's cumulative count of

@@ -19,30 +19,7 @@ func TestAtPooledRunsInOrder(t *testing.T) {
 	}
 }
 
-// TestAtPooledRecyclesEvents drives a self-rescheduling chain long
-// enough that the free list must be serving reuses, and checks the
-// recycled structs never corrupt later callbacks.
-func TestAtPooledRecyclesEvents(t *testing.T) {
-	s := NewScheduler()
-	var fired int
-	var step func()
-	step = func() {
-		fired++
-		if fired < 1000 {
-			s.AfterPooled(time.Millisecond, step)
-		}
-	}
-	s.AfterPooled(time.Millisecond, step)
-	s.Run()
-	if fired != 1000 {
-		t.Fatalf("fired %d chained pooled events, want 1000", fired)
-	}
-	if len(s.free) == 0 {
-		t.Fatal("free list empty after a pooled chain: events are not being recycled")
-	}
-}
-
-// TestPooledAndHandleEventsCoexist: recycling pooled events must not
+// TestPooledAndHandleEventsCoexist: handle-less events must not
 // disturb Cancel on handle-carrying events scheduled around them.
 func TestPooledAndHandleEventsCoexist(t *testing.T) {
 	s := NewScheduler()

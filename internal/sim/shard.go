@@ -2,11 +2,11 @@
 //
 // A ShardGroup partitions a single simulation into independent
 // partitions ("shards"), each with its own Scheduler — its own 4-ary
-// heap, free list and event sequence — and runs them under a
-// conservative time-windowed barrier. The only communication between
-// partitions is through Exchangers (time-windowed lanes, see
-// internal/netem's Lane/Inbox), whose messages carry a delivery time
-// at least one lookahead in the future. That makes every window
+// heap and event sequence — and runs them under a conservative
+// time-windowed barrier. The only communication between partitions is
+// through Exchangers (time-windowed lanes, see internal/netem's
+// Lane/Inbox), whose messages carry a delivery time at least one
+// lookahead in the future. That makes every window
 // [kL, (k+1)L] causally closed: no event executed inside a window can
 // schedule work for another partition inside the same window, so
 // partitions advance a window in parallel with no locks and no

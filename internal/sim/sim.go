@@ -16,19 +16,11 @@ import (
 // the simulation. The zero Time is the simulation epoch.
 type Time = time.Duration
 
-// Event is a scheduled callback. Events with equal fire times run in
-// the order they were scheduled (FIFO), which keeps runs deterministic.
+// Event is the handle of an event scheduled with At or After; Cancel
+// takes it. Events with equal fire times run in the order they were
+// scheduled (FIFO), which keeps runs deterministic.
 type Event struct {
-	at  Time
-	seq uint64
-	fn  func()
-
 	cancelled bool
-
-	// pooled events were scheduled through AtPooled/AfterPooled: no
-	// handle escaped, so the struct returns to the scheduler's free
-	// list after it fires.
-	pooled bool
 }
 
 // Cancelled reports whether the event was cancelled before it fired.
@@ -39,22 +31,24 @@ func (e *Event) Cancelled() bool { return e.cancelled }
 // it, so the heap avoids container/heap entirely: no heap.Interface
 // method calls, no `any` boxing at push/pop, and the (at, seq)
 // comparison is inlined into the sift loops. The heap stores value
-// entries carrying the (at, seq) key next to the *Event, so sifting
-// compares keys straight out of the contiguous slice instead of
-// chasing an Event pointer per comparison — the 4 children of a node
-// span two cache lines. A 4-ary layout halves the tree depth of a
-// binary heap, trading a slightly wider min-of-children scan for half
-// the sift-down levels on the pop-dominated workload.
+// entries {at, seq, fn, ev}: sifting compares keys straight out of the
+// contiguous slice, and Step calls fn without chasing a pointer. ev is
+// set only for a cancellable At, whose handle holds the cancelled bit.
+// A 4-ary layout halves the tree depth of a binary heap, trading a
+// slightly wider min-of-children scan for half the sift-down levels on
+// the pop-dominated workload.
 //
 // Heap order is strict: seq is unique per scheduler, so no two events
 // ever compare equal and FIFO-at-equal-time falls out of the (at, seq)
 // ordering exactly as it did under container/heap.
 
-// heapEntry is one queued event with its ordering key inlined.
+// heapEntry is one queued event with its ordering key and callback
+// inlined.
 type heapEntry struct {
 	at  Time
 	seq uint64
-	ev  *Event
+	fn  func()
+	ev  *Event // nil unless the event can be cancelled
 }
 
 // push inserts e, sifting up from the new leaf.
@@ -118,13 +112,6 @@ func (s *Scheduler) siftDown(e heapEntry) {
 	h[i] = e
 }
 
-// freeListCap bounds the pooled-event free list. A burst of in-flight
-// events (a congestion spike queueing tens of thousands of deliveries)
-// would otherwise pin its high-water mark in memory for the rest of
-// the cycle; beyond the cap, recycled events are dropped for the GC to
-// collect and counted in freeDrops.
-const freeListCap = 1 << 16
-
 // Scheduler is a discrete-event scheduler. The zero value is not ready
 // for use; construct one with NewScheduler.
 type Scheduler struct {
@@ -134,18 +121,13 @@ type Scheduler struct {
 	stopped bool
 	fired   uint64
 
-	// free recycles Event structs for the pooled scheduling calls
-	// (AtPooled/AfterPooled). A one-hour charging cycle fires tens of
-	// millions of events, almost all from hot paths that never keep
-	// the *Event handle; reusing their structs removes the dominant
-	// allocation of the simulator. Growth is bounded by freeListCap.
-	free      []*Event
-	freeDrops uint64
+	// queued counts the events waiting in FIFO streams behind their
+	// stream's head; only the heads sit in events.
+	queued int
 
-	// publishedFired/publishedFreeDrops remember what PublishMetrics
-	// already flushed to the registry, so publishes are delta-exact.
-	publishedFired     uint64
-	publishedFreeDrops uint64
+	// publishedFired remembers what PublishMetrics already flushed to
+	// the registry, so publishes are delta-exact.
+	publishedFired uint64
 
 	// TraceHook, when non-nil, observes every fired (non-cancelled)
 	// event's (at, seq) key just before its callback runs. It exists
@@ -167,9 +149,10 @@ func (s *Scheduler) Now() Time { return s.now }
 // sanity checks in tests and benchmarks.
 func (s *Scheduler) Fired() uint64 { return s.fired }
 
-// Pending returns the number of events still queued (including
-// cancelled events that have not yet been popped).
-func (s *Scheduler) Pending() int { return len(s.events) }
+// Pending returns the number of events scheduled and not yet fired,
+// including those waiting in FIFO streams and cancelled events that
+// have not yet been popped.
+func (s *Scheduler) Pending() int { return len(s.events) + s.queued }
 
 // At schedules fn to run at absolute simulated time t. Scheduling in
 // the past panics: it indicates a causality bug in the caller.
@@ -178,8 +161,8 @@ func (s *Scheduler) At(t Time, fn func()) *Event {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", t, s.now))
 	}
 	//tlcvet:allow hotalloc — cancellable events need a unique handle the caller keeps; hot callers that never cancel use AtPooled
-	ev := &Event{at: t, seq: s.seq, fn: fn}
-	s.push(heapEntry{at: t, seq: s.seq, ev: ev})
+	ev := &Event{}
+	s.push(heapEntry{at: t, seq: s.seq, fn: fn, ev: ev})
 	s.seq++
 	return ev
 }
@@ -193,27 +176,16 @@ func (s *Scheduler) After(d time.Duration, fn func()) *Event {
 }
 
 // AtPooled schedules fn at absolute time t without returning a
-// handle. The backing Event is drawn from and returned to a per-
-// scheduler free list, so hot paths that never cancel (link
-// transmissions, packet sources, tickers) schedule allocation-free.
-// Use At when the caller needs Cancel.
+// handle. The heap entry carries fn itself, so hot paths that never
+// cancel (link transmissions, packet sources, tickers) schedule
+// allocation-free. Use At when the caller needs Cancel.
 //
 //tlcvet:hotpath every packet transmission schedules through here
 func (s *Scheduler) AtPooled(t Time, fn func()) {
 	if t < s.now {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", t, s.now))
 	}
-	var ev *Event
-	if n := len(s.free); n > 0 {
-		ev = s.free[n-1]
-		s.free[n-1] = nil
-		s.free = s.free[:n-1]
-		*ev = Event{at: t, seq: s.seq, fn: fn, pooled: true}
-	} else {
-		//tlcvet:allow hotalloc — pool miss: allocates only until the free list warms up to the burst's high-water mark
-		ev = &Event{at: t, seq: s.seq, fn: fn, pooled: true}
-	}
-	s.push(heapEntry{at: t, seq: s.seq, ev: ev})
+	s.push(heapEntry{at: t, seq: s.seq, fn: fn})
 	s.seq++
 }
 
@@ -227,25 +199,6 @@ func (s *Scheduler) AfterPooled(d time.Duration, fn func()) {
 	}
 	s.AtPooled(s.now+d, fn)
 }
-
-// recycle returns a pooled event to the free list after it has been
-// popped from the heap, unless the list already sits at freeListCap.
-func (s *Scheduler) recycle(ev *Event) {
-	if !ev.pooled {
-		return
-	}
-	ev.fn = nil // release the closure
-	if len(s.free) >= freeListCap {
-		s.freeDrops++
-		return
-	}
-	s.free = append(s.free, ev)
-}
-
-// FreeDrops returns the number of pooled events discarded because the
-// free list was at capacity; a non-zero value just means a burst's
-// high-water mark was released to the GC instead of being pinned.
-func (s *Scheduler) FreeDrops() uint64 { return s.freeDrops }
 
 // Cancel prevents a scheduled event from firing. Cancelling an event
 // that already fired (or was already cancelled) is a no-op.
@@ -264,9 +217,7 @@ func (s *Scheduler) Cancel(ev *Event) {
 func (s *Scheduler) Step() bool {
 	for len(s.events) > 0 {
 		e := s.pop()
-		ev := e.ev
-		if ev.cancelled {
-			s.recycle(ev)
+		if e.ev != nil && e.ev.cancelled {
 			continue
 		}
 		s.now = e.at
@@ -274,9 +225,7 @@ func (s *Scheduler) Step() bool {
 		if s.TraceHook != nil {
 			s.TraceHook(e.at, e.seq)
 		}
-		fn := ev.fn
-		s.recycle(ev)
-		fn()
+		e.fn()
 		return true
 	}
 	return false
@@ -299,9 +248,9 @@ func (s *Scheduler) RunUntil(deadline Time) {
 			break
 		}
 		// Peek: the heap root is the earliest event.
-		next := s.events[0]
-		if next.ev.cancelled {
-			s.recycle(s.pop().ev)
+		next := &s.events[0]
+		if next.ev != nil && next.ev.cancelled {
+			s.pop()
 			continue
 		}
 		if next.at > deadline {

@@ -40,16 +40,17 @@
 #                one-byte reads must agree), and the
 #                examples/auditor run, which exits non-zero unless its
 #                receipt archive (a ledger) audits to the settled total
-#   allocs     — testing.AllocsPerRun guards for the event-engine,
-#                metrics-observation, GTP tunnel and frame-reader hot
-#                paths, a raw malloc count over a backlogged link (its
-#                queue must slide, not regrow), plus
-#                the ledger read bound (replaying a real-disk ledger of
-#                full segments allocates under half a record's framed
-#                size per record: reads hold one record, not a
-#                segment); these skip themselves under -race (its
-#                instrumentation perturbs counts), so they need this
-#                separate non-race pass
+#   allocs     — testing.AllocsPerRun guards for the event-engine
+#                (handle-less events and a FIFO stream's push and
+#                fire), metrics-observation, GTP tunnel and
+#                frame-reader hot paths, a raw malloc count over a
+#                backlogged link (its queue must slide, not regrow),
+#                plus the ledger read bound (replaying a real-disk
+#                ledger of full segments allocates under half a
+#                record's framed size per record: reads hold one
+#                record, not a segment); these skip themselves under
+#                -race (its instrumentation perturbs counts), so they
+#                need this separate non-race pass
 #   bench      — every benchmark compiles and survives one iteration
 #                (BenchmarkReplay/DirFS streams a ledger off the real
 #                disk), plus a quick sharded city run at -shards 2 through
