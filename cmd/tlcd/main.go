@@ -523,7 +523,6 @@ func runAudit(w io.Writer, dir, query string) error {
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "audit subscriber=%s cycle=%d\n", rep.Subscriber, rep.Cycle)
-	fmt.Fprintf(&b, "  settled: %v\n", rep.Settled)
 	fmt.Fprintf(&b, "  usage: ul=%d dl=%d volume=%d across %d record(s)\n",
 		rep.UL, rep.DL, rep.Volume(), rep.Records)
 	fmt.Fprintf(&b, "  stored: %d CDR(s), %d PoC(s)\n", len(rep.CDRs), len(rep.PoCs))

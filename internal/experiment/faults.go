@@ -285,7 +285,7 @@ func byzantineBattery(seeds int) (forgedVerified, typedRejections, runs int) {
 		return 1, 0, 0
 	}
 
-	for mi, mode := range faults.ByzModes {
+	for mi, mode := range []string{protocol.ByzInflate, protocol.ByzReplay, protocol.ByzTamper} {
 		for seed := 0; seed < seeds; seed++ {
 			runs++
 			rng := sim.NewRNG(sim.SeedForCell(4300, mi, seed))

@@ -1,34 +1,34 @@
 // Package faults is the deterministic fault-injection subsystem: a
-// seeded description of network, component and adversarial faults
-// that composes with the internal/sim scheduler. Every random choice
-// is drawn from a sim.RNG fork, so one (seed, Spec) pair replays the
+// seeded description of network, stream and component faults that
+// composes with the internal/sim scheduler. Every random choice is
+// drawn from a sim.RNG fork, so one (seed, Spec) pair replays the
 // exact same fault schedule — byte-identical traces and metrics — on
 // every run and at any sweep worker count.
 //
-// Three fault families (see DESIGN.md's fault matrix):
+// The Spec families (see DESIGN.md's fault matrix):
 //
 //   - network: burst loss, duplication, reordering and delay spikes
-//     applied per packet on a netem.Link (NetFaults), plus a
-//     corrupting/truncating/stalling stream wrapper for the
+//     applied per packet on a netem.Link (NetFaults);
+//   - stream: a corrupting/truncating/stalling wrapper for the
 //     negotiation transport (Conn);
 //   - component: OFCS crash/restart with a CDR loss window and SPGW
 //     meter restart mid-cycle (scheduled by the experiment testbed
-//     from the same Spec);
-//   - adversarial: a byzantine negotiation peer (protocol.Byzantine)
-//     driven by the byz mode named here.
+//     from the same Spec).
+//
+// The simulator builds its Specs in code. Parse reads only the stream
+// keys, the one family cmd/tlcd's -faults flag applies. The
+// adversarial family, a byzantine negotiation peer, is
+// protocol.Byzantine, which the faults experiment drives directly.
 package faults
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
 )
 
-// Spec describes one fault plan. The zero value injects nothing; a
-// Spec parses from and renders to the canonical key=value flag string
-// understood by cmd/tlcd's -faults flag.
+// Spec describes one fault plan. The zero value injects nothing.
 type Spec struct {
 	// Network faults, applied per packet on an injected link.
 
@@ -58,12 +58,6 @@ type Spec struct {
 	// SPGWRestartAt restarts the gateway's in-memory meters at this
 	// cycle time (zero = never), losing un-flushed usage.
 	SPGWRestartAt time.Duration
-
-	// Adversarial faults.
-
-	// Byzantine names the peer misbehaviour mode: "inflate", "replay"
-	// or "tamper" (see protocol.Byzantine). Empty = honest peer.
-	Byzantine string
 
 	// Stream faults, applied by the Conn wrapper on the negotiation
 	// transport.
@@ -129,16 +123,15 @@ func (s Spec) StreamActive() bool {
 
 // Zero reports whether the spec injects nothing at all.
 func (s Spec) Zero() bool {
-	return !s.NetworkActive() && !s.ComponentActive() && !s.StreamActive() && s.Byzantine == ""
+	return !s.NetworkActive() && !s.ComponentActive() && !s.StreamActive()
 }
 
-// ByzModes are the accepted Byzantine mode names (defined with the
-// peer implementation in internal/protocol).
-var ByzModes = []string{"inflate", "replay", "tamper"}
-
-// Parse builds a Spec from the comma-separated key=value flag syntax,
-// e.g. "burst=0.01,dup=0.005,ofcs-crash=20s,byz=replay". Probability
-// keys take a value in [0,1]; schedule keys take a Go duration.
+// Parse builds the stream faults of a Spec from cmd/tlcd's -faults
+// syntax, comma-separated key=value pairs, e.g.
+// "corrupt=0.01,truncate=0.02,stall=0.05,stallfor=20ms". corrupt,
+// truncate and stall take a probability in [0,1]; stallfor takes a Go
+// duration. Any other key is an error: a key the caller would not act
+// on must not parse as if it would.
 func Parse(s string) (Spec, error) {
 	var out Spec
 	s = strings.TrimSpace(s)
@@ -146,23 +139,9 @@ func Parse(s string) (Spec, error) {
 		return out, nil
 	}
 	probs := map[string]*float64{
-		"burst":    &out.BurstP,
-		"burstlen": &out.BurstLen, // mean packets, not a probability
-		"dup":      &out.DupP,
-		"reorder":  &out.ReorderP,
-		"spike":    &out.SpikeP,
 		"corrupt":  &out.CorruptP,
 		"truncate": &out.TruncateP,
 		"stall":    &out.StallP,
-	}
-	durs := map[string]*time.Duration{
-		"reorderdelay": &out.ReorderDelay,
-		"spikedelay":   &out.SpikeDelay,
-		"ofcs-crash":   &out.OFCSCrashAt,
-		"ofcs-down":    &out.OFCSDowntime,
-		"cdr-loss":     &out.CDRLossWindow,
-		"spgw-restart": &out.SPGWRestartAt,
-		"stallfor":     &out.StallFor,
 	}
 	for _, part := range strings.Split(s, ",") {
 		part = strings.TrimSpace(part)
@@ -176,85 +155,21 @@ func Parse(s string) (Spec, error) {
 		key = strings.TrimSpace(key)
 		val = strings.TrimSpace(val)
 		switch {
-		case key == "byz":
-			valid := false
-			for _, m := range ByzModes {
-				if val == m {
-					valid = true
-				}
-			}
-			if !valid {
-				return Spec{}, fmt.Errorf("faults: byz mode %q (want one of %s)",
-					val, strings.Join(ByzModes, "/"))
-			}
-			out.Byzantine = val
 		case probs[key] != nil:
 			f, err := strconv.ParseFloat(val, 64)
-			if err != nil || f < 0 {
-				return Spec{}, fmt.Errorf("faults: %s=%q is not a non-negative number", key, val)
-			}
-			if key != "burstlen" && f > 1 {
-				return Spec{}, fmt.Errorf("faults: %s=%q exceeds probability 1", key, val)
+			if err != nil || !(f >= 0 && f <= 1) { // NaN fails both
+				return Spec{}, fmt.Errorf("faults: %s=%q is not a probability in [0,1]", key, val)
 			}
 			*probs[key] = f
-		case durs[key] != nil:
+		case key == "stallfor":
 			d, err := time.ParseDuration(val)
 			if err != nil || d < 0 {
 				return Spec{}, fmt.Errorf("faults: %s=%q is not a non-negative duration", key, val)
 			}
-			*durs[key] = d
+			out.StallFor = d
 		default:
-			return Spec{}, fmt.Errorf("faults: unknown key %q", key)
+			return Spec{}, fmt.Errorf("faults: unknown key %q (want corrupt, truncate, stall or stallfor)", key)
 		}
 	}
 	return out, nil
-}
-
-// String renders the spec back to the canonical flag syntax: only
-// non-zero fields, keys sorted, so equal specs render identically.
-func (s Spec) String() string {
-	parts := map[string]string{}
-	addF := func(key string, v float64) {
-		if v > 0 {
-			parts[key] = strconv.FormatFloat(v, 'g', -1, 64)
-		}
-	}
-	addD := func(key string, v time.Duration) {
-		if v > 0 {
-			parts[key] = v.String()
-		}
-	}
-	addF("burst", s.BurstP)
-	addF("burstlen", s.BurstLen)
-	addF("dup", s.DupP)
-	addF("reorder", s.ReorderP)
-	addD("reorderdelay", s.ReorderDelay)
-	addF("spike", s.SpikeP)
-	addD("spikedelay", s.SpikeDelay)
-	addD("ofcs-crash", s.OFCSCrashAt)
-	addD("ofcs-down", s.OFCSDowntime)
-	addD("cdr-loss", s.CDRLossWindow)
-	addD("spgw-restart", s.SPGWRestartAt)
-	addF("corrupt", s.CorruptP)
-	addF("truncate", s.TruncateP)
-	addF("stall", s.StallP)
-	addD("stallfor", s.StallFor)
-	if s.Byzantine != "" {
-		parts["byz"] = s.Byzantine
-	}
-	keys := make([]string, 0, len(parts))
-	for k := range parts {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	for i, k := range keys {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(k)
-		b.WriteByte('=')
-		b.WriteString(parts[k])
-	}
-	return b.String()
 }

@@ -3,6 +3,7 @@ package faults
 import (
 	"bytes"
 	"io"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -11,28 +12,40 @@ import (
 	"tlc/internal/sim"
 )
 
-func TestParseStringRoundTrip(t *testing.T) {
-	in := "burst=0.02,burstlen=6,byz=replay,cdr-loss=2s,corrupt=0.01,dup=0.005,ofcs-crash=20s,ofcs-down=5s,reorder=0.01,reorderdelay=20ms,spgw-restart=40s,spike=0.002,spikedelay=200ms,stall=0.01,stallfor=50ms,truncate=0.003"
-	spec, err := Parse(in)
+// TestParseStreamKeys: Parse reads the four stream keys that
+// cmd/tlcd's -faults flag applies, and nothing else.
+func TestParseStreamKeys(t *testing.T) {
+	spec, err := Parse(" corrupt=0.01, stall=0.05,stallfor=20ms , truncate=0.003,")
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
-	if got := spec.String(); got != in {
-		t.Fatalf("round trip:\n in  %s\n out %s", in, got)
+	want := Spec{CorruptP: 0.01, TruncateP: 0.003, StallP: 0.05, StallFor: 20 * time.Millisecond}
+	if spec != want {
+		t.Fatalf("Parse = %+v, want %+v", spec, want)
 	}
-	re, err := Parse(spec.String())
-	if err != nil {
-		t.Fatalf("re-Parse: %v", err)
-	}
-	if re != spec {
-		t.Fatalf("re-parsed spec differs: %+v vs %+v", re, spec)
+}
+
+// TestParseRejectsUnappliedKeys: a network, component or byzantine key
+// used to parse and then inject nothing, because tlcd applies only the
+// stream faults. Each must now fail with an error naming the key.
+func TestParseRejectsUnappliedKeys(t *testing.T) {
+	for _, tc := range []struct{ in, key string }{
+		{"burst=0.1", "burst"},
+		{"byz=replay", "byz"},
+		{"ofcs-crash=1s", "ofcs-crash"},
+		{"corrupt=0.01,dup=0.005", "dup"},
+	} {
+		_, err := Parse(tc.in)
+		if err == nil || !strings.Contains(err.Error(), strconv.Quote(tc.key)) {
+			t.Errorf("Parse(%q) err = %v, want an error naming %q", tc.in, err, tc.key)
+		}
 	}
 }
 
 func TestParseRejects(t *testing.T) {
 	for _, bad := range []string{
-		"nope=1", "burst", "burst=-0.1", "burst=1.5", "byz=evil",
-		"ofcs-crash=xyz", "ofcs-crash=-2s",
+		"nope=1", "corrupt", "corrupt=-0.1", "truncate=1.5", "stall=x", "stall=NaN",
+		"stallfor=xyz", "stallfor=-2s",
 	} {
 		if _, err := Parse(bad); err == nil {
 			t.Errorf("Parse(%q) = nil error, want failure", bad)
@@ -56,9 +69,6 @@ func TestSpecPredicates(t *testing.T) {
 	}
 	if !(Spec{CorruptP: 0.1}).StreamActive() {
 		t.Fatal("corrupt not StreamActive")
-	}
-	if (Spec{Byzantine: "replay"}).Zero() {
-		t.Fatal("byz Spec reported Zero()")
 	}
 }
 

@@ -10,50 +10,10 @@ import (
 	"testing"
 )
 
-// Regression tests for the audit/compaction edge cases: a subscriber
-// whose evidence survives only inside snapshot chunks, the error
-// taxonomy for bad -ledger-dir paths, CURRENT read failures that must
-// not masquerade as a fresh ledger, snapshot chunks that must respect
-// MaxRecordBytes, and a failed compaction that must leave the ledger
-// appendable instead of wedged on a nil segment handle.
-
-// TestAuditSnapshotOnlyAnswer: after compaction folds a settled cycle,
-// a subscriber with no surviving raw frames (CDRs folded, no PoC ever
-// logged) must still get the snapshot-aggregated answer — not zeros,
-// and not an error that reads like "not found".
-func TestAuditSnapshotOnlyAnswer(t *testing.T) {
-	const dir = "led"
-	fsys := NewMemFS()
-	l, err := Open(Options{Dir: dir, FS: fsys, SyncEvery: 1}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Append(&Record{Kind: KindCDR, Cycle: 3, Subscriber: "imsi-snap", UL: 40, DL: 60}); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Append(&Record{Kind: KindCDR, Cycle: 3, Subscriber: "imsi-snap", UL: 1, DL: 2}); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.MarkSettled(3); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := Audit(fsys, dir, "imsi-snap", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.CDRs) != 0 {
-		t.Fatalf("raw CDRs survived compaction: %d", len(rep.CDRs))
-	}
-	if rep.UL != 41 || rep.DL != 62 || rep.Records != 2 || !rep.Settled {
-		t.Fatalf("snapshot-only audit = %+v, want ul=41 dl=62 records=2 settled", rep)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
+// Regression tests for the audit and open edge cases: damage the audit
+// must report, the error taxonomy for bad -ledger-dir paths, CURRENT
+// read failures that must not masquerade as a fresh ledger, and a
+// missing segment that Open must refuse rather than hide.
 
 // TestAuditReportsDamage: one flipped byte inside the 2nd of five
 // settled PoCs used to end the replay quietly after the 1st, so the
@@ -131,9 +91,8 @@ func (d denyFS) Open(name string) (io.ReadCloser, error) {
 }
 
 // TestOpenPropagatesCurrentReadError: an unreadable CURRENT must fail
-// Open. The old behavior treated every read error as "fresh
-// ledger" and silently started generation 1 over the existing log —
-// the next compaction would then delete the real data as orphans.
+// Open. The old behavior treated every read error as "fresh ledger"
+// and silently wrote a new CURRENT over the existing log.
 func TestOpenPropagatesCurrentReadError(t *testing.T) {
 	const dir = "led"
 	mem := NewMemFS()
@@ -153,121 +112,6 @@ func TestOpenPropagatesCurrentReadError(t *testing.T) {
 	// Same contract on the read-only audit path.
 	if _, err := Audit(denyFS{mem}, dir, "imsi-1", 1); !errors.Is(err, fs.ErrPermission) {
 		t.Fatalf("Audit over unreadable CURRENT: err = %v, want the permission error", err)
-	}
-}
-
-// TestSnapshotChunksRespectMaxRecordBytes: chunking by entry count
-// alone let a snapshot of max-length subscriber ids (or a huge
-// settled-cycle set) encode past MaxRecordBytes, which failed the
-// very compaction that built it. Every chunk must fit, and the chunks
-// together must reproduce the folded state exactly.
-func TestSnapshotChunksRespectMaxRecordBytes(t *testing.T) {
-	st := NewState()
-	sub := strings.Repeat("x", MaxSubscriberLen-4)
-	const nsubs = 10000
-	for i := 0; i < nsubs; i++ {
-		k := UsageKey{Cycle: 1, Subscriber: fmt.Sprintf("%s%04d", sub, i)}
-		st.Usage[k] = UsageAgg{UL: uint64(i), DL: uint64(2 * i), Records: 1}
-	}
-	const ncycles = 200000 // 1.6 MB of settled ids alone
-	for c := uint64(1); c <= ncycles; c++ {
-		st.Settled[c] = true
-	}
-	snaps := buildSnapshots(st)
-	entries, settled := 0, 0
-	for i, snap := range snaps {
-		rec := Record{Kind: KindSnapshot, Snap: snap}
-		if size := recordSize(&rec); size > MaxRecordBytes {
-			t.Fatalf("snapshot chunk %d encodes to %d bytes > MaxRecordBytes", i, size)
-		}
-		entries += len(snap.Entries)
-		settled += len(snap.Settled)
-	}
-	if entries != nsubs || settled != ncycles {
-		t.Fatalf("chunks carry %d entries / %d settled cycles, want %d / %d", entries, settled, nsubs, ncycles)
-	}
-	// Folding the chunks back must reproduce the settled aggregates.
-	back := NewState()
-	for _, snap := range snaps {
-		if err := back.Apply(&Record{Kind: KindSnapshot, Snap: snap}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if len(back.Settled) != ncycles || len(back.Usage) != nsubs {
-		t.Fatalf("refold: %d settled / %d usage keys, want %d / %d", len(back.Settled), len(back.Usage), ncycles, nsubs)
-	}
-	probe := UsageKey{Cycle: 1, Subscriber: fmt.Sprintf("%s%04d", sub, 123)}
-	if agg := back.Usage[probe]; agg.UL != 123 || agg.DL != 246 || agg.Records != 1 {
-		t.Fatalf("refold aggregate %+v", back.Usage[probe])
-	}
-}
-
-// flakyFS fails the first Create of a new-generation segment, then
-// behaves normally — a transient "disk full" in the middle of
-// compaction.
-type flakyFS struct {
-	*MemFS
-	failPrefix string
-	spent      bool
-}
-
-func (f *flakyFS) Create(name string) (File, error) {
-	if !f.spent && strings.Contains(name, f.failPrefix) {
-		f.spent = true
-		return nil, errors.New("disk full")
-	}
-	return f.MemFS.Create(name)
-}
-
-// TestCompactFailureLeavesAppendable: a compaction that fails before
-// the CURRENT switch must leave the ledger appendable in the old
-// generation. The old code returned with the active segment handle
-// closed and nil — the next Append dereferenced it and panicked,
-// wedging the ledger over a recoverable error.
-func TestCompactFailureLeavesAppendable(t *testing.T) {
-	const dir = "led"
-	fsys := &flakyFS{MemFS: NewMemFS(), failPrefix: "g000002"}
-	l, err := Open(Options{Dir: dir, FS: fsys, SyncEvery: 1}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Append(&Record{Kind: KindCDR, Cycle: 1, Subscriber: "imsi-1", UL: 5}); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.MarkSettled(1); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Compact(); err == nil {
-		t.Fatal("Compact should fail when the new generation cannot be created")
-	}
-	// The failed compaction must not wedge (or panic) the ledger: the
-	// old generation is still live and appends keep landing in it.
-	if err := l.Append(&Record{Kind: KindCDR, Cycle: 2, Subscriber: "imsi-1", UL: 9}); err != nil {
-		t.Fatalf("Append after failed compaction: %v", err)
-	}
-	if err := l.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := Audit(fsys, dir, "imsi-1", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.UL != 9 || rep.Records != 1 {
-		t.Fatalf("post-failure record not readable: %+v", rep)
-	}
-	// And the retried compaction succeeds once the fault clears.
-	if err := l.Compact(); err != nil {
-		t.Fatalf("retried Compact: %v", err)
-	}
-	rep, err = Audit(fsys, dir, "imsi-1", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.UL != 5 || !rep.Settled {
-		t.Fatalf("settled cycle lost across failed+retried compaction: %+v", rep)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
 	}
 }
 

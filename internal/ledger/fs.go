@@ -81,7 +81,8 @@ func (DirFS) ReadDir(dir string) ([]string, error) {
 }
 
 // Rename implements FS. os.Rename is atomic on POSIX filesystems,
-// which is what the CURRENT generation switch relies on.
+// which is what makes a repair's prefix rewrite and the first write
+// of CURRENT crash-safe.
 func (DirFS) Rename(oldname, newname string) error { return os.Rename(oldname, newname) }
 
 // Remove implements FS.

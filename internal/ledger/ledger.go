@@ -76,9 +76,12 @@ type Ledger struct {
 // every verified record through fn in append order, repairs a torn
 // tail (the damaged segment is rewritten to its verified prefix and
 // later segments removed), and starts a fresh segment for appends.
-// fn may be nil when the caller only wants the store open. A missing
-// segment is not a tear: Open returns ErrCorrupt and changes nothing,
-// because the segments after the hole are intact receipts.
+// fn may be nil when the caller only wants the store open. Two kinds
+// of damage are not tears: a missing segment, and a frame whose CRC
+// verifies but whose payload does not decode (a retired kind, a writer
+// bug or a hand edit; a crash cannot make one). For either, Open
+// returns ErrCorrupt naming the place and changes no segment, because
+// the records after it are intact receipts.
 //
 // The replay invariant: every record passed to fn was fully written
 // and CRC-verified; a record that was mid-write at the crash is
@@ -118,7 +121,7 @@ func (l *Ledger) open(fn func(*Record) error) error {
 			return err
 		}
 	}
-	if err := removeOrphans(l.fs, l.opts.Dir, gen); err != nil {
+	if err := removeOrphans(l.fs, l.opts.Dir); err != nil {
 		return err
 	}
 	sc := newScanner()
@@ -131,6 +134,9 @@ func (l *Ledger) open(fn func(*Record) error) error {
 		if end.tear == nil {
 			lastIdx = seg.idx
 			continue
+		}
+		if errors.Is(end.tear, errUndecodable) {
+			return corruptAt(seg, end)
 		}
 		Metrics.TornTails.Inc()
 		Metrics.TruncatedBytes.Add(uint64(end.size - end.verified))
@@ -315,21 +321,6 @@ func (l *Ledger) syncLocked() error {
 	return nil
 }
 
-// MarkSettled appends a cycle-settled mark and syncs immediately: a
-// settlement is the one event that must never sit in the group-commit
-// window, because compaction folds everything behind it.
-func (l *Ledger) MarkSettled(cycle uint64) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if err := l.appendLocked(&Record{Kind: KindMark, Cycle: cycle}); err != nil {
-		return err
-	}
-	if l.closed {
-		return ErrClosed
-	}
-	return l.syncLocked()
-}
-
 // Crash simulates process death for tests and the simulation: the
 // handle is dropped without syncing (unsynced appends are lost) and,
 // when the FS models a page cache (MemFS), its volatile tail is
@@ -348,7 +339,7 @@ func (l *Ledger) Crash() {
 
 // Reopen re-runs the startup path — replay every verified record
 // through fn, repair the torn tail, fresh segment — on a closed or
-// crashed ledger.
+// crashed ledger. If it fails, the ledger stays closed.
 func (l *Ledger) Reopen(fn func(*Record) error) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -363,6 +354,7 @@ func (l *Ledger) Reopen(fn func(*Record) error) error {
 		_ = l.cur.Close() // handle may already be dead; replay re-verifies
 		l.cur = nil
 	}
+	l.closed = true // until open succeeds
 	return l.open(fn)
 }
 
@@ -424,36 +416,31 @@ func parseSegName(name string) (gen, idx uint64, ok bool) {
 	return g, i, true
 }
 
-// removeOrphans deletes segments of any generation other than the
-// live one, plus leftover .tmp files — the debris of a crash during
-// compaction (either side of the CURRENT switch) or repair.
-func removeOrphans(fsys FS, dir string, gen uint64) error {
+// removeOrphans deletes leftover .tmp files: the debris of a crash
+// during a repair's prefix rewrite or the first write of CURRENT.
+func removeOrphans(fsys FS, dir string) error {
 	names, err := fsys.ReadDir(dir)
 	if err != nil {
 		return fmt.Errorf("ledger: list for cleanup: %w", err)
 	}
 	for _, name := range names {
-		drop := strings.HasSuffix(name, ".tmp")
-		if g, _, ok := parseSegName(name); ok && g != gen {
-			drop = true
+		if !strings.HasSuffix(name, ".tmp") {
+			continue
 		}
-		if drop {
-			if err := fsys.Remove(join(dir, name)); err != nil {
-				return fmt.Errorf("ledger: remove orphan %s: %w", name, err)
-			}
+		if err := fsys.Remove(join(dir, name)); err != nil {
+			return fmt.Errorf("ledger: remove orphan %s: %w", name, err)
 		}
 	}
 	return nil
 }
 
 // listSegments returns generation gen's segments in index order.
-// They are numbered 1..n: rotation adds segments only at the end,
-// repair drops them only from the end and compaction starts the next
-// generation at 1. So a hole in the numbering can only come from
-// outside the ledger, a deleted file or a lost directory entry. If
-// there is one, segs holds the run before it and gap is the
-// ErrCorrupt naming the first missing segment. (A lost last segment
-// leaves no hole; it reads as a shorter log.)
+// They are numbered 1..n: rotation adds segments only at the end and
+// repair drops them only from the end. So a hole in the numbering can
+// only come from outside the ledger, a deleted file or a lost
+// directory entry. If there is one, segs holds the run before it and
+// gap is the ErrCorrupt naming the first missing segment. (A lost last
+// segment leaves no hole; it reads as a shorter log.)
 func listSegments(fsys FS, dir string, gen uint64) (segs []segRef, gap, err error) {
 	names, err := fsys.ReadDir(dir)
 	if err != nil {
@@ -475,9 +462,11 @@ func listSegments(fsys FS, dir string, gen uint64) (segs []segRef, gap, err erro
 	return segs, nil, nil
 }
 
-// currentFile is the generation pointer: its content is the decimal
-// live generation. It is replaced atomically (tmp + rename), which is
-// what makes compaction crash-safe on either side of the switch.
+// currentFile names the ledger's generation in decimal, the number
+// every segment name and header carries. Open writes it once, as 1,
+// when it creates the ledger, through a tmp file and a rename so a
+// crash cannot leave it half-written. Its presence is what tells a
+// ledger directory from an empty one (ErrNoLedger).
 const currentFile = "CURRENT"
 
 func readCurrent(fsys FS, dir string) (uint64, error) {
@@ -487,8 +476,9 @@ func readCurrent(fsys FS, dir string) (uint64, error) {
 			return 0, nil // no CURRENT yet: fresh ledger
 		}
 		// Any other failure (permissions, I/O) must NOT look like a
-		// fresh ledger: starting generation 1 over an unreadable
-		// CURRENT would orphan the real log on the next compaction.
+		// fresh ledger: Open would write a new CURRENT over a log it
+		// cannot read, and an audit would answer ErrNoLedger for a
+		// ledger that exists.
 		return 0, fmt.Errorf("ledger: read CURRENT: %w", err)
 	}
 	data, err := io.ReadAll(f)

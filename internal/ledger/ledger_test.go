@@ -2,7 +2,6 @@ package ledger
 
 import (
 	"fmt"
-	"reflect"
 	"testing"
 
 	"tlc/internal/sim"
@@ -73,7 +72,7 @@ func TestPropOversizeRecordRejected(t *testing.T) {
 		t.Fatalf("oversize append: got %v, want ErrRecordTooLarge", err)
 	}
 	// The refusal must not have poisoned or torn anything.
-	small := Record{Kind: KindMark, Cycle: 9}
+	small := Record{Kind: KindPoC, Cycle: 9}
 	if err := l.Append(&small); err != nil {
 		t.Fatalf("append after refusal: %v", err)
 	}
@@ -81,186 +80,14 @@ func TestPropOversizeRecordRejected(t *testing.T) {
 	if err := l.Reopen(collect(&got)); err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 1 || got[0].Kind != KindMark || got[0].Cycle != 9 {
+	if len(got) != 1 || got[0].Kind != KindPoC || got[0].Cycle != 9 {
 		t.Fatalf("replay after refusal: %+v", got)
 	}
 }
 
-// ledgerState replays a ledger directory into a finished State.
-func ledgerState(t *testing.T, fsys FS, dir string) *State {
-	t.Helper()
-	st := NewState()
-	if err := Replay(fsys, dir, st.Apply); err != nil {
-		t.Fatal(err)
-	}
-	return st.Finish()
-}
-
-func statesEqual(a, b *State) bool {
-	if !reflect.DeepEqual(a.Usage, b.Usage) || !reflect.DeepEqual(a.Settled, b.Settled) {
-		return false
-	}
-	if len(a.CDRs) != len(b.CDRs) || len(a.PoCs) != len(b.PoCs) {
-		return false
-	}
-	for i := range a.CDRs {
-		if !recordsEqual(&a.CDRs[i], &b.CDRs[i]) {
-			return false
-		}
-	}
-	for i := range a.PoCs {
-		if !recordsEqual(&a.PoCs[i], &b.PoCs[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// TestPropCompactionPreservesState: compaction must not change the
-// materialized state — usage aggregates, the settled set, every
-// unsettled CDR individually, every PoC individually. Run twin
-// ledgers over the same workload, compact one mid-way and again at
-// the end, and compare States.
-func TestPropCompactionPreservesState(t *testing.T) {
-	const dir = "led"
-	for _, seed := range []int64{1, 0x5E7, 0xFEED} {
-		fsA := NewMemFS() // compacted twice
-		fsB := NewMemFS() // never compacted
-		la, err := Open(Options{Dir: dir, FS: fsA, SegmentBytes: 2 << 10, SyncEvery: 1}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lb, err := Open(Options{Dir: dir, FS: fsB, SegmentBytes: 2 << 10, SyncEvery: 1}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rng := sim.NewRNG(seed)
-		const n = 120
-		for i := 0; i < n; i++ {
-			rec := mkRecord(rng, i)
-			if err := la.Append(&rec); err != nil {
-				t.Fatal(err)
-			}
-			if err := lb.Append(&rec); err != nil {
-				t.Fatal(err)
-			}
-			if i == n/2 {
-				if err := la.Compact(); err != nil {
-					t.Fatalf("seed %#x: mid compaction: %v", seed, err)
-				}
-			}
-		}
-		if err := la.Compact(); err != nil {
-			t.Fatalf("seed %#x: final compaction: %v", seed, err)
-		}
-		if err := la.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if err := lb.Close(); err != nil {
-			t.Fatal(err)
-		}
-		stA := ledgerState(t, fsA, dir)
-		stB := ledgerState(t, fsB, dir)
-		if !statesEqual(stA, stB) {
-			t.Fatalf("seed %#x: compaction changed state:\ncompacted: %d CDRs %d PoCs %d usage %d settled\noriginal:  %d CDRs %d PoCs %d usage %d settled",
-				seed,
-				len(stA.CDRs), len(stA.PoCs), len(stA.Usage), len(stA.Settled),
-				len(stB.CDRs), len(stB.PoCs), len(stB.Usage), len(stB.Settled))
-		}
-	}
-}
-
-// TestPropSnapshotReplayEquivalence: recovery from snapshot + tail
-// must equal a full replay of the uncompacted history — including
-// after a crash on the compacted ledger.
-func TestPropSnapshotReplayEquivalence(t *testing.T) {
-	const dir = "led"
-	fsA := NewMemFS()
-	fsB := NewMemFS()
-	la, err := Open(Options{Dir: dir, FS: fsA, SegmentBytes: 2 << 10, SyncEvery: 1}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lb, err := Open(Options{Dir: dir, FS: fsB, SegmentBytes: 2 << 10, SyncEvery: 1}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := sim.NewRNG(0xACE)
-	for i := 0; i < 60; i++ {
-		rec := mkRecord(rng, i)
-		if err := la.Append(&rec); err != nil {
-			t.Fatal(err)
-		}
-		if err := lb.Append(&rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := la.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	// Post-compaction appends land in the new generation.
-	for i := 60; i < 90; i++ {
-		rec := mkRecord(rng, i)
-		if err := la.Append(&rec); err != nil {
-			t.Fatal(err)
-		}
-		if err := lb.Append(&rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Crash the compacted ledger (SyncEvery=1: nothing is lost) and
-	// recover through its snapshot; the twin closes cleanly.
-	la.Crash()
-	if err := la.Reopen(nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := la.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := lb.Close(); err != nil {
-		t.Fatal(err)
-	}
-	stA := ledgerState(t, fsA, dir)
-	stB := ledgerState(t, fsB, dir)
-	if !statesEqual(stA, stB) {
-		t.Fatalf("snapshot+replay diverged from full replay:\nsnapshot: %d CDRs %d PoCs %d usage %d settled\nfull:     %d CDRs %d PoCs %d usage %d settled",
-			len(stA.CDRs), len(stA.PoCs), len(stA.Usage), len(stA.Settled),
-			len(stB.CDRs), len(stB.PoCs), len(stB.Usage), len(stB.Settled))
-	}
-}
-
-// TestMarkSettledSurvivesCrash: MarkSettled syncs immediately, so a
-// machine crash right after it must not lose the settlement.
-func TestMarkSettledSurvivesCrash(t *testing.T) {
-	fsys := NewMemFS()
-	l, err := Open(Options{Dir: "led", FS: fsys, SyncEvery: 64}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := Record{Kind: KindCDR, Cycle: 7, Subscriber: "imsi-1", UL: 10}
-	if err := l.Append(&rec); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.MarkSettled(7); err != nil {
-		t.Fatal(err)
-	}
-	l.Crash()
-	st := NewState()
-	if err := l.Reopen(st.Apply); err != nil {
-		t.Fatal(err)
-	}
-	st.Finish()
-	if !st.Settled[7] {
-		t.Fatal("settlement mark lost in crash despite immediate sync")
-	}
-	// The CDR rode along under the mark's sync barrier.
-	if agg := st.Usage[UsageKey{7, "imsi-1"}]; agg.UL != 10 || agg.Records != 1 {
-		t.Fatalf("usage lost: %+v", agg)
-	}
-}
-
-// TestAuditReport: the audit path answers (subscriber, cycle) across
-// live records, marks and compacted snapshots.
+// TestAuditReport: the audit path answers (subscriber, cycle) with the
+// matching CDRs, their aggregate and the matching PoCs, and leaves out
+// other subscribers and other cycles.
 func TestAuditReport(t *testing.T) {
 	const dir = "led"
 	fsys := NewMemFS()
@@ -279,44 +106,26 @@ func TestAuditReport(t *testing.T) {
 	appendOK(Record{Kind: KindCDR, Cycle: 1, Subscriber: "imsi-8", UL: 9999}) // other sub
 	appendOK(Record{Kind: KindCDR, Cycle: 2, Subscriber: "imsi-7", UL: 5})    // other cycle
 	appendOK(Record{Kind: KindPoC, Cycle: 1, Subscriber: "imsi-7", X: 42, Rounds: 3, Proof: []byte{1, 2, 3}})
-	if err := l.MarkSettled(1); err != nil {
-		t.Fatal(err)
-	}
+	appendOK(Record{Kind: KindPoC, Cycle: 1, Subscriber: "imsi-8", X: 7}) // other sub
+	appendOK(Record{Kind: KindPoC, Cycle: 2, Subscriber: "imsi-7", X: 8}) // other cycle
 
 	check := func(label string) {
 		t.Helper()
-		rep, err := Audit(fsys, dir, "imsi-7", 1)
-		if err != nil {
-			t.Fatalf("%s: %v", label, err)
-		}
+		rep := mustAudit(t, fsys, dir)
 		if rep.UL != 101 || rep.DL != 202 || rep.Records != 2 {
 			t.Fatalf("%s: aggregate %d/%d over %d records, want 101/202 over 2", label, rep.UL, rep.DL, rep.Records)
 		}
+		if len(rep.CDRs) != 2 {
+			t.Fatalf("%s: %d CDRs, want the 2 of imsi-7 in cycle 1", label, len(rep.CDRs))
+		}
 		if len(rep.PoCs) != 1 || rep.PoCs[0].X != 42 {
 			t.Fatalf("%s: PoCs %+v", label, rep.PoCs)
-		}
-		if !rep.Settled {
-			t.Fatalf("%s: cycle 1 should be settled", label)
 		}
 		if rep.Volume() != 303 {
 			t.Fatalf("%s: volume %d", label, rep.Volume())
 		}
 	}
-	check("pre-compaction")
-	if len(mustAudit(t, fsys, dir).CDRs) != 2 {
-		t.Fatal("expected the individual CDRs before compaction")
-	}
-
-	if err := l.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	// After compaction the individual CDRs of the settled cycle are
-	// folded into the snapshot, but the aggregate answer — and the
-	// PoC evidence — must not change.
-	check("post-compaction")
-	if len(mustAudit(t, fsys, dir).CDRs) != 0 {
-		t.Fatal("settled cycle's CDRs should be folded away after compaction")
-	}
+	check("live")
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -405,7 +214,7 @@ func TestReplayRecordLargerThanReadBuffer(t *testing.T) {
 	want := []Record{
 		{Kind: KindCDR, Cycle: 1, Subscriber: "imsi-1", UL: 10, DL: 20},
 		{Kind: KindPoC, Cycle: 1, Subscriber: "imsi-1", X: 30, Rounds: 2, Proof: proof},
-		{Kind: KindMark, Cycle: 1},
+		{Kind: KindPoC, Cycle: 1},
 	}
 	for i := range want {
 		if err := l.Append(&want[i]); err != nil {

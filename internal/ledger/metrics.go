@@ -25,10 +25,6 @@ var Metrics = struct {
 	// prefix.
 	TornTails      *metrics.Counter
 	TruncatedBytes *metrics.Counter
-	// Compactions counts generation switches; CompactedRecords the
-	// records folded into snapshots (no longer individually stored).
-	Compactions      *metrics.Counter
-	CompactedRecords *metrics.Counter
 }{
 	Appends: metrics.Default.Counter("ledger_appends_total",
 		"records appended to the charging ledger"),
@@ -44,8 +40,4 @@ var Metrics = struct {
 		"startups that truncated a torn record tail"),
 	TruncatedBytes: metrics.Default.Counter("ledger_truncated_bytes_total",
 		"bytes truncated to restore a verified record prefix"),
-	Compactions: metrics.Default.Counter("ledger_compactions_total",
-		"generation-switch compactions of the charging ledger"),
-	CompactedRecords: metrics.Default.Counter("ledger_compacted_records_total",
-		"settled records folded into snapshots by compaction"),
 }

@@ -2,11 +2,12 @@
 // segment log for CDRs and settled proofs-of-charge that survives a
 // process crash. Records are CRC32C-framed and length-prefixed; fsync
 // is group-committed (one sync covers a batch of appends); segments
-// rotate at a size threshold; settled cycles compact into a snapshot
-// record under a generation switch; and replay on startup truncates
-// the log at the first torn record, so every recovered record is
-// either fully present or fully absent — never corrupt (the read-only
-// Replay reports that damage as ErrCorrupt instead).
+// rotate at a size threshold; and replay on startup truncates the log
+// at the first torn record, so every recovered record is either fully
+// present or fully absent — never corrupt (the read-only Replay
+// reports that damage as ErrCorrupt instead). A frame that verifies
+// but does not decode was not torn by a crash, so Open refuses it
+// rather than cut away the intact records behind it.
 //
 // The paper's premise is that billable state must survive adversity
 // at the cellular edge; this package is what turns the simulator's
@@ -38,17 +39,12 @@ const (
 	// KindPoC is one settled proof-of-charge: the negotiated volume
 	// plus the full signed proof bytes (poc.PoC binary encoding).
 	KindPoC Kind = 2
-	// KindMark declares a cycle settled; compaction folds that
-	// cycle's CDRs into the snapshot.
-	KindMark Kind = 3
-	// KindSnapshot is the compaction artifact: aggregated usage of
-	// settled cycles plus the settled-cycle set.
-	KindSnapshot Kind = 4
-	// KindChainPoC is one settled roaming chain: the billed volume,
-	// the relay provenance (visited-operator fingerprint and link
-	// count) and the full signed chain bytes (poc.Chain encoding), so
-	// an offline audit can re-verify the whole multi-operator path.
-	KindChainPoC Kind = 5
+
+	// Kinds 3, 4 and 5 are retired: a cycle-settled mark, a
+	// compaction snapshot and a roaming chain, none of which any
+	// binary wrote. They are never reused, so a frame of one of them
+	// stays undecodable: Replay reports it as ErrCorrupt and Open
+	// refuses the log rather than cut it there.
 )
 
 // Limits keeping a corrupt length prefix from driving allocation.
@@ -75,33 +71,10 @@ type Record struct {
 	TimeUsage  int64
 	UL, DL     uint64
 
-	// KindPoC fields; KindChainPoC reuses X, Rounds and Proof (the
-	// chain bytes).
+	// KindPoC fields.
 	X      uint64
 	Rounds uint32
 	Proof  []byte
-
-	// KindChainPoC provenance: the relaying (visited) operator's key
-	// fingerprint and the number of chain links.
-	Via   string
-	Links uint32
-
-	// KindSnapshot payload.
-	Snap *Snapshot
-}
-
-// Snapshot aggregates the settled cycles compaction folded away.
-type Snapshot struct {
-	Settled []uint64 // settled cycle ids, ascending
-	Entries []SnapEntry
-}
-
-// SnapEntry is one (cycle, subscriber) usage aggregate.
-type SnapEntry struct {
-	Cycle      uint64
-	Subscriber string
-	UL, DL     uint64
-	Records    uint32
 }
 
 // castagnoli is the CRC32C table (the polynomial storage systems use
@@ -177,39 +150,9 @@ func appendRecord(dst []byte, rec *Record) []byte {
 		dst = appendU32(dst, rec.Rounds)
 		dst = appendU32(dst, uint32(len(rec.Proof)))
 		dst = append(dst, rec.Proof...)
-	case KindChainPoC:
-		dst = appendU64(dst, rec.X)
-		dst = appendU32(dst, rec.Rounds)
-		dst = appendU32(dst, rec.Links)
-		dst = appendU32(dst, uint32(len(rec.Via)))
-		dst = append(dst, rec.Via...)
-		dst = appendU32(dst, uint32(len(rec.Proof)))
-		dst = append(dst, rec.Proof...)
-	case KindMark:
-	case KindSnapshot:
-		snap := rec.Snap
-		if snap == nil {
-			snap = &emptySnapshot
-		}
-		dst = appendU32(dst, uint32(len(snap.Settled)))
-		for _, c := range snap.Settled {
-			dst = appendU64(dst, c)
-		}
-		dst = appendU32(dst, uint32(len(snap.Entries)))
-		for i := range snap.Entries {
-			e := &snap.Entries[i]
-			dst = appendU64(dst, e.Cycle)
-			dst = appendU32(dst, uint32(len(e.Subscriber)))
-			dst = append(dst, e.Subscriber...)
-			dst = appendU64(dst, e.UL)
-			dst = appendU64(dst, e.DL)
-			dst = appendU32(dst, e.Records)
-		}
 	}
 	return dst
 }
-
-var emptySnapshot Snapshot
 
 // recordSize returns the encoded payload size of rec, for the
 // pre-append length check and rotation decision.
@@ -220,17 +163,6 @@ func recordSize(rec *Record) int {
 		n += 4 + 4 + 8 + 8 + 8
 	case KindPoC:
 		n += 8 + 4 + 4 + len(rec.Proof)
-	case KindChainPoC:
-		n += 8 + 4 + 4 + 4 + len(rec.Via) + 4 + len(rec.Proof)
-	case KindSnapshot:
-		if rec.Snap != nil {
-			n += 4 + 8*len(rec.Snap.Settled) + 4
-			for i := range rec.Snap.Entries {
-				n += 8 + 4 + len(rec.Snap.Entries[i].Subscriber) + 8 + 8 + 4
-			}
-		} else {
-			n += 4 + 4
-		}
 	}
 	return n
 }
@@ -291,76 +223,6 @@ func decodeRecord(payload []byte, rec *Record) error {
 		}
 		rec.Proof = append([]byte(nil), d.b[d.off:d.off+int(n)]...)
 		d.off += int(n)
-	case KindChainPoC:
-		if rec.X, err = d.u64(); err != nil {
-			return err
-		}
-		if rec.Rounds, err = d.u32(); err != nil {
-			return err
-		}
-		if rec.Links, err = d.u32(); err != nil {
-			return err
-		}
-		if rec.Via, err = d.str(MaxSubscriberLen); err != nil {
-			return err
-		}
-		n, err := d.u32()
-		if err != nil {
-			return err
-		}
-		if int(n) > len(d.b)-d.off {
-			return errTruncatedPayload
-		}
-		rec.Proof = append([]byte(nil), d.b[d.off:d.off+int(n)]...)
-		d.off += int(n)
-	case KindMark:
-	case KindSnapshot:
-		snap := &Snapshot{}
-		ns, err := d.u32()
-		if err != nil {
-			return err
-		}
-		if int(ns) > (len(d.b)-d.off)/8 {
-			return errTruncatedPayload
-		}
-		if ns > 0 {
-			snap.Settled = make([]uint64, ns)
-			for i := range snap.Settled {
-				if snap.Settled[i], err = d.u64(); err != nil {
-					return err
-				}
-			}
-		}
-		ne, err := d.u32()
-		if err != nil {
-			return err
-		}
-		// Each entry is at least 32 bytes; bound before allocating.
-		if int(ne) > (len(d.b)-d.off)/32+1 {
-			return errTruncatedPayload
-		}
-		if ne > 0 {
-			snap.Entries = make([]SnapEntry, ne)
-			for i := range snap.Entries {
-				e := &snap.Entries[i]
-				if e.Cycle, err = d.u64(); err != nil {
-					return err
-				}
-				if e.Subscriber, err = d.str(MaxSubscriberLen); err != nil {
-					return err
-				}
-				if e.UL, err = d.u64(); err != nil {
-					return err
-				}
-				if e.DL, err = d.u64(); err != nil {
-					return err
-				}
-				if e.Records, err = d.u32(); err != nil {
-					return err
-				}
-			}
-		}
-		rec.Snap = snap
 	default:
 		return fmt.Errorf("ledger: unknown record kind %d", kind)
 	}

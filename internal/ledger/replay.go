@@ -8,7 +8,6 @@ import (
 	"hash/crc32"
 	"io"
 	"io/fs"
-	"sort"
 )
 
 // Segment header: [magic 8]["gen" u64 LE][idx u64 LE]. A segment whose
@@ -29,8 +28,8 @@ func segmentHeader(gen, idx uint64) [segHeader]byte {
 // of this size however small the records are.
 const readBufBytes = 64 << 10
 
-// scanner is the ledger's one segment decoder: Open, Replay and
-// compaction all read through it. It holds a fixed readBufBytes read
+// scanner is the ledger's one segment decoder: Open and Replay (so
+// Audit) read through it. It holds a fixed readBufBytes read
 // buffer and one record buffer that grows to the largest frame seen
 // (at most MaxRecordBytes), so a read holds one record, never a whole
 // segment. One scanner serves every segment of a replay.
@@ -123,9 +122,10 @@ func (s *scanner) scan(r io.Reader, gen, idx uint64, fn func(*Record) error) (se
 		// alias it: decodeRecord copies Proof and every string out.
 		if err := decodeRecord(payload, &s.rec); err != nil {
 			// CRC says the bytes are what was written, but the
-			// payload doesn't decode: a writer bug or hand-edited
-			// log. Refuse to surface it.
-			return s.torn(end, err)
+			// payload doesn't decode: a retired kind, a writer bug or
+			// a hand-edited log. Refuse to surface it; Open refuses to
+			// cut it too (errUndecodable).
+			return s.torn(end, fmt.Errorf("%w: %v", errUndecodable, err))
 		}
 		if fn != nil {
 			if err := fn(&s.rec); err != nil {
@@ -149,6 +149,11 @@ func (s *scanner) fill(p []byte) (ok bool, err error) {
 	}
 	return false, fmt.Errorf("ledger: read segment: %w", err)
 }
+
+// errUndecodable marks a scan that stopped at a whole, CRC-verified
+// frame whose payload does not decode. No crash writes such a frame,
+// so it is not a torn tail to repair: Open refuses the log instead.
+var errUndecodable = errors.New("ledger: intact frame does not decode")
 
 // torn ends a scan at the damage why, found at end.verified. It drains
 // the rest of the segment so that end.size counts every byte: Open
@@ -176,7 +181,9 @@ var ErrDirNotExist = errors.New("ledger: directory does not exist")
 
 // ErrCorrupt is returned by Replay (and so Audit) at the first record
 // it cannot verify, after fn has seen every record before it. Replay
-// never repairs; Open is the one path that truncates damage away.
+// never repairs. Open is the one path that truncates a torn tail
+// away; it returns ErrCorrupt for the damage no crash makes, a missing
+// segment or a frame that verifies but does not decode.
 var ErrCorrupt = errors.New("ledger: corrupt log")
 
 // Replay streams every verified record of the ledger in dir through
@@ -218,111 +225,15 @@ func Replay(fsys FS, dir string, fn func(*Record) error) error {
 			return err
 		}
 		if end.tear != nil {
-			return fmt.Errorf("%w: %s at byte %d: %v", ErrCorrupt, seg.name, end.verified, end.tear)
+			return corruptAt(seg, end)
 		}
 	}
 	return gap
 }
 
-// UsageKey identifies one subscriber's usage within one cycle.
-type UsageKey struct {
-	Cycle      uint64
-	Subscriber string
-}
-
-// UsageAgg is the aggregate usage behind a UsageKey.
-type UsageAgg struct {
-	UL, DL  uint64
-	Records uint32
-}
-
-// State is the canonical materialization of a ledger: what you get by
-// replaying it front to back. Compaction must preserve it exactly —
-// the property tests compare the State of a compacted ledger against
-// the State of the uncompacted original.
-type State struct {
-	// Usage aggregates every CDR ever logged, settled or not.
-	Usage map[UsageKey]UsageAgg
-	// Settled is the set of cycles marked settled.
-	Settled map[uint64]bool
-	// CDRs holds the individual records of unsettled cycles, in
-	// append order (settled cycles' records live only in Usage).
-	CDRs []Record
-	// PoCs holds every settled proof-of-charge, in append order.
-	// Proofs are never folded away: they are the billable evidence.
-	PoCs []Record
-	// Chains holds every settled roaming chain, in append order.
-	// Like PoCs they are evidence and survive compaction verbatim.
-	Chains []Record
-}
-
-// NewState returns an empty State.
-func NewState() *State {
-	return &State{
-		Usage:   make(map[UsageKey]UsageAgg),
-		Settled: make(map[uint64]bool),
-	}
-}
-
-// Apply folds one replayed record into the state. Pass it as the
-// replay callback: records arrive in append order.
-func (s *State) Apply(rec *Record) error {
-	switch rec.Kind {
-	case KindCDR:
-		k := UsageKey{rec.Cycle, rec.Subscriber}
-		agg := s.Usage[k]
-		agg.UL += rec.UL
-		agg.DL += rec.DL
-		agg.Records++
-		s.Usage[k] = agg
-		s.CDRs = append(s.CDRs, cloneRecord(rec))
-	case KindPoC:
-		s.PoCs = append(s.PoCs, cloneRecord(rec))
-	case KindChainPoC:
-		s.Chains = append(s.Chains, cloneRecord(rec))
-	case KindMark:
-		s.Settled[rec.Cycle] = true
-	case KindSnapshot:
-		if rec.Snap == nil {
-			return nil
-		}
-		for _, c := range rec.Snap.Settled {
-			s.Settled[c] = true
-		}
-		for _, e := range rec.Snap.Entries {
-			k := UsageKey{e.Cycle, e.Subscriber}
-			agg := s.Usage[k]
-			agg.UL += e.UL
-			agg.DL += e.DL
-			agg.Records += e.Records
-			s.Usage[k] = agg
-		}
-	}
-	return nil
-}
-
-// Finish drops the individual CDRs of settled cycles (their usage
-// stays in Usage) and returns the state for chaining. Call it once
-// after the replay completes.
-func (s *State) Finish() *State {
-	kept := s.CDRs[:0]
-	for i := range s.CDRs {
-		if !s.Settled[s.CDRs[i].Cycle] {
-			kept = append(kept, s.CDRs[i])
-		}
-	}
-	s.CDRs = kept
-	return s
-}
-
-// SettledCycles returns the settled set in ascending order.
-func (s *State) SettledCycles() []uint64 {
-	out := make([]uint64, 0, len(s.Settled))
-	for c := range s.Settled {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+// corruptAt is the ErrCorrupt for the damage a scan of seg stopped at.
+func corruptAt(seg segRef, end segEnd) error {
+	return fmt.Errorf("%w: %s at byte %d: %v", ErrCorrupt, seg.name, end.verified, end.tear)
 }
 
 // cloneRecord deep-copies rec so pooled decode buffers can be reused.
@@ -330,12 +241,6 @@ func cloneRecord(rec *Record) Record {
 	out := *rec
 	if rec.Proof != nil {
 		out.Proof = append([]byte(nil), rec.Proof...)
-	}
-	if rec.Snap != nil {
-		snap := *rec.Snap
-		snap.Settled = append([]uint64(nil), rec.Snap.Settled...)
-		snap.Entries = append([]SnapEntry(nil), rec.Snap.Entries...)
-		out.Snap = &snap
 	}
 	return out
 }

@@ -20,7 +20,9 @@ import (
 // write at every cumulative byte count.
 
 // mkRecord derives the i-th torture record deterministically from an
-// RNG stream: a mix of CDRs, PoCs and marks with varied sizes.
+// RNG stream: a mix of CDRs and PoCs with varied sizes, down to the
+// smallest live record (a PoC with an empty subscriber and an empty
+// proof), so small frames keep their share of every sweep.
 func mkRecord(rng *sim.RNG, i int) Record {
 	switch rng.Intn(8) {
 	case 0:
@@ -37,7 +39,7 @@ func mkRecord(rng *sim.RNG, i int) Record {
 			Proof:      proof,
 		}
 	case 1:
-		return Record{Kind: KindMark, Cycle: uint64(rng.Intn(4))}
+		return Record{Kind: KindPoC, Cycle: uint64(rng.Intn(4))}
 	default:
 		return Record{
 			Kind:       KindCDR,

@@ -34,8 +34,12 @@
 #                sweeps (every kill offset of the tail segment, bit
 #                flips, injected fsync failpoints; the read-only replay
 #                must report each as corrupt before reopen repairs it,
-#                with whole and with half reads) plus the replay
-#                differential under the race detector, a short
+#                with whole and with half reads), the replay
+#                differential, the golden digest of the bytes a ledger
+#                writes, and Open's refusal of a frame that verifies
+#                but does not decode (a retired kind among them: it
+#                returns ErrCorrupt and cuts none of the receipts
+#                behind it), all under the race detector, a short
 #                coverage-guided fuzz of the segment scanner (whole and
 #                one-byte reads must agree), and the
 #                examples/auditor run, which exits non-zero unless its
@@ -110,7 +114,7 @@ stage chaos go test -run Chaos -race ./internal/experiment
 stage race go test -race ./...
 stage operator go test -run Operator -race -count=1 ./cmd/tlcd
 stage tlcdscale go test -run 'EngineOverload|EngineSettlesMuxedSessions' -race -count=1 ./internal/session
-stage ledger go test -run 'Torture|Prop' -short -race ./internal/ledger
+stage ledger go test -run 'Torture|Prop|Golden|Refuses' -short -race ./internal/ledger
 stage ledger go test -run '^$' -fuzz '^FuzzLedgerReplay$' -fuzztime 10s ./internal/ledger
 stage ledger go run ./examples/auditor
 stage allocs go test -run 'ZeroAlloc|AllocsPerRecord' ./internal/sim ./internal/netem ./internal/epc ./internal/metrics ./internal/protocol ./internal/ledger
