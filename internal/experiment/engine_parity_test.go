@@ -22,6 +22,10 @@ type engineGolden struct {
 	Legacy, Eta          float64
 	CDRs                 int
 	Fired                uint64
+	// Ended is the DL air link's netem.LinkStats.Ended: the background
+	// packets it ends at the transmitter, each one delivery event the
+	// seed engine fired and this engine does not.
+	Ended uint64
 }
 
 // engineGoldenCfgs exercise the paths the rewrite touched: pooled
@@ -48,7 +52,7 @@ var engineGoldens = []engineGolden{
 		EdgeSent: 1.345545253467185e+07, EdgeRecv: 1.046606512916897e+07,
 		OpSent: 1.348184466413358e+07, OpRecv: 1.0739021e+07,
 		Legacy: 1.348184466413358e+07, Eta: 0.1,
-		CDRs: 14, Fired: 183529,
+		CDRs: 14, Fired: 183529, Ended: 25074,
 	},
 	{ // cell 1: clean radio
 		TruthSent: 2.227274e+06, TruthRecv: 2.035661e+06,
@@ -64,7 +68,7 @@ var engineGoldens = []engineGolden{
 		EdgeSent: 904886.06569303, EdgeRecv: 675371.94409381,
 		OpSent: 905086.10085998, OpRecv: 675709.84124614,
 		Legacy: 905086.10085998, Eta: 0,
-		CDRs: 12, Fired: 144550,
+		CDRs: 12, Fired: 144550, Ended: 24977,
 	},
 	{ // cell 3: trace replay
 		TruthSent: 1.1029489e+07, TruthRecv: 1.0210994e+07,
@@ -100,8 +104,19 @@ func TestEngineParityWithSeedEngine(t *testing.T) {
 		}
 		// The fired-event count proves the engines executed the *same
 		// events*, not merely ones that aggregate to the same totals.
-		if got := tb.Sched.Fired(); got != want.Fired {
-			t.Errorf("cell %d fired %d events, seed engine fired %d", i, got, want.Fired)
+		// The DL air link ends background packets at its transmitter
+		// (netem.Link.BackgroundEnds) instead of firing the delivery
+		// the seed engine fired for each, so the ended count is pinned
+		// too, and the fired events plus the ended packets must equal
+		// the seed engine's count.
+		tb.DLAir.Settle()
+		fired, ended := tb.Sched.Fired(), tb.DLAir.Stats.Ended
+		if ended != want.Ended {
+			t.Errorf("cell %d ended %d background packets, want %d", i, ended, want.Ended)
+		}
+		if fired+ended != want.Fired {
+			t.Errorf("cell %d fired %d events and ended %d packets (sum %d), seed engine fired %d",
+				i, fired, ended, fired+ended, want.Fired)
 		}
 	}
 }

@@ -18,15 +18,3 @@ func wallStopwatch() func() time.Duration {
 		return time.Since(start) //tlcvet:allow simtime — paired with the start read above
 	}
 }
-
-// fixedStopwatch returns a Stopwatch whose successive measurements
-// report the given durations (cycling when exhausted). Tests use it to
-// make the Figure 17 "this-host" rows reproducible.
-func fixedStopwatch(durations ...time.Duration) Stopwatch {
-	i := 0
-	return func() func() time.Duration {
-		d := durations[i%len(durations)]
-		i++
-		return func() time.Duration { return d }
-	}
-}

@@ -6,6 +6,18 @@ import (
 	"time"
 )
 
+// fixedStopwatch returns a Stopwatch whose successive measurements
+// report the given durations (cycling when exhausted). Tests use it to
+// make the Figure 17 "this-host" rows reproducible.
+func fixedStopwatch(durations ...time.Duration) Stopwatch {
+	i := 0
+	return func() func() time.Duration {
+		d := durations[i%len(durations)]
+		i++
+		return func() time.Duration { return d }
+	}
+}
+
 func TestFixedStopwatchCycles(t *testing.T) {
 	sw := fixedStopwatch(2*time.Millisecond, 5*time.Millisecond)
 	for i, want := range []time.Duration{

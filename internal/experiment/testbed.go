@@ -371,6 +371,11 @@ func NewTestbed(cfg Config) *Testbed {
 		QueueBytes: airQueue, ResidualLoss: dlAirResidualLoss,
 	}, s, tb.Radio, bsTap(dlAirDst), tb.RNG.Fork("dl-air"))
 	tb.DLAir.Pool = tb.Pool
+	// bsTap skips background packets and dlAirDst only recycles them,
+	// so the air link ends them at its transmitter instead of
+	// scheduling a delivery nothing receives. The core bridge must not:
+	// it hands them on to this link.
+	tb.DLAir.BackgroundEnds = true
 
 	// ---- Core bridge (shared, post-meter both directions) ----
 	// GTP-U tunnels the SPGW↔eNodeB segment (S1-U): downlink packets

@@ -144,17 +144,19 @@ func unparen(e ast.Expr) ast.Expr {
 }
 
 // calleeOf resolves the declared function or method a call statically
-// invokes. Dynamic calls (function values, interface methods bound at
-// run time) and builtins resolve to nil.
+// invokes. A call into a generic function or a method of a generic
+// type resolves to its generic declaration (Origin), whatever the type
+// arguments. Dynamic calls (function values, interface methods bound
+// at run time) and builtins resolve to nil.
 func calleeOf(info *types.Info, call *ast.CallExpr) *types.Func {
 	switch fun := unparen(call.Fun).(type) {
 	case *ast.Ident:
 		if f, ok := info.Uses[fun].(*types.Func); ok {
-			return f
+			return f.Origin()
 		}
 	case *ast.SelectorExpr:
 		if f, ok := info.Uses[fun.Sel].(*types.Func); ok {
-			return f
+			return f.Origin()
 		}
 	}
 	return nil

@@ -47,6 +47,11 @@ type LoadDropper struct {
 	// priority), refreshed once per estimation window so utilization
 	// is O(1) on the per-packet path.
 	cumRate [256]float64
+	// dropP[q] is DropProb(q) for every class seen so far. DropProb
+	// reads only cumRate and the fixed parameters, so refreshCum
+	// recomputes it and Recv reads it: the same float, once per
+	// window instead of once per packet.
+	dropP [256]float64
 	// active lists the QCIs seen so far; the ticker only walks these.
 	active []uint8
 	seen   [256]bool
@@ -90,12 +95,16 @@ func (d *LoadDropper) Start() {
 	})
 }
 
-// refreshCum recomputes the priority-prefix sums of rateBps.
+// refreshCum recomputes the priority-prefix sums of rateBps and the
+// active classes' drop probabilities.
 func (d *LoadDropper) refreshCum() {
 	var cum float64
 	for q := 0; q < 256; q++ {
 		cum += d.rateBps[q]
 		d.cumRate[q] = cum
+	}
+	for _, q := range d.active {
+		d.dropP[q] = d.DropProb(q)
 	}
 }
 
@@ -134,9 +143,10 @@ func (d *LoadDropper) Recv(p *Packet) {
 	if !d.seen[p.QCI] {
 		d.seen[p.QCI] = true
 		d.active = append(d.active, p.QCI)
+		d.dropP[p.QCI] = d.DropProb(p.QCI)
 	}
 	d.binBytes[p.QCI] += float64(p.Size)
-	if d.RNG != nil && d.RNG.Float64() < d.DropProb(p.QCI) {
+	if d.RNG != nil && d.RNG.Float64() < d.dropP[p.QCI] {
 		d.Dropped++
 		d.Pool.Put(p)
 		return

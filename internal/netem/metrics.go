@@ -47,6 +47,8 @@ var (
 		"packets delivered by a link to its destination, by QCI class")
 	mLinkInFlight = metrics.Default.Gauge("netem_link_in_flight_packets",
 		"packets on the wire (transmitted, not yet delivered) at last publish")
+	mLinkBacklog = metrics.Default.Gauge("netem_link_queued_packets",
+		"packets in a link's queue or transmitter at last publish")
 	mPoolGets = metrics.Default.Counter("netem_pool_gets_total",
 		"packet structs drawn from a PacketPool")
 	mPoolReuses = metrics.Default.Counter("netem_pool_reuses_total",
@@ -75,10 +77,12 @@ func (l *Link) PublishMetrics() {
 		return
 	}
 	l.published = true
+	l.Settle()
 	mLinkEnq.add(&l.qciEnq)
 	mLinkDrop.add(&l.qciDrop)
 	mLinkOut.add(&l.qciOut)
 	mLinkInFlight.Add(int64(l.InFlight()))
+	mLinkBacklog.Add(int64(l.Backlog()))
 }
 
 // PublishMetrics flushes the dropper's counters into the process

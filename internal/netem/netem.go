@@ -188,7 +188,11 @@ type LossFunc func(pkt *Packet, now sim.Time) bool
 // Drop implements LossModel.
 func (f LossFunc) Drop(pkt *Packet, now sim.Time) bool { return f(pkt, now) }
 
-// LinkStats counts what happened on a link.
+// LinkStats counts what happened on a link. On a link with
+// BackgroundEnds set, OutPackets, OutBytes and Ended lag behind the
+// simulated clock until the link's Settle runs (InFlight and
+// PublishMetrics run it): call Settle before reading them between
+// events.
 type LinkStats struct {
 	InPackets    uint64
 	InBytes      uint64
@@ -205,6 +209,12 @@ type LinkStats struct {
 	FaultDropped uint64 // bytes
 	FaultDups    uint64
 	FaultDelays  uint64
+
+	// Ended counts the background packets that BackgroundEnds retired
+	// at the transmitter and whose delivery time has passed; each is
+	// in OutPackets too, and each is one wire event the scheduler did
+	// not fire.
+	Ended uint64
 }
 
 // FaultAction is a fault injector's verdict for one packet. The zero
@@ -265,6 +275,19 @@ type Link struct {
 	// packets are allocated outside a PacketPool.
 	Pool *PacketPool
 
+	// BackgroundEnds ends background packets at the transmitter, for a
+	// link whose Dst would only discard them. Such a packet still
+	// queues, transmits and meets Loss and Inject; then, instead of a
+	// wire event that hands it to Dst after Delay, it goes back to
+	// Pool at once. The link keeps its delivery time, size and QCI and
+	// counts it delivered once that time has passed and Settle runs
+	// (the link's next send runs it too), so Stats, the per-QCI
+	// counters and InFlight read as if it had reached Dst. A packet a
+	// fault injector delays keeps its wire event. The scheduler fires
+	// one event fewer per ended packet, and every other event keeps
+	// its (at, seq) order.
+	BackgroundEnds bool
+
 	Stats LinkStats
 
 	// queue is the live window of qbuf, the queue's whole backing
@@ -282,11 +305,29 @@ type Link struct {
 	gateRetryFn func()
 	txDoneFn    func()
 
+	// txSize, txRate and txDur memoize kick's last transmission time:
+	// consecutive packets mostly share one size and one rate (over 93%
+	// of transmissions on the testbed's DL air link and core bridge),
+	// and the same inputs give the same float.
+	txSize int
+	txRate float64
+	txDur  time.Duration
+
 	// wire holds the packets on the wire: transmitted and
 	// loss-checked, each delivered Delay after it was sent. Delay is
 	// fixed per link, so their delivery times never decrease and one
 	// FIFO stream carries them all under a single heap entry.
 	wire *sim.FIFO[*Packet]
+
+	// ended holds the background packets that BackgroundEnds retired
+	// and Settle has not counted out yet, oldest first: Delay is
+	// fixed, so their delivery times never decrease. It has no
+	// scheduler entry.
+	ended sim.Ring[endedPkt]
+
+	// delayed counts the packets a fault injector holds on the wire
+	// out of FIFO order (see send).
+	delayed int
 
 	// Per-QCI accounting for the metrics registry: offered, dropped
 	// (queue, loss and fault drops combined) and delivered packets by
@@ -446,7 +487,11 @@ func (l *Link) kick() {
 			}
 			rate *= scale
 		}
-		tx = time.Duration(float64(pkt.Size*8) / rate * float64(time.Second))
+		if pkt.Size != l.txSize || rate != l.txRate {
+			l.txSize, l.txRate = pkt.Size, rate
+			l.txDur = time.Duration(float64(pkt.Size*8) / rate * float64(time.Second))
+		}
+		tx = l.txDur
 	}
 	l.inFlight = pkt
 	l.Sched.AfterPooled(tx, l.txDone())
@@ -514,22 +559,63 @@ func (l *Link) propagate(pkt *Packet) {
 }
 
 // send puts the packet on the wire. extra == 0 is the normal path and
-// rides the link's FIFO stream. extra > 0 (a fault's reorder hold or
-// delay spike) deliberately breaks the link's FIFO order, so it must
-// bypass the stream, whose fire times may never decrease. Those
-// packets get a dedicated per-packet closure event instead; the
-// allocation only happens on faulted packets.
+// rides the link's FIFO stream, unless BackgroundEnds ends the packet
+// here. extra > 0 (a fault's reorder hold or delay spike)
+// deliberately breaks the link's FIFO order, so it must bypass the
+// stream, whose fire times may never decrease. Those packets get a
+// dedicated per-packet closure event instead; the allocation only
+// happens on faulted packets.
 func (l *Link) send(pkt *Packet, extra time.Duration) {
-	if extra > 0 {
-		p := pkt
-		//tlcvet:allow hotalloc — out-of-FIFO delivery must bypass the stream (see doc comment); only faulted packets pay this closure
-		l.Sched.After(l.Delay+extra, func() { l.deliver(p) })
-		return
+	if l.ended.Len() > 0 {
+		l.Settle()
 	}
-	if l.Delay > 0 {
-		l.wire.Push(l.Sched.Now()+l.Delay, pkt)
-	} else {
+	switch {
+	case extra > 0:
+		p := pkt
+		l.delayed++
+		//tlcvet:allow hotalloc — out-of-FIFO delivery must bypass the stream (see doc comment); only faulted packets pay this closure
+		l.Sched.After(l.Delay+extra, func() {
+			l.delayed--
+			l.deliver(p)
+		})
+	case l.Delay <= 0:
 		l.deliver(pkt)
+	case pkt.Background && l.BackgroundEnds:
+		l.end(pkt)
+	default:
+		l.wire.Push(l.Sched.Now()+l.Delay, pkt)
+	}
+}
+
+// endedPkt is what a link keeps of a background packet it ended at
+// the transmitter: when the packet would have reached Dst, and what
+// to count then.
+type endedPkt struct {
+	at   sim.Time
+	size int
+	qci  uint8
+}
+
+// end retires a background packet at the transmitter (see
+// BackgroundEnds): Settle counts it out at its delivery time, and the
+// struct goes back to the pool now.
+func (l *Link) end(pkt *Packet) {
+	l.ended.Push(endedPkt{at: l.Sched.Now() + l.Delay, size: pkt.Size, qci: pkt.QCI})
+	l.Pool.Put(pkt)
+}
+
+// Settle counts out, as deliver would have, every packet BackgroundEnds
+// ended whose delivery time is not after now, so that Stats and the
+// per-QCI counters are current. InFlight and PublishMetrics call it;
+// on a link without BackgroundEnds it does nothing.
+func (l *Link) Settle() {
+	now := l.Sched.Now()
+	for l.ended.Len() > 0 && l.ended.Front().at <= now {
+		e := l.ended.PopFront()
+		l.Stats.OutPackets++
+		l.Stats.OutBytes += uint64(e.size)
+		l.Stats.Ended++
+		l.qciOut[e.qci]++
 	}
 }
 
@@ -543,10 +629,27 @@ func (l *Link) deliver(pkt *Packet) {
 	}
 }
 
-// InFlight returns the number of packets propagating on the wire
-// (transmitted, not yet delivered). Packets a fault injector delays
-// out of FIFO order are not counted.
-func (l *Link) InFlight() int { return l.wire.Len() }
+// InFlight returns the number of packets transmitted and not yet
+// delivered: those on the wire, those a fault injector delays out of
+// FIFO order, and the ended background packets whose delivery time has
+// not passed (see BackgroundEnds). It runs Settle first, so that
+// between events Stats and InFlight read as they would if every packet
+// rode the wire.
+func (l *Link) InFlight() int {
+	l.Settle()
+	return l.wire.Len() + l.delayed + l.ended.Len()
+}
+
+// Backlog returns the number of packets the link holds before the
+// wire: those queued plus the one in the transmitter. Between events,
+// once Settle has run, InPackets + FaultDups = OutPackets + QueueDrops
+// + LossDrops + FaultDrops + InFlight() + Backlog().
+func (l *Link) Backlog() int {
+	if l.inFlight != nil {
+		return len(l.queue) + 1
+	}
+	return len(l.queue)
+}
 
 // Kick re-evaluates the transmitter; the RAN calls it when a gate
 // opens so buffered packets flush immediately.

@@ -20,9 +20,7 @@ type FIFO[T any] struct {
 	fire func(T)
 	head func() // f.pop, bound once so that a push allocates nothing
 
-	ring []fifoEntry[T] // power-of-two circular buffer
-	off  int            // ring index of the head
-	n    int            // entries not yet fired
+	ring Ring[fifoEntry[T]] // entries not yet fired, head first
 }
 
 type fifoEntry[T any] struct {
@@ -40,7 +38,7 @@ func NewFIFO[T any](s *Scheduler, fire func(T)) *FIFO[T] {
 }
 
 // Len returns the number of pushed values that have not fired yet.
-func (f *FIFO[T]) Len() int { return f.n }
+func (f *FIFO[T]) Len() int { return f.ring.Len() }
 
 // Push schedules fire(v) at absolute time t. A t before now panics, as
 // At does, and so does a t before the stream's latest pending fire
@@ -52,21 +50,15 @@ func (f *FIFO[T]) Push(t Time, v T) {
 	if t < s.now {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", t, s.now))
 	}
-	if f.n > 0 {
-		if tail := f.ring[(f.off+f.n-1)&(len(f.ring)-1)].at; t < tail {
-			panic(fmt.Sprintf("sim: FIFO push at %v before its tail at %v", t, tail))
-		}
-	}
-	if f.n == len(f.ring) {
-		f.grow()
-	}
-	f.ring[(f.off+f.n)&(len(f.ring)-1)] = fifoEntry[T]{at: t, seq: s.seq, v: v}
-	if f.n == 0 {
+	if f.ring.Len() == 0 {
 		s.push(heapEntry{at: t, seq: s.seq, fn: f.head})
 	} else {
+		if tail := f.ring.Back().at; t < tail {
+			panic(fmt.Sprintf("sim: FIFO push at %v before its tail at %v", t, tail))
+		}
 		s.queued++
 	}
-	f.n++
+	f.ring.Push(fifoEntry[T]{at: t, seq: s.seq, v: v})
 	s.seq++
 }
 
@@ -74,31 +66,11 @@ func (f *FIFO[T]) Push(t Time, v T) {
 // under its reserved key before firing, so a push from inside fire
 // finds the stream consistent.
 func (f *FIFO[T]) pop() {
-	e := &f.ring[f.off]
-	v := e.v
-	*e = fifoEntry[T]{} // the ring keeps no fired value alive
-	f.off = (f.off + 1) & (len(f.ring) - 1)
-	f.n--
-	if f.n > 0 {
-		next := &f.ring[f.off]
+	v := f.ring.PopFront().v
+	if f.ring.Len() > 0 {
+		next := f.ring.Front()
 		f.s.queued--
 		f.s.push(heapEntry{at: next.at, seq: next.seq, fn: f.head})
 	}
 	f.fire(v)
-}
-
-// grow doubles the ring (16 slots minimum), unwrapping the stream to
-// the front of the new buffer.
-func (f *FIFO[T]) grow() {
-	n := 2 * len(f.ring)
-	if n == 0 {
-		n = 16
-	}
-	//tlcvet:allow hotalloc — geometric doubling; amortized O(1) per push and quiescent once the ring reaches the stream's high-water mark
-	ring := make([]fifoEntry[T], n)
-	for i := 0; i < f.n; i++ {
-		ring[i] = f.ring[(f.off+i)&(len(f.ring)-1)]
-	}
-	f.ring = ring
-	f.off = 0
 }

@@ -131,9 +131,9 @@ func TestHeapRetainsNoFiredCallback(t *testing.T) {
 			t.Fatalf("heap slot %d of %d still holds a fired event", i, cap(s.events))
 		}
 	}
-	for i, e := range f.ring {
+	for i, e := range f.ring.buf {
 		if e.v != nil {
-			t.Fatalf("ring slot %d of %d still holds a fired value", i, len(f.ring))
+			t.Fatalf("ring slot %d of %d still holds a fired value", i, len(f.ring.buf))
 		}
 	}
 }

@@ -11,6 +11,12 @@
 #                metrics rule (metricstier), goroutine stop paths
 #                (goroleak) and waiver hygiene (staleallow); the JSON
 #                report is archived to tlcvet_report.json
+#   figures    — every experiment's text at quick size, sequential and
+#                on two sweep workers, equals the checked-in golden
+#                (internal/experiment/testdata/figures_quick.golden)
+#                byte for byte, Figure 17's wall-clock rows under a
+#                fixed stopwatch; a failure names the experiment and
+#                its first differing line
 #   sweep      — parallel sweep engine smoke: ordering, panic
 #                propagation and figure parity under the race detector
 #   shardparity — sharded event engine determinism under the race
@@ -47,8 +53,10 @@
 #   allocs     — testing.AllocsPerRun guards for the event-engine
 #                (handle-less events and a FIFO stream's push and
 #                fire), metrics-observation, GTP tunnel and
-#                frame-reader hot paths, a raw malloc count over a
-#                backlogged link (its queue must slide, not regrow),
+#                frame-reader hot paths, raw malloc counts over a
+#                backlogged link (its queue must slide, not regrow)
+#                and over a link ending background packets at its
+#                transmitter,
 #                plus the ledger read bound (replaying a real-disk
 #                ledger of full segments allocates under half a
 #                record's framed size per record: reads hold one
@@ -108,6 +116,7 @@ stage build go build ./...
 stage gofmt gofmt_clean
 stage vet go vet ./...
 stage tlcvet go run ./cmd/tlcvet -json-out tlcvet_report.json ./...
+stage figures go test -run FigureGoldens -count=1 ./internal/experiment
 stage sweep go test -run Parallel -race ./internal/experiment
 stage shardparity go test -run ShardParity -race ./internal/sim ./internal/netem ./internal/stats ./internal/experiment
 stage chaos go test -run Chaos -race ./internal/experiment
