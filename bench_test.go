@@ -119,7 +119,7 @@ func BenchmarkFig16aRTT(b *testing.B) {
 func BenchmarkFig16bRounds(b *testing.B) {
 	var rounds float64
 	for i := 0; i < b.N; i++ {
-		rounds += experiment.Rounds16bFor(apps.WebCamUDP, benchOpt())
+		rounds += experiment.Fig16b(benchOpt()).Metrics["rounds_random_"+apps.WebCamUDP.Name]
 	}
 	b.ReportMetric(rounds/float64(b.N), "random-rounds")
 }

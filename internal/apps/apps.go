@@ -137,11 +137,9 @@ type Streamer struct {
 	// the same pool into the terminal sinks and drop sites.
 	Pool *netem.PacketPool
 
-	stopped     bool
-	frameCount  uint64
-	sentPackets uint64
-	sentBytes   uint64
-	emitFn      func() // bound frame/packet emitter, allocated once
+	stopped    bool
+	frameCount uint64
+	emitFn     func() // bound frame/packet emitter, allocated once
 }
 
 // NewStreamer builds a streamer for the profile.
@@ -162,16 +160,6 @@ func (s *Streamer) Start(at sim.Time) {
 // Stop halts emission.
 func (s *Streamer) Stop() { s.stopped = true }
 
-// SentPackets returns the number of packets emitted.
-func (s *Streamer) SentPackets() uint64 { return s.sentPackets }
-
-// SentBytes returns the number of bytes emitted (the edge vendor's
-// sender-side ground truth x̂e for this flow).
-func (s *Streamer) SentBytes() uint64 { return s.sentBytes }
-
-// Frames returns the number of frames emitted.
-func (s *Streamer) Frames() uint64 { return s.frameCount }
-
 func (s *Streamer) send(size int) {
 	pkt := s.Pool.Get()
 	pkt.ID = s.IDs.Next()
@@ -181,8 +169,6 @@ func (s *Streamer) send(size int) {
 	pkt.Size = size
 	pkt.Dir = s.Profile.Dir
 	pkt.Sent = s.Sched.Now()
-	s.sentPackets++
-	s.sentBytes += uint64(size)
 	if s.OnEmit != nil {
 		s.OnEmit(pkt)
 	}

@@ -9,7 +9,9 @@ import (
 	"tlc/internal/sim"
 )
 
-func runStreamer(t *testing.T, p Profile, dur time.Duration, seed int64) (*Streamer, *netem.Sink) {
+// runStreamer emits p for dur into a Sink, which counts every packet
+// and byte the streamer sent.
+func runStreamer(t *testing.T, p Profile, dur time.Duration, seed int64) *netem.Sink {
 	t.Helper()
 	s := sim.NewScheduler()
 	ids := &netem.IDGen{}
@@ -18,15 +20,15 @@ func runStreamer(t *testing.T, p Profile, dur time.Duration, seed int64) (*Strea
 	st.Start(0)
 	s.RunUntil(dur)
 	st.Stop()
-	return st, sink
+	return sink
 }
 
 // bitrate checks the measured average bitrate against the paper's
 // Table 2 value within a tolerance.
 func checkBitrate(t *testing.T, p Profile, wantMbps, tolFrac float64) {
 	t.Helper()
-	st, _ := runStreamer(t, p, 60*time.Second, 7)
-	got := float64(st.SentBytes()) * 8 / 60 / 1e6
+	sink := runStreamer(t, p, 60*time.Second, 7)
+	got := float64(sink.Bytes) * 8 / 60 / 1e6
 	if math.Abs(got-wantMbps) > wantMbps*tolFrac {
 		t.Fatalf("%s bitrate = %.3f Mbps, want %.3f +/- %.0f%%",
 			p.Name, got, wantMbps, tolFrac*100)
@@ -40,8 +42,8 @@ func TestGamingBitrate(t *testing.T)     { checkBitrate(t, Gaming, 0.02, 0.15) }
 
 func TestAvgBitrateFormulaTracksMeasurement(t *testing.T) {
 	for _, p := range []Profile{WebCamRTSP, WebCamUDP, VRidgeGVSP, Gaming} {
-		st, _ := runStreamer(t, p, 30*time.Second, 3)
-		measured := float64(st.SentBytes()) * 8 / 30
+		sink := runStreamer(t, p, 30*time.Second, 3)
+		measured := float64(sink.Bytes) * 8 / 30
 		nominal := p.AvgBitrate()
 		if math.Abs(measured-nominal) > nominal*0.2 {
 			t.Fatalf("%s: nominal %.0f bps vs measured %.0f bps", p.Name, nominal, measured)
@@ -85,8 +87,8 @@ func TestFrameFragmentation(t *testing.T) {
 			t.Fatalf("fragments = %v, want %v", sizes, want)
 		}
 	}
-	if st.Frames() != 1 || st.SentPackets() != 4 {
-		t.Fatalf("frames=%d packets=%d", st.Frames(), st.SentPackets())
+	if st.frameCount != 1 {
+		t.Fatalf("frames=%d, want 1", st.frameCount)
 	}
 }
 
@@ -149,8 +151,8 @@ func TestOnEmitTap(t *testing.T) {
 	st.Start(0)
 	s.RunUntil(2 * time.Second)
 	st.Stop()
-	if tapped == 0 || tapped != st.SentBytes() {
-		t.Fatalf("tap saw %d bytes, streamer sent %d", tapped, st.SentBytes())
+	if tapped == 0 || tapped != sink.Bytes {
+		t.Fatalf("tap saw %d bytes, streamer sent %d", tapped, sink.Bytes)
 	}
 }
 
@@ -196,11 +198,11 @@ func TestTinyFrameFloor(t *testing.T) {
 		Name: "tiny", Dir: netem.Uplink, FPS: 10,
 		MeanFrameBytes: 10, FrameSigma: 2, MTU: 1400,
 	}
-	st, sink := runStreamer(t, p, time.Second, 5)
-	if st.SentPackets() == 0 {
+	sink := runStreamer(t, p, time.Second, 5)
+	if sink.Packets == 0 {
 		t.Fatal("no packets")
 	}
-	if sink.Bytes < 64*uint64(st.SentPackets()) {
+	if sink.Bytes < 64*sink.Packets {
 		t.Fatal("frame floor of 64 bytes not applied")
 	}
 }

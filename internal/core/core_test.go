@@ -8,6 +8,48 @@ import (
 	"tlc/internal/sim"
 )
 
+// AlwaysRejectStrategy is the misbehaving party of §5.1 that
+// "intentionally rejects all claims". Negotiations against it never
+// converge; Negotiate returns with Converged=false after MaxRounds.
+type AlwaysRejectStrategy struct{ Inner Strategy }
+
+// Name implements Strategy.
+func (s AlwaysRejectStrategy) Name() string { return "always-reject" }
+
+// Claim implements Strategy.
+func (s AlwaysRejectStrategy) Claim(role Role, view View, bounds Bounds, round int, rng *sim.RNG) float64 {
+	return s.inner().Claim(role, view, bounds, round, rng)
+}
+
+// Decide implements Strategy.
+func (s AlwaysRejectStrategy) Decide(Role, View, float64, float64, int, *sim.RNG) bool { return false }
+
+func (s AlwaysRejectStrategy) inner() Strategy {
+	if s.Inner != nil {
+		return s.Inner
+	}
+	return HonestStrategy{}
+}
+
+// BoundViolatorStrategy ignores Algorithm 1's line 12 constraint and
+// keeps claiming an out-of-window volume. The other party detects the
+// violation and rejects (§5.1's misbehaviour discussion).
+type BoundViolatorStrategy struct {
+	// Volume is the insisted claim.
+	Volume float64
+}
+
+// Name implements Strategy.
+func (BoundViolatorStrategy) Name() string { return "bound-violator" }
+
+// Claim implements Strategy.
+func (s BoundViolatorStrategy) Claim(Role, View, Bounds, int, *sim.RNG) float64 { return s.Volume }
+
+// Decide implements Strategy.
+func (s BoundViolatorStrategy) Decide(role Role, view View, _, other float64, _ int, _ *sim.RNG) bool {
+	return crossCheckAccept(role, view, other, DefaultTolerance)
+}
+
 func TestCharge(t *testing.T) {
 	cases := []struct {
 		c, xe, xo, want float64

@@ -1,9 +1,8 @@
 // Package device models the edge device (UE): the hardware modem with
 // tamper-resilient traffic counters (read by the RRC COUNTER CHECK
-// procedure, §5.4), the OS-level counters behind TrafficStats/netstat
-// style APIs that a selfish edge *can* manipulate, and per-device cost
-// profiles calibrated to the paper's hardware (HPE EL20, Google Pixel
-// 2 XL, Samsung S7 Edge, HP Z840 workstation).
+// procedure, §5.4) and per-device cost profiles calibrated to the
+// paper's hardware (HPE EL20, Google Pixel 2 XL, Samsung S7 Edge, HP
+// Z840 workstation).
 package device
 
 import (
@@ -17,15 +16,8 @@ import (
 // in hardware, cannot be altered by the device OS: "we are unaware of
 // attacks that can manipulate the cellular hardware modem" (§5.4).
 type Modem struct {
-	ulBytes   uint64
-	dlBytes   uint64
-	ulPackets uint64
-	dlPackets uint64
-
-	// Listeners observe packets after counting (the OS counters and
-	// the application stack chain from here).
-	onUL []netem.Node
-	onDL []netem.Node
+	ulBytes uint64
+	dlBytes uint64
 }
 
 // CounterSnapshot implements ran.ModemCounters.
@@ -33,18 +25,11 @@ func (m *Modem) CounterSnapshot() (ulBytes, dlBytes uint64) {
 	return m.ulBytes, m.dlBytes
 }
 
-// Packets returns the packet counts (ul, dl).
-func (m *Modem) Packets() (ul, dl uint64) { return m.ulPackets, m.dlPackets }
-
 // ULNode returns a Node that counts uplink traffic through the modem
 // and forwards it to next (the air interface).
 func (m *Modem) ULNode(next netem.Node) netem.Node {
 	return netem.NodeFunc(func(p *netem.Packet) {
 		m.ulBytes += uint64(p.Size)
-		m.ulPackets++
-		for _, n := range m.onUL {
-			n.Recv(p)
-		}
 		if next != nil {
 			next.Recv(p)
 		}
@@ -52,105 +37,14 @@ func (m *Modem) ULNode(next netem.Node) netem.Node {
 }
 
 // DLNode returns a Node that counts downlink traffic received over
-// the air and forwards it up the stack to next (the OS/application).
+// the air and forwards it up the stack to next (the application).
 func (m *Modem) DLNode(next netem.Node) netem.Node {
 	return netem.NodeFunc(func(p *netem.Packet) {
 		m.dlBytes += uint64(p.Size)
-		m.dlPackets++
-		for _, n := range m.onDL {
-			n.Recv(p)
-		}
 		if next != nil {
 			next.Recv(p)
 		}
 	})
-}
-
-// TapUL registers an extra observer of uplink packets.
-func (m *Modem) TapUL(n netem.Node) { m.onUL = append(m.onUL, n) }
-
-// TapDL registers an extra observer of downlink packets.
-func (m *Modem) TapDL(n netem.Node) { m.onDL = append(m.onDL, n) }
-
-// Tamper models how a selfish edge manipulates the OS-level counters
-// that strawman monitors rely on (§5.4): modified TrafficStats /
-// netstat implementations, or the no-root bill-cycle reset trick.
-type Tamper interface {
-	// AdjustRX maps the true cumulative received bytes to what the
-	// tampered API reports.
-	AdjustRX(true_ uint64) uint64
-	// AdjustTX maps the true cumulative sent bytes to what the
-	// tampered API reports.
-	AdjustTX(true_ uint64) uint64
-}
-
-// Honest leaves the counters alone.
-type Honest struct{}
-
-// AdjustRX implements Tamper.
-func (Honest) AdjustRX(v uint64) uint64 { return v }
-
-// AdjustTX implements Tamper.
-func (Honest) AdjustTX(v uint64) uint64 { return v }
-
-// UnderReport scales the received counter down, modelling a modified
-// Android/Linux image that lies to TrafficStats-style queries.
-type UnderReport struct {
-	// Factor in [0,1]: the fraction of real usage reported.
-	Factor float64
-}
-
-// AdjustRX implements Tamper.
-func (u UnderReport) AdjustRX(v uint64) uint64 { return uint64(float64(v) * u.Factor) }
-
-// AdjustTX implements Tamper.
-func (u UnderReport) AdjustTX(v uint64) uint64 { return uint64(float64(v) * u.Factor) }
-
-// OSCounters are the operating-system traffic statistics. They mirror
-// the modem's ground truth but are read through the Tamper model.
-type OSCounters struct {
-	Tamper Tamper
-
-	rx, tx         uint64
-	rxBase, txBase uint64 // subtracted after a bill-cycle reset
-	resets         int
-}
-
-// RXNode returns a Node counting received (downlink) bytes.
-func (o *OSCounters) RXNode() netem.Node {
-	return netem.NodeFunc(func(p *netem.Packet) { o.rx += uint64(p.Size) })
-}
-
-// TXNode returns a Node counting sent (uplink) bytes.
-func (o *OSCounters) TXNode() netem.Node {
-	return netem.NodeFunc(func(p *netem.Packet) { o.tx += uint64(p.Size) })
-}
-
-// Reset emulates the no-root "reset the bill cycle for smaller usage"
-// manipulation [31]: subsequent reads report usage since the reset.
-func (o *OSCounters) Reset() {
-	o.rxBase, o.txBase = o.rx, o.tx
-	o.resets++
-}
-
-// Resets returns how many bill-cycle resets occurred.
-func (o *OSCounters) Resets() int { return o.resets }
-
-func (o *OSCounters) tamper() Tamper {
-	if o.Tamper == nil {
-		return Honest{}
-	}
-	return o.Tamper
-}
-
-// TotalRxBytes is the TrafficStats-style read of received bytes.
-func (o *OSCounters) TotalRxBytes() uint64 {
-	return o.tamper().AdjustRX(o.rx - o.rxBase)
-}
-
-// TotalTxBytes is the TrafficStats-style read of sent bytes.
-func (o *OSCounters) TotalTxBytes() uint64 {
-	return o.tamper().AdjustTX(o.tx - o.txBase)
 }
 
 // Profile captures a device's crypto and network timing, calibrated

@@ -1,8 +1,6 @@
 package epc
 
 import (
-	"encoding/xml"
-	"fmt"
 	"time"
 
 	"tlc/internal/sim"
@@ -11,20 +9,19 @@ import (
 // CDR is a charging data record as emitted by the gateway, mirroring
 // the fields of the paper's Trace 1 (an OpenEPC record).
 type CDR struct {
-	XMLName            xml.Name `xml:"chargingRecord"`
-	ServedIMSI         string   `xml:"servedIMSI"`
-	GatewayAddress     string   `xml:"gatewayAddress"`
-	ChargingID         uint32   `xml:"chargingID"`
-	SequenceNumber     uint32   `xml:"SequenceNumber"`
-	TimeOfFirstUsage   string   `xml:"timeOfFirstUsage"`
-	TimeOfLastUsage    string   `xml:"timeOfLastUsage"`
-	TimeUsage          int64    `xml:"timeUsage"` // seconds
-	DataVolumeUplink   uint64   `xml:"datavolumeUplink"`
-	DataVolumeDownlink uint64   `xml:"datavolumeDownlink"`
+	ServedIMSI         string
+	GatewayAddress     string
+	ChargingID         uint32
+	SequenceNumber     uint32
+	TimeOfFirstUsage   string
+	TimeOfLastUsage    string
+	TimeUsage          int64 // seconds
+	DataVolumeUplink   uint64
+	DataVolumeDownlink uint64
 }
 
-// cdrEpoch anchors simulated time to a wall-clock representation in
-// the XML output; the value matches the paper's Trace 1 date.
+// cdrEpoch anchors simulated time to the wall-clock timestamps a
+// record carries; the value matches the paper's Trace 1 date.
 var cdrEpoch = time.Date(2019, 1, 7, 7, 13, 46, 0, time.UTC)
 
 // FormatCDRTime renders a simulated instant in the gateway's
@@ -33,34 +30,7 @@ func FormatCDRTime(t sim.Time) string {
 	return cdrEpoch.Add(t).Format("2006-01-02 15:04:05")
 }
 
-// ParseCDRTime converts a formatted CDR time back into simulated time.
-func ParseCDRTime(s string) (sim.Time, error) {
-	t, err := time.Parse("2006-01-02 15:04:05", s)
-	if err != nil {
-		return 0, fmt.Errorf("epc: bad CDR time %q: %w", s, err)
-	}
-	return t.Sub(cdrEpoch), nil
-}
-
-// MarshalXMLText renders the CDR as indented XML in the Trace 1 style.
-func (c *CDR) MarshalXMLText() ([]byte, error) {
-	return xml.MarshalIndent(c, "", "  ")
-}
-
-// ParseCDRXML decodes one chargingRecord element.
-func ParseCDRXML(data []byte) (*CDR, error) {
-	var c CDR
-	if err := xml.Unmarshal(data, &c); err != nil {
-		return nil, fmt.Errorf("epc: decode CDR: %w", err)
-	}
-	return &c, nil
-}
-
-// Volume returns the record's total bytes in both directions.
-func (c *CDR) Volume() uint64 { return c.DataVolumeUplink + c.DataVolumeDownlink }
-
 // LegacyCDRWireSize is the paper's measured size of a plain LTE CDR
-// on the wire (Figure 17's overhead table: 34 bytes). Our XML
-// rendering is a diagnostic form; the binary gateway encoding the
-// overhead analysis uses is this constant.
+// on the wire (Figure 17's overhead table: 34 bytes), the binary
+// gateway encoding the overhead analysis uses.
 const LegacyCDRWireSize = 34

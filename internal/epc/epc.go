@@ -14,7 +14,6 @@ package epc
 
 import (
 	"fmt"
-	"time"
 
 	"tlc/internal/sim"
 )
@@ -40,18 +39,6 @@ func NewHSS() *HSS { return &HSS{subs: make(map[string]*Subscriber)} }
 func (h *HSS) Register(s *Subscriber) {
 	h.subs[s.IMSI] = s
 }
-
-// Lookup returns the subscriber record for an IMSI.
-func (h *HSS) Lookup(imsi string) (*Subscriber, bool) {
-	s, ok := h.subs[imsi]
-	return s, ok
-}
-
-// Deregister removes a subscriber.
-func (h *HSS) Deregister(imsi string) { delete(h.subs, imsi) }
-
-// Len returns the number of registered subscribers.
-func (h *HSS) Len() int { return len(h.subs) }
 
 // PolicyRule maps an application flow to a QoS class. The gaming
 // acceleration use case (§2.2) installs QCI=7 for its control flow
@@ -150,15 +137,9 @@ func (m *MME) Attached(imsi string) bool {
 	return ok && s.State == SessionAttached
 }
 
-// Session returns the session record, if any.
-func (m *MME) Session(imsi string) (*Session, bool) {
-	s, ok := m.sessions[imsi]
-	return s, ok
-}
-
 // FormatIMSITrace renders an IMSI in the nibble-swapped hex form seen
-// in the paper's Trace 1 ("00 01 11 32 54 76 48 F5"). It exists so the
-// CDR XML output looks like a real gateway's.
+// in the paper's Trace 1 ("00 01 11 32 54 76 48 F5"), as a real
+// gateway's records carry it.
 func FormatIMSITrace(imsi string) string {
 	// Pad to an even number of digits with a trailing filler 'F',
 	// then swap nibbles per byte, per TBCD encoding.
@@ -191,18 +172,4 @@ type Plan struct {
 	// ThrottleBps is the speed limit applied once the quota is
 	// exceeded (the "128Kbps after 15GB" plans of §2.1).
 	ThrottleBps float64
-}
-
-// CycleDuration returns the cycle length.
-func (p Plan) CycleDuration() time.Duration { return p.CycleEnd - p.CycleStart }
-
-// Validate checks plan invariants.
-func (p Plan) Validate() error {
-	if p.CycleEnd <= p.CycleStart {
-		return fmt.Errorf("epc: empty charging cycle [%v, %v)", p.CycleStart, p.CycleEnd)
-	}
-	if p.C < 0 || p.C > 1 {
-		return fmt.Errorf("epc: charging weight c=%v outside [0,1]", p.C)
-	}
-	return nil
 }

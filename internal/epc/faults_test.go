@@ -24,15 +24,15 @@ func TestOFCSCrashRollsBackLossWindow(t *testing.T) {
 	if lost != 3 {
 		t.Fatalf("lost %d records, want 3", lost)
 	}
-	u, ok := o.UsageFor("imsi-1")
+	u, ok := o.usage["imsi-1"]
 	if !ok || u.UL != 100 || u.DL != 10 || u.Records != 1 {
 		t.Fatalf("post-crash usage %+v", u)
 	}
 	if o.Records() != 1 {
 		t.Fatalf("post-crash records %d, want 1", o.Records())
 	}
-	if !o.Down() || o.Crashes() != 1 {
-		t.Fatalf("down=%v crashes=%d", o.Down(), o.Crashes())
+	if !o.down || o.Crashes() != 1 {
+		t.Fatalf("down=%v crashes=%d", o.down, o.Crashes())
 	}
 
 	// While down, collection is lost, not stored.
@@ -44,8 +44,8 @@ func TestOFCSCrashRollsBackLossWindow(t *testing.T) {
 		t.Fatalf("LostRecords %d, want 4", o.LostRecords())
 	}
 	wantBytes := uint64(200 + 20 + 300 + 30 + 400 + 40 + 500 + 50)
-	if o.LostBytes() != wantBytes {
-		t.Fatalf("LostBytes %d, want %d", o.LostBytes(), wantBytes)
+	if o.lostBytes != wantBytes {
+		t.Fatalf("LostBytes %d, want %d", o.lostBytes, wantBytes)
 	}
 
 	// After restart, collection resumes.
@@ -54,7 +54,7 @@ func TestOFCSCrashRollsBackLossWindow(t *testing.T) {
 	if o.Records() != 2 {
 		t.Fatalf("post-restart records %d, want 2", o.Records())
 	}
-	u, _ = o.UsageFor("imsi-1")
+	u, _ = o.usage["imsi-1"]
 	if u.UL != 700 || u.Records != 2 {
 		t.Fatalf("post-restart usage %+v", u)
 	}
@@ -66,11 +66,11 @@ func TestOFCSCrashKeepsQuotaTrip(t *testing.T) {
 	fired := 0
 	o.OnQuotaExceeded = func(string, uint64) { fired++ }
 	o.CollectAt(&CDR{ServedIMSI: "x", DataVolumeUplink: 80}, time.Second)
-	if fired != 1 || !o.QuotaExceeded("x") {
+	if fired != 1 || !o.exceeded["x"] {
 		t.Fatalf("quota not tripped: fired=%d", fired)
 	}
 	o.Crash(time.Second, time.Second)
-	if !o.QuotaExceeded("x") {
+	if !o.exceeded["x"] {
 		t.Fatal("crash rolled back a quota trip")
 	}
 }
@@ -100,13 +100,13 @@ func TestSPGWRestartMeters(t *testing.T) {
 	if g.Restarts() != 1 || g.RestartLostBytes() != 500 {
 		t.Fatalf("restart counters: %d, %d", g.Restarts(), g.RestartLostBytes())
 	}
-	if got := g.MeteredUL("ue1"); got != 0 {
+	if got := g.session("ue1").ulMeter.TotalBytes(); got != 0 {
 		t.Fatalf("post-restart meter %d, want 0", got)
 	}
 
 	push(200)
 	g.FlushCDRs(s.Now())
-	u, ok := g.OFCS.UsageFor(FormatIMSITrace("ue1"))
+	u, ok := g.OFCS.usage[FormatIMSITrace("ue1")]
 	if !ok {
 		t.Fatal("no usage after restart flush")
 	}
@@ -135,7 +135,7 @@ func TestSPGWFlushClampsForeignMeterReset(t *testing.T) {
 	sess.ulMeter.Recv(&netem.Packet{IMSI: "ue1", Size: 10})
 
 	g.FlushCDRs(s.Now())
-	u, _ := g.OFCS.UsageFor(FormatIMSITrace("ue1"))
+	u, _ := g.OFCS.usage[FormatIMSITrace("ue1")]
 	if u.UL > 2000 {
 		t.Fatalf("delta underflowed: charged %d", u.UL)
 	}
@@ -185,20 +185,20 @@ func TestOFCSCrashRecoversFromLedger(t *testing.T) {
 	if o.LostWindowRecords() != 0 {
 		t.Fatalf("LostWindowRecords %d, want 0 — everything was fsynced", o.LostWindowRecords())
 	}
-	u, _ := o.UsageFor("imsi-1")
+	u, _ := o.usage["imsi-1"]
 	if u.UL != 1000 || u.DL != 100 || u.Records != 4 {
 		t.Fatalf("post-recovery usage %+v, want the full pre-crash aggregate", u)
 	}
-	if o.LostBytes() != 550 {
-		t.Fatalf("LostBytes %d, want 550 (the while-down record only)", o.LostBytes())
+	if o.lostBytes != 550 {
+		t.Fatalf("LostBytes %d, want 550 (the while-down record only)", o.lostBytes)
 	}
 	// Collection resumes and keeps logging durably.
 	o.CollectAt(mk(6, 600, 60), 6*time.Second)
 	if o.Records() != 5 {
 		t.Fatalf("post-restart records %d, want 5", o.Records())
 	}
-	if o.LedgerErrors() != 0 {
-		t.Fatalf("ledger errors %d", o.LedgerErrors())
+	if o.appendErrs != 0 {
+		t.Fatalf("ledger errors %d", o.appendErrs)
 	}
 }
 
@@ -236,7 +236,7 @@ func TestOFCSCrashLedgerTornTail(t *testing.T) {
 	if o.LostWindowRecords() != 2 {
 		t.Fatalf("LostWindowRecords %d, want 2", o.LostWindowRecords())
 	}
-	u, _ := o.UsageFor("imsi-1")
+	u, _ := o.usage["imsi-1"]
 	if u.Records != 8 || u.UL != 1+2+3+4+5+6+7+8 {
 		t.Fatalf("post-recovery usage %+v", u)
 	}
@@ -273,7 +273,7 @@ func TestOFCSDoubleCrashRecovery(t *testing.T) {
 	if rec := o.Restart(); rec != 2 {
 		t.Fatalf("second recovery %d, want 2", rec)
 	}
-	u, _ := o.UsageFor("imsi-1")
+	u, _ := o.usage["imsi-1"]
 	if u.Records != 6 || u.UL != 1+2+3+4+5+6 {
 		t.Fatalf("post-recovery usage %+v, want all six records exactly once", u)
 	}

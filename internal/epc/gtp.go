@@ -1,10 +1,6 @@
 package epc
 
 import (
-	"encoding/binary"
-	"errors"
-	"fmt"
-
 	"tlc/internal/netem"
 )
 
@@ -20,50 +16,6 @@ import (
 // GTPHeaderSize is the fixed GTPv1-U header length used here (no
 // optional fields): version/flags, message type, length, TEID.
 const GTPHeaderSize = 8
-
-// GTP message types (subset).
-const (
-	// GTPMsgTPDU carries a user packet.
-	GTPMsgTPDU = 0xFF
-	// GTPMsgEchoRequest / Response implement path keepalive.
-	GTPMsgEchoRequest  = 0x01
-	GTPMsgEchoResponse = 0x02
-)
-
-// GTPHeader is a GTPv1-U header.
-type GTPHeader struct {
-	MessageType uint8
-	Length      uint16 // payload bytes following the 8-byte header
-	TEID        uint32
-}
-
-// Marshal encodes the header.
-func (h GTPHeader) Marshal() []byte {
-	b := make([]byte, GTPHeaderSize)
-	b[0] = 0x30 // version 1, protocol type GTP, no options
-	b[1] = h.MessageType
-	binary.BigEndian.PutUint16(b[2:4], h.Length)
-	binary.BigEndian.PutUint32(b[4:8], h.TEID)
-	return b
-}
-
-// ParseGTPHeader decodes a GTPv1-U header.
-func ParseGTPHeader(data []byte) (GTPHeader, error) {
-	if len(data) < GTPHeaderSize {
-		return GTPHeader{}, errors.New("epc: short GTP header")
-	}
-	if data[0]>>5 != 1 {
-		return GTPHeader{}, fmt.Errorf("epc: unsupported GTP version %d", data[0]>>5)
-	}
-	if data[0]&0x10 == 0 {
-		return GTPHeader{}, errors.New("epc: not GTP (protocol type bit clear)")
-	}
-	return GTPHeader{
-		MessageType: data[1],
-		Length:      binary.BigEndian.Uint16(data[2:4]),
-		TEID:        binary.BigEndian.Uint32(data[4:8]),
-	}, nil
-}
 
 // BearerTable allocates and resolves tunnel endpoint IDs per
 // (IMSI, QCI) bearer, as the control plane would during session
@@ -110,15 +62,6 @@ func (t *BearerTable) Establish(imsi string, qci uint8) uint32 {
 func (t *BearerTable) Resolve(teid uint32) (BearerInfo, bool) {
 	info, ok := t.byTEID[teid]
 	return info, ok
-}
-
-// Release tears down a bearer.
-func (t *BearerTable) Release(imsi string, qci uint8) {
-	k := bearerKey{imsi, qci}
-	if teid, ok := t.byKey[k]; ok {
-		delete(t.byKey, k)
-		delete(t.byTEID, teid)
-	}
 }
 
 // Len returns the number of established bearers.

@@ -2,51 +2,9 @@ package epc
 
 import (
 	"testing"
-	"testing/quick"
 
 	"tlc/internal/netem"
 )
-
-func TestGTPHeaderRoundTrip(t *testing.T) {
-	h := GTPHeader{MessageType: GTPMsgTPDU, Length: 1400, TEID: 0xDEADBEEF}
-	data := h.Marshal()
-	if len(data) != GTPHeaderSize {
-		t.Fatalf("header length = %d", len(data))
-	}
-	back, err := ParseGTPHeader(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back != h {
-		t.Fatalf("round trip: %+v vs %+v", back, h)
-	}
-}
-
-func TestGTPHeaderRoundTripProperty(t *testing.T) {
-	f := func(mt uint8, length uint16, teid uint32) bool {
-		h := GTPHeader{MessageType: mt, Length: length, TEID: teid}
-		back, err := ParseGTPHeader(h.Marshal())
-		return err == nil && back == h
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestParseGTPHeaderErrors(t *testing.T) {
-	if _, err := ParseGTPHeader([]byte{0x30, 0xFF}); err == nil {
-		t.Fatal("short header accepted")
-	}
-	bad := GTPHeader{MessageType: GTPMsgTPDU}.Marshal()
-	bad[0] = 0x50 // version 2
-	if _, err := ParseGTPHeader(bad); err == nil {
-		t.Fatal("GTP version 2 accepted")
-	}
-	bad[0] = 0x20 // version 1 but protocol-type bit clear (GTP')
-	if _, err := ParseGTPHeader(bad); err == nil {
-		t.Fatal("GTP' accepted")
-	}
-}
 
 func TestBearerTable(t *testing.T) {
 	bt := NewBearerTable()
@@ -70,14 +28,9 @@ func TestBearerTable(t *testing.T) {
 	if bt.Len() != 3 {
 		t.Fatalf("Len = %d", bt.Len())
 	}
-	bt.Release("imsiA", 7)
-	if _, ok := bt.Resolve(t2); ok {
-		t.Fatal("released TEID still resolves")
+	if _, ok := bt.Resolve(0); ok {
+		t.Fatal("the reserved TEID 0 resolves")
 	}
-	if bt.Len() != 2 {
-		t.Fatalf("Len after release = %d", bt.Len())
-	}
-	bt.Release("nobody", 9) // no-op
 }
 
 func TestGTPEncapDecapRoundTrip(t *testing.T) {

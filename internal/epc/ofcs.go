@@ -1,7 +1,6 @@
 package epc
 
 import (
-	"sort"
 	"time"
 
 	"tlc/internal/ledger"
@@ -78,14 +77,12 @@ func NewOFCS() *OFCS {
 }
 
 // SetPlan installs the data plan whose quota the OFCS enforces.
+//
+//tlcvet:allow unreached — §2.1 quota-to-throttle reproduction, which only go test ./internal/epc -run Quota runs
 func (o *OFCS) SetPlan(p Plan) {
 	o.plan = p
 	o.hasPlan = true
 }
-
-// Collect ingests one CDR with no arrival stamp (time zero); callers
-// with a clock should prefer CollectAt so crash loss windows work.
-func (o *OFCS) Collect(c *CDR) { o.CollectAt(c, 0) }
 
 // AttachLedger makes the OFCS durable: every collected CDR is also
 // appended to led (under cycle as the charging-cycle id), and
@@ -154,39 +151,6 @@ func (o *OFCS) ingest(c *CDR, now sim.Time) {
 // Records returns the number of CDRs collected (the dataset size
 // reported in Figure 11c).
 func (o *OFCS) Records() int { return len(o.cdrs) }
-
-// CDRs returns the collected records.
-func (o *OFCS) CDRs() []*CDR { return o.cdrs }
-
-// UsageFor returns the aggregated usage for a subscriber (by its
-// Trace-1 formatted IMSI, as carried in the CDRs).
-func (o *OFCS) UsageFor(imsi string) (*Usage, bool) {
-	u, ok := o.usage[imsi]
-	return u, ok
-}
-
-// TotalVolume returns all charged bytes across subscribers.
-func (o *OFCS) TotalVolume() uint64 {
-	var total uint64
-	for _, u := range o.usage {
-		total += u.Total()
-	}
-	return total
-}
-
-// Subscribers returns the IMSIs seen, sorted for deterministic
-// iteration.
-func (o *OFCS) Subscribers() []string {
-	out := make([]string, 0, len(o.usage))
-	for imsi := range o.usage {
-		out = append(out, imsi)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// QuotaExceeded reports whether a subscriber passed the plan quota.
-func (o *OFCS) QuotaExceeded(imsi string) bool { return o.exceeded[imsi] }
 
 // Crash simulates the charging collector dying at time now: records
 // collected within the trailing lossWindow (not yet durably flushed)
@@ -283,19 +247,9 @@ func (o *OFCS) RecoveredRecords() int { return o.recovered }
 // after any ledger recovery: the truly-torn tail.
 func (o *OFCS) LostWindowRecords() int { return o.lostWindowRecords }
 
-// LedgerErrors returns ledger append/replay failures absorbed by the
-// OFCS (counted, never fatal to the simulation).
-func (o *OFCS) LedgerErrors() int { return o.appendErrs }
-
-// Down reports whether the OFCS is currently crashed.
-func (o *OFCS) Down() bool { return o.down }
-
 // Crashes returns how many times the OFCS crashed.
 func (o *OFCS) Crashes() int { return o.crashes }
 
 // LostRecords returns CDRs lost to crashes: rolled out of the loss
 // window plus discarded while down.
 func (o *OFCS) LostRecords() int { return o.lostWindowRecords + o.lostWhileDown }
-
-// LostBytes returns the charged volume those lost records carried.
-func (o *OFCS) LostBytes() uint64 { return o.lostBytes }

@@ -32,12 +32,16 @@ type Policer struct {
 
 // NewPolicer returns an inactive policer (everything passes until
 // Throttle is called).
+//
+//tlcvet:allow unreached — §2.1 quota-to-throttle reproduction, which only go test ./internal/epc -run Quota runs
 func NewPolicer(sched *sim.Scheduler, next netem.Node) *Policer {
 	return &Policer{Sched: sched, Next: next}
 }
 
 // Throttle activates the rate limit; wire it to
 // OFCS.OnQuotaExceeded.
+//
+//tlcvet:allow unreached — §2.1 quota-to-throttle reproduction, which only go test ./internal/epc -run Quota runs
 func (p *Policer) Throttle(bps float64) {
 	if bps <= 0 {
 		return
@@ -52,12 +56,18 @@ func (p *Policer) Throttle(bps float64) {
 }
 
 // Release deactivates the limit (e.g. a new billing cycle).
+//
+//tlcvet:allow unreached — §2.1 quota-to-throttle reproduction, which only go test ./internal/epc -run Quota runs
 func (p *Policer) Release() { p.active = false }
 
 // Active reports whether the subscriber is currently throttled.
+//
+//tlcvet:allow unreached — §2.1 quota-to-throttle reproduction, which only go test ./internal/epc -run Quota runs
 func (p *Policer) Active() bool { return p.active }
 
 // Recv implements netem.Node.
+//
+//tlcvet:allow unreached — §2.1 quota-to-throttle reproduction, which only go test ./internal/epc -run Quota runs
 func (p *Policer) Recv(pkt *netem.Packet) {
 	if !p.active || pkt.Background {
 		if p.Next != nil {

@@ -101,7 +101,7 @@ func TestQuotaToThrottleEndToEnd(t *testing.T) {
 	}
 	// 8Mbps would meter 30MB without the quota; with the 2MB quota
 	// and 128Kbps throttle the charge stays near the quota.
-	metered := gw.MeteredUL("imsi1")
+	metered := gw.session("imsi1").ulMeter.TotalBytes()
 	if metered > 4_000_000 {
 		t.Fatalf("metered %d bytes after quota, throttle ineffective", metered)
 	}

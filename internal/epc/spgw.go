@@ -259,12 +259,6 @@ func (g *SPGW) DLNode() netem.Node {
 	})
 }
 
-// MeteredUL returns total metered uplink bytes for a subscriber.
-func (g *SPGW) MeteredUL(imsi string) uint64 { return g.session(imsi).ulMeter.TotalBytes() }
-
-// MeteredDL returns total metered downlink bytes for a subscriber.
-func (g *SPGW) MeteredDL(imsi string) uint64 { return g.session(imsi).dlMeter.TotalBytes() }
-
 // UsageInWindow returns the metered bytes for a subscriber inside an
 // arbitrary window of true time. The operator's charging function
 // queries this with its (possibly clock-skewed) view of the cycle.

@@ -1,9 +1,9 @@
 package experiment
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
-	"net"
 	"strings"
 	"sync"
 	"time"
@@ -307,27 +307,15 @@ func byzantineBattery(seeds int) (forgedVerified, typedRejections, runs int) {
 				Stale:  stale,
 			}
 
-			ec, bc := net.Pipe()
-			type byzOut struct {
-				frames [][]byte
-				err    error
-			}
-			ch := make(chan byzOut, 1)
-			go func() {
-				frames, berr := byz.Run(bc)
-				ch <- byzOut{frames, berr}
-			}()
-			_, runErr := edge.Run(ec, true)
-			out := <-ch
-			_ = ec.Close()
-			_ = bc.Close()
+			wire := &byzWire{byz: byz}
+			_, runErr := edge.Run(wire, true)
 
 			if runErr != nil && (errors.Is(runErr, protocol.ErrBadPeer) ||
 				errors.Is(runErr, protocol.ErrBadMessage) ||
 				errors.Is(runErr, protocol.ErrStaleProof)) {
 				typedRejections++
 			}
-			for _, frame := range out.frames {
+			for _, frame := range wire.sent {
 				if len(frame) == 0 || frame[0] != 3 {
 					continue
 				}
@@ -351,3 +339,38 @@ func byzantineBattery(seeds int) (forgedVerified, typedRejections, runs int) {
 	}
 	return forgedVerified, typedRejections, runs
 }
+
+// byzWire is the honest edge's connection to a byzantine responder,
+// in memory: the first whole frame the edge writes is answered at
+// once, so the exchange runs on the caller's goroutine. Once the
+// responder's frames are read, the edge reads io.EOF, as from a peer
+// that hung up.
+type byzWire struct {
+	byz      *protocol.Byzantine
+	in       []byte       // what the edge wrote before the answer
+	answered bool         // the responder has answered
+	out      bytes.Buffer // the responder's framed answer
+	sent     [][]byte     // the frames the responder sent
+}
+
+func (w *byzWire) Write(p []byte) (int, error) {
+	if w.answered {
+		return len(p), nil
+	}
+	w.in = append(w.in, p...)
+	opening, err := protocol.ReadFrame(bytes.NewReader(w.in))
+	if err != nil {
+		return len(p), nil // not a whole frame yet
+	}
+	w.answered = true
+	// A responder that fails sends nothing, and the edge reads EOF.
+	w.sent, _ = w.byz.Respond(opening)
+	for _, frame := range w.sent {
+		if err := protocol.WriteFrame(&w.out, frame); err != nil {
+			return len(p), err
+		}
+	}
+	return len(p), nil
+}
+
+func (w *byzWire) Read(p []byte) (int, error) { return w.out.Read(p) }

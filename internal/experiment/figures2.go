@@ -8,6 +8,7 @@ import (
 	"tlc/internal/apps"
 	"tlc/internal/core"
 	"tlc/internal/device"
+	"tlc/internal/monitor"
 	"tlc/internal/poc"
 	"tlc/internal/sim"
 	"tlc/internal/stats"
@@ -194,10 +195,10 @@ func Fig18(opt Options) Result {
 	opErr, edgeErr := stats.NewSample(), stats.NewSample()
 	for _, r := range runs {
 		if r.Truth.Received > 0 {
-			opErr.Add(relError(r.OpView.Received, r.Truth.Received) * 100)
+			opErr.Add(monitor.RecordError(r.OpView.Received, r.Truth.Received) * 100)
 		}
 		if r.Truth.Sent > 0 {
-			edgeErr.Add(relError(r.EdgeView.Sent, r.Truth.Sent) * 100)
+			edgeErr.Add(monitor.RecordError(r.EdgeView.Sent, r.Truth.Sent) * 100)
 		}
 	}
 	var b strings.Builder
@@ -210,17 +211,6 @@ func Fig18(opt Options) Result {
 		"edge_err_pct_mean": edgeErr.Mean(),
 	}
 	return Result{ID: "fig18", Title: "Figure 18: tamper-resilient CDR accuracy", Text: b.String(), Metrics: metrics}
-}
-
-func relError(est, truth float64) float64 {
-	if truth == 0 {
-		return 0
-	}
-	d := est - truth
-	if d < 0 {
-		d = -d
-	}
-	return d / truth
 }
 
 // AppendixD reproduces the generic-charging analysis: when the edge
@@ -262,22 +252,6 @@ func AppendixD(opt Options) Result {
 	}
 	b.WriteString("(Appendix D: over-charging bounded by the server→core loss; legacy is unbounded)\n")
 	return Result{ID: "appendixD", Title: "Appendix D: TLC in generic mobile data charging", Text: b.String(), Metrics: metrics}
-}
-
-// Rounds16bFor exposes the Figure 16b per-app round computation for
-// reuse by benchmarks.
-func Rounds16bFor(app apps.Profile, opt Options) (randomRounds float64) {
-	opt = opt.withDefaults()
-	r := NewTestbed(Config{
-		App: app, Seed: 1666, C: 0.5,
-		Duration: opt.Duration, BackgroundMbps: 100,
-	}).Run()
-	total := 0
-	const n = 40
-	for k := 0; k < n; k++ {
-		total += Evaluate(r, SchemeRandom, int64(1667+k)).Rounds
-	}
-	return float64(total) / n
 }
 
 // Handover is an extension experiment beyond the paper's figures: it

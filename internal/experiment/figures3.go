@@ -7,7 +7,6 @@ import (
 
 	"tlc/internal/apps"
 	"tlc/internal/core"
-	"tlc/internal/device"
 	"tlc/internal/netem"
 	"tlc/internal/sim"
 	"tlc/internal/transport"
@@ -67,9 +66,8 @@ func Retransmission(opt Options) Result {
 }
 
 // Strawman reproduces §5.4's monitor comparison: how each candidate
-// downlink charging record fares against a selfish edge that tampers
-// with the device OS counters, versus the RRC COUNTER CHECK record
-// TLC adopts.
+// downlink charging record fares against a selfish edge that ships a
+// modified OS image, versus the RRC COUNTER CHECK record TLC adopts.
 func Strawman(opt Options) Result {
 	opt = opt.withDefaults()
 	var b strings.Builder
@@ -79,9 +77,6 @@ func Strawman(opt Options) Result {
 	tb := NewTestbed(Config{
 		App: apps.VRidgeGVSP, Seed: 5400, C: 0.5, Duration: opt.Duration,
 	})
-	// The selfish edge ships a modified OS image: the user-space
-	// TrafficStats-style API under-reports...
-	tb.OS.Tamper = device.UnderReport{Factor: tamper}
 	r := tb.Run()
 	truth := r.Truth.Received
 
@@ -96,8 +91,9 @@ func Strawman(opt Options) Result {
 		metrics["record_err_"+key] = err
 	}
 
-	// Strawman 1: user-space monitor reading the (tampered) OS API
-	// over the operator's cycle window.
+	// Strawman 1: user-space monitor reading the OS API over the
+	// operator's cycle window. The selfish edge's modified OS image
+	// scales what that TrafficStats-style API reports by tamper.
 	opW := tb.OpClock.ObservedWindow(tb.Plan())
 	trueWindowed := tb.DevAppRecv.BytesInWindow(opW.Start, opW.End)
 	strawman1 := trueWindowed * tamper

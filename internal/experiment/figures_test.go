@@ -145,12 +145,11 @@ func TestFig16aNoInCycleImpact(t *testing.T) {
 func TestFig16bOptimalIsOneRound(t *testing.T) {
 	opt := Quick()
 	opt.Duration = 15 * time.Second
-	rounds := Rounds16bFor(apps.WebCamUDP, opt)
-	if rounds < 1.2 || rounds > 10 {
+	res := Fig16b(opt)
+	if rounds := res.Metrics["rounds_random_"+apps.WebCamUDP.Name]; rounds < 1.2 || rounds > 10 {
 		t.Fatalf("random rounds = %.1f, want a few", rounds)
 	}
-	res := Fig16b(opt)
-	if !strings.Contains(res.Text, "TLC-optimal") {
+	if !strings.Contains(res.Text, "TLC-optimal") || res.Metrics["rounds_optimal"] != 1 {
 		t.Fatalf("fig16b output:\n%s", res.Text)
 	}
 }

@@ -14,10 +14,10 @@ var updateGoldens = flag.Bool("update", false, "rewrite the figure goldens under
 // quickGolden holds the text of every experiment at Quick() size.
 const quickGolden = "testdata/figures_quick.golden"
 
-// goldenOptions returns Quick() with the wall-clock probe replaced, so
+// goldenOptions returns size with the wall-clock probe replaced, so
 // every line of every experiment is a pure function of the code.
-func goldenOptions(workers int) Options {
-	opt := Quick()
+func goldenOptions(size Options, workers int) Options {
+	opt := size
 	opt.Workers = workers
 	opt.Stopwatch = fixedStopwatch(100*time.Millisecond, 250*time.Millisecond)
 	return opt
@@ -80,9 +80,35 @@ func firstDiff(got, want string) (n int, g, w string) {
 // (go test ./internal/experiment -run FigureGoldens -update) in the
 // same commit, so its diff shows every number that moved.
 func TestFigureGoldensQuick(t *testing.T) {
-	path := filepath.FromSlash(quickGolden)
+	workerCounts := []int{0, 2}
+	if raceEnabled {
+		workerCounts = workerCounts[1:]
+	}
+	checkGolden(t, quickGolden, Quick(), workerCounts)
+}
+
+// fullGolden holds the text of every experiment at the size of
+// results_all.txt: 45 s cycles, 2 seeds per grid point.
+const fullGolden = "testdata/figures_full.golden"
+
+// TestFigureGoldensFull is the full-size twin of the quick golden, on
+// two sweep workers. It takes about ten seconds, so -short and the race
+// detector skip it.
+func TestFigureGoldensFull(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("full-size figures take about ten seconds; run without -short and -race")
+	}
+	checkGolden(t, fullGolden, Options{Duration: 45 * time.Second, Seeds: 2}, []int{2})
+}
+
+// checkGolden renders every experiment at size opt for each worker
+// count and compares each section with the golden at path. With
+// -update it first rewrites the golden from the first worker count.
+func checkGolden(t *testing.T, path string, size Options, workerCounts []int) {
+	t.Helper()
+	path = filepath.FromSlash(path)
 	if *updateGoldens {
-		data := strings.Join(renderFigures(t, goldenOptions(0)), "")
+		data := strings.Join(renderFigures(t, goldenOptions(size, workerCounts[0])), "")
 		if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -92,16 +118,12 @@ func TestFigureGoldensQuick(t *testing.T) {
 		t.Fatalf("read golden: %v", err)
 	}
 	want := splitGolden(string(data))
-	workerCounts := []int{0, 2}
-	if raceEnabled {
-		workerCounts = workerCounts[1:]
-	}
 	for _, workers := range workerCounts {
-		for i, got := range renderFigures(t, goldenOptions(workers)) {
+		for i, got := range renderFigures(t, goldenOptions(size, workers)) {
 			id := IDs[i]
 			exp, ok := want[id]
 			if !ok {
-				t.Errorf("workers=%d: %s has no %s section", workers, quickGolden, id)
+				t.Errorf("workers=%d: %s has no %s section", workers, path, id)
 				continue
 			}
 			if got != exp {
@@ -112,6 +134,6 @@ func TestFigureGoldensQuick(t *testing.T) {
 		}
 	}
 	if len(want) != len(IDs) {
-		t.Errorf("%s holds %d sections, IDs lists %d experiments", quickGolden, len(want), len(IDs))
+		t.Errorf("%s holds %d sections, IDs lists %d experiments", path, len(want), len(IDs))
 	}
 }

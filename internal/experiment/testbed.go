@@ -10,7 +10,7 @@
 //	    residual) → operator server-port monitor → server app
 //	DL: server app → SPGW meter (QCI stamp, detach drop) → core
 //	    bridge (congestion queue) → DL air (gated, RSS loss, queue)
-//	    → modem → device OS → device app
+//	    → modem → device app
 //
 // Background iperf-style traffic shares the core bridge and the DL
 // air interface, so congestion drops land after the metering point —
@@ -205,7 +205,6 @@ type Testbed struct {
 	BS    *ran.BaseStation
 
 	Modem *device.Modem
-	OS    *device.OSCounters
 
 	Streamer *apps.Streamer
 	Replayer *trace.Replayer
@@ -297,7 +296,6 @@ func NewTestbed(cfg Config) *Testbed {
 
 	// Device.
 	tb.Modem = &device.Modem{}
-	tb.OS = &device.OSCounters{}
 	tb.BS = ran.NewBaseStation(s, tb.Radio, tb.Modem)
 
 	// Meters.
@@ -345,14 +343,7 @@ func NewTestbed(cfg Config) *Testbed {
 		}
 		tb.Pool.Put(p)
 	})
-	osRX := tb.OS.RXNode()
-	dlOS := netem.NodeFunc(func(p *netem.Packet) {
-		if p.Dir == netem.Downlink {
-			osRX.Recv(p)
-		}
-		dlDevice.Recv(p)
-	})
-	modemDL := tb.Modem.DLNode(dlOS)
+	modemDL := tb.Modem.DLNode(dlDevice)
 	// Background DL traffic terminates at the cell without reaching
 	// this device's modem (it belongs to the other phone).
 	dlAirDst := netem.NodeFunc(func(p *netem.Packet) {
@@ -424,11 +415,9 @@ func NewTestbed(cfg Config) *Testbed {
 		QueueBytes: airQueue, ResidualLoss: ulAirResidualLoss,
 	}, s, tb.Radio, bsTap(ulEncap), tb.RNG.Fork("ul-air"))
 	tb.ULAir.Pool = tb.Pool
-	osTX := tb.OS.TXNode()
 	modemUL := tb.Modem.ULNode(tb.ULAir)
 	deviceULStack := netem.NodeFunc(func(p *netem.Packet) {
 		tb.DevAppSent.Recv(p)
-		osTX.Recv(p)
 		modemUL.Recv(p)
 	})
 

@@ -6,24 +6,14 @@ import (
 	"tlc/internal/sim"
 )
 
-// traceKeep is how many trace lines are kept verbatim by default;
-// beyond that only the rolling hash and count advance, so arbitrarily
-// long runs stay comparable at constant memory.
-const traceKeep = 512
-
 // Trace is an append-only log of injected faults. Two runs of the
 // same (seed, Spec) pair must produce identical traces — Summary()
-// folds every line (kept or not) into an FNV-1a hash so the
-// determinism pin is exact regardless of length. A nil *Trace is
+// folds every line into an FNV-1a hash, so the determinism pin is
+// exact at constant memory however long the run. A nil *Trace is
 // valid and records nothing.
 type Trace struct {
-	// Keep overrides how many lines are stored verbatim (default
-	// traceKeep). Set before the first Addf.
-	Keep int
-
-	entries []string
-	n       uint64
-	hash    uint64
+	n    uint64
+	hash uint64
 }
 
 // Addf records one fault event stamped with the simulated time.
@@ -41,18 +31,10 @@ func (t *Trace) Addf(now sim.Time, format string, args ...any) {
 	}
 	t.hash ^= '\n'
 	t.hash *= 1099511628211
-	keep := t.Keep
-	if keep <= 0 {
-		keep = traceKeep
-	}
-	if len(t.entries) < keep {
-		t.entries = append(t.entries, line)
-	}
 	t.n++
 }
 
-// Len returns how many events were recorded (including ones beyond
-// the verbatim window).
+// Len returns how many events were recorded.
 func (t *Trace) Len() int {
 	if t == nil {
 		return 0
@@ -66,14 +48,6 @@ func (t *Trace) Hash() uint64 {
 		return 0
 	}
 	return t.hash
-}
-
-// Entries returns the verbatim-kept prefix of the trace.
-func (t *Trace) Entries() []string {
-	if t == nil {
-		return nil
-	}
-	return t.entries
 }
 
 // Summary is the one-line determinism pin: equal traces — of any

@@ -25,10 +25,11 @@ type MemFS struct {
 	files map[string]*memFile
 	dirs  map[string]bool
 
-	// FailAfter, when > 0, arms the torture failpoint: after that
-	// many more content bytes are written across all files, the
-	// write tears (a prefix of the last write may land) and every
-	// subsequent write or sync returns ErrInjected.
+	// failAfter, when > 0, arms the torture failpoint (the tests'
+	// FailAfterBytes): after that many more content bytes are written
+	// across all files, the write tears (a prefix of the last write
+	// may land) and every subsequent write or sync returns
+	// ErrInjected.
 	failAfter int64
 	failed    bool
 }
@@ -45,17 +46,6 @@ type memFile struct {
 // NewMemFS returns an empty in-memory filesystem.
 func NewMemFS() *MemFS {
 	return &MemFS{files: make(map[string]*memFile), dirs: make(map[string]bool)}
-}
-
-// FailAfterBytes arms the failpoint: the next n content bytes written
-// (across all files) succeed, then writes tear and error. n counts
-// bytes, so a sweep over n exercises every possible torn-write
-// boundary. Passing n < 0 disarms.
-func (m *MemFS) FailAfterBytes(n int64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.failAfter = n
-	m.failed = n == 0
 }
 
 // Crash simulates machine death: every file loses content beyond its

@@ -19,6 +19,17 @@ import (
 // at every byte offset, flipping every byte, and injecting a torn
 // write at every cumulative byte count.
 
+// FailAfterBytes arms the failpoint: the next n content bytes written
+// (across all files) succeed, then writes tear and error. n counts
+// bytes, so a sweep over n exercises every possible torn-write
+// boundary. Passing n < 0 disarms.
+func (m *MemFS) FailAfterBytes(n int64) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.failAfter = n
+	m.failed = n == 0
+}
+
 // mkRecord derives the i-th torture record deterministically from an
 // RNG stream: a mix of CDRs and PoCs with varied sizes, down to the
 // smallest live record (a PoC with an empty subscriber and an empty

@@ -73,7 +73,7 @@ type Analyzer struct {
 // chance to use.
 var All = []*Analyzer{
 	Simtime, SeededRand, CryptoRand, ErrDiscard,
-	HotAlloc, MetricsTier, GoroLeak, StaleAllow,
+	HotAlloc, MetricsTier, GoroLeak, Unreached, StaleAllow,
 }
 
 // Select resolves a comma-separated list of check names ("" selects

@@ -62,7 +62,7 @@ func loadFixture(t *testing.T, name string) *Package {
 //
 //	expr // want <check> "<message substring>"
 type want struct {
-	file   string // base name
+	file   string // absolute path
 	line   int
 	check  string
 	substr string
@@ -70,29 +70,58 @@ type want struct {
 
 var wantRe = regexp.MustCompile(`// want ([a-z]+) "([^"]+)"`)
 
-// parseWants collects the expectations of every .go file in dir.
+// parseWants collects the expectations of every .go file under dir.
 func parseWants(t *testing.T, dir string) []want {
 	t.Helper()
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var wants []want
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-			continue
+	err := filepath.WalkDir(dir, func(path string, e os.DirEntry, err error) error {
+		if err != nil || e.IsDir() || !strings.HasSuffix(path, ".go") {
+			return err
 		}
-		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		abs, err := filepath.Abs(path)
 		if err != nil {
-			t.Fatal(err)
+			return err
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
 		}
 		for i, line := range strings.Split(string(data), "\n") {
 			if m := wantRe.FindStringSubmatch(line); m != nil {
-				wants = append(wants, want{file: e.Name(), line: i + 1, check: m[1], substr: m[2]})
+				wants = append(wants, want{file: abs, line: i + 1, check: m[1], substr: m[2]})
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	return wants
+}
+
+// checkWants requires the findings to match the // want annotations
+// under dir one for one.
+func checkWants(t *testing.T, got []Finding, dir string) {
+	t.Helper()
+	unmatched := append([]Finding(nil), got...)
+	for _, w := range parseWants(t, dir) {
+		found := false
+		for i, f := range unmatched {
+			if f.Pos.Filename == w.file && f.Pos.Line == w.line &&
+				f.Check == w.check && strings.Contains(f.Message, w.substr) {
+				unmatched = append(unmatched[:i], unmatched[i+1:]...)
+				found = true
+				break
+			}
+		}
+		if !found {
+			t.Errorf("missing finding %s:%d [%s] ~%q", filepath.Base(w.file), w.line, w.check, w.substr)
+		}
+	}
+	for _, f := range unmatched {
+		t.Errorf("unexpected finding %s:%d: [%s] %s",
+			filepath.Base(f.Pos.Filename), f.Pos.Line, f.Check, f.Message)
+	}
 }
 
 // TestAnalyzers runs each analyzer on its fixture package and checks
@@ -126,27 +155,48 @@ func TestAnalyzers(t *testing.T) {
 			if analyzers == nil {
 				analyzers = []*Analyzer{tc.analyzer}
 			}
-			got := Run([]*Package{pkg}, analyzers)
-			unmatched := append([]Finding(nil), got...)
-			for _, w := range parseWants(t, filepath.Join("testdata", tc.fixture)) {
-				found := false
-				for i, f := range unmatched {
-					if filepath.Base(f.Pos.Filename) == w.file && f.Pos.Line == w.line &&
-						f.Check == w.check && strings.Contains(f.Message, w.substr) {
-						unmatched = append(unmatched[:i], unmatched[i+1:]...)
-						found = true
-						break
-					}
-				}
-				if !found {
-					t.Errorf("missing finding %s:%d [%s] ~%q", w.file, w.line, w.check, w.substr)
-				}
-			}
-			for _, f := range unmatched {
-				t.Errorf("unexpected finding %s:%d: [%s] %s",
-					filepath.Base(f.Pos.Filename), f.Pos.Line, f.Check, f.Message)
-			}
+			checkWants(t, Run([]*Package{pkg}, analyzers), filepath.Join("testdata", tc.fixture))
 		})
+	}
+}
+
+// loadUnreached loads the unreached fixture as one program: a library,
+// a command that uses it, and a main package in a nested module
+// directory, as perfbench sits in the repository.
+func loadUnreached(t *testing.T) []*Package {
+	t.Helper()
+	pkgs, err := fixtureLoader.Load("./testdata/unreached/...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pkgs) != 3 {
+		t.Fatalf("unreached fixture loaded %d packages, want 3", len(pkgs))
+	}
+	for _, pkg := range pkgs {
+		if len(pkg.TypeErrors) > 0 {
+			t.Fatalf("fixture %s has type errors: %v", pkg.Path, pkg.TypeErrors)
+		}
+	}
+	return pkgs
+}
+
+// TestUnreached checks every edge kind of the unreached check, each
+// with a reached and a dead function, and the staleness of a waiver on
+// a reached function.
+func TestUnreached(t *testing.T) {
+	got := Run(loadUnreached(t), []*Analyzer{Unreached, StaleAllow})
+	checkWants(t, got, filepath.Join("testdata", "unreached"))
+}
+
+// TestUnreachedNeedsAMain checks that a load without a main package,
+// which has no roots, judges nothing and leaves its waivers alone.
+func TestUnreachedNeedsAMain(t *testing.T) {
+	pkgs, err := fixtureLoader.Load("./testdata/unreached/lib")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := Run(pkgs, []*Analyzer{Unreached, StaleAllow}); len(got) != 0 {
+		t.Errorf("library-only load reported %d findings, want none: %v", len(got), got)
 	}
 }
 
@@ -161,7 +211,9 @@ func TestReportGolden(t *testing.T) {
 	} {
 		pkgs = append(pkgs, loadFixture(t, name))
 	}
-	findings := Run(pkgs, All)
+	// The unreached fixture is a program of its own: loaded with the
+	// others, its binaries would judge their functions too.
+	findings := append(Run(pkgs, All), Run(loadUnreached(t), All)...)
 	if len(findings) == 0 {
 		t.Fatal("fixtures produced no findings; the verify gate would pass vacuously")
 	}
@@ -202,8 +254,8 @@ func TestLoadResolvesModulePath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(all) != 8 {
-		t.Fatalf("recursive load found %d packages, want 8", len(all))
+	if len(all) != 11 {
+		t.Fatalf("recursive load found %d packages, want 11", len(all))
 	}
 	// The acceptance contract: tlcvet must exit non-zero on the
 	// fixtures, i.e. running everything over them finds problems.

@@ -300,6 +300,7 @@ func (l *Loader) check(dir, importPath string, names []string) (*Package, error)
 		Defs:       make(map[*ast.Ident]types.Object),
 		Uses:       make(map[*ast.Ident]types.Object),
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
+		Instances:  make(map[*ast.Ident]types.Instance),
 	}
 	conf := types.Config{
 		Importer: l,

@@ -124,13 +124,6 @@ func (h *Histogram) BucketCounts() []uint64 {
 	return out
 }
 
-// Quantile estimates the q-quantile (q in [0,1]) of the observations
-// from the live bucket counts; see the package-level Quantile for the
-// estimation rules.
-func (h *Histogram) Quantile(q float64) float64 {
-	return Quantile(h.bounds, h.BucketCounts(), q)
-}
-
 // Quantile estimates the q-quantile of a bucketed distribution:
 // bounds are the finite upper bucket bounds and counts the per-bucket
 // observation counts with the +Inf bucket last (the shapes returned by
@@ -183,21 +176,6 @@ func Quantile(bounds []float64, counts []uint64, q float64) float64 {
 		return math.Inf(1)
 	}
 	return bounds[len(bounds)-1]
-}
-
-// ExpBuckets returns n exponentially growing bucket bounds starting
-// at start and multiplying by factor.
-func ExpBuckets(start, factor float64, n int) []float64 {
-	if start <= 0 || factor <= 1 || n < 1 {
-		panic("metrics: ExpBuckets needs start > 0, factor > 1, n >= 1")
-	}
-	out := make([]float64, n)
-	v := start
-	for i := range out {
-		out[i] = v
-		v *= factor
-	}
-	return out
 }
 
 // DefBuckets are general-purpose latency bounds in seconds, from

@@ -110,6 +110,22 @@ func TestRegistrationValidation(t *testing.T) {
 	mustPanic("unsorted bounds", func() { r.Histogram("h2", "x", []float64{2, 1}) })
 }
 
+// ExpBuckets returns n exponentially growing bucket bounds starting
+// at start and multiplying by factor. Every registered histogram
+// spells its bounds out; TestExpBuckets checks this helper.
+func ExpBuckets(start, factor float64, n int) []float64 {
+	if start <= 0 || factor <= 1 || n < 1 {
+		panic("metrics: ExpBuckets needs start > 0, factor > 1, n >= 1")
+	}
+	out := make([]float64, n)
+	v := start
+	for i := range out {
+		out[i] = v
+		v *= factor
+	}
+	return out
+}
+
 func TestExpBuckets(t *testing.T) {
 	got := ExpBuckets(0.001, 10, 4)
 	want := []float64{0.001, 0.01, 0.1, 1}

@@ -14,7 +14,7 @@ func TestQuantileFromBuckets(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		h.Observe(0.5)
 	}
-	if got := h.Quantile(0.5); got <= 0 || got > 1 {
+	if got := Quantile(h.BucketBounds(), h.BucketCounts(), 0.5); got <= 0 || got > 1 {
 		t.Fatalf("median of first-bucket mass = %v, want in (0,1]", got)
 	}
 
@@ -22,7 +22,7 @@ func TestQuantileFromBuckets(t *testing.T) {
 	for i := 0; i < 900; i++ {
 		h.Observe(3)
 	}
-	if got := h.Quantile(0.99); got <= 2 || got > 4 {
+	if got := Quantile(h.BucketBounds(), h.BucketCounts(), 0.99); got <= 2 || got > 4 {
 		t.Fatalf("p99 = %v, want in (2,4]", got)
 	}
 
@@ -30,7 +30,7 @@ func TestQuantileFromBuckets(t *testing.T) {
 	for i := 0; i < 10000; i++ {
 		h.Observe(100)
 	}
-	if got := h.Quantile(0.99); got != 8 {
+	if got := Quantile(h.BucketBounds(), h.BucketCounts(), 0.99); got != 8 {
 		t.Fatalf("p99 with +Inf mass = %v, want clamp to 8", got)
 	}
 }

@@ -130,9 +130,6 @@ func (m *OperatorMonitor) OnCounterCheck(rec ran.CounterCheckRecord) {
 	m.checks = append(m.checks, rec)
 }
 
-// Checks returns the number of counter-check records collected.
-func (m *OperatorMonitor) Checks() int { return len(m.checks) }
-
 // modemDLAt returns the modem's cumulative downlink counter at the
 // most recent COUNTER CHECK at or before t (plus the response-latency
 // slack); zero if none. When the device is unreachable around a

@@ -147,8 +147,8 @@ func TestOperatorMonitorDownlinkViaCounterChecks(t *testing.T) {
 	if v.Received != 9500 {
 		t.Fatalf("DL received = %v, want 9500", v.Received)
 	}
-	if m.Checks() != 2 {
-		t.Fatalf("Checks = %d", m.Checks())
+	if len(m.checks) != 2 {
+		t.Fatalf("%d checks, want 2", len(m.checks))
 	}
 }
 

@@ -80,10 +80,6 @@ func (l *Lane) Send(p *Packet) {
 	l.Pool.Put(p)
 }
 
-// Pending returns the number of packets buffered since the last
-// barrier flush.
-func (l *Lane) Pending() int { return len(l.buf) }
-
 // InboxStats counts arrivals delivered into the destination
 // partition.
 type InboxStats struct {

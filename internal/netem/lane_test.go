@@ -20,8 +20,8 @@ func TestLaneSendCopiesAndRecyclesImmediately(t *testing.T) {
 	p.Size = 100
 	p.TEID = 3
 	l.Send(p)
-	if l.Pending() != 1 {
-		t.Fatalf("Pending = %d, want 1", l.Pending())
+	if len(l.buf) != 1 {
+		t.Fatalf("%d packets buffered, want 1", len(l.buf))
 	}
 	if l.Stats.Packets != 1 || l.Stats.Bytes != 100 {
 		t.Fatalf("stats = %+v, want 1 packet / 100 bytes", l.Stats)
@@ -96,7 +96,7 @@ func TestShardParityInboxMergesByAtThenLaneThenSeq(t *testing.T) {
 	if ib.Arrived() != 4 || ib.Stats.Bytes != 40 {
 		t.Fatalf("inbox stats = %+v, want 4 packets / 40 bytes", ib.Stats)
 	}
-	if laneA.Pending() != 0 || laneB.Pending() != 0 {
+	if len(laneA.buf) != 0 || len(laneB.buf) != 0 {
 		t.Fatal("Flush left lane buffers non-empty")
 	}
 }

@@ -6,7 +6,7 @@ import (
 	"tlc/internal/sim"
 )
 
-// Meter counts bytes and packets passing a point in the network and
+// Meter counts the bytes passing a point in the network and
 // keeps a binned time series so that usage can later be queried over
 // an arbitrary (possibly clock-skewed) window. Both the operator's
 // gateway charging function and the edge vendor's app monitors are
@@ -17,7 +17,6 @@ type Meter struct {
 	sched    *sim.Scheduler
 	binWidth time.Duration
 	bins     []float64 // bytes per bin
-	packets  uint64
 	bytes    uint64
 
 	// Filter selects which packets are counted; nil counts all
@@ -69,7 +68,6 @@ func (m *Meter) Reserve(horizon time.Duration) {
 }
 
 func (m *Meter) record(now sim.Time, size int) {
-	m.packets++
 	m.bytes += uint64(size)
 	idx := int(now / m.binWidth)
 	if idx >= len(m.bins) {
@@ -90,9 +88,6 @@ func (m *Meter) record(now sim.Time, size int) {
 	}
 	m.bins[idx] += float64(size)
 }
-
-// Packets returns the total packets counted.
-func (m *Meter) Packets() uint64 { return m.packets }
 
 // TotalBytes returns the total bytes counted.
 func (m *Meter) TotalBytes() uint64 { return m.bytes }

@@ -81,6 +81,8 @@ type Sink struct {
 }
 
 // Recv implements Node.
+//
+//tlcvet:allow unreached — test support: the tests of netem, ran, epc, apps, trace and device end their chains in a Sink
 func (s *Sink) Recv(pkt *Packet) {
 	s.Packets++
 	s.Bytes += uint64(pkt.Size)
@@ -355,13 +357,6 @@ func NewLink(name string, sched *sim.Scheduler, rateBps float64, delay time.Dura
 	l.wire = sim.NewFIFO(sched, l.deliver)
 	return l
 }
-
-// QueueLen returns the number of queued packets (excluding the packet
-// currently in transmission).
-func (l *Link) QueueLen() int { return len(l.queue) }
-
-// QueuedBytes returns the number of queued bytes.
-func (l *Link) QueuedBytes() int { return l.queuedBytes }
 
 // Recv implements Node: the link accepts the packet for transmission.
 //

@@ -106,8 +106,8 @@ func TestLinkBacklogZeroAllocs(t *testing.T) {
 	for i := 0; i < 1000; i++ { // fill the queue; warm pools, heap and ring
 		step()
 	}
-	if l.QueueLen() < 32 {
-		t.Fatalf("queue holds %d packets after warm-up; the link is not backlogged", l.QueueLen())
+	if len(l.queue) < 32 {
+		t.Fatalf("queue holds %d packets after warm-up; the link is not backlogged", len(l.queue))
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -138,7 +138,7 @@ func TestEvictLowerPriorityZeroAllocs(t *testing.T) {
 	overflow := func() {
 		// Fill with low-priority, then push a high-priority packet
 		// that must evict.
-		for l.QueuedBytes()+1000 <= l.QueueBytes {
+		for l.queuedBytes+1000 <= l.QueueBytes {
 			p := pp.Get()
 			p.Size, p.QCI = 1000, 9
 			l.Recv(p)
@@ -169,7 +169,7 @@ func TestDropQueuedFractionReturnsPacketsToPool(t *testing.T) {
 		p.Size, p.QCI = 500, 9
 		l.Recv(p)
 	}
-	queued := l.QueueLen()
+	queued := len(l.queue)
 	if queued == 0 {
 		t.Fatal("nothing queued")
 	}
@@ -180,8 +180,8 @@ func TestDropQueuedFractionReturnsPacketsToPool(t *testing.T) {
 	if got := uint64(len(pp.free)); got != packets {
 		t.Fatalf("pool got %d packets back, %d were dropped", got, packets)
 	}
-	if l.QueueLen() != queued-int(packets) {
-		t.Fatalf("queue len %d after dropping %d of %d", l.QueueLen(), packets, queued)
+	if len(l.queue) != queued-int(packets) {
+		t.Fatalf("queue len %d after dropping %d of %d", len(l.queue), packets, queued)
 	}
 	// Full flush returns the rest too.
 	rest, _ := l.DropQueuedFraction(1.0)

@@ -43,7 +43,7 @@ func TestPriorityFlowSurvivesFlood(t *testing.T) {
 		t.Fatal("no queue drops under a 20x overload")
 	}
 	// Byte accounting must balance after heavy eviction churn.
-	if l.QueuedBytes() < 0 || l.QueuedBytes() > 256<<10 {
-		t.Fatalf("queuedBytes accounting corrupt: %d", l.QueuedBytes())
+	if l.queuedBytes < 0 || l.queuedBytes > 256<<10 {
+		t.Fatalf("queuedBytes accounting corrupt: %d", l.queuedBytes)
 	}
 }

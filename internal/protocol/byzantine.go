@@ -28,10 +28,10 @@ const (
 	ByzTamper = "tamper"
 )
 
-// Byzantine is a dishonest negotiation responder. It reads the
-// honest initiator's opening CDR and answers with the forgery its
-// Mode prescribes, then returns — it does not wait for a verdict
-// (the honest side fails closed and hangs up).
+// Byzantine is a dishonest negotiation responder. It answers the
+// honest initiator's opening CDR with the forgery its Mode prescribes,
+// then stops — it does not wait for a verdict (the honest side fails
+// closed and hangs up).
 type Byzantine struct {
 	Mode    string
 	Role    poc.Role
@@ -46,28 +46,41 @@ type Byzantine struct {
 	Stale *poc.PoC
 }
 
-// Run plays one adversarial exchange as the responder. It returns
-// every frame it sent, so test batteries can assert that none of
-// them ever verifies as a PoC.
+// Run plays one adversarial exchange as the responder over conn: it
+// reads the opening frame, answers it and writes the answer. It
+// returns every frame it sent, so test batteries can assert that none
+// of them ever verifies as a PoC.
+//
+//tlcvet:allow unreached — test support: the tests of protocol and session play byzantine peers over a conn with it
 func (b *Byzantine) Run(conn io.ReadWriter) (sent [][]byte, err error) {
 	frame, err := ReadFrame(conn)
 	if err != nil {
 		return nil, fmt.Errorf("byzantine: reading opening claim: %w", err)
 	}
-	if len(frame) == 0 {
+	if sent, err = b.Respond(frame); err != nil {
+		return nil, err
+	}
+	for _, data := range sent {
+		if err := WriteFrame(conn, data); err != nil {
+			return sent, err
+		}
+	}
+	return sent, nil
+}
+
+// Respond answers the opening frame with the forgery Mode prescribes
+// and returns the frames to send, in order. It does no I/O, so a
+// driver can run the exchange on one goroutine.
+func (b *Byzantine) Respond(opening []byte) (sent [][]byte, err error) {
+	if len(opening) == 0 {
 		return nil, errors.New("byzantine: empty opening frame")
 	}
-	if frame[0] != 1 {
-		return nil, fmt.Errorf("byzantine: expected opening CDR, got kind %d", frame[0])
+	if opening[0] != 1 {
+		return nil, fmt.Errorf("byzantine: expected opening CDR, got kind %d", opening[0])
 	}
 	var cdr poc.CDR
-	if err := cdr.UnmarshalBinary(frame); err != nil {
+	if err := cdr.UnmarshalBinary(opening); err != nil {
 		return nil, fmt.Errorf("byzantine: opening CDR: %w", err)
-	}
-
-	emit := func(data []byte) error {
-		sent = append(sent, data)
-		return WriteFrame(conn, data)
 	}
 
 	switch b.Mode {
@@ -79,7 +92,7 @@ func (b *Byzantine) Run(conn io.ReadWriter) (sent [][]byte, err error) {
 		if err != nil {
 			return nil, err
 		}
-		return sent, emit(data)
+		return [][]byte{data}, nil
 
 	case ByzTamper:
 		cda, err := poc.BuildCDA(b.Plan, b.Role, cdr.Seq, b.claim(&cdr), &cdr, b.RNG, b.Keys.Private)
@@ -93,7 +106,7 @@ func (b *Byzantine) Run(conn io.ReadWriter) (sent [][]byte, err error) {
 		// Flip one bit inside the signed body (past the kind byte,
 		// before the trailing signature).
 		data[1+len(data)/3] ^= 0x40
-		return sent, emit(data)
+		return [][]byte{data}, nil
 
 	case ByzInflate:
 		// Inflate the peer's claim inside the chain: the copy's volume
@@ -116,7 +129,7 @@ func (b *Byzantine) Run(conn io.ReadWriter) (sent [][]byte, err error) {
 		if err != nil {
 			return nil, err
 		}
-		return sent, emit(data)
+		return [][]byte{data}, nil
 
 	default:
 		return nil, fmt.Errorf("byzantine: unknown mode %q", b.Mode)

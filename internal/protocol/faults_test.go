@@ -178,7 +178,7 @@ func TestRunOutcomeAccounting(t *testing.T) {
 		{
 			name: "no_convergence",
 			run: func() (bool, error) {
-				edge, op := parties(core.OptimalStrategy{}, core.AlwaysRejectStrategy{}, view, view, 34)
+				edge, op := parties(core.OptimalStrategy{}, rejectAll{}, view, view, 34)
 				op.MaxRounds, edge.MaxRounds = 8, 256
 				_, _, err := RunPair(op, edge)
 				return false, err

@@ -145,9 +145,17 @@ func TestRandomSelfishConvergesOverWire(t *testing.T) {
 	}
 }
 
+// rejectAll is §5.1's misbehaving party that "intentionally rejects
+// all claims": it claims its honest record and never accepts.
+type rejectAll struct{ core.HonestStrategy }
+
+func (rejectAll) Name() string { return "always-reject" }
+
+func (rejectAll) Decide(core.Role, core.View, float64, float64, int, *sim.RNG) bool { return false }
+
 func TestAlwaysRejectExhaustsRounds(t *testing.T) {
 	view := core.View{Sent: 1000, Received: 900}
-	edge, op := parties(core.OptimalStrategy{}, core.AlwaysRejectStrategy{}, view, view, 3)
+	edge, op := parties(core.OptimalStrategy{}, rejectAll{}, view, view, 3)
 	edge.MaxRounds, op.MaxRounds = 8, 8
 	_, _, err := RunPair(op, edge)
 	if err == nil {
@@ -161,7 +169,7 @@ func TestAlwaysRejectExhaustsRounds(t *testing.T) {
 // failure once.
 func TestRunPairReportsFailingSide(t *testing.T) {
 	view := core.View{Sent: 1000, Received: 900}
-	edge, op := parties(core.OptimalStrategy{}, core.AlwaysRejectStrategy{}, view, view, 7)
+	edge, op := parties(core.OptimalStrategy{}, rejectAll{}, view, view, 7)
 	op.MaxRounds, edge.MaxRounds = 256, 2
 	if _, _, err := RunPair(op, edge); !errors.Is(err, ErrNoConvergence) || !strings.HasPrefix(err.Error(), "responder: ") {
 		t.Fatalf("err = %v, want the responder's ErrNoConvergence", err)

@@ -48,11 +48,9 @@ type BaseStation struct {
 	rrcConnected  bool
 	lastActivity  sim.Time
 	releases      uint64
-	setups        uint64
 	checksSent    uint64
 	checksAnswerd uint64
 	nextTxn       uint8
-	signalBytes   uint64
 
 	started bool
 }
@@ -85,17 +83,13 @@ func (b *BaseStation) Start() {
 // crossing the air interface calls it. It implicitly performs RRC
 // connection setup if the connection was idle.
 func (b *BaseStation) NotifyActivity(now sim.Time) {
-	if !b.rrcConnected {
-		b.rrcConnected = true
-		b.setups++
-	}
+	b.rrcConnected = true
 	b.lastActivity = now
 }
 
 // release performs COUNTER CHECK then RRC CONNECTION RELEASE.
 func (b *BaseStation) release(now sim.Time) {
 	b.TriggerCounterCheck()
-	b.signalBytes += uint64(len(ConnectionReleaseMsg{Cause: 0}.Marshal()))
 	b.rrcConnected = false
 	b.releases++
 }
@@ -112,7 +106,6 @@ func (b *BaseStation) TriggerCounterCheck() {
 	b.nextTxn++
 	req := CounterCheckMsg{TransactionID: b.nextTxn}
 	wire := req.Marshal()
-	b.signalBytes += uint64(len(wire))
 	b.checksSent++
 	b.Sched.After(b.CheckRTT, func() {
 		if !b.Radio.Available(b.Sched.Now()) {
@@ -127,7 +120,6 @@ func (b *BaseStation) TriggerCounterCheck() {
 		q := decoded.(CounterCheckMsg)
 		ul, dl := b.Modem.CounterSnapshot()
 		respWire := CounterCheckResponseMsg{TransactionID: q.TransactionID, ULBytes: ul, DLBytes: dl}.Marshal()
-		b.signalBytes += uint64(len(respWire))
 		parsed, err := ParseRRC(respWire)
 		if err != nil {
 			return
@@ -143,18 +135,8 @@ func (b *BaseStation) TriggerCounterCheck() {
 	})
 }
 
-// SignallingBytes returns the RRC signalling volume TLC's counter
-// checks added; §5.4 bounds it by the number of connection releases.
-func (b *BaseStation) SignallingBytes() uint64 { return b.signalBytes }
-
-// Connected reports whether an RRC connection is established.
-func (b *BaseStation) Connected() bool { return b.rrcConnected }
-
 // Releases returns how many RRC CONNECTION RELEASEs occurred.
 func (b *BaseStation) Releases() uint64 { return b.releases }
-
-// Setups returns how many RRC connection setups occurred.
-func (b *BaseStation) Setups() uint64 { return b.setups }
 
 // CounterChecks returns (sent, answered) COUNTER CHECK exchanges.
 func (b *BaseStation) CounterChecks() (sent, answered uint64) {

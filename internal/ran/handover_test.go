@@ -104,15 +104,9 @@ func TestDropQueuedFraction(t *testing.T) {
 		for i := 0; i < 11; i++ { // 1 transmitting + 10 queued
 			l.Recv(&netem.Packet{ID: ids.Next(), Size: 1000, QCI: 9})
 		}
-		if l.QueueLen() != 10 {
-			t.Errorf("queued = %d, want 10", l.QueueLen())
-		}
 		pkts, bytes := l.DropQueuedFraction(0.5)
 		if pkts != 5 || bytes != 5000 {
 			t.Errorf("dropped %d pkts / %d bytes, want 5/5000", pkts, bytes)
-		}
-		if l.QueueLen() != 5 || l.QueuedBytes() != 5000 {
-			t.Errorf("remaining %d pkts / %d bytes", l.QueueLen(), l.QueuedBytes())
 		}
 		// Zero fraction and empty-queue cases.
 		if p, _ := l.DropQueuedFraction(0); p != 0 {

@@ -114,9 +114,6 @@ func (r *Radio) poll(now sim.Time) {
 	r.lastPoll = now
 }
 
-// State returns the current attachment state.
-func (r *Radio) State() RadioState { return r.state }
-
 // InCoverage reports whether the instantaneous RSS allows service.
 func (r *Radio) InCoverage(now sim.Time) bool {
 	return r.Model.RSS(now) > NoServiceRSS

@@ -1,6 +1,7 @@
 package ran
 
 import (
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -8,6 +9,43 @@ import (
 	"tlc/internal/netem"
 	"tlc/internal/sim"
 )
+
+// OutageTime returns the total scheduled outage duration in [0, until).
+// No binary reads it; TestOutageRSSOutageTime checks it.
+func (o *OutageRSS) OutageTime(until sim.Time) time.Duration {
+	var total time.Duration
+	for _, iv := range o.outages {
+		if iv.Start >= until {
+			break
+		}
+		end := iv.End
+		if end > until {
+			end = until
+		}
+		total += end - iv.Start
+	}
+	return total
+}
+
+// TraceRSS replays an explicit step function of (time, rss) samples:
+// the RSS model these tests script radio conditions with.
+type TraceRSS struct {
+	Times  []sim.Time
+	Values []float64
+}
+
+// RSS implements RSSModel. Before the first sample it returns the
+// first value; afterwards the most recent sample applies.
+func (t *TraceRSS) RSS(now sim.Time) float64 {
+	if len(t.Times) == 0 {
+		return 0
+	}
+	i := sort.Search(len(t.Times), func(i int) bool { return t.Times[i] > now })
+	if i == 0 {
+		return t.Values[0]
+	}
+	return t.Values[i-1]
+}
 
 func TestConstantRSS(t *testing.T) {
 	m := ConstantRSS(-90)
@@ -19,11 +57,11 @@ func TestConstantRSS(t *testing.T) {
 func TestOutageRSSSchedule(t *testing.T) {
 	rng := sim.NewRNG(1)
 	o := NewOutageRSS(-90, -125, 10*time.Second, 2*time.Second, 5*time.Minute, rng)
-	if len(o.Outages()) == 0 {
+	if len(o.outages) == 0 {
 		t.Fatal("no outages generated")
 	}
 	prevEnd := sim.Time(-1)
-	for _, iv := range o.Outages() {
+	for _, iv := range o.outages {
 		if iv.Start <= prevEnd {
 			t.Fatalf("overlapping or unordered outage %+v after %v", iv, prevEnd)
 		}
@@ -40,7 +78,7 @@ func TestOutageRSSSchedule(t *testing.T) {
 func TestOutageRSSValues(t *testing.T) {
 	rng := sim.NewRNG(2)
 	o := NewOutageRSS(-90, -125, 5*time.Second, time.Second, time.Minute, rng)
-	outs := o.Outages()
+	outs := o.outages
 	if len(outs) == 0 {
 		t.Skip("no outages with this seed")
 	}
@@ -76,7 +114,7 @@ func TestOutageRSSOutageTime(t *testing.T) {
 
 func TestOutageRSSNoOutagesConfigured(t *testing.T) {
 	o := NewOutageRSS(-90, -125, 0, 0, time.Minute, sim.NewRNG(1))
-	if len(o.Outages()) != 0 || o.RSS(time.Second) != -90 {
+	if len(o.outages) != 0 || o.RSS(time.Second) != -90 {
 		t.Fatal("zero-mean outage model generated outages")
 	}
 }
@@ -199,7 +237,7 @@ func TestRadioDetachAfterPersistentOutage(t *testing.T) {
 	if attachedAt < 30*time.Second || attachedAt > 31*time.Second {
 		t.Fatalf("re-attached at %v, want shortly after 30s", attachedAt)
 	}
-	if r.State() != Attached {
+	if r.state != Attached {
 		t.Fatal("radio not re-attached")
 	}
 }
@@ -219,7 +257,7 @@ func TestRadioShortOutageDoesNotDetach(t *testing.T) {
 	if detached {
 		t.Fatal("short outage caused detach")
 	}
-	if r.State() != Attached {
+	if r.state != Attached {
 		t.Fatal("radio not attached after short outage")
 	}
 }
@@ -273,11 +311,11 @@ func TestBaseStationInactivityReleaseAndCounterCheck(t *testing.T) {
 	bs.Start()
 	s.At(time.Second, func() { bs.NotifyActivity(s.Now()) })
 	s.RunUntil(20 * time.Second)
-	if bs.Connected() {
+	if bs.rrcConnected {
 		t.Fatal("connection not released after inactivity")
 	}
-	if bs.Releases() != 1 || bs.Setups() != 1 {
-		t.Fatalf("releases=%d setups=%d, want 1/1", bs.Releases(), bs.Setups())
+	if bs.Releases() != 1 {
+		t.Fatalf("releases=%d, want 1", bs.Releases())
 	}
 	if len(recs) != 1 || recs[0].UL != 111 || recs[0].DL != 222 {
 		t.Fatalf("counter check records = %+v", recs)
@@ -299,11 +337,8 @@ func TestBaseStationActivityKeepsConnection(t *testing.T) {
 	// Activity every 2 seconds: the connection should never release.
 	s.Ticker(0, 2*time.Second, func(now sim.Time) { bs.NotifyActivity(now) })
 	s.RunUntil(30 * time.Second)
-	if !bs.Connected() || bs.Releases() != 0 {
-		t.Fatalf("connected=%v releases=%d", bs.Connected(), bs.Releases())
-	}
-	if bs.Setups() != 1 {
-		t.Fatalf("setups = %d, want 1", bs.Setups())
+	if !bs.rrcConnected || bs.Releases() != 0 {
+		t.Fatalf("connected=%v releases=%d", bs.rrcConnected, bs.Releases())
 	}
 }
 

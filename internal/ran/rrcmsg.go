@@ -26,20 +26,6 @@ const (
 	RRCConnectionRelease RRCMessageType = 3
 )
 
-// String implements fmt.Stringer.
-func (t RRCMessageType) String() string {
-	switch t {
-	case RRCCounterCheck:
-		return "CounterCheck"
-	case RRCCounterCheckResponse:
-		return "CounterCheckResponse"
-	case RRCConnectionRelease:
-		return "ConnectionRelease"
-	default:
-		return fmt.Sprintf("RRCMessageType(%d)", uint8(t))
-	}
-}
-
 // CounterCheckMsg is the eNodeB's query. TransactionID correlates the
 // response.
 type CounterCheckMsg struct {
@@ -73,11 +59,6 @@ func (m CounterCheckResponseMsg) Marshal() []byte {
 // "other" (e.g. inactivity).
 type ConnectionReleaseMsg struct {
 	Cause uint8
-}
-
-// Marshal encodes the message.
-func (m ConnectionReleaseMsg) Marshal() []byte {
-	return []byte{byte(RRCConnectionRelease), m.Cause}
 }
 
 // ErrShortRRC reports a truncated RRC message.

@@ -86,45 +86,6 @@ func (o *OutageRSS) RSS(now sim.Time) float64 {
 	return o.Base
 }
 
-// Outages returns the precomputed outage schedule.
-func (o *OutageRSS) Outages() []Interval { return o.outages }
-
-// OutageTime returns the total scheduled outage duration in [0, until).
-func (o *OutageRSS) OutageTime(until sim.Time) time.Duration {
-	var total time.Duration
-	for _, iv := range o.outages {
-		if iv.Start >= until {
-			break
-		}
-		end := iv.End
-		if end > until {
-			end = until
-		}
-		total += end - iv.Start
-	}
-	return total
-}
-
-// TraceRSS replays an explicit step function of (time, rss) samples,
-// e.g. one digitised from the paper's Figure 4.
-type TraceRSS struct {
-	Times  []sim.Time
-	Values []float64
-}
-
-// RSS implements RSSModel. Before the first sample it returns the
-// first value; afterwards the most recent sample applies.
-func (t *TraceRSS) RSS(now sim.Time) float64 {
-	if len(t.Times) == 0 {
-		return 0
-	}
-	i := sort.Search(len(t.Times), func(i int) bool { return t.Times[i] > now })
-	if i == 0 {
-		return t.Values[0]
-	}
-	return t.Values[i-1]
-}
-
 // Signal-quality thresholds used across the RAN model, in dBm.
 const (
 	// GoodRSS is the paper's "good radio" threshold (§3.2: RSS ≥ -95dBm).

@@ -31,22 +31,6 @@ const (
 // ByzChainModes lists every mode for batteries.
 var ByzChainModes = []ByzMode{ByzChainInflate, ByzChainReplay, ByzChainTamper, ByzChainTruncate}
 
-// String implements fmt.Stringer.
-func (m ByzMode) String() string {
-	switch m {
-	case ByzChainInflate:
-		return "chain-inflate"
-	case ByzChainReplay:
-		return "chain-replay"
-	case ByzChainTamper:
-		return "chain-tamper"
-	case ByzChainTruncate:
-		return "chain-truncate"
-	default:
-		return "chain-unknown"
-	}
-}
-
 // Forger is the byzantine visited operator's chain rewriter; its
 // Forge method plugs into protocol.RoamingConfig.Forge.
 type Forger struct {

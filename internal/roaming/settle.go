@@ -63,27 +63,3 @@ func (s Settlement) ZeroSum() bool {
 	}
 	return sum == 0
 }
-
-// Book accumulates settlements across cycles, one running balance per
-// party.
-type Book struct {
-	Cycles   int
-	Balances [numParties]int64
-}
-
-// Add folds one cycle's settlement into the running balances.
-func (b *Book) Add(s Settlement) {
-	b.Cycles++
-	for i, d := range s.Balances {
-		b.Balances[i] += d
-	}
-}
-
-// ZeroSum reports whether the running balances net to exactly zero.
-func (b *Book) ZeroSum() bool {
-	var sum int64
-	for _, bal := range b.Balances {
-		sum += bal
-	}
-	return sum == 0
-}

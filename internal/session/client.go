@@ -98,6 +98,8 @@ type clientConn struct {
 // RunClient executes the configured load against a mux server and
 // blocks until every session resolves or its connection dies. It
 // leaves no goroutines behind.
+//
+//tlcvet:allow unreached — test support: the tests of session and cmd/tlcd load a mux server with it
 func RunClient(cc ClientConfig) (*ClientResult, error) {
 	if err := cc.Config.Validate(); err != nil {
 		return nil, err

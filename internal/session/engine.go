@@ -77,7 +77,6 @@ type ProofRecord struct {
 type Engine struct {
 	cfg        protocol.Config
 	table      *table
-	keys       *KeyCache
 	ownDER     []byte
 	work       chan *shard
 	stop       chan struct{}
@@ -123,7 +122,6 @@ func NewEngine(ec EngineConfig) (*Engine, error) {
 	return &Engine{
 		cfg:       ec.Config,
 		table:     newTable(ec.Shards, ec.MaxSessions, ec.MaxPending, ec.Seed, ec.Nonce),
-		keys:      NewKeyCache(),
 		ownDER:    der,
 		work:      make(chan *shard, ec.Shards),
 		stop:      make(chan struct{}),
@@ -165,9 +163,6 @@ func (e *Engine) Stop() {
 // PeakActive reports the high-water mark of concurrently resident
 // sessions since the engine started.
 func (e *Engine) PeakActive() int64 { return e.peakActive.Load() }
-
-// KeyCacheStats reports verified-key cache hit/miss totals.
-func (e *Engine) KeyCacheStats() (hits, misses uint64) { return e.keys.Stats() }
 
 // muxConn is the engine's per-connection state: the peer's verified
 // key and the outbound queue its single writer goroutine drains.
@@ -230,14 +225,9 @@ func (e *Engine) ServeConn(conn io.ReadWriter, first []byte) error {
 	if !mux {
 		der = first
 	}
-	peerKey, hit, err := e.keys.Parse(der)
+	peerKey, err := parsePeerKey(der)
 	if err != nil {
 		return err
-	}
-	if hit {
-		Metrics.KeyCacheHits.Inc()
-	} else {
-		Metrics.KeyCacheMisses.Inc()
 	}
 	// Key exchange completes with our PKIX DER; it happens once per
 	// connection, not once per session.

@@ -15,8 +15,7 @@
 //     bound;
 //   - a PoC crypto pipeline: a small worker pool drains the per-shard
 //     queues in batches, so RSA sign/verify work amortises scheduling
-//     across sessions, and a verified-key cache keeps x509 parsing
-//     off the hot path.
+//     across sessions; the peer key is parsed once per connection.
 //
 // Negotiations run as event-driven state machines (protocol.Machine,
 // the same one protocol.Party.Run drives over a single conn), not

@@ -30,9 +30,6 @@ var Metrics = struct {
 	// before the dead conn's teardown sweep ran. Nonzero means conn ids
 	// are being recycled under live sessions — worth alarming on.
 	StaleEvicted *metrics.Counter
-	// KeyCacheHits/Misses count verified-key cache lookups.
-	KeyCacheHits   *metrics.Counter
-	KeyCacheMisses *metrics.Counter
 }{
 	Active: metrics.Default.Gauge("sessions_active",
 		"charging sessions currently resident in the engine's shard tables"),
@@ -51,8 +48,4 @@ var Metrics = struct {
 	BatchSize: metrics.Default.Histogram("session_crypto_batch_size",
 		"sessions advanced per crypto-worker shard drain",
 		[]float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}),
-	KeyCacheHits: metrics.Default.Counter("session_key_cache_hits_total",
-		"peer key parses served from the verified-key cache"),
-	KeyCacheMisses: metrics.Default.Counter("session_key_cache_misses_total",
-		"peer key parses that fell through to x509 parsing"),
 }

@@ -56,7 +56,6 @@ func (f *FIFO[T]) Push(t Time, v T) {
 		if tail := f.ring.Back().at; t < tail {
 			panic(fmt.Sprintf("sim: FIFO push at %v before its tail at %v", t, tail))
 		}
-		s.queued++
 	}
 	f.ring.Push(fifoEntry[T]{at: t, seq: s.seq, v: v})
 	s.seq++
@@ -69,7 +68,6 @@ func (f *FIFO[T]) pop() {
 	v := f.ring.PopFront().v
 	if f.ring.Len() > 0 {
 		next := f.ring.Front()
-		f.s.queued--
 		f.s.push(heapEntry{at: next.at, seq: next.seq, fn: f.head})
 	}
 	f.fire(v)

@@ -7,7 +7,7 @@ import (
 )
 
 // TestFIFOHoldsOneHeapSlot: a stream's pending events cost the heap
-// one entry, while Pending and Fired still count every event.
+// one entry, while the stream holds and Fired counts every event.
 func TestFIFOHoldsOneHeapSlot(t *testing.T) {
 	s := NewScheduler()
 	var got []int
@@ -18,18 +18,18 @@ func TestFIFOHoldsOneHeapSlot(t *testing.T) {
 	if len(s.events) != 1 {
 		t.Fatalf("heap holds %d entries for one stream, want 1", len(s.events))
 	}
-	if s.Pending() != 1000 || f.Len() != 1000 {
-		t.Fatalf("Pending = %d, Len = %d, want 1000 and 1000", s.Pending(), f.Len())
+	if f.Len() != 1000 {
+		t.Fatalf("Len = %d, want 1000", f.Len())
 	}
 	s.RunUntil(49 * time.Millisecond)
-	if s.Pending() != 500 || f.Len() != 500 || len(s.events) != 1 {
-		t.Fatalf("after 500 fired: Pending = %d, Len = %d, heap = %d, want 500, 500, 1",
-			s.Pending(), f.Len(), len(s.events))
+	if s.Fired() != 500 || f.Len() != 500 || len(s.events) != 1 {
+		t.Fatalf("after 500 fired: Fired = %d, Len = %d, heap = %d, want 500, 500, 1",
+			s.Fired(), f.Len(), len(s.events))
 	}
 	s.Run()
-	if s.Pending() != 0 || s.Fired() != 1000 || len(got) != 1000 {
-		t.Fatalf("after Run: Pending = %d, Fired = %d, delivered %d, want 0, 1000, 1000",
-			s.Pending(), s.Fired(), len(got))
+	if len(s.events) != 0 || f.Len() != 0 || s.Fired() != 1000 || len(got) != 1000 {
+		t.Fatalf("after Run: heap = %d, Len = %d, Fired = %d, delivered %d, want 0, 0, 1000, 1000",
+			len(s.events), f.Len(), s.Fired(), len(got))
 	}
 	for i, v := range got {
 		if v != i {

@@ -117,8 +117,8 @@ func TestRunUntilCancelledAtRoot(t *testing.T) {
 	if s.Now() != 6*time.Millisecond {
 		t.Fatalf("Now = %v, want 6ms", s.Now())
 	}
-	if s.Pending() != 1 {
-		t.Fatalf("Pending = %d, want 1 (the 7ms event)", s.Pending())
+	if len(s.events) != 1 {
+		t.Fatalf("%d events pending, want 1 (the 7ms event)", len(s.events))
 	}
 	if s.Fired() != 1 {
 		t.Fatalf("Fired = %d, want 1 (cancelled events must not count)", s.Fired())

@@ -27,7 +27,6 @@ package sim
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -82,8 +81,6 @@ type ShardGroup struct {
 	// stay wall-clock-free and tests stay deterministic; stall times
 	// are diagnostics and never feed back into simulated state.
 	Stopwatch func() func() time.Duration
-
-	stop atomic.Bool
 }
 
 // NewShardGroup returns a group of n partitions with the given
@@ -105,9 +102,6 @@ func NewShardGroup(n int, lookahead time.Duration) *ShardGroup {
 	return g
 }
 
-// Partitions returns the number of partitions.
-func (g *ShardGroup) Partitions() int { return len(g.shards) }
-
 // Shard returns partition i.
 func (g *ShardGroup) Shard(i int) *Shard { return g.shards[i] }
 
@@ -121,11 +115,6 @@ func (g *ShardGroup) AddExchanger(e Exchanger) {
 	}
 	g.exchangers = append(g.exchangers, e)
 }
-
-// Stop makes RunUntil return at the next window barrier. It is safe
-// to call from an event callback inside any partition (that is its
-// purpose: a scenario that finishes early stops the whole group).
-func (g *ShardGroup) Stop() { g.stop.Store(true) }
 
 // RunUntil executes every partition up to deadline under the windowed
 // barrier, using the given number of worker goroutines: 0 runs
@@ -146,7 +135,6 @@ func (g *ShardGroup) RunUntil(deadline Time, workers int) ([]WorkerStat, error) 
 	if workers > len(g.shards) {
 		return nil, fmt.Errorf("sim: %d shard workers exceed %d partitions", workers, len(g.shards))
 	}
-	g.stop.Store(false)
 	if workers == 0 {
 		g.runSequential(deadline)
 		total := uint64(0)
@@ -171,7 +159,7 @@ func (g *ShardGroup) runSequential(deadline Time) {
 		for _, e := range g.exchangers {
 			e.Flush(end)
 		}
-		if g.stop.Load() || end >= deadline {
+		if end >= deadline {
 			return
 		}
 		end = g.nextWindow(end, deadline)
@@ -268,7 +256,7 @@ func (g *ShardGroup) runParallel(deadline Time, workers int) []WorkerStat {
 		for _, e := range g.exchangers {
 			e.Flush(end)
 		}
-		if g.stop.Load() || end >= deadline {
+		if end >= deadline {
 			break
 		}
 		end = g.nextWindow(end, deadline)

@@ -32,9 +32,9 @@ func newTestExchanger(g *ShardGroup, delay time.Duration) *testExchanger {
 	e := &testExchanger{
 		group: g,
 		delay: delay,
-		bufs:  make([][]testMsg, g.Partitions()),
-		heads: make([]int, g.Partitions()),
-		recv:  make([][]int, g.Partitions()),
+		bufs:  make([][]testMsg, len(g.shards)),
+		heads: make([]int, len(g.shards)),
+		recv:  make([][]int, len(g.shards)),
 	}
 	g.AddExchanger(e)
 	return e
@@ -231,32 +231,37 @@ func TestShardGroupPanicIsDeterministicAndLeakFree(t *testing.T) {
 	}
 }
 
-// TestShardGroupStopExitsEarlyWithoutLeaks stops the group from
-// inside a partition event and asserts RunUntil returns at that
-// window's barrier with no worker goroutines left behind.
-func TestShardGroupStopExitsEarlyWithoutLeaks(t *testing.T) {
+// TestShardGroupRunReturnsWithoutLeaks runs a group to its deadline
+// and asserts every partition's events fired, the clock reached the
+// deadline and no worker goroutine is left behind.
+func TestShardGroupRunReturnsWithoutLeaks(t *testing.T) {
 	for _, workers := range []int{0, 2} {
 		before := stableGoroutines(t)
 		g := NewShardGroup(3, 10*time.Millisecond)
-		g.Shard(1).Sched.At(Time(15*time.Millisecond), func() { g.Stop() })
+		g.Shard(1).Sched.At(Time(15*time.Millisecond), func() {})
 		late := false
 		g.Shard(2).Sched.At(Time(500*time.Millisecond), func() { late = true })
 		stats, err := g.RunUntil(Time(time.Second), workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if late {
-			t.Fatalf("workers=%d: event after Stop window still fired", workers)
+		if !late {
+			t.Fatalf("workers=%d: the 500ms event never fired", workers)
 		}
 		total := uint64(0)
 		for _, st := range stats {
 			total += st.EventsFired
 		}
-		if total != 1 {
-			t.Fatalf("workers=%d: fired %d events, want 1 (the stopper)", workers, total)
+		if total != 2 {
+			t.Fatalf("workers=%d: fired %d events, want 2", workers, total)
+		}
+		for i := range g.shards {
+			if now := g.Shard(i).Sched.Now(); now != Time(time.Second) {
+				t.Fatalf("workers=%d: partition %d stopped at %v, want 1s", workers, i, now)
+			}
 		}
 		if after := stableGoroutines(t); after > before {
-			t.Fatalf("workers=%d: %d goroutines before, %d after early stop", workers, before, after)
+			t.Fatalf("workers=%d: %d goroutines before, %d after the run", workers, before, after)
 		}
 	}
 }

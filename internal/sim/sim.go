@@ -23,9 +23,6 @@ type Event struct {
 	cancelled bool
 }
 
-// Cancelled reports whether the event was cancelled before it fired.
-func (e *Event) Cancelled() bool { return e.cancelled }
-
 // The event queue is a hand-specialised 4-ary min-heap over (at, seq).
 // A one-hour charging cycle funnels tens of millions of events through
 // it, so the heap avoids container/heap entirely: no heap.Interface
@@ -115,15 +112,10 @@ func (s *Scheduler) siftDown(e heapEntry) {
 // Scheduler is a discrete-event scheduler. The zero value is not ready
 // for use; construct one with NewScheduler.
 type Scheduler struct {
-	now     Time
-	events  []heapEntry // 4-ary min-heap on (at, seq); see push/pop
-	seq     uint64
-	stopped bool
-	fired   uint64
-
-	// queued counts the events waiting in FIFO streams behind their
-	// stream's head; only the heads sit in events.
-	queued int
+	now    Time
+	events []heapEntry // 4-ary min-heap on (at, seq); see push/pop
+	seq    uint64
+	fired  uint64
 
 	// publishedFired remembers what PublishMetrics already flushed to
 	// the registry, so publishes are delta-exact.
@@ -148,11 +140,6 @@ func (s *Scheduler) Now() Time { return s.now }
 // Fired returns the number of events executed so far. It is useful for
 // sanity checks in tests and benchmarks.
 func (s *Scheduler) Fired() uint64 { return s.fired }
-
-// Pending returns the number of events scheduled and not yet fired,
-// including those waiting in FIFO streams and cancelled events that
-// have not yet been popped.
-func (s *Scheduler) Pending() int { return len(s.events) + s.queued }
 
 // At schedules fn to run at absolute simulated time t. Scheduling in
 // the past panics: it indicates a causality bug in the caller.
@@ -231,10 +218,11 @@ func (s *Scheduler) Step() bool {
 	return false
 }
 
-// Run executes events until the queue drains or Stop is called.
+// Run executes events until the queue drains.
+//
+//tlcvet:allow unreached — test support: the tests of sim, netem, ran and trace drain schedulers with it
 func (s *Scheduler) Run() {
-	s.stopped = false
-	for !s.stopped && s.Step() {
+	for s.Step() {
 	}
 }
 
@@ -242,11 +230,7 @@ func (s *Scheduler) Run() {
 // the clock to the deadline. Events scheduled beyond the deadline stay
 // queued.
 func (s *Scheduler) RunUntil(deadline Time) {
-	s.stopped = false
-	for !s.stopped {
-		if len(s.events) == 0 {
-			break
-		}
+	for len(s.events) > 0 {
 		// Peek: the heap root is the earliest event.
 		next := &s.events[0]
 		if next.ev != nil && next.ev.cancelled {
@@ -262,9 +246,6 @@ func (s *Scheduler) RunUntil(deadline Time) {
 		s.now = deadline
 	}
 }
-
-// Stop makes Run/RunUntil return after the current event completes.
-func (s *Scheduler) Stop() { s.stopped = true }
 
 // Ticker invokes fn every interval starting at start until the
 // scheduler drains or the returned stop function is called.

@@ -7,8 +7,8 @@
 // residual charging-record errors of Figure 18 to "the asynchronous
 // charging cycle start/end". This package reproduces that mechanism:
 // each party's clock carries an offset and drift relative to simulated
-// true time, an NTP-style sync bounds the offset, and the window a
-// party actually meters is the true cycle window shifted by the
+// true time, an NTP-style sync model draws the offset, and the window
+// a party actually meters is the true cycle window shifted by the
 // party's offset at the boundary instants.
 package simclock
 
@@ -18,12 +18,11 @@ import (
 	"tlc/internal/sim"
 )
 
-// Clock is one party's wall clock. Local time = true time + Offset +
-// Drift accumulated since the last sync.
+// Clock is one party's wall clock. Local time = true time + offset +
+// drift accumulated since true time zero.
 type Clock struct {
-	offset   time.Duration // fixed offset at lastSync
+	offset   time.Duration // offset at true time zero
 	driftPPM float64       // parts-per-million frequency error
-	lastSync sim.Time      // true time of last synchronisation
 }
 
 // New returns a clock with the given initial offset and drift.
@@ -32,35 +31,10 @@ func New(offset time.Duration, driftPPM float64) *Clock {
 }
 
 // OffsetAt returns the clock's total offset from true time at the
-// given true instant, including drift accumulated since the last sync.
+// given true instant, including accumulated drift.
 func (c *Clock) OffsetAt(now sim.Time) time.Duration {
-	elapsed := now - c.lastSync
-	drift := time.Duration(float64(elapsed) * c.driftPPM / 1e6)
+	drift := time.Duration(float64(now) * c.driftPPM / 1e6)
 	return c.offset + drift
-}
-
-// LocalTime converts a true instant into this party's local time.
-func (c *Clock) LocalTime(now sim.Time) time.Duration {
-	return now + c.OffsetAt(now)
-}
-
-// TrueTimeOf converts this party's local time back to true time,
-// ignoring drift accumulated over the conversion interval (a second-
-// order effect at ppm drift rates).
-func (c *Clock) TrueTimeOf(local time.Duration) sim.Time {
-	// Invert local = t + offset + drift*(t - lastSync)/1e6 approximately
-	// by one fixed-point iteration starting from t = local - offset.
-	t := local - c.offset
-	return local - c.OffsetAt(t)
-}
-
-// Sync performs an NTP-style synchronisation at the given true time:
-// the residual offset is drawn by the caller (typically from a
-// distribution bounded by the sync precision) and drift restarts from
-// this instant.
-func (c *Clock) Sync(now sim.Time, residual time.Duration) {
-	c.offset = residual
-	c.lastSync = now
 }
 
 // Window is a half-open metering interval in true simulated time.
@@ -68,12 +42,6 @@ type Window struct {
 	Start sim.Time
 	End   sim.Time
 }
-
-// Duration returns End - Start.
-func (w Window) Duration() time.Duration { return w.End - w.Start }
-
-// Contains reports whether t falls inside the window.
-func (w Window) Contains(t sim.Time) bool { return t >= w.Start && t < w.End }
 
 // ObservedWindow returns the true-time interval this party actually
 // meters when it intends to meter the true cycle window w: the party
@@ -106,11 +74,4 @@ func (m *SyncModel) Residual() time.Duration {
 		return 0
 	}
 	return time.Duration(m.rng.Norm(0, float64(m.Precision)))
-}
-
-// SyncAll synchronises every clock at the given true time.
-func (m *SyncModel) SyncAll(now sim.Time, clocks ...*Clock) {
-	for _, c := range clocks {
-		c.Sync(now, m.Residual())
-	}
 }

@@ -8,6 +8,45 @@ import (
 	"tlc/internal/sim"
 )
 
+// The helpers below are test support: no binary converts between
+// local and true time, re-syncs a clock or measures a window.
+
+// LocalTime converts a true instant into this party's local time.
+func (c *Clock) LocalTime(now sim.Time) time.Duration {
+	return now + c.OffsetAt(now)
+}
+
+// TrueTimeOf converts this party's local time back to true time,
+// ignoring drift accumulated over the conversion interval (a second-
+// order effect at ppm drift rates).
+func (c *Clock) TrueTimeOf(local time.Duration) sim.Time {
+	// Invert local = t + offset + drift*t/1e6 approximately by one
+	// fixed-point iteration starting from t = local - offset.
+	t := local - c.offset
+	return local - c.OffsetAt(t)
+}
+
+// Sync performs an NTP-style synchronisation at the given true time:
+// the clock reads residual ahead of true time at now and drifts on
+// from there. The drift OffsetAt adds up to now is folded into the
+// offset, so the clock needs no record of the sync instant.
+func (c *Clock) Sync(now sim.Time, residual time.Duration) {
+	c.offset = residual - time.Duration(float64(now)*c.driftPPM/1e6)
+}
+
+// SyncAll synchronises every clock at the given true time.
+func (m *SyncModel) SyncAll(now sim.Time, clocks ...*Clock) {
+	for _, c := range clocks {
+		c.Sync(now, m.Residual())
+	}
+}
+
+// Duration returns End - Start.
+func (w Window) Duration() time.Duration { return w.End - w.Start }
+
+// Contains reports whether t falls inside the window.
+func (w Window) Contains(t sim.Time) bool { return t >= w.Start && t < w.End }
+
 func TestZeroClockIsTrueTime(t *testing.T) {
 	c := New(0, 0)
 	for _, now := range []sim.Time{0, time.Second, time.Hour} {

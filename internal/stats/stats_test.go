@@ -1,12 +1,131 @@
 package stats
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
 )
+
+// The helpers below are test support: the experiments read samples
+// only through Mean, Percentile, Median and RenderCDF.
+
+// Values returns a copy of the raw observations.
+func (s *Sample) Values() []float64 {
+	out := make([]float64, len(s.values))
+	copy(out, s.values)
+	return out
+}
+
+// Stddev returns the population standard deviation.
+func (s *Sample) Stddev() float64 {
+	n := len(s.values)
+	if n == 0 {
+		return 0
+	}
+	m := s.Mean()
+	sum := 0.0
+	for _, v := range s.values {
+		d := v - m
+		sum += d * d
+	}
+	return math.Sqrt(sum / float64(n))
+}
+
+// Min returns the smallest observation, or 0 for an empty sample.
+func (s *Sample) Min() float64 {
+	if len(s.values) == 0 {
+		return 0
+	}
+	s.sort()
+	return s.values[0]
+}
+
+// Max returns the largest observation, or 0 for an empty sample.
+func (s *Sample) Max() float64 {
+	if len(s.values) == 0 {
+		return 0
+	}
+	s.sort()
+	return s.values[len(s.values)-1]
+}
+
+// CDFPoint is one (value, cumulative fraction) point.
+type CDFPoint struct {
+	Value    float64
+	Fraction float64 // in (0, 1]
+}
+
+// CDF returns the empirical CDF of the sample as sorted points. Ties
+// collapse into a single point carrying the cumulative fraction.
+func (s *Sample) CDF() []CDFPoint {
+	n := len(s.values)
+	if n == 0 {
+		return nil
+	}
+	s.sort()
+	var out []CDFPoint
+	for i, v := range s.values {
+		f := float64(i+1) / float64(n)
+		if len(out) > 0 && out[len(out)-1].Value == v {
+			out[len(out)-1].Fraction = f
+			continue
+		}
+		out = append(out, CDFPoint{Value: v, Fraction: f})
+	}
+	return out
+}
+
+// CDFAt returns the empirical cumulative fraction of observations <= x.
+func (s *Sample) CDFAt(x float64) float64 {
+	n := len(s.values)
+	if n == 0 {
+		return 0
+	}
+	s.sort()
+	i := sort.SearchFloat64s(s.values, math.Nextafter(x, math.Inf(1)))
+	return float64(i) / float64(n)
+}
+
+// Summary is a compact, printable statistical summary.
+type Summary struct {
+	N      int
+	Mean   float64
+	Stddev float64
+	Min    float64
+	P50    float64
+	P95    float64
+	Max    float64
+}
+
+// Summarize computes a Summary of the sample.
+func (s *Sample) Summarize() Summary {
+	return Summary{
+		N:      s.Len(),
+		Mean:   s.Mean(),
+		Stddev: s.Stddev(),
+		Min:    s.Min(),
+		P50:    s.Median(),
+		P95:    s.Percentile(95),
+		Max:    s.Max(),
+	}
+}
+
+// String renders the summary as a single table-friendly line. An
+// empty sample says so explicitly instead of printing a row of
+// phantom zeros that reads like a real all-zero measurement.
+func (sm Summary) String() string {
+	if sm.N == 0 {
+		return "n=0 empty"
+	}
+	return fmt.Sprintf("n=%d mean=%.3f sd=%.3f min=%.3f p50=%.3f p95=%.3f max=%.3f",
+		sm.N, sm.Mean, sm.Stddev, sm.Min, sm.P50, sm.P95, sm.Max)
+}
+
+// Len returns the number of points.
+func (s *Series) Len() int { return len(s.X) }
 
 func almost(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 

@@ -30,23 +30,6 @@ type Trace struct {
 // Len returns the number of packets.
 func (t *Trace) Len() int { return len(t.Times) }
 
-// Bytes returns the total traced volume.
-func (t *Trace) Bytes() uint64 {
-	var total uint64
-	for _, s := range t.Sizes {
-		total += uint64(s)
-	}
-	return total
-}
-
-// Duration returns the time span of the trace.
-func (t *Trace) Duration() time.Duration {
-	if len(t.Times) == 0 {
-		return 0
-	}
-	return t.Times[len(t.Times)-1] - t.Times[0]
-}
-
 // Append adds one packet record. Times must be non-decreasing.
 func (t *Trace) Append(at sim.Time, size int) error {
 	if n := len(t.Times); n > 0 && at < t.Times[n-1] {
@@ -105,9 +88,6 @@ type Replayer struct {
 	// Pool optionally recycles emitted packets; the testbed wires
 	// the same pool into the terminal sinks and drop sites.
 	Pool *netem.PacketPool
-
-	emitted uint64
-	bytes   uint64
 }
 
 // Start schedules the entire trace starting at the given time.
@@ -132,8 +112,6 @@ func (r *Replayer) Start(at sim.Time) {
 			pkt.Size = int(r.Trace.Sizes[i])
 			pkt.Dir = r.Trace.Dir
 			pkt.Sent = r.Sched.Now()
-			r.emitted++
-			r.bytes += uint64(pkt.Size)
 			if r.OnEmit != nil {
 				r.OnEmit(pkt)
 			}
@@ -141,9 +119,6 @@ func (r *Replayer) Start(at sim.Time) {
 		})
 	}
 }
-
-// Emitted returns (packets, bytes) replayed so far.
-func (r *Replayer) Emitted() (uint64, uint64) { return r.emitted, r.bytes }
 
 // Synthesize builds a trace by running a workload profile for the
 // given duration on a private scheduler. It stands in for the paper's

@@ -9,6 +9,25 @@ import (
 	"tlc/internal/sim"
 )
 
+// Bytes and Duration are test support: no binary measures a trace.
+
+// Bytes returns the total traced volume.
+func (t *Trace) Bytes() uint64 {
+	var total uint64
+	for _, s := range t.Sizes {
+		total += uint64(s)
+	}
+	return total
+}
+
+// Duration returns the time span of the trace.
+func (t *Trace) Duration() time.Duration {
+	if len(t.Times) == 0 {
+		return 0
+	}
+	return t.Times[len(t.Times)-1] - t.Times[0]
+}
+
 func sampleTrace(t *testing.T) *Trace {
 	t.Helper()
 	tr := &Trace{Flow: "vr", IMSI: "imsi9", Dir: netem.Downlink, QCI: 9}
@@ -96,10 +115,6 @@ func TestReplayerReproducesTiming(t *testing.T) {
 		if sizes[i] != int(tr.Sizes[i]) {
 			t.Fatalf("sizes = %v", sizes)
 		}
-	}
-	pkts, bytes := rp.Emitted()
-	if pkts != 3 || bytes != 3700 {
-		t.Fatalf("Emitted = %d/%d", pkts, bytes)
 	}
 }
 

@@ -181,9 +181,6 @@ func (s *Sender) Stats() (sent, unique, rtx, spurious uint64) {
 	return s.sentData, s.uniqueData, s.rtxData, s.spurious
 }
 
-// AckedBytes returns the reliably delivered volume.
-func (s *Sender) AckedBytes() uint64 { return s.ackedTo * uint64(s.SegmentSize) }
-
 // Receiver is the reliable receiving endpoint: it tracks the highest
 // in-order sequence, counts distinct delivered bytes once, and sends
 // cumulative ACKs back to the sender.
@@ -194,7 +191,6 @@ type Receiver struct {
 	received map[uint64]bool
 	cum      uint64
 	unique   uint64 // distinct payload bytes delivered
-	dups     uint64 // duplicate payload bytes discarded
 }
 
 // NewReceiver builds the receiving endpoint bound to its sender.
@@ -204,10 +200,9 @@ func NewReceiver(sched *sim.Scheduler, sender *Sender) *Receiver {
 
 // Recv implements netem.Node.
 func (r *Receiver) Recv(p *netem.Packet) {
-	seq := p.Seq
-	if r.received[seq] || seq < r.cum {
-		r.dups += uint64(p.Size)
-	} else {
+	// A duplicate (already received, or below the cumulative ack) is
+	// discarded: the gateway charged it, the application never sees it.
+	if seq := p.Seq; !r.received[seq] && seq >= r.cum {
 		r.received[seq] = true
 		r.unique += uint64(p.Size)
 		for r.received[r.cum] {
@@ -224,7 +219,3 @@ func (r *Receiver) Recv(p *netem.Packet) {
 // UniqueBytes returns distinct payload bytes delivered (what the edge
 // application actually received).
 func (r *Receiver) UniqueBytes() uint64 { return r.unique }
-
-// DuplicateBytes returns discarded duplicate payload bytes — traffic
-// the gateway charged twice.
-func (r *Receiver) DuplicateBytes() uint64 { return r.dups }

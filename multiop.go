@@ -42,6 +42,8 @@ type MultiOperatorOutcome struct {
 // that operator's *private* key pair — in production each operator
 // runs its own endpoint; this in-process form serves simulations and
 // tests. Results are sorted by operator name.
+//
+//tlcvet:allow unreached — §8 multi-operator reproduction, which only go test . -run MultiOperator runs
 func SettleMultiOperator(edgeKeys *KeyPair, accounts []OperatorAccount,
 	opKeys map[string]*KeyPair, strategy Strategy, seed int64) []MultiOperatorOutcome {
 	out := make([]MultiOperatorOutcome, 0, len(accounts))

@@ -114,6 +114,8 @@ func RunScenario(s Scenario) (*ScenarioReport, error) {
 }
 
 // Apps lists the available scenario workload names.
+//
+//tlcvet:allow unreached — the root tlc package's exported API
 func Apps() []string {
 	out := make([]string, len(apps.Workloads))
 	for i, p := range apps.Workloads {

@@ -76,6 +76,8 @@ func (s Strategy) core() core.Strategy {
 }
 
 // String implements fmt.Stringer.
+//
+//tlcvet:allow unreached — the root tlc package's exported API
 func (s Strategy) String() string {
 	switch s {
 	case Honest:
@@ -191,9 +193,13 @@ func NewNegotiator(role Role, plan Plan, keys *KeyPair, peer *rsa.PublicKey, usa
 }
 
 // SetTimeout overrides the per-message network timeout.
+//
+//tlcvet:allow unreached — the root tlc package's exported API
 func (n *Negotiator) SetTimeout(d time.Duration) { n.party.Timeout = d }
 
 // SetMaxRounds overrides the negotiation round cap.
+//
+//tlcvet:allow unreached — the root tlc package's exported API
 func (n *Negotiator) SetMaxRounds(r int) { n.party.MaxRounds = r }
 
 // SetSeed makes the negotiator's randomness deterministic (tests and

@@ -9,11 +9,13 @@
 #                (cryptorand), error discipline (errdiscard),
 #                allocation-free hot paths (hotalloc), the two-tier
 #                metrics rule (metricstier), goroutine stop paths
-#                (goroleak) and waiver hygiene (staleallow); the JSON
-#                report is archived to tlcvet_report.json
+#                (goroleak), code no binary reaches (unreached) and
+#                waiver hygiene (staleallow); the JSON report is
+#                archived to tlcvet_report.json
 #   figures    — every experiment's text at quick size, sequential and
-#                on two sweep workers, equals the checked-in golden
-#                (internal/experiment/testdata/figures_quick.golden)
+#                on two sweep workers, and at full size (45 s cycles,
+#                2 seeds) on two workers, equals the checked-in golden
+#                (internal/experiment/testdata/figures_{quick,full}.golden)
 #                byte for byte, Figure 17's wall-clock rows under a
 #                fixed stopwatch; a failure names the experiment and
 #                its first differing line
