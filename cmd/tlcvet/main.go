@@ -3,8 +3,8 @@
 // seededrand), crypto hygiene of the Proof-of-Charging (cryptorand),
 // error discipline (errdiscard), allocation-free hot paths (hotalloc),
 // the two-tier metrics rule (metricstier), goroutine stop paths
-// (goroleak) and waiver hygiene (staleallow). It is wired into
-// verify.sh as a tier-1 gate.
+// (goroleak), code no binary reaches (unreached) and waiver hygiene
+// (staleallow). It is wired into verify.sh as a tier-1 gate.
 //
 // Usage:
 //
@@ -18,13 +18,18 @@
 // line above) followed by a justification. -json and -sarif replace the
 // plain rendering on stdout with a machine-readable report (exit status
 // is unchanged); -json-out additionally archives the JSON report to a
-// file regardless of the stdout format.
+// file regardless of the stdout format. unreached judges only a load
+// that holds every main package of the module; on any other load it
+// reports nothing and prints a note on stderr naming the binaries the
+// load omits.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
+	"strings"
 
 	"tlc/internal/lint"
 )
@@ -92,6 +97,16 @@ func main() {
 	}
 
 	findings := lint.Run(pkgs, analyzers)
+	if slices.Contains(analyzers, lint.Unreached) {
+		omitted, err := lint.OmittedMains(pkgs)
+		switch {
+		case err != nil:
+			fmt.Fprintf(os.Stderr, "tlcvet: note: unreached judged nothing: listing the module's binaries: %v\n", err)
+		case len(omitted) > 0:
+			fmt.Fprintf(os.Stderr, "tlcvet: note: unreached judged nothing: the load omits %d of the module's binaries (%s); run it on ./... from the module root\n",
+				len(omitted), strings.Join(omitted, ", "))
+		}
+	}
 	switch {
 	case *jsonOut:
 		if err := lint.WriteJSON(os.Stdout, findings, analyzers, cwd); err != nil {

@@ -84,6 +84,24 @@ func TestExitFindingsStableOutput(t *testing.T) {
 	}
 }
 
+// TestUnreachedNoteOnPartialLoad loads one of a module's two binaries:
+// unreached judges nothing (lib.B, which only the other binary
+// reaches, is not reported) and a note on stderr names the binary the
+// load omits. The whole module reads clean and prints no note.
+func TestUnreachedNoteOnPartialLoad(t *testing.T) {
+	stdout, stderr, exit := runVet(t, "twobins", "./a", "./lib")
+	want := "tlcvet: note: unreached judged nothing: the load omits 1 of the module's binaries (twobins/b); run it on ./... from the module root\n"
+	if exit != 0 || stdout != "" || stderr != want {
+		t.Fatalf("partial load: exit %d, stdout %q, stderr %q; want exit 0, no findings, stderr %q", exit, stdout, stderr, want)
+	}
+	if stdout, stderr, exit := runVet(t, "twobins", "./..."); exit != 0 || stdout != "" || stderr != "" {
+		t.Fatalf("whole module: exit %d, stdout %q, stderr %q; want a silent exit 0", exit, stdout, stderr)
+	}
+	if _, stderr, _ := runVet(t, "twobins", "-checks", "simtime", "./a"); stderr != "" {
+		t.Fatalf("a run without unreached printed %q", stderr)
+	}
+}
+
 func TestExitFindingsWithoutTests(t *testing.T) {
 	stdout, _, exit := runVet(t, "findings", "-tests=false", "./...")
 	if exit != 1 {

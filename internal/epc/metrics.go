@@ -15,8 +15,6 @@ var (
 		"charged bytes carried by CDRs lost to OFCS crashes")
 	mCDRsRecovered = metrics.Default.Counter("epc_cdrs_recovered_total",
 		"loss-window CDRs recovered from the durable ledger on OFCS restart")
-	mQuotaTrips = metrics.Default.Counter("epc_quota_trips_total",
-		"subscribers whose cumulative usage passed the plan quota")
 	mOFCSCrashes = metrics.Default.Counter("epc_ofcs_crashes_total",
 		"OFCS crash fault injections")
 	mMeterRestarts = metrics.Default.Counter("epc_meter_restarts_total",
@@ -41,7 +39,6 @@ func (o *OFCS) PublishMetrics() {
 	mCDRsLost.Add(uint64(o.LostRecords()))
 	mCDRBytesLost.Add(o.lostBytes)
 	mCDRsRecovered.Add(uint64(o.recovered))
-	mQuotaTrips.Add(uint64(len(o.exceeded)))
 	mOFCSCrashes.Add(uint64(o.crashes))
 }
 

@@ -15,7 +15,8 @@ import (
 // side of the negotiation reads its charging record from here.
 type OFCS struct {
 	// OnQuotaExceeded fires once per subscriber when cumulative
-	// usage passes the plan quota; the testbed uses it to throttle.
+	// usage passes the quota of the plan SetPlan installed; a Policer
+	// hooks it to throttle.
 	OnQuotaExceeded func(imsi string, usage uint64)
 
 	plan     Plan
@@ -70,9 +71,8 @@ func (u *Usage) Total() uint64 { return u.UL + u.DL }
 // so steady-state collection appends without reallocating.
 func NewOFCS() *OFCS {
 	return &OFCS{
-		cdrs:     make([]*CDR, 0, 128),
-		usage:    make(map[string]*Usage),
-		exceeded: make(map[string]bool),
+		cdrs:  make([]*CDR, 0, 128),
+		usage: make(map[string]*Usage),
 	}
 }
 
@@ -82,6 +82,9 @@ func NewOFCS() *OFCS {
 func (o *OFCS) SetPlan(p Plan) {
 	o.plan = p
 	o.hasPlan = true
+	if o.exceeded == nil {
+		o.exceeded = make(map[string]bool)
+	}
 }
 
 // AttachLedger makes the OFCS durable: every collected CDR is also

@@ -616,6 +616,8 @@ func (r *cityRun) collect() *CityResult {
 	res.Cells = make([]CellStat, len(r.cells))
 	var queueDrops, lossDrops, forwarded, forwardDrops, lanePkts, inboxPkts uint64
 	for i, c := range r.cells {
+		c.backhaul.Settle()
+		c.air.Settle()
 		st := CellStat{
 			Cell:           i,
 			EventsFired:    c.sched.Fired(),

@@ -4,15 +4,22 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
+
+	"tlc/internal/metrics"
 )
 
-var updateGoldens = flag.Bool("update", false, "rewrite the figure goldens under testdata/ from this build")
+var updateGoldens = flag.Bool("update", false, "rewrite the figure and registry goldens under testdata/ from this build")
 
-// quickGolden holds the text of every experiment at Quick() size.
-const quickGolden = "testdata/figures_quick.golden"
+// goldenPair names the two goldens of one size: each experiment's text,
+// and the deltas its run publishes into the metrics registry.
+type goldenPair struct{ text, registry string }
+
+// quickGolden holds every experiment at Quick() size.
+var quickGolden = goldenPair{"testdata/figures_quick.golden", "testdata/registry_quick.golden"}
 
 // goldenOptions returns size with the wall-clock probe replaced, so
 // every line of every experiment is a pure function of the code.
@@ -23,21 +30,75 @@ func goldenOptions(size Options, workers int) Options {
 	return opt
 }
 
-// renderFigures runs every experiment in IDs order. Each section is a
-// header line naming the experiment, its text and a blank line, so a
-// golden file is the sections' concatenation.
-func renderFigures(t *testing.T, opt Options) []string {
+// renderFigures runs every experiment in IDs order and returns two
+// sections per experiment: its text, and the registry deltas its run
+// published (see registryValues). Each section is a header line naming
+// the experiment, its body and a blank line, so a golden file is the
+// sections' concatenation.
+func renderFigures(t *testing.T, opt Options) (text, registry []string) {
 	t.Helper()
-	sections := make([]string, 0, len(IDs))
 	for _, id := range IDs {
 		run, ok := ByID(id)
 		if !ok {
 			t.Fatalf("experiment %q in IDs has no runner", id)
 		}
+		before := make(map[string]int64)
+		for _, s := range registryValues(t) {
+			before[s.name] = s.value
+		}
 		res := run(opt)
-		sections = append(sections, "== "+id+" — "+res.Title+" ==\n"+res.Text+"\n")
+		text = append(text, "== "+id+" — "+res.Title+" ==\n"+res.Text+"\n")
+		var b strings.Builder
+		b.WriteString("== " + id + " ==\n")
+		for _, s := range registryValues(t) {
+			b.WriteString(s.name + " " + strconv.FormatInt(s.value-before[s.name], 10) + "\n")
+		}
+		registry = append(registry, b.String()+"\n")
 	}
-	return sections
+	return text, registry
+}
+
+// wallClockSeries are the registry's histograms of wall-clock values,
+// which no golden can pin.
+var wallClockSeries = map[string]bool{"protocol_negotiate_seconds": true}
+
+type series struct {
+	name  string
+	value int64
+}
+
+// registryValues reads metrics.Default in exposition order: every
+// counter and gauge, and the bucket and count series of each histogram
+// not in wallClockSeries. A histogram's sum is left out: parallel sweep
+// cells publish in completion order, and a float sum depends on the
+// order of its additions.
+func registryValues(t *testing.T) []series {
+	t.Helper()
+	var b strings.Builder
+	if err := metrics.Default.WriteText(&b); err != nil {
+		t.Fatal(err)
+	}
+	var out []series
+	var base, kind string
+	for _, line := range strings.Split(strings.TrimSuffix(b.String(), "\n"), "\n") {
+		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			base, kind, _ = strings.Cut(rest, " ")
+			continue
+		}
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		name, value, _ := strings.Cut(line, " ")
+		if kind == "histogram" && (wallClockSeries[base] || name == base+"_sum") {
+			continue
+		}
+		v, err := strconv.ParseInt(value, 10, 64)
+		if err != nil {
+			t.Fatalf("registry series %s: %v", name, err)
+		}
+		out = append(out, series{name: name, value: v})
+	}
+	return out
 }
 
 // splitGolden cuts a golden file back into its sections, keyed by the
@@ -87,9 +148,9 @@ func TestFigureGoldensQuick(t *testing.T) {
 	checkGolden(t, quickGolden, Quick(), workerCounts)
 }
 
-// fullGolden holds the text of every experiment at the size of
-// results_all.txt: 45 s cycles, 2 seeds per grid point.
-const fullGolden = "testdata/figures_full.golden"
+// fullGolden holds every experiment at the size of results_all.txt:
+// 45 s cycles, 2 seeds per grid point.
+var fullGolden = goldenPair{"testdata/figures_full.golden", "testdata/registry_full.golden"}
 
 // TestFigureGoldensFull is the full-size twin of the quick golden, on
 // two sweep workers. It takes about ten seconds, so -short and the race
@@ -102,38 +163,47 @@ func TestFigureGoldensFull(t *testing.T) {
 }
 
 // checkGolden renders every experiment at size opt for each worker
-// count and compares each section with the golden at path. With
-// -update it first rewrites the golden from the first worker count.
-func checkGolden(t *testing.T, path string, size Options, workerCounts []int) {
+// count and compares each text and registry section with the goldens.
+// With -update it first rewrites both goldens from the first worker
+// count.
+func checkGolden(t *testing.T, golden goldenPair, size Options, workerCounts []int) {
 	t.Helper()
-	path = filepath.FromSlash(path)
+	paths := []string{filepath.FromSlash(golden.text), filepath.FromSlash(golden.registry)}
 	if *updateGoldens {
-		data := strings.Join(renderFigures(t, goldenOptions(size, workerCounts[0])), "")
-		if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
-			t.Fatal(err)
+		text, registry := renderFigures(t, goldenOptions(size, workerCounts[0]))
+		for i, sections := range [][]string{text, registry} {
+			if err := os.WriteFile(paths[i], []byte(strings.Join(sections, "")), 0o644); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("read golden: %v", err)
+	want := make([]map[string]string, len(paths))
+	for i, path := range paths {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("read golden: %v", err)
+		}
+		want[i] = splitGolden(string(data))
+		if len(want[i]) != len(IDs) {
+			t.Errorf("%s holds %d sections, IDs lists %d experiments", path, len(want[i]), len(IDs))
+		}
 	}
-	want := splitGolden(string(data))
 	for _, workers := range workerCounts {
-		for i, got := range renderFigures(t, goldenOptions(size, workers)) {
-			id := IDs[i]
-			exp, ok := want[id]
-			if !ok {
-				t.Errorf("workers=%d: %s has no %s section", workers, path, id)
-				continue
-			}
-			if got != exp {
-				n, g, w := firstDiff(got, exp)
-				t.Errorf("workers=%d: %s differs from the golden at line %d:\n got: %q\nwant: %q",
-					workers, id, n, g, w)
+		text, registry := renderFigures(t, goldenOptions(size, workers))
+		for i, got := range [][]string{text, registry} {
+			for j, section := range got {
+				id := IDs[j]
+				exp, ok := want[i][id]
+				if !ok {
+					t.Errorf("workers=%d: %s has no %s section", workers, paths[i], id)
+					continue
+				}
+				if section != exp {
+					n, g, w := firstDiff(section, exp)
+					t.Errorf("workers=%d: %s of %s differs from the golden at line %d:\n got: %q\nwant: %q",
+						workers, paths[i], id, n, g, w)
+				}
 			}
 		}
-	}
-	if len(want) != len(IDs) {
-		t.Errorf("%s holds %d sections, IDs lists %d experiments", path, len(want), len(IDs))
 	}
 }

@@ -15,12 +15,17 @@ var update = flag.Bool("update", false, "rewrite the golden report file")
 
 // fixtureLoader is shared across tests: source-importing the standard
 // library is the expensive part of loading, and one loader caches it.
-var fixtureLoader *Loader
+// unreachedLoader loads the unreached fixture, a module of its own
+// (testdata/unreached/go.mod), so that its binaries are the module's.
+var fixtureLoader, unreachedLoader *Loader
 
 func TestMain(m *testing.M) {
 	flag.Parse()
 	var err error
 	fixtureLoader, err = NewLoader(".")
+	if err == nil {
+		unreachedLoader, err = NewLoader(filepath.Join("testdata", "unreached"))
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "lint_test:", err)
 		os.Exit(1)
@@ -160,16 +165,21 @@ func TestAnalyzers(t *testing.T) {
 	}
 }
 
-// loadUnreached loads the unreached fixture as one program: a library,
-// a command that uses it, and a main package in a nested module
-// directory, as perfbench sits in the repository.
-func loadUnreached(t *testing.T) []*Package {
+// loadUnreached loads the unreached fixture as one program, or the
+// packages the patterns name: a library, a command that uses it, and a
+// main package in a nested module directory, as perfbench sits in the
+// repository.
+func loadUnreached(t *testing.T, patterns ...string) []*Package {
 	t.Helper()
-	pkgs, err := fixtureLoader.Load("./testdata/unreached/...")
+	whole := len(patterns) == 0
+	if whole {
+		patterns = []string{"./testdata/unreached/..."}
+	}
+	pkgs, err := unreachedLoader.Load(patterns...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pkgs) != 3 {
+	if whole && len(pkgs) != 3 {
 		t.Fatalf("unreached fixture loaded %d packages, want 3", len(pkgs))
 	}
 	for _, pkg := range pkgs {
@@ -191,12 +201,27 @@ func TestUnreached(t *testing.T) {
 // TestUnreachedNeedsAMain checks that a load without a main package,
 // which has no roots, judges nothing and leaves its waivers alone.
 func TestUnreachedNeedsAMain(t *testing.T) {
-	pkgs, err := fixtureLoader.Load("./testdata/unreached/lib")
-	if err != nil {
-		t.Fatal(err)
-	}
+	pkgs := loadUnreached(t, "./testdata/unreached/lib")
 	if got := Run(pkgs, []*Analyzer{Unreached, StaleAllow}); len(got) != 0 {
 		t.Errorf("library-only load reported %d findings, want none: %v", len(got), got)
+	}
+}
+
+// TestUnreachedNeedsEveryMain loads one of the fixture's two binaries
+// with the library: what only the other binary reaches (BenchOnly)
+// would read as dead, so the check judges nothing, leaves its waivers
+// alone, and OmittedMains names the binary left out.
+func TestUnreachedNeedsEveryMain(t *testing.T) {
+	pkgs := loadUnreached(t, "./testdata/unreached/cmd/app", "./testdata/unreached/lib")
+	if got := Run(pkgs, []*Analyzer{Unreached, StaleAllow}); len(got) != 0 {
+		t.Errorf("partial load reported %d findings, want none: %v", len(got), got)
+	}
+	omitted, err := OmittedMains(pkgs)
+	if want := fixturePath("unreached/bench"); err != nil || len(omitted) != 1 || omitted[0] != want {
+		t.Errorf("OmittedMains = %v, %v; want [%s]", omitted, err, want)
+	}
+	if omitted, err := OmittedMains(loadUnreached(t)); err != nil || len(omitted) != 0 {
+		t.Errorf("OmittedMains of the whole fixture = %v, %v; want none", omitted, err)
 	}
 }
 

@@ -35,6 +35,8 @@ type Package struct {
 	// run on partial information, but the CLI treats these as fatal:
 	// missing type info silently hides findings.
 	TypeErrors []error
+
+	loader *Loader // the loader of its module, for OmittedMains
 }
 
 // Loader loads packages of a single module rooted at a go.mod.
@@ -47,6 +49,7 @@ type Loader struct {
 	pkgs       map[string]*Package
 	rootPkgs   map[string]*Package
 	loading    map[string]bool
+	mains      []string // see moduleMains; nil until first asked
 
 	// IncludeTests makes Load parse and type-check each matched
 	// package's in-package _test.go files together with its ordinary
@@ -204,6 +207,60 @@ func (l *Loader) expand(pattern string) ([]string, error) {
 	return dirs, nil
 }
 
+// OmittedMains returns the import paths of the main packages of pkgs'
+// module that pkgs leave out, in path order. The module's main
+// packages are those ./... finds from its root, perfbench's included:
+// the walk does not stop at a nested go.mod.
+func OmittedMains(pkgs []*Package) ([]string, error) {
+	if len(pkgs) == 0 {
+		return nil, nil
+	}
+	mains, err := pkgs[0].loader.moduleMains()
+	if err != nil {
+		return nil, err
+	}
+	loaded := make(map[string]bool, len(pkgs))
+	for _, pkg := range pkgs {
+		loaded[pkg.Path] = true
+	}
+	var omitted []string
+	for _, path := range mains {
+		if !loaded[path] {
+			omitted = append(omitted, path)
+		}
+	}
+	return omitted, nil
+}
+
+// moduleMains lists the import paths of the module's main packages.
+func (l *Loader) moduleMains() ([]string, error) {
+	if l.mains != nil {
+		return l.mains, nil
+	}
+	dirs, err := l.expand(filepath.Join(l.moduleRoot, "..."))
+	if err != nil {
+		return nil, err
+	}
+	mains := []string{}
+	for _, dir := range dirs {
+		bp, err := l.ctxt.ImportDir(dir, 0)
+		if err != nil {
+			return nil, fmt.Errorf("lint: %s: %w", dir, err)
+		}
+		if bp.Name != "main" || len(bp.GoFiles) == 0 {
+			continue
+		}
+		path, err := l.importPathFor(dir)
+		if err != nil {
+			return nil, err
+		}
+		mains = append(mains, path)
+	}
+	sort.Strings(mains)
+	l.mains = mains
+	return mains, nil
+}
+
 // importPathFor maps an absolute directory inside the module to its
 // import path.
 func (l *Loader) importPathFor(dir string) (string, error) {
@@ -286,7 +343,7 @@ func (l *Loader) LoadAs(dir, importPath string) (*Package, error) {
 // check parses the named files in dir and type-checks them as one
 // package under importPath.
 func (l *Loader) check(dir, importPath string, names []string) (*Package, error) {
-	pkg := &Package{Path: importPath, Dir: dir, Fset: l.fset}
+	pkg := &Package{Path: importPath, Dir: dir, Fset: l.fset, loader: l}
 	for _, name := range names {
 		file, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil,
 			parser.ParseComments|parser.SkipObjectResolution)

@@ -32,8 +32,10 @@ import (
 // it. Test files are never roots and never reported.
 //
 // The check judges the program the patterns load, so it belongs on
-// ./... from the module root. A load with no main package has no roots:
-// the check then judges nothing, and its waivers are not stale.
+// ./... from the module root. A load that omits a main package of the
+// module (see OmittedMains) would read what only that binary reaches as
+// dead, and a load with no main package has no roots: in either case
+// the check judges nothing, and its waivers are not stale.
 var Unreached = &Analyzer{
 	Name:       unreachedCheck,
 	Doc:        "report functions that no binary's main or init reaches (delete, move into _test.go, or waive)",
@@ -58,7 +60,7 @@ func runUnreached(prog *Program) {
 			mains = append(mains, pkg)
 		}
 	}
-	if len(mains) == 0 {
+	if omitted, err := OmittedMains(prog.Pkgs); len(mains) == 0 || len(omitted) > 0 || err != nil {
 		delete(prog.ran, unreachedCheck)
 		return
 	}

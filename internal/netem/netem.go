@@ -156,6 +156,11 @@ func (pp *PacketPool) Put(p *Packet) {
 }
 
 // LossModel decides whether a packet is lost in transit on a link.
+// now is the instant the packet's transmission ends. A link may ask at
+// the transmission's start, with the end time (see Link's held
+// transmissions), so Drop must depend on now and the packet alone and
+// draw only from the model's own random stream; a link asks about its
+// packets in transmission order either way.
 type LossModel interface {
 	Drop(pkt *Packet, now sim.Time) bool
 }
@@ -190,9 +195,10 @@ type LossFunc func(pkt *Packet, now sim.Time) bool
 // Drop implements LossModel.
 func (f LossFunc) Drop(pkt *Packet, now sim.Time) bool { return f(pkt, now) }
 
-// LinkStats counts what happened on a link. On a link with
-// BackgroundEnds set, OutPackets, OutBytes and Ended lag behind the
-// simulated clock until the link's Settle runs (InFlight and
+// LinkStats counts what happened on a link. LossDrops and LossDropped
+// lag behind the simulated clock for a held transmission (see Link),
+// and on a link with BackgroundEnds set so do OutPackets, OutBytes and
+// Ended, until the link's Settle runs (InFlight, Backlog and
 // PublishMetrics run it): call Settle before reading them between
 // events.
 type LinkStats struct {
@@ -246,6 +252,18 @@ type FaultInjector interface {
 // priority (lower QCI first) and FIFO within a class, matching LTE's
 // scheduling-based primitives that the paper credits for the
 // low-latency edge (§2.1).
+//
+// A transmission with nothing queued behind it, on a link with a
+// positive Delay and no Inject, is held: kick settles it at its start,
+// asking Loss about the packet with the end time and putting it on the
+// wire (or ending it) at once, and reserves the completion's key with
+// a sim.Hold instead of scheduling it. A packet that queues behind the
+// held transmission before that key claims the hold, and the
+// completion fires at exactly that key; otherwise no event fires for
+// it. Until the clock passes the key the packet counts in Backlog, not
+// InFlight, and a loss counts in LossDrops from then on, once Settle
+// runs. The wire delivery takes its seq at the start rather than at
+// the end, the one change in event order.
 type Link struct {
 	Name       string
 	Sched      *sim.Scheduler
@@ -300,12 +318,25 @@ type Link struct {
 	queuedBytes  int
 	transmitting bool
 
-	// inFlight is the packet occupying the transmitter; the
-	// transmitting flag guarantees at most one. gateRetryFn/txDoneFn
-	// cache the two hot-path event closures (see gateRetry/txDone).
+	// inFlight is the packet occupying the transmitter, unless the
+	// transmission is held; the transmitting flag guarantees at most
+	// one. gateRetryFn/txDoneFn/heldDoneFn cache the hot-path event
+	// closures (see gateRetry/txDone/heldDone).
 	inFlight    *Packet
 	gateRetryFn func()
 	txDoneFn    func()
+	heldDoneFn  func()
+
+	// hold reserves a held transmission's completion (see Link). held is
+	// set from kick until the transmission ends, claimed once a queued
+	// packet has turned the completion into an event, and heldLost,
+	// heldSize and heldQCI keep the loss the end counts.
+	hold     sim.Hold
+	held     bool
+	claimed  bool
+	heldLost bool
+	heldSize int
+	heldQCI  uint8
 
 	// txSize, txRate and txDur memoize kick's last transmission time:
 	// consecutive packets mostly share one size and one rate (over 93%
@@ -447,8 +478,19 @@ func (l *Link) enqueue(pkt *Packet) {
 	l.queuedBytes += pkt.Size
 }
 
-// kick starts the transmitter if idle.
+// kick starts the transmitter if idle. A held transmission ends here
+// once its key has passed; before that, a queued packet claims it.
 func (l *Link) kick() {
+	if l.held {
+		if !l.Sched.Passed(&l.hold) {
+			if len(l.queue) > 0 && !l.claimed {
+				l.claimed = true
+				l.Sched.Claim(&l.hold, l.heldDone())
+			}
+			return
+		}
+		l.endHeld()
+	}
 	if l.transmitting || len(l.queue) == 0 {
 		return
 	}
@@ -488,13 +530,43 @@ func (l *Link) kick() {
 		}
 		tx = l.txDur
 	}
+	if len(l.queue) == 0 && l.Inject == nil && l.Delay > 0 {
+		l.holdTx(pkt, l.Sched.Now()+tx)
+		return
+	}
 	l.inFlight = pkt
 	l.Sched.AfterPooled(tx, l.txDone())
 }
 
-// gateRetry and txDone return per-link closures that are allocated
-// once and reused for every transmission, so the two events on the
-// per-packet hot path cost neither an Event nor a closure allocation.
+// holdTx settles, at its start, the transmission of pkt that ends at
+// done, and holds its completion (see Link).
+func (l *Link) holdTx(pkt *Packet, done sim.Time) {
+	l.Sched.Hold(&l.hold, done)
+	l.held, l.claimed = true, false
+	l.heldLost = l.Loss != nil && l.Loss.Drop(pkt, done)
+	if l.heldLost {
+		l.heldSize, l.heldQCI = pkt.Size, pkt.QCI
+		l.Pool.Put(pkt)
+		return
+	}
+	l.send(pkt, done, 0)
+}
+
+// endHeld ends the held transmission: the transmitter idles, and a
+// loss counts now, as the completion would have counted it.
+func (l *Link) endHeld() {
+	l.held, l.claimed, l.transmitting = false, false, false
+	if l.heldLost {
+		l.Stats.LossDrops++
+		l.Stats.LossDropped += uint64(l.heldSize)
+		l.qciDrop[l.heldQCI]++
+	}
+}
+
+// gateRetry, txDone and heldDone return per-link closures that are
+// allocated once and reused for every transmission, so the events on
+// the per-packet hot path cost neither an Event nor a closure
+// allocation.
 func (l *Link) gateRetry() func() {
 	if l.gateRetryFn == nil {
 		//tlcvet:allow hotalloc — allocated once per link on first use, then cached in gateRetryFn
@@ -520,9 +592,23 @@ func (l *Link) txDone() func() {
 	return l.txDoneFn
 }
 
+// heldDone is a claimed hold's completion: the held transmission ends
+// at its reserved key and the queued packet starts.
+func (l *Link) heldDone() func() {
+	if l.heldDoneFn == nil {
+		//tlcvet:allow hotalloc — allocated once per link on first use, then cached in heldDoneFn
+		l.heldDoneFn = func() {
+			l.endHeld()
+			l.kick()
+		}
+	}
+	return l.heldDoneFn
+}
+
 // propagate applies the loss model and delivers after Delay.
 func (l *Link) propagate(pkt *Packet) {
-	if l.Loss != nil && l.Loss.Drop(pkt, l.Sched.Now()) {
+	now := l.Sched.Now()
+	if l.Loss != nil && l.Loss.Drop(pkt, now) {
 		l.Stats.LossDrops++
 		l.Stats.LossDropped += uint64(pkt.Size)
 		l.qciDrop[pkt.QCI]++
@@ -530,7 +616,7 @@ func (l *Link) propagate(pkt *Packet) {
 		return
 	}
 	if l.Inject != nil {
-		act := l.Inject.Apply(pkt, l.Sched.Now())
+		act := l.Inject.Apply(pkt, now)
 		if act.Drop {
 			l.Stats.FaultDrops++
 			l.Stats.FaultDropped += uint64(pkt.Size)
@@ -542,25 +628,27 @@ func (l *Link) propagate(pkt *Packet) {
 			l.Stats.FaultDups++
 			dup := l.Pool.Get()
 			*dup = *pkt
-			l.send(dup, 0)
+			l.send(dup, now, 0)
 		}
 		if act.ExtraDelay > 0 {
 			l.Stats.FaultDelays++
-			l.send(pkt, act.ExtraDelay)
+			l.send(pkt, now, act.ExtraDelay)
 			return
 		}
 	}
-	l.send(pkt, 0)
+	l.send(pkt, now, 0)
 }
 
-// send puts the packet on the wire. extra == 0 is the normal path and
-// rides the link's FIFO stream, unless BackgroundEnds ends the packet
-// here. extra > 0 (a fault's reorder hold or delay spike)
-// deliberately breaks the link's FIFO order, so it must bypass the
-// stream, whose fire times may never decrease. Those packets get a
-// dedicated per-packet closure event instead; the allocation only
-// happens on faulted packets.
-func (l *Link) send(pkt *Packet, extra time.Duration) {
+// send puts the packet, whose transmission ends at done, on the wire.
+// extra == 0 is the normal path and rides the link's FIFO stream,
+// unless BackgroundEnds ends the packet here. extra > 0 (a fault's
+// reorder hold or delay spike) deliberately breaks the link's FIFO
+// order, so it must bypass the stream, whose fire times may never
+// decrease. Those packets get a dedicated per-packet closure event
+// instead, timed from now: a link with an injector holds no
+// transmission, so done is now. The allocation only happens on
+// faulted packets.
+func (l *Link) send(pkt *Packet, done sim.Time, extra time.Duration) {
 	if l.ended.Len() > 0 {
 		l.Settle()
 	}
@@ -576,9 +664,9 @@ func (l *Link) send(pkt *Packet, extra time.Duration) {
 	case l.Delay <= 0:
 		l.deliver(pkt)
 	case pkt.Background && l.BackgroundEnds:
-		l.end(pkt)
+		l.end(pkt, done+l.Delay)
 	default:
-		l.wire.Push(l.Sched.Now()+l.Delay, pkt)
+		l.wire.Push(done+l.Delay, pkt)
 	}
 }
 
@@ -592,18 +680,21 @@ type endedPkt struct {
 }
 
 // end retires a background packet at the transmitter (see
-// BackgroundEnds): Settle counts it out at its delivery time, and the
-// struct goes back to the pool now.
-func (l *Link) end(pkt *Packet) {
-	l.ended.Push(endedPkt{at: l.Sched.Now() + l.Delay, size: pkt.Size, qci: pkt.QCI})
+// BackgroundEnds): Settle counts it out at its delivery time at, and
+// the struct goes back to the pool now.
+func (l *Link) end(pkt *Packet, at sim.Time) {
+	l.ended.Push(endedPkt{at: at, size: pkt.Size, qci: pkt.QCI})
 	l.Pool.Put(pkt)
 }
 
-// Settle counts out, as deliver would have, every packet BackgroundEnds
-// ended whose delivery time is not after now, so that Stats and the
-// per-QCI counters are current. InFlight and PublishMetrics call it;
-// on a link without BackgroundEnds it does nothing.
+// Settle ends a held transmission whose key the clock has passed and
+// counts out, as deliver would have, every packet BackgroundEnds ended
+// whose delivery time is not after now, so that Stats and the per-QCI
+// counters are current. InFlight, Backlog and PublishMetrics call it.
 func (l *Link) Settle() {
+	if l.held && l.Sched.Passed(&l.hold) {
+		l.endHeld()
+	}
 	now := l.Sched.Now()
 	for l.ended.Len() > 0 && l.ended.Front().at <= now {
 		e := l.ended.PopFront()
@@ -627,20 +718,27 @@ func (l *Link) deliver(pkt *Packet) {
 // InFlight returns the number of packets transmitted and not yet
 // delivered: those on the wire, those a fault injector delays out of
 // FIFO order, and the ended background packets whose delivery time has
-// not passed (see BackgroundEnds). It runs Settle first, so that
-// between events Stats and InFlight read as they would if every packet
-// rode the wire.
+// not passed (see BackgroundEnds). A held transmission's packet sits
+// on the wire or among the ended packets from its start but counts in
+// Backlog until its end. InFlight runs Settle first, so that between
+// events Stats and InFlight read as they would if every packet rode
+// the wire and every transmission fired its completion.
 func (l *Link) InFlight() int {
 	l.Settle()
-	return l.wire.Len() + l.delayed + l.ended.Len()
+	n := l.wire.Len() + l.delayed + l.ended.Len()
+	if l.held && !l.heldLost {
+		n--
+	}
+	return n
 }
 
 // Backlog returns the number of packets the link holds before the
-// wire: those queued plus the one in the transmitter. Between events,
-// once Settle has run, InPackets + FaultDups = OutPackets + QueueDrops
-// + LossDrops + FaultDrops + InFlight() + Backlog().
+// wire: those queued plus the one in the transmitter. It runs Settle
+// first. Between events, InPackets + FaultDups = OutPackets +
+// QueueDrops + LossDrops + FaultDrops + InFlight() + Backlog().
 func (l *Link) Backlog() int {
-	if l.inFlight != nil {
+	l.Settle()
+	if l.inFlight != nil || l.held {
 		return len(l.queue) + 1
 	}
 	return len(l.queue)

@@ -7,10 +7,13 @@ import (
 )
 
 // TestHeapMatchesReferenceOrder drives the 4-ary heap with a
-// randomized schedule — duplicate fire times, cancellations, and
-// pushes into several FIFO streams whose times tie with each other and
-// with plain events — and checks the execution order against a
-// reference model sorted by (at, seq).
+// randomized schedule — duplicate fire times, cancellations, pushes
+// into several FIFO streams whose times tie with each other and with
+// plain events, and holds, some claimed and some not — and checks the
+// execution order against a reference model sorted by (at, seq). A
+// claimed hold fires at its reserved key; an unclaimed one fires
+// nothing, counts in Fired and Held, and reads as passed exactly when
+// the running event's key is past its own.
 func TestHeapMatchesReferenceOrder(t *testing.T) {
 	rng := NewRNG(20260805)
 	for trial := 0; trial < 50; trial++ {
@@ -21,19 +24,40 @@ func TestHeapMatchesReferenceOrder(t *testing.T) {
 		}
 		var want []ref
 		var got []int
+		n := 1 + rng.Intn(300)
+		holds := make([]Hold, n)
+		var unclaimed []ref
+		// fire records event i, which runs at key (at, i): every
+		// schedule below takes exactly one seq, so seq i is call i.
+		fire := func(i int) {
+			got = append(got, i)
+			for _, u := range unclaimed {
+				passed := u.at < s.Now() || (u.at == s.Now() && u.seq < i)
+				if s.Passed(&holds[u.seq]) != passed {
+					t.Fatalf("trial %d: at event %d (%v) the hold %d at %v reads passed=%v",
+						trial, i, s.Now(), u.seq, u.at, !passed)
+				}
+			}
+		}
 		streams := make([]*FIFO[int], 1+rng.Intn(4))
 		tails := make([]Time, len(streams))
 		for k := range streams {
-			streams[k] = NewFIFO(s, func(i int) { got = append(got, i) })
+			streams[k] = NewFIFO(s, fire)
 		}
-		n := 1 + rng.Intn(300)
 		for i := 0; i < n; i++ {
 			// Few distinct times so equal-time FIFO is exercised hard.
 			at := Time(rng.Intn(16)) * time.Millisecond
 			i := i
-			switch rng.Intn(3) {
+			switch rng.Intn(4) {
 			case 0:
-				s.AtPooled(at, func() { got = append(got, i) })
+				s.AtPooled(at, func() { fire(i) })
+			case 3:
+				s.Hold(&holds[i], at)
+				if rng.Intn(2) == 0 {
+					unclaimed = append(unclaimed, ref{at: at, seq: i})
+					continue // fires nothing: not in the reference
+				}
+				s.Claim(&holds[i], func() { fire(i) })
 			case 1:
 				// A stream's times never decrease: clamp to its tail.
 				k := rng.Intn(len(streams))
@@ -43,7 +67,7 @@ func TestHeapMatchesReferenceOrder(t *testing.T) {
 				tails[k] = at
 				streams[k].Push(at, i)
 			default:
-				ev := s.At(at, func() { got = append(got, i) })
+				ev := s.At(at, func() { fire(i) })
 				if rng.Intn(5) == 0 {
 					s.Cancel(ev)
 					continue // not in the reference
@@ -55,6 +79,15 @@ func TestHeapMatchesReferenceOrder(t *testing.T) {
 		s.Run()
 		if len(got) != len(want) {
 			t.Fatalf("trial %d: fired %d events, want %d", trial, len(got), len(want))
+		}
+		if s.Held() != uint64(len(unclaimed)) || s.Fired() != uint64(len(want)+len(unclaimed)) {
+			t.Fatalf("trial %d: Held %d and Fired %d, want %d and %d", trial,
+				s.Held(), s.Fired(), len(unclaimed), len(want)+len(unclaimed))
+		}
+		for _, u := range unclaimed {
+			if s.Now() < u.at {
+				t.Fatalf("trial %d: Run stopped at %v before the hold at %v", trial, s.Now(), u.at)
+			}
 		}
 		for i := range want {
 			if got[i] != want[i].seq {

@@ -9,15 +9,21 @@ import "tlc/internal/metrics"
 // put one contended cache line under every parallel sweep worker;
 // delta-flushing keeps the hot path untouched and the published
 // totals exact.
-var mEventsFired = metrics.Default.Counter("sim_events_fired_total",
-	"simulator events executed across all published scheduler runs")
+var (
+	mEventsFired = metrics.Default.Counter("sim_events_fired_total",
+		"simulator events executed across all published scheduler runs")
+	mEventsHeld = metrics.Default.Counter("sim_events_held_total",
+		"events in sim_events_fired_total that no heap entry carried: link completions held at transmission start")
+)
 
-// PublishMetrics flushes the scheduler's event counter into the
+// PublishMetrics flushes the scheduler's event counters into the
 // process metrics registry (the delta since the previous publish, so
 // calling it at every run boundary is safe and exact).
 func (s *Scheduler) PublishMetrics() {
-	mEventsFired.Add(s.fired - s.publishedFired)
-	s.publishedFired = s.fired
+	fired, held := s.Fired(), s.Held()
+	mEventsFired.Add(fired - s.publishedFired)
+	mEventsHeld.Add(held - s.publishedHeld)
+	s.publishedFired, s.publishedHeld = fired, held
 }
 
 // EventsFiredTotal returns the registry's cumulative count of

@@ -117,14 +117,25 @@ type Scheduler struct {
 	seq    uint64
 	fired  uint64
 
-	// publishedFired remembers what PublishMetrics already flushed to
-	// the registry, so publishes are delta-exact.
+	// cur is the seq of the event running now. Between events it is
+	// the running event's, or s.seq once RunUntil or Run has fired
+	// everything at or before now; see Passed.
+	cur uint64
+	// held counts the holds reserved and not claimed; holds lists every
+	// Hold this scheduler has reserved a key for (see hold.go).
+	held  uint64
+	holds []*Hold
+
+	// publishedFired and publishedHeld remember what PublishMetrics
+	// already flushed to the registry, so publishes are delta-exact.
 	publishedFired uint64
+	publishedHeld  uint64
 
 	// TraceHook, when non-nil, observes every fired (non-cancelled)
-	// event's (at, seq) key just before its callback runs. It exists
-	// for the shard-vs-sequential differential tests, which hash the
-	// fired-event stream of each partition; production runs leave it
+	// event's (at, seq) key just before its callback runs; held
+	// completions (see Hold) run no callback and are not traced. It
+	// exists for the shard-vs-sequential differential tests, which hash
+	// the fired-event stream of each partition; production runs leave it
 	// nil and pay one predictable branch per event.
 	TraceHook func(at Time, seq uint64)
 }
@@ -137,9 +148,11 @@ func NewScheduler() *Scheduler {
 // Now returns the current simulated time.
 func (s *Scheduler) Now() Time { return s.now }
 
-// Fired returns the number of events executed so far. It is useful for
-// sanity checks in tests and benchmarks.
-func (s *Scheduler) Fired() uint64 { return s.fired }
+// Fired returns the number of events executed so far, counting each
+// held completion whose key the clock has passed (see Hold and Held)
+// although no callback ran for it. It is useful for sanity checks in
+// tests and benchmarks.
+func (s *Scheduler) Fired() uint64 { return s.fired + s.Held() }
 
 // At schedules fn to run at absolute simulated time t. Scheduling in
 // the past panics: it indicates a causality bug in the caller.
@@ -207,7 +220,7 @@ func (s *Scheduler) Step() bool {
 		if e.ev != nil && e.ev.cancelled {
 			continue
 		}
-		s.now = e.at
+		s.now, s.cur = e.at, e.seq
 		s.fired++
 		if s.TraceHook != nil {
 			s.TraceHook(e.at, e.seq)
@@ -218,17 +231,19 @@ func (s *Scheduler) Step() bool {
 	return false
 }
 
-// Run executes events until the queue drains.
+// Run executes events until the queue drains, then advances the clock
+// past the last held completion, as its event would have.
 //
 //tlcvet:allow unreached — test support: the tests of sim, netem, ran and trace drain schedulers with it
 func (s *Scheduler) Run() {
 	for s.Step() {
 	}
+	s.passHolds()
 }
 
 // RunUntil executes events with fire time <= deadline, then advances
-// the clock to the deadline. Events scheduled beyond the deadline stay
-// queued.
+// the clock to the deadline, past every held completion at or before
+// it. Events scheduled beyond the deadline stay queued.
 func (s *Scheduler) RunUntil(deadline Time) {
 	for len(s.events) > 0 {
 		// Peek: the heap root is the earliest event.
@@ -242,8 +257,8 @@ func (s *Scheduler) RunUntil(deadline Time) {
 		}
 		s.Step()
 	}
-	if s.now < deadline {
-		s.now = deadline
+	if s.now <= deadline {
+		s.now, s.cur = deadline, s.seq
 	}
 }
 

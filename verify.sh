@@ -17,8 +17,12 @@
 #                2 seeds) on two workers, equals the checked-in golden
 #                (internal/experiment/testdata/figures_{quick,full}.golden)
 #                byte for byte, Figure 17's wall-clock rows under a
-#                fixed stopwatch; a failure names the experiment and
-#                its first differing line
+#                fixed stopwatch, and so do the registry deltas each
+#                experiment publishes (every counter and gauge, and the
+#                buckets and count of each histogram of simulated
+#                values) against registry_{quick,full}.golden; a
+#                failure names the golden, the experiment and its first
+#                differing line
 #   sweep      — parallel sweep engine smoke: ordering, panic
 #                propagation and figure parity under the race detector
 #   shardparity — sharded event engine determinism under the race
@@ -56,9 +60,9 @@
 #                (handle-less events and a FIFO stream's push and
 #                fire), metrics-observation, GTP tunnel and
 #                frame-reader hot paths, raw malloc counts over a
-#                backlogged link (its queue must slide, not regrow)
-#                and over a link ending background packets at its
-#                transmitter,
+#                backlogged link (its queue must slide, not regrow),
+#                over a link ending background packets at its
+#                transmitter and over held transmissions,
 #                plus the ledger read bound (replaying a real-disk
 #                ledger of full segments allocates under half a
 #                record's framed size per record: reads hold one
