@@ -12,7 +12,9 @@
 //	     -proof-out cycle.poc
 //
 // The operator serves each connection in its own goroutine (bounded
-// by -max-conns), so one stalled client cannot block the others. Its
+// by -max-conns), so one stalled client cannot block the others. A
+// -max-conns below 1, or a -conn-timeout or -mux-conn-timeout of 0 or
+// less, is refused at startup with exit status 2. Its
 // session engine negotiates on every connection, whether the edge
 // opens one negotiation per connection (as tlcd -role edge does) or
 // multiplexes many (TLCMUX1). With -http it also exposes a debug
@@ -96,6 +98,10 @@ func main() {
 		auditQ   = flag.String("audit", "", "audit query over -ledger-dir, e.g. subscriber=<fingerprint>,cycle=<id>; prints the report and exits")
 	)
 	flag.Parse()
+	if err := checkServingFlags(*maxConns, *connTO, *muxTO); err != nil {
+		fmt.Fprintf(os.Stderr, "tlcd: %v\n", err)
+		os.Exit(2)
+	}
 
 	if *auditQ != "" {
 		if *ledDir == "" {
@@ -641,15 +647,27 @@ func startDebugServer(ln net.Listener) *http.Server {
 	return srv
 }
 
+// checkServingFlags refuses serving limits the operator cannot run
+// with: acceptLoop's connection semaphore needs at least one slot (an
+// unbuffered one blocks the first accepted conn forever, a negative
+// size panics), and a deadline of zero or less times out every read.
+func checkServingFlags(maxConns int, connTimeout, muxConnTimeout time.Duration) error {
+	if maxConns < 1 {
+		return fmt.Errorf("-max-conns must be at least 1, got %d", maxConns)
+	}
+	if connTimeout <= 0 {
+		return fmt.Errorf("-conn-timeout must be positive, got %v", connTimeout)
+	}
+	if muxConnTimeout <= 0 {
+		return fmt.Errorf("-mux-conn-timeout must be positive, got %v", muxConnTimeout)
+	}
+	return nil
+}
+
 func runEdge(addr string, plan tlc.Plan, keys *tlc.KeyPair, usage tlc.Usage,
 	strat tlc.Strategy, proofOut string, spec *faults.Spec, faultSeed int64,
 	retries int, connTimeout time.Duration) {
-	start := time.Now()
-	r := &protocol.Retrier{
-		MaxAttempts: retries,
-		Sleep:       time.Sleep,
-		Elapsed:     func() time.Duration { return time.Since(start) },
-	}
+	r := &protocol.Retrier{MaxAttempts: retries, Sleep: time.Sleep}
 	attempts := 0
 	err := r.Do(func(attempt int) error {
 		attempts++

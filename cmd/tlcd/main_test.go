@@ -1,13 +1,18 @@
 package main
 
 import (
+	"bytes"
+	"context"
 	"crypto/sha256"
 	"crypto/x509"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
+	"os/exec"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -435,5 +440,54 @@ func TestOperatorStopWithoutTraffic(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("idle operator did not exit on stop")
+	}
+}
+
+// wantFlagRefused builds the real binary and runs it with args: it
+// must exit 2 at startup with a message naming flag. A binary that
+// starts serving instead is killed after ten seconds.
+func wantFlagRefused(t *testing.T, flag string, args ...string) {
+	t.Helper()
+	bin := filepath.Join(t.TempDir(), "tlcd")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("building tlcd: %v\n%s", err, out)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	var stderr bytes.Buffer
+	cmd := exec.CommandContext(ctx, bin, append([]string{"-listen", "127.0.0.1:0"}, args...)...)
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	var ee *exec.ExitError
+	if !errors.As(err, &ee) || ee.ExitCode() != 2 {
+		t.Fatalf("tlcd %s: %v, want exit status 2; stderr:\n%s", strings.Join(args, " "), err, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), flag) {
+		t.Fatalf("tlcd %s: stderr %q does not name %s", strings.Join(args, " "), stderr.String(), flag)
+	}
+}
+
+// TestRefusesMaxConnsBelowOne: 0 made acceptLoop's semaphore
+// unbuffered, so the first accepted conn blocked forever; a negative
+// value panicked in make.
+func TestRefusesMaxConnsBelowOne(t *testing.T) {
+	for _, v := range []string{"0", "-1"} {
+		wantFlagRefused(t, "-max-conns", "-max-conns", v)
+	}
+}
+
+// TestRefusesConnTimeoutNotPositive: a deadline of now times out every
+// read on every conn.
+func TestRefusesConnTimeoutNotPositive(t *testing.T) {
+	for _, v := range []string{"0s", "-1s"} {
+		wantFlagRefused(t, "-conn-timeout", "-conn-timeout", v)
+	}
+}
+
+// TestRefusesMuxConnTimeoutNotPositive is the same for multiplexed
+// conns.
+func TestRefusesMuxConnTimeoutNotPositive(t *testing.T) {
+	for _, v := range []string{"0s", "-1s"} {
+		wantFlagRefused(t, "-mux-conn-timeout", "-mux-conn-timeout", v)
 	}
 }

@@ -129,10 +129,6 @@ type Streamer struct {
 	IMSI    string
 	RNG     *sim.RNG
 
-	// OnEmit observes every emitted packet before it enters the
-	// network; the edge vendor's sender-side monitor taps here.
-	OnEmit func(*netem.Packet)
-
 	// Pool optionally recycles emitted packets; the testbed wires
 	// the same pool into the terminal sinks and drop sites.
 	Pool *netem.PacketPool
@@ -169,9 +165,6 @@ func (s *Streamer) send(size int) {
 	pkt.Size = size
 	pkt.Dir = s.Profile.Dir
 	pkt.Sent = s.Sched.Now()
-	if s.OnEmit != nil {
-		s.OnEmit(pkt)
-	}
 	s.Dst.Recv(pkt)
 }
 

@@ -142,20 +142,6 @@ func TestStopHaltsEmission(t *testing.T) {
 	}
 }
 
-func TestOnEmitTap(t *testing.T) {
-	s := sim.NewScheduler()
-	sink := &netem.Sink{}
-	st := NewStreamer(Gaming, s, &netem.IDGen{}, sink, "g", "i", sim.NewRNG(1))
-	var tapped uint64
-	st.OnEmit = func(p *netem.Packet) { tapped += uint64(p.Size) }
-	st.Start(0)
-	s.RunUntil(2 * time.Second)
-	st.Stop()
-	if tapped == 0 || tapped != sink.Bytes {
-		t.Fatalf("tap saw %d bytes, streamer sent %d", tapped, sink.Bytes)
-	}
-}
-
 func TestPacketFieldsPopulated(t *testing.T) {
 	s := sim.NewScheduler()
 	var got *netem.Packet

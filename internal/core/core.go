@@ -151,23 +151,13 @@ func crossCheckAccept(role Role, view View, other, tol float64) bool {
 // HonestStrategy reports the party's true record and accepts anything
 // passing the cross-check. An honest edge claims its sent volume; an
 // honest operator claims its received volume.
-type HonestStrategy struct {
-	// Tolerance for the cross-check; DefaultTolerance if zero.
-	Tolerance float64
-}
+type HonestStrategy struct{}
 
 // Name implements Strategy.
 func (HonestStrategy) Name() string { return "honest" }
 
-func (s HonestStrategy) tol() float64 {
-	if s.Tolerance > 0 {
-		return s.Tolerance
-	}
-	return DefaultTolerance
-}
-
 // Claim implements Strategy.
-func (s HonestStrategy) Claim(role Role, view View, bounds Bounds, _ int, _ *sim.RNG) float64 {
+func (HonestStrategy) Claim(role Role, view View, bounds Bounds, _ int, _ *sim.RNG) float64 {
 	var x float64
 	if role == EdgeRole {
 		x = view.Sent
@@ -178,8 +168,8 @@ func (s HonestStrategy) Claim(role Role, view View, bounds Bounds, _ int, _ *sim
 }
 
 // Decide implements Strategy.
-func (s HonestStrategy) Decide(role Role, view View, _, other float64, _ int, _ *sim.RNG) bool {
-	return crossCheckAccept(role, view, other, s.tol())
+func (HonestStrategy) Decide(role Role, view View, _, other float64, _ int, _ *sim.RNG) bool {
+	return crossCheckAccept(role, view, other, DefaultTolerance)
 }
 
 // OptimalStrategy is the minimax/maximin equilibrium play of §5.1
@@ -187,22 +177,13 @@ func (s HonestStrategy) Decide(role Role, view View, _, other float64, _ int, _ 
 // volume x̂o, the operator claims its estimate of the sent volume x̂e.
 // With both parties rational this converges in one round to x = x̂
 // (Theorems 3 and 4).
-type OptimalStrategy struct {
-	Tolerance float64
-}
+type OptimalStrategy struct{}
 
 // Name implements Strategy.
 func (OptimalStrategy) Name() string { return "optimal" }
 
-func (s OptimalStrategy) tol() float64 {
-	if s.Tolerance > 0 {
-		return s.Tolerance
-	}
-	return DefaultTolerance
-}
-
 // Claim implements Strategy.
-func (s OptimalStrategy) Claim(role Role, view View, bounds Bounds, _ int, _ *sim.RNG) float64 {
+func (OptimalStrategy) Claim(role Role, view View, bounds Bounds, _ int, _ *sim.RNG) float64 {
 	var x float64
 	if role == EdgeRole {
 		x = view.Received // argmin_xe max_xo x  =>  xe = x̂o
@@ -213,42 +194,33 @@ func (s OptimalStrategy) Claim(role Role, view View, bounds Bounds, _ int, _ *si
 }
 
 // Decide implements Strategy.
-func (s OptimalStrategy) Decide(role Role, view View, _, other float64, _ int, _ *sim.RNG) bool {
-	return crossCheckAccept(role, view, other, s.tol())
+func (OptimalStrategy) Decide(role Role, view View, _, other float64, _ int, _ *sim.RNG) bool {
+	return crossCheckAccept(role, view, other, DefaultTolerance)
 }
 
 // RandomSelfishStrategy models §7.1's TLC-random: both parties are
 // selfish but unaware of the optimal play. Each round the operator
-// uniformly over-claims above its received record (up to OverCap
-// times its sent estimate) and the edge uniformly under-claims below
-// its sent record, re-drawing inside the tightening Algorithm 1
-// bounds until both claims survive the cross-checks.
-type RandomSelfishStrategy struct {
-	Tolerance float64
-	// OverCap bounds the operator's first-round over-claim as a
-	// multiple of its sent estimate; 0 means 1.2.
-	OverCap float64
-}
+// uniformly over-claims above its received record (up to
+// randomOverCap times its sent estimate) and the edge uniformly
+// under-claims below its sent record, re-drawing inside the tightening
+// Algorithm 1 bounds until both claims survive the cross-checks.
+type RandomSelfishStrategy struct{}
+
+// randomOverCap bounds the random operator's over-claim as a multiple
+// of its sent estimate.
+const randomOverCap = 1.2
 
 // Name implements Strategy.
 func (RandomSelfishStrategy) Name() string { return "random" }
 
-func (s RandomSelfishStrategy) tol() float64 {
-	if s.Tolerance > 0 {
-		return s.Tolerance
-	}
-	return DefaultTolerance
-}
-
-func (s RandomSelfishStrategy) overCap() float64 {
-	if s.OverCap > 1 {
-		return s.OverCap
-	}
-	return 1.2
-}
-
 // Claim implements Strategy.
-func (s RandomSelfishStrategy) Claim(role Role, view View, bounds Bounds, _ int, rng *sim.RNG) float64 {
+func (RandomSelfishStrategy) Claim(role Role, view View, bounds Bounds, _ int, rng *sim.RNG) float64 {
+	return randomClaim(role, view, bounds, rng, randomOverCap)
+}
+
+// randomClaim draws one TLC-random claim; the operator over-claims up
+// to overCap times its sent estimate.
+func randomClaim(role Role, view View, bounds Bounds, rng *sim.RNG, overCap float64) float64 {
 	if role == EdgeRole {
 		// Under-claim: uniform between the window floor and the
 		// edge's sent record (it will not over-claim, Theorem 2).
@@ -262,7 +234,7 @@ func (s RandomSelfishStrategy) Claim(role Role, view View, bounds Bounds, _ int,
 	// Over-claim: uniform between the operator's received record and
 	// a capped multiple of what it believes was sent.
 	lo := math.Max(view.Received, bounds.Lower)
-	hi := math.Min(view.Sent*s.overCap(), bounds.Upper)
+	hi := math.Min(view.Sent*overCap, bounds.Upper)
 	if hi <= lo {
 		return bounds.ClampInside(lo)
 	}
@@ -270,18 +242,8 @@ func (s RandomSelfishStrategy) Claim(role Role, view View, bounds Bounds, _ int,
 }
 
 // Decide implements Strategy.
-func (s RandomSelfishStrategy) Decide(role Role, view View, _, other float64, _ int, _ *sim.RNG) bool {
-	return crossCheckAccept(role, view, other, s.tol())
-}
-
-// RoundRecord captures one round of Algorithm 1 for the audit trail.
-type RoundRecord struct {
-	EdgeClaim      float64
-	OperatorClaim  float64
-	EdgeAccepts    bool
-	OperatorAccept bool
-	ViolationEdge  bool // edge's claim fell outside the window
-	ViolationOp    bool
+func (RandomSelfishStrategy) Decide(role Role, view View, _, other float64, _ int, _ *sim.RNG) bool {
+	return crossCheckAccept(role, view, other, DefaultTolerance)
 }
 
 // Outcome is the result of a negotiation.
@@ -293,8 +255,6 @@ type Outcome struct {
 	Rounds int
 	// Converged reports whether both parties accepted.
 	Converged bool
-	// Trail records every round.
-	Trail []RoundRecord
 }
 
 // DefaultMaxRounds caps the negotiation against misbehaving parties.
@@ -342,23 +302,21 @@ func Negotiate(cfg Config) (Outcome, error) {
 		// Line 4: exchange CDRs.
 		xe := cfg.Edge.Claim(EdgeRole, cfg.EdgeView, bounds, round, rng)
 		xo := cfg.Operator.Claim(OperatorRole, cfg.OperatorView, bounds, round, rng)
-		rec := RoundRecord{EdgeClaim: xe, OperatorClaim: xo}
 
 		// Claims outside the agreed window are protocol violations
 		// the other party detects locally and rejects (§5.1).
-		rec.ViolationEdge = !bounds.Contains(xe)
-		rec.ViolationOp = !bounds.Contains(xo)
+		violationEdge := !bounds.Contains(xe)
+		violationOp := !bounds.Contains(xo)
 
 		// Line 6: exchange decisions.
-		rec.EdgeAccepts = !rec.ViolationOp &&
+		edgeAccepts := !violationOp &&
 			cfg.Edge.Decide(EdgeRole, cfg.EdgeView, xe, xo, round, rng)
-		rec.OperatorAccept = !rec.ViolationEdge &&
+		operatorAccepts := !violationEdge &&
 			cfg.Operator.Decide(OperatorRole, cfg.OperatorView, xo, xe, round, rng)
 
-		out.Trail = append(out.Trail, rec)
 		out.Rounds = round
 
-		if rec.EdgeAccepts && rec.OperatorAccept {
+		if edgeAccepts && operatorAccepts {
 			// Line 8: settle.
 			out.X = Charge(cfg.C, xe, xo)
 			out.Converged = true
@@ -368,7 +326,7 @@ func Negotiate(cfg Config) (Outcome, error) {
 		// treated as no claim at all — a misbehaving party must not
 		// be able to manipulate the window — so the bounds update
 		// only when both claims were admissible.
-		if !rec.ViolationEdge && !rec.ViolationOp {
+		if !violationEdge && !violationOp {
 			bounds = Bounds{Lower: math.Min(xe, xo), Upper: math.Max(xe, xo)}
 		}
 	}

@@ -12,17 +12,11 @@
 // is the loss-induced charging gap of §3.
 package epc
 
-import (
-	"fmt"
-
-	"tlc/internal/sim"
-)
+import "fmt"
 
 // Subscriber is an HSS entry for one edge device.
 type Subscriber struct {
-	IMSI   string
-	MSISDN string
-	APN    string
+	IMSI string
 	// DefaultQCI applies to flows without a dedicated bearer.
 	DefaultQCI uint8
 }
@@ -85,37 +79,33 @@ const (
 
 // Session is the per-device mobility/session record.
 type Session struct {
-	IMSI       string
-	State      SessionState
-	Attaches   int
-	Detaches   int
-	LastChange sim.Time
+	State    SessionState
+	Attaches int
+	Detaches int
 }
 
 // MME is the mobility management entity. The RAN's radio-link-failure
 // detection calls Detach/Attach; the SPGW consults the MME before
 // forwarding.
 type MME struct {
-	sched    *sim.Scheduler
 	sessions map[string]*Session
 }
 
-// NewMME returns an MME bound to the scheduler.
-func NewMME(sched *sim.Scheduler) *MME {
-	return &MME{sched: sched, sessions: make(map[string]*Session)}
+// NewMME returns an MME with no sessions.
+func NewMME() *MME {
+	return &MME{sessions: make(map[string]*Session)}
 }
 
 // Attach creates or re-activates a session.
 func (m *MME) Attach(imsi string) *Session {
 	s, ok := m.sessions[imsi]
 	if !ok {
-		s = &Session{IMSI: imsi}
+		s = &Session{}
 		m.sessions[imsi] = s
 	}
 	if !ok || s.State == SessionDetached {
 		s.State = SessionAttached
 		s.Attaches++
-		s.LastChange = m.sched.Now()
 	}
 	return s
 }
@@ -128,7 +118,6 @@ func (m *MME) Detach(imsi string) {
 	}
 	s.State = SessionDetached
 	s.Detaches++
-	s.LastChange = m.sched.Now()
 }
 
 // Attached reports whether the device currently has a session.
@@ -155,21 +144,4 @@ func FormatIMSITrace(imsi string) string {
 		out += fmt.Sprintf("%c%c", digits[i+1], digits[i])
 	}
 	return out
-}
-
-// Plan captures the data-plan parameters agreed between the operator
-// and the edge vendor at setup (§5.3.1): the charging cycle and the
-// lost-data weight c, plus the usual commercial extras.
-type Plan struct {
-	// CycleStart and CycleEnd delimit the charging cycle T in true
-	// simulated time.
-	CycleStart sim.Time
-	CycleEnd   sim.Time
-	// C is the pre-defined charging weight for lost data, c in [0,1].
-	C float64
-	// QuotaBytes is the pre-paid volume; 0 means unlimited.
-	QuotaBytes uint64
-	// ThrottleBps is the speed limit applied once the quota is
-	// exceeded (the "128Kbps after 15GB" plans of §2.1).
-	ThrottleBps float64
 }

@@ -1,7 +1,6 @@
 package epc
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
@@ -39,8 +38,7 @@ func TestPCRFPolicy(t *testing.T) {
 }
 
 func TestMMEAttachDetach(t *testing.T) {
-	s := sim.NewScheduler()
-	m := NewMME(s)
+	m := NewMME()
 	sess := m.Attach("imsi1")
 	if !m.Attached("imsi1") || sess.Attaches != 1 {
 		t.Fatalf("attach: %+v", sess)
@@ -80,55 +78,13 @@ func TestFormatIMSITrace(t *testing.T) {
 	}
 }
 
-// Validate checks plan invariants. Only TestPlanValidate calls it: no
-// binary validates an epc.Plan.
-func (p Plan) Validate() error {
-	if p.CycleEnd <= p.CycleStart {
-		return fmt.Errorf("epc: empty charging cycle [%v, %v)", p.CycleStart, p.CycleEnd)
-	}
-	if p.C < 0 || p.C > 1 {
-		return fmt.Errorf("epc: charging weight c=%v outside [0,1]", p.C)
-	}
-	return nil
-}
-
-func TestPlanValidate(t *testing.T) {
-	good := Plan{CycleStart: 0, CycleEnd: time.Hour, C: 0.5}
-	if err := good.Validate(); err != nil {
-		t.Fatalf("valid plan rejected: %v", err)
-	}
-	bad := []Plan{
-		{CycleStart: time.Hour, CycleEnd: time.Hour, C: 0.5},
-		{CycleStart: 0, CycleEnd: time.Hour, C: -0.1},
-		{CycleStart: 0, CycleEnd: time.Hour, C: 1.5},
-	}
-	for i, p := range bad {
-		if err := p.Validate(); err == nil {
-			t.Fatalf("bad plan %d accepted", i)
-		}
-	}
-}
-
-func TestCDRTimeRoundTrip(t *testing.T) {
-	for d, want := range map[sim.Time]string{
-		0:              "2019-01-07 07:13:46", // Trace 1's timestamp
-		time.Second:    "2019-01-07 07:13:47",
-		time.Hour:      "2019-01-07 08:13:46",
-		25 * time.Hour: "2019-01-08 08:13:46",
-	} {
-		if got := FormatCDRTime(d); got != want {
-			t.Fatalf("FormatCDRTime(%v) = %q, want %q", d, got, want)
-		}
-	}
-}
-
 func buildGW(t *testing.T) (*sim.Scheduler, *SPGW, *MME, *netem.Sink, *netem.Sink) {
 	t.Helper()
 	s := sim.NewScheduler()
-	mme := NewMME(s)
+	mme := NewMME()
 	pcrf := NewPCRF()
 	pcrf.Install(PolicyRule{Flow: "game", QCI: 7})
-	gw := NewSPGW(s, "192.168.2.11", mme, pcrf)
+	gw := NewSPGW(s, mme, pcrf)
 	ulSink, dlSink := &netem.Sink{}, &netem.Sink{}
 	gw.ULNext, gw.DLNext = ulSink, dlSink
 	return s, gw, mme, ulSink, dlSink
@@ -244,28 +200,6 @@ func TestSPGWEmitsCDRsToOFCS(t *testing.T) {
 	if cdrs[0].SequenceNumber != 0 || cdrs[1].SequenceNumber != 1 {
 		t.Fatal("CDR sequence numbers not monotonic")
 	}
-	if cdrs[0].GatewayAddress != "192.168.2.11" {
-		t.Fatalf("gateway address = %q", cdrs[0].GatewayAddress)
-	}
-}
-
-func TestOFCSQuotaTriggersOnce(t *testing.T) {
-	ofcs := NewOFCS()
-	ofcs.SetPlan(Plan{CycleStart: 0, CycleEnd: time.Hour, C: 0.5, QuotaBytes: 1000, ThrottleBps: 128e3})
-	var fired []uint64
-	ofcs.OnQuotaExceeded = func(imsi string, usage uint64) { fired = append(fired, usage) }
-	for i := 0; i < 5; i++ {
-		ofcs.CollectAt(&CDR{ServedIMSI: "A", DataVolumeUplink: 400}, 0)
-	}
-	if len(fired) != 1 {
-		t.Fatalf("quota callback fired %d times, want 1", len(fired))
-	}
-	if fired[0] != 1200 {
-		t.Fatalf("quota fired at %d bytes, want 1200", fired[0])
-	}
-	if !ofcs.exceeded["A"] {
-		t.Fatal("QuotaExceeded not recorded")
-	}
 }
 
 func TestOFCSAggregation(t *testing.T) {
@@ -275,13 +209,13 @@ func TestOFCSAggregation(t *testing.T) {
 	ofcs.CollectAt(&CDR{ServedIMSI: "A", DataVolumeUplink: 1}, 0)
 	var total uint64
 	for _, u := range ofcs.usage {
-		total += u.Total()
+		total += u.UL + u.DL
 	}
 	if total != 36 || len(ofcs.usage) != 2 || ofcs.usage["B"] == nil {
 		t.Fatalf("total %d over subscribers %v, want 36 over A and B", total, ofcs.usage)
 	}
 	a, _ := ofcs.usage["A"]
-	if a.Records != 2 || a.Total() != 31 {
+	if a.Records != 2 || a.UL+a.DL != 31 {
 		t.Fatalf("usage A = %+v", a)
 	}
 }

@@ -60,28 +60,13 @@ func TestOFCSCrashRollsBackLossWindow(t *testing.T) {
 	}
 }
 
-func TestOFCSCrashKeepsQuotaTrip(t *testing.T) {
-	o := NewOFCS()
-	o.SetPlan(Plan{QuotaBytes: 50})
-	fired := 0
-	o.OnQuotaExceeded = func(string, uint64) { fired++ }
-	o.CollectAt(&CDR{ServedIMSI: "x", DataVolumeUplink: 80}, time.Second)
-	if fired != 1 || !o.exceeded["x"] {
-		t.Fatalf("quota not tripped: fired=%d", fired)
-	}
-	o.Crash(time.Second, time.Second)
-	if !o.exceeded["x"] {
-		t.Fatal("crash rolled back a quota trip")
-	}
-}
-
 // TestSPGWRestartMeters: restart discards unflushed usage, resets
 // baselines, and the next flush charges only post-restart traffic —
 // no uint64 underflow in the CDR deltas.
 func TestSPGWRestartMeters(t *testing.T) {
 	s := sim.NewScheduler()
-	mme := NewMME(s)
-	g := NewSPGW(s, "gw", mme, nil)
+	mme := NewMME()
+	g := NewSPGW(s, mme, nil)
 	g.OFCS = NewOFCS()
 	mme.Attach("ue1")
 
@@ -121,8 +106,8 @@ func TestSPGWRestartMeters(t *testing.T) {
 // meter swapped below the baseline must not underflow the delta.
 func TestSPGWFlushClampsForeignMeterReset(t *testing.T) {
 	s := sim.NewScheduler()
-	mme := NewMME(s)
-	g := NewSPGW(s, "gw", mme, nil)
+	mme := NewMME()
+	g := NewSPGW(s, mme, nil)
 	g.OFCS = NewOFCS()
 	mme.Attach("ue1")
 	g.ULNode().Recv(&netem.Packet{IMSI: "ue1", Size: 1000})

@@ -8,22 +8,13 @@ import (
 )
 
 // OFCS is the offline charging system (CDF in 4G, CHF in 5G): it
-// collects CDRs from the gateway, aggregates them into per-subscriber
-// usage, and applies policy-driven actions such as throttling once a
-// plan quota is exceeded. TLC's loss-selfishness cancellation is
+// collects CDRs from the gateway and aggregates them into
+// per-subscriber usage. TLC's loss-selfishness cancellation is
 // realised "atop existing charging functions" (§6), so the operator
 // side of the negotiation reads its charging record from here.
 type OFCS struct {
-	// OnQuotaExceeded fires once per subscriber when cumulative
-	// usage passes the quota of the plan SetPlan installed; a Policer
-	// hooks it to throttle.
-	OnQuotaExceeded func(imsi string, usage uint64)
-
-	plan     Plan
-	hasPlan  bool
-	cdrs     []*CDR
-	usage    map[string]*Usage
-	exceeded map[string]bool
+	cdrs  []*CDR
+	usage map[string]*Usage
 
 	// collectedAt stamps when each cdrs[i] arrived, so a crash can
 	// roll back exactly the records inside its loss window.
@@ -47,7 +38,6 @@ type OFCS struct {
 	// discarded while down.
 	led        *ledger.Ledger
 	cycle      uint64
-	crashedAt  sim.Time
 	lossCutoff sim.Time
 	recovered  int
 	appendErrs int
@@ -57,14 +47,10 @@ type OFCS struct {
 
 // Usage is per-subscriber aggregated usage.
 type Usage struct {
-	IMSI    string
 	UL      uint64
 	DL      uint64
 	Records int
 }
-
-// Total returns UL+DL bytes.
-func (u *Usage) Total() uint64 { return u.UL + u.DL }
 
 // NewOFCS returns an empty charging system. The CDR slice is
 // pre-sized for a typical cycle (one record per second per session)
@@ -73,17 +59,6 @@ func NewOFCS() *OFCS {
 	return &OFCS{
 		cdrs:  make([]*CDR, 0, 128),
 		usage: make(map[string]*Usage),
-	}
-}
-
-// SetPlan installs the data plan whose quota the OFCS enforces.
-//
-//tlcvet:allow unreached — §2.1 quota-to-throttle reproduction, which only go test ./internal/epc -run Quota runs
-func (o *OFCS) SetPlan(p Plan) {
-	o.plan = p
-	o.hasPlan = true
-	if o.exceeded == nil {
-		o.exceeded = make(map[string]bool)
 	}
 }
 
@@ -137,18 +112,12 @@ func (o *OFCS) ingest(c *CDR, now sim.Time) {
 	o.collectedAt = append(o.collectedAt, now)
 	u, ok := o.usage[c.ServedIMSI]
 	if !ok {
-		u = &Usage{IMSI: c.ServedIMSI}
+		u = &Usage{}
 		o.usage[c.ServedIMSI] = u
 	}
 	u.UL += c.DataVolumeUplink
 	u.DL += c.DataVolumeDownlink
 	u.Records++
-	if o.hasPlan && o.plan.QuotaBytes > 0 && !o.exceeded[c.ServedIMSI] && u.Total() > o.plan.QuotaBytes {
-		o.exceeded[c.ServedIMSI] = true
-		if o.OnQuotaExceeded != nil {
-			o.OnQuotaExceeded(c.ServedIMSI, u.Total())
-		}
-	}
 }
 
 // Records returns the number of CDRs collected (the dataset size
@@ -159,15 +128,10 @@ func (o *OFCS) Records() int { return len(o.cdrs) }
 // collected within the trailing lossWindow (not yet durably flushed)
 // are rolled out of the aggregate, and the OFCS stops accepting CDRs
 // until Restart. Returns how many records were lost from the window.
-//
-// Quota trips are deliberately NOT rolled back: a throttle action
-// already taken in the real system is not undone by losing the
-// records that justified it.
 func (o *OFCS) Crash(now sim.Time, lossWindow time.Duration) int {
 	o.down = true
 	o.crashes++
 	cutoff := now - lossWindow
-	o.crashedAt = now
 	o.lossCutoff = cutoff
 	if o.led != nil {
 		// The process died: whatever the ledger had not fsynced is

@@ -34,10 +34,9 @@ type gwSession struct {
 // stamps QoS classes from the PCRF, meters usage per subscriber, and
 // periodically emits CDRs to the OFCS.
 type SPGW struct {
-	Sched   *sim.Scheduler
-	Address string
-	MME     *MME
-	PCRF    *PCRF
+	Sched *sim.Scheduler
+	MME   *MME
+	PCRF  *PCRF
 
 	// ULNext receives metered uplink packets (toward the edge
 	// server through the core network).
@@ -95,10 +94,9 @@ func (g *SPGW) newCDR(c CDR) *CDR {
 
 // NewSPGW returns a gateway wired to the given control-plane
 // functions.
-func NewSPGW(sched *sim.Scheduler, addr string, mme *MME, pcrf *PCRF) *SPGW {
+func NewSPGW(sched *sim.Scheduler, mme *MME, pcrf *PCRF) *SPGW {
 	return &SPGW{
 		Sched:       sched,
-		Address:     addr,
 		MME:         mme,
 		PCRF:        pcrf,
 		CDRInterval: time.Second,
@@ -158,11 +156,8 @@ func (g *SPGW) FlushCDRs(now sim.Time) {
 		}
 		cdr := g.newCDR(CDR{
 			ServedIMSI:         FormatIMSITrace(s.imsi),
-			GatewayAddress:     g.Address,
 			ChargingID:         s.chargingID,
 			SequenceNumber:     s.seq,
-			TimeOfFirstUsage:   FormatCDRTime(s.firstUsage),
-			TimeOfLastUsage:    FormatCDRTime(s.lastUsage),
 			TimeUsage:          int64((s.lastUsage - s.firstUsage) / time.Second),
 			DataVolumeUplink:   ul - s.lastCDRUL,
 			DataVolumeDownlink: dl - s.lastCDRDL,

@@ -162,7 +162,6 @@ func TestChaosDurableLedgerRecovery(t *testing.T) {
 	base := chaosConfig(42)
 	dur := chaosConfig(42)
 	dur.DurableLedger = true
-	dur.LedgerSyncEvery = 1
 
 	rb := NewTestbed(base).Run()
 	rd := NewTestbed(dur).Run()

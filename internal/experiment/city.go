@@ -54,9 +54,6 @@ type CityConfig struct {
 	// X2Delay is the cross-cell lane latency and the shard barrier
 	// lookahead; default 20ms.
 	X2Delay time.Duration
-	// DayLength is the diurnal load period (the cycle compresses one
-	// day); default Duration.
-	DayLength time.Duration
 	// MoveCheckMean is the mean interval between a UE's mobility
 	// decisions; default 5s.
 	MoveCheckMean time.Duration
@@ -65,10 +62,9 @@ type CityConfig struct {
 	MoveProb float64
 	// StormPeriod/StormLen schedule handover storms: the last
 	// StormLen of every StormPeriod multiplies the mobility hazard by
-	// StormFactor. Defaults: Duration/3, Duration/15, 8.
+	// cityStormFactor. Defaults: Duration/3, Duration/15.
 	StormPeriod time.Duration
 	StormLen    time.Duration
-	StormFactor float64
 	// ForwardWindow is how long a source cell X2-forwards packets for
 	// a departed UE before dropping them (charged but undelivered);
 	// default 2s.
@@ -96,6 +92,9 @@ const (
 	cityAirQueueBytes      = 256 << 10
 	cityAirDelay           = 5 * time.Millisecond
 	cityAirResidualLoss    = 0.075
+	// cityStormFactor multiplies the mobility hazard inside a
+	// handover storm.
+	cityStormFactor = 8
 )
 
 func (c CityConfig) withDefaults() CityConfig {
@@ -111,9 +110,6 @@ func (c CityConfig) withDefaults() CityConfig {
 	if c.X2Delay <= 0 {
 		c.X2Delay = 20 * time.Millisecond
 	}
-	if c.DayLength <= 0 {
-		c.DayLength = c.Duration
-	}
 	if c.MoveCheckMean <= 0 {
 		c.MoveCheckMean = 5 * time.Second
 	}
@@ -125,9 +121,6 @@ func (c CityConfig) withDefaults() CityConfig {
 	}
 	if c.StormLen <= 0 {
 		c.StormLen = c.Duration / 15
-	}
-	if c.StormFactor <= 0 {
-		c.StormFactor = 8
 	}
 	if c.ForwardWindow <= 0 {
 		c.ForwardWindow = 2 * time.Second
@@ -193,9 +186,6 @@ type cityUE struct {
 	frames    uint64
 	charged   uint64
 	delivered uint64
-	rxPackets uint64
-	handovers uint64
-	home      int
 }
 
 type departure struct {
@@ -247,9 +237,9 @@ type cityRun struct {
 }
 
 // diurnal returns the load multiplier in [0.25, 1] at simulated time
-// t: one cosine day per DayLength, troughs at the cycle boundaries.
+// t: the cycle compresses one cosine day, troughs at its boundaries.
 func (r *cityRun) diurnal(t sim.Time) float64 {
-	day := r.cfg.DayLength.Seconds()
+	day := r.cfg.Duration.Seconds()
 	phase := math.Mod(t.Seconds(), day)
 	return 0.25 + 0.375*(1-math.Cos(2*math.Pi*phase/day))
 }
@@ -282,7 +272,6 @@ func (c *cityCell) nextGap(u *cityUE) time.Duration {
 func (c *cityCell) attach(u *cityUE) {
 	res := &residency{}
 	u.res = res
-	u.home = c.id
 	c.residents[u.id] = u
 	delete(c.departed, u.id)
 
@@ -303,7 +292,7 @@ func (c *cityCell) attach(u *cityUE) {
 		}
 		p := c.city.cfg.MoveProb
 		if c.city.inStorm(c.sched.Now()) {
-			p *= c.city.cfg.StormFactor
+			p *= cityStormFactor
 			if p > 0.9 {
 				p = 0.9
 			}
@@ -373,7 +362,6 @@ func (c *cityCell) depart(u *cityUE) {
 	delete(c.residents, u.id)
 	c.departed[u.id] = departure{at: now, dest: dest}
 	c.handoversOut++
-	u.handovers++
 	c.city.mover.send(c.id, dest, u, now+sim.Time(c.city.cfg.X2Delay))
 }
 
@@ -384,7 +372,6 @@ func (c *cityCell) depart(u *cityUE) {
 func (c *cityCell) airDeliver(p *netem.Packet) {
 	if u, ok := c.residents[p.TEID]; ok {
 		u.delivered += uint64(p.Size)
-		u.rxPackets++
 		c.delivered += uint64(p.Size)
 		c.pool.Put(p)
 		return

@@ -31,7 +31,7 @@ type engineGolden struct {
 // engineGoldenCfgs exercise the paths the rewrite touched: pooled
 // event churn under background congestion, outage gating (cancel-
 // heavy), handover buffer flushes (DropQueuedFraction), queue
-// overflow eviction, and trace replay.
+// overflow eviction.
 func engineGoldenCfgs() []Config {
 	return []Config{
 		{App: apps.VRidgeGVSP, Seed: 424242, C: 0.5, Duration: 12 * time.Second,
@@ -40,8 +40,6 @@ func engineGoldenCfgs() []Config {
 		{App: apps.WebCamUDP, Seed: 777, C: 0.5, Duration: 10 * time.Second},
 		{App: apps.WebCamRTSP, Seed: 31337, C: 0.3, Duration: 10 * time.Second,
 			BackgroundMbps: 160, HandoverMeanInterval: 4 * time.Second},
-		{App: apps.VRidgeGVSP, Seed: 99, C: 0.5, Duration: 10 * time.Second,
-			UseTraceReplay: true},
 	}
 }
 
@@ -69,14 +67,6 @@ var engineGoldens = []engineGolden{
 		OpSent: 905086.10085998, OpRecv: 675709.84124614,
 		Legacy: 905086.10085998, Eta: 0,
 		CDRs: 12, Fired: 144550, Ended: 24977,
-	},
-	{ // cell 3: trace replay
-		TruthSent: 1.1029489e+07, TruthRecv: 1.0210994e+07,
-		XHat:     1.06202415e+07,
-		EdgeSent: 1.1022878121163439e+07, EdgeRecv: 1.025036849908058e+07,
-		OpSent: 1.10315557598115e+07, OpRecv: 1.0280863e+07,
-		Legacy: 1.10315557598115e+07, Eta: 0,
-		CDRs: 12, Fired: 47636,
 	},
 }
 

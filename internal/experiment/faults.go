@@ -301,7 +301,7 @@ func byzantineBattery(seeds int) (forgedVerified, typedRejections, runs int) {
 			}
 			byz := &protocol.Byzantine{
 				Mode: mode, Role: poc.RoleOperator, Plan: plan,
-				Keys: opKeys, PeerKey: edgeKeys.Public,
+				Keys:   opKeys,
 				RNG:    rng.Fork("byz"),
 				Volume: poc.RoundVolume(sent * 3),
 				Stale:  stale,

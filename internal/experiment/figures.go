@@ -154,13 +154,13 @@ func Fig3(opt Options) Result {
 	var gapSum float64
 	for i, app := range fig3Apps {
 		s := &stats.Series{Name: app.Name}
-		for bi, bg := range opt.BGLevels {
+		for bi := range opt.BGLevels {
 			var sum float64
 			for seed := 0; seed < opt.Seeds; seed++ {
 				r := runs[(i*len(opt.BGLevels)+bi)*opt.Seeds+seed]
 				sum += r.PerHour(legacyGapBytes(r))
 			}
-			s.AddPoint(bg, sum/float64(opt.Seeds))
+			s.Add(sum / float64(opt.Seeds))
 			gapSum += sum / float64(opt.Seeds)
 		}
 		series[i] = s
@@ -428,7 +428,7 @@ func Fig13(opt Options) Result {
 		for si, scheme := range Schemes {
 			series[si] = &stats.Series{Name: scheme}
 		}
-		for bi, bg := range opt.BGLevels {
+		for bi := range opt.BGLevels {
 			sums := map[string]float64{}
 			for seed := 0; seed < opt.Seeds; seed++ {
 				eps := cells[(i*len(opt.BGLevels)+bi)*opt.Seeds+seed]
@@ -437,7 +437,7 @@ func Fig13(opt Options) Result {
 				}
 			}
 			for si, scheme := range Schemes {
-				series[si].AddPoint(bg, sums[scheme]/float64(opt.Seeds)*100)
+				series[si].Add(sums[scheme] / float64(opt.Seeds) * 100)
 				epsTotals[scheme] += sums[scheme] / float64(opt.Seeds)
 			}
 		}
@@ -516,7 +516,7 @@ func Fig14(opt Options) Result {
 	for _, rw := range rows {
 		etas = append(etas, rw.eta)
 		for si, scheme := range Schemes {
-			series[si].AddPoint(rw.eta, rw.vals[scheme])
+			series[si].Add(rw.vals[scheme])
 			metrics["eps_pct_mean_"+scheme] += rw.vals[scheme] / float64(len(rows))
 		}
 	}

@@ -205,5 +205,32 @@ func checkGolden(t *testing.T, golden goldenPair, size Options, workerCounts []i
 				}
 			}
 		}
+		for j, section := range registry {
+			if in, out := linkBalance(section); in != out {
+				t.Errorf("workers=%d: %s's links lose track of packets: %d enqueued + duplicated, %d delivered + dropped + in flight + queued",
+					workers, IDs[j], in, out)
+			}
+		}
 	}
+}
+
+// linkBalance sums one registry section's packet ledger over every
+// link: what entered a link (enqueued, plus fault duplicates, which
+// enter without an enqueue) and where it went (delivered, dropped, or
+// still in flight or queued when the run stopped). Every packet a link
+// takes in ends in exactly one of those, so the two sums are equal.
+func linkBalance(section string) (in, out int64) {
+	for _, line := range strings.Split(section, "\n") {
+		name, value, _ := strings.Cut(line, " ")
+		v, _ := strconv.ParseInt(value, 10, 64)
+		base, _, _ := strings.Cut(name, "{")
+		switch {
+		case base == "netem_link_enqueued_packets_total", name == `faults_injected_total{family="dup"}`:
+			in += v
+		case base == "netem_link_delivered_packets_total", base == "netem_link_dropped_packets_total",
+			name == "netem_link_in_flight_packets", name == "netem_link_queued_packets":
+			out += v
+		}
+	}
+	return in, out
 }

@@ -247,7 +247,6 @@ func roamingByzantineBattery(seeds int) (chainVerified, typedRejections, runs in
 			forger := &roaming.Forger{
 				Mode:  mode,
 				Keys:  visited,
-				RNG:   sim.NewRNG(sim.SeedForCell(4600, mi, seed)),
 				Stale: honest.Chain,
 			}
 			cfg, _ := roamWireConfig(int64(2000 + 100*mi + seed))

@@ -31,7 +31,6 @@ import (
 	"tlc/internal/ran"
 	"tlc/internal/sim"
 	"tlc/internal/simclock"
-	"tlc/internal/trace"
 )
 
 // Config parameterises one charging cycle on the testbed.
@@ -52,14 +51,6 @@ type Config struct {
 
 	// RSS configures the radio signal; zero value means good radio.
 	RSS RSSSpec
-
-	// NTPPrecision is the clock sync residual sigma for both
-	// parties (§7.2 record errors); default 500ms.
-	NTPPrecision time.Duration
-
-	// EdgeTamper scales the edge's reported records (<1 =
-	// under-claiming via a tampered monitor); 0 or 1 = honest.
-	EdgeTamper float64
 
 	// InternetLoss moves the edge server out of the operator's
 	// infrastructure (Appendix D's generic charging): downlink
@@ -82,12 +73,6 @@ type Config struct {
 	// disables handovers.
 	HandoverMeanInterval time.Duration
 
-	// UseTraceReplay drives the cycle by replaying a pre-recorded
-	// packet trace of the workload instead of the live generator —
-	// the paper's tcpdump/tcprelay methodology for the VR and gaming
-	// datasets.
-	UseTraceReplay bool
-
 	// Faults, when non-nil and non-zero, attaches the deterministic
 	// fault-injection subsystem (internal/faults): per-packet network
 	// faults on the downlink air and core bridge, plus scheduled OFCS
@@ -103,11 +88,9 @@ type Config struct {
 	// replays the loss window back instead of only counting it. The
 	// OFCS is a passive sink in this testbed, so the packet-level
 	// outputs (truth, views, ε) stay byte-identical with the ledger
-	// on or off — only the CDR loss accounting changes.
+	// on or off — only the CDR loss accounting changes. The ledger
+	// syncs every append, so the whole loss window recovers.
 	DurableLedger bool
-	// LedgerSyncEvery is the ledger's group-commit window when
-	// DurableLedger is set; 0 means sync every append (no loss).
-	LedgerSyncEvery int
 }
 
 // RSSSpec describes the signal strength process.
@@ -127,9 +110,6 @@ func (c *Config) withDefaults() Config {
 	}
 	if out.RSS.Base == 0 {
 		out.RSS.Base = -90
-	}
-	if out.NTPPrecision == 0 {
-		out.NTPPrecision = 200 * time.Millisecond
 	}
 	if out.App.Name == "" {
 		out.App = apps.WebCamUDP
@@ -175,6 +155,9 @@ const (
 	bridgeULResidualLoss = 0.07
 	// imsi identifies the single edge device under test.
 	imsi = "001011132547648"
+	// ntpPrecision is the clock sync residual sigma for both parties
+	// (§7.2 record errors).
+	ntpPrecision = 200 * time.Millisecond
 )
 
 // EventsFired returns the cumulative count of simulator events
@@ -207,7 +190,6 @@ type Testbed struct {
 	Modem *device.Modem
 
 	Streamer *apps.Streamer
-	Replayer *trace.Replayer
 
 	// Application-level meters (ground truth and party records).
 	DevAppSent *netem.Meter // device app egress (UL x̂e)
@@ -259,20 +241,16 @@ func NewTestbed(cfg Config) *Testbed {
 	if cfg.App.QCI != 9 && cfg.App.QCI != 0 {
 		tb.PCRF.Install(epc.PolicyRule{Flow: cfg.App.Name, QCI: cfg.App.QCI})
 	}
-	tb.MME = epc.NewMME(s)
+	tb.MME = epc.NewMME()
 	tb.MME.Attach(imsi)
-	tb.SPGW = epc.NewSPGW(s, "192.168.2.11", tb.MME, tb.PCRF)
+	tb.SPGW = epc.NewSPGW(s, tb.MME, tb.PCRF)
 	tb.SPGW.Pool = tb.Pool
 	tb.SPGW.MeterHorizon = cfg.Duration + 2*time.Second
 	tb.OFCS = epc.NewOFCS()
 	tb.SPGW.OFCS = tb.OFCS
 	if cfg.DurableLedger {
-		syncEvery := cfg.LedgerSyncEvery
-		if syncEvery <= 0 {
-			syncEvery = 1 // every append durable: the full loss window recovers
-		}
 		led, err := ledger.Open(ledger.Options{
-			Dir: "ofcs", FS: ledger.NewMemFS(), SyncEvery: syncEvery,
+			Dir: "ofcs", FS: ledger.NewMemFS(), SyncEvery: 1,
 		}, nil)
 		if err == nil {
 			// The ledger draws no randomness and the OFCS is a
@@ -438,13 +416,8 @@ func NewTestbed(cfg Config) *Testbed {
 	} else {
 		appDst = serverDLStack
 	}
-	if cfg.UseTraceReplay {
-		tr := trace.Synthesize(cfg.App, cfg.App.Name, imsi, cfg.Duration+2*time.Second, cfg.Seed^0x5eed)
-		tb.Replayer = &trace.Replayer{Trace: tr, Sched: s, IDs: tb.IDs, Dst: appDst, Pool: tb.Pool}
-	} else {
-		tb.Streamer = apps.NewStreamer(cfg.App, s, tb.IDs, appDst, cfg.App.Name, imsi, tb.RNG.Fork("app"))
-		tb.Streamer.Pool = tb.Pool
-	}
+	tb.Streamer = apps.NewStreamer(cfg.App, s, tb.IDs, appDst, cfg.App.Name, imsi, tb.RNG.Fork("app"))
+	tb.Streamer.Pool = tb.Pool
 
 	// ---- Background traffic ----
 	if cfg.BackgroundMbps > 0 {
@@ -490,7 +463,7 @@ func NewTestbed(cfg Config) *Testbed {
 	}
 
 	// ---- Clocks and monitors ----
-	sync := simclock.NewSyncModel(cfg.NTPPrecision, tb.RNG.Fork("ntp"))
+	sync := simclock.NewSyncModel(ntpPrecision, tb.RNG.Fork("ntp"))
 	tb.EdgeClock = simclock.New(sync.Residual(), tb.RNG.Fork("drift-e").Uniform(-5, 5))
 	tb.OpClock = simclock.New(sync.Residual(), tb.RNG.Fork("drift-o").Uniform(-5, 5))
 
@@ -498,7 +471,6 @@ func NewTestbed(cfg Config) *Testbed {
 		Clock:      tb.EdgeClock,
 		DeviceSent: tb.DevAppSent, DeviceReceived: tb.DevAppRecv,
 		ServerSent: tb.SrvAppSent, ServerReceived: tb.SrvAppRecv,
-		TamperFactor: cfg.EdgeTamper,
 	}
 	tb.OpMon = &monitor.OperatorMonitor{
 		Clock: tb.OpClock, IMSI: imsi,
@@ -527,11 +499,7 @@ func (tb *Testbed) Run() *CycleResult {
 	if tb.Handover != nil {
 		tb.Handover.Start()
 	}
-	if tb.Replayer != nil {
-		tb.Replayer.Start(0)
-	} else {
-		tb.Streamer.Start(0)
-	}
+	tb.Streamer.Start(0)
 	for _, bg := range tb.bgSources {
 		bg.Start(0)
 	}
@@ -587,9 +555,7 @@ func (tb *Testbed) Run() *CycleResult {
 
 	horizon := cfg.Duration + 2*time.Second
 	s.RunUntil(horizon)
-	if tb.Streamer != nil {
-		tb.Streamer.Stop()
-	}
+	tb.Streamer.Stop()
 	for _, bg := range tb.bgSources {
 		bg.Stop()
 	}

@@ -38,13 +38,11 @@ type Spec struct {
 	BurstLen float64
 	// DupP duplicates a packet with this probability.
 	DupP float64
-	// ReorderP holds a packet back by ReorderDelay so it overtakes
+	// ReorderP holds a packet back by reorderDelay so it overtakes
 	// nothing but is overtaken by its successors.
-	ReorderP     float64
-	ReorderDelay time.Duration
-	// SpikeP adds a SpikeDelay latency spike to a packet.
-	SpikeP     float64
-	SpikeDelay time.Duration
+	ReorderP float64
+	// SpikeP adds a spikeDelay latency spike to a packet.
+	SpikeP float64
 
 	// Component faults, scheduled on the cycle's simulated clock.
 
@@ -75,23 +73,21 @@ type Spec struct {
 // schedule is set.
 const (
 	DefaultBurstLen      = 8.0
-	DefaultReorderDelay  = 20 * time.Millisecond
-	DefaultSpikeDelay    = 200 * time.Millisecond
 	DefaultOFCSDowntime  = 5 * time.Second
 	DefaultCDRLossWindow = 2 * time.Second
 	DefaultStallFor      = 50 * time.Millisecond
+)
+
+// The extra latency a reorder hold and a latency spike add.
+const (
+	reorderDelay = 20 * time.Millisecond
+	spikeDelay   = 200 * time.Millisecond
 )
 
 // WithDefaults returns the spec with unset secondary knobs filled in.
 func (s Spec) WithDefaults() Spec {
 	if s.BurstLen <= 0 {
 		s.BurstLen = DefaultBurstLen
-	}
-	if s.ReorderDelay <= 0 {
-		s.ReorderDelay = DefaultReorderDelay
-	}
-	if s.SpikeDelay <= 0 {
-		s.SpikeDelay = DefaultSpikeDelay
 	}
 	if s.OFCSDowntime <= 0 {
 		s.OFCSDowntime = DefaultOFCSDowntime

@@ -72,12 +72,12 @@ func (nf *NetFaults) Apply(pkt *netem.Packet, now sim.Time) netem.FaultAction {
 
 	if nf.rng.Bernoulli(nf.spec.SpikeP) {
 		nf.Spikes++
-		nf.trace.Addf(now, "%s spike id=%d +%s", nf.label, pkt.ID, nf.spec.SpikeDelay)
-		act.ExtraDelay = nf.spec.SpikeDelay
+		nf.trace.Addf(now, "%s spike id=%d +%s", nf.label, pkt.ID, spikeDelay)
+		act.ExtraDelay = spikeDelay
 	} else if nf.rng.Bernoulli(nf.spec.ReorderP) {
 		nf.Holds++
-		nf.trace.Addf(now, "%s hold id=%d +%s", nf.label, pkt.ID, nf.spec.ReorderDelay)
-		act.ExtraDelay = nf.spec.ReorderDelay
+		nf.trace.Addf(now, "%s hold id=%d +%s", nf.label, pkt.ID, reorderDelay)
+		act.ExtraDelay = reorderDelay
 	}
 	return act
 }

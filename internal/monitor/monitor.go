@@ -53,18 +53,6 @@ type EdgeMonitor struct {
 	// ServerReceived counts uplink bytes arriving at the server app
 	// (the edge's x̂o estimate for UL).
 	ServerReceived *netem.Meter
-
-	// TamperFactor scales the edge's *reported* values; 1 (or 0,
-	// treated as 1) is honest. A selfish edge under-reports its
-	// received volume with a factor < 1.
-	TamperFactor float64
-}
-
-func (m *EdgeMonitor) factor() float64 {
-	if m.TamperFactor <= 0 {
-		return 1
-	}
-	return m.TamperFactor
 }
 
 // View returns the edge's negotiation view for the cycle in the given
@@ -74,16 +62,15 @@ func (m *EdgeMonitor) View(cycle simclock.Window, dir netem.Direction) core.View
 	if m.Clock != nil {
 		w = m.Clock.ObservedWindow(cycle)
 	}
-	f := m.factor()
 	if dir == netem.Uplink {
 		return core.View{
-			Sent:     m.DeviceSent.BytesInWindow(w.Start, w.End) * f,
-			Received: m.ServerReceived.BytesInWindow(w.Start, w.End) * f,
+			Sent:     m.DeviceSent.BytesInWindow(w.Start, w.End),
+			Received: m.ServerReceived.BytesInWindow(w.Start, w.End),
 		}
 	}
 	return core.View{
-		Sent:     m.ServerSent.BytesInWindow(w.Start, w.End) * f,
-		Received: m.DeviceReceived.BytesInWindow(w.Start, w.End) * f,
+		Sent:     m.ServerSent.BytesInWindow(w.Start, w.End),
+		Received: m.DeviceReceived.BytesInWindow(w.Start, w.End),
 	}
 }
 
@@ -109,12 +96,6 @@ type OperatorMonitor struct {
 	// core, §7's testbed).
 	ServerIngress *netem.Meter
 
-	// CheckSlack tolerates the COUNTER CHECK response latency when
-	// matching a check to a cycle boundary: the operator sends the
-	// check at its local boundary and the response snapshot arrives
-	// one air round-trip later. Default 500ms.
-	CheckSlack sim.Time
-
 	// checks accumulates completed RRC COUNTER CHECK records.
 	checks []ran.CounterCheckRecord
 }
@@ -130,17 +111,19 @@ func (m *OperatorMonitor) OnCounterCheck(rec ran.CounterCheckRecord) {
 	m.checks = append(m.checks, rec)
 }
 
+// checkSlack tolerates the COUNTER CHECK response latency when
+// matching a check to a cycle boundary: the operator sends the check
+// at its local boundary and the response snapshot arrives one air
+// round-trip later.
+const checkSlack = 500 * time.Millisecond
+
 // modemDLAt returns the modem's cumulative downlink counter at the
-// most recent COUNTER CHECK at or before t (plus the response-latency
-// slack); zero if none. When the device is unreachable around a
+// most recent COUNTER CHECK at or before t (plus checkSlack); zero if
+// none. When the device is unreachable around a
 // boundary the record goes stale — the operator-record error source
 // of Figure 18.
 func (m *OperatorMonitor) modemDLAt(t sim.Time) float64 {
-	slack := m.CheckSlack
-	if slack == 0 {
-		slack = 500 * time.Millisecond
-	}
-	cutoff := t + slack
+	cutoff := t + checkSlack
 	i := sort.Search(len(m.checks), func(i int) bool { return m.checks[i].At > cutoff })
 	if i == 0 {
 		return 0

@@ -91,22 +91,6 @@ func TestEdgeMonitorDownlinkViewWithSkew(t *testing.T) {
 	}
 }
 
-func TestEdgeMonitorTamper(t *testing.T) {
-	s := sim.NewScheduler()
-	devRecv := netem.NewMeter("dev-recv", s, nil)
-	srvSent := netem.NewMeter("srv-sent", s, nil)
-	fillMeter(s, devRecv, 1000, 5*time.Second)
-	fillMeter(s, srvSent, 1000, 5*time.Second)
-	s.RunUntil(6 * time.Second)
-	m := &EdgeMonitor{ServerSent: srvSent, DeviceReceived: devRecv, TamperFactor: 0.5}
-	v := m.View(simclock.Window{Start: 0, End: 5 * time.Second}, netem.Downlink)
-	honest := (&EdgeMonitor{ServerSent: srvSent, DeviceReceived: devRecv}).View(
-		simclock.Window{Start: 0, End: 5 * time.Second}, netem.Downlink)
-	if v.Received >= honest.Received {
-		t.Fatalf("tampered %v vs honest %v", v.Received, honest.Received)
-	}
-}
-
 func TestOperatorMonitorUplink(t *testing.T) {
 	s := sim.NewScheduler()
 	srvIngress := netem.NewMeter("ingress", s, nil)

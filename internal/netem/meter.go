@@ -19,10 +19,6 @@ type Meter struct {
 	bins     []float64 // bytes per bin
 	bytes    uint64
 
-	// Filter selects which packets are counted; nil counts all
-	// non-background packets.
-	Filter func(*Packet) bool
-
 	// Next optionally forwards the packet on, so a Meter can be
 	// spliced into a path.
 	Next Node
@@ -38,15 +34,9 @@ func NewMeter(name string, sched *sim.Scheduler, next Node) *Meter {
 	return &Meter{Name: name, sched: sched, binWidth: DefaultBinWidth, Next: next}
 }
 
-// Recv implements Node.
+// Recv implements Node. It counts every non-background packet.
 func (m *Meter) Recv(pkt *Packet) {
-	counted := false
-	if m.Filter != nil {
-		counted = m.Filter(pkt)
-	} else {
-		counted = !pkt.Background
-	}
-	if counted {
+	if !pkt.Background {
 		m.record(m.sched.Now(), pkt.Size)
 	}
 	if m.Next != nil {

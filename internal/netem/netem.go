@@ -82,7 +82,7 @@ type Sink struct {
 
 // Recv implements Node.
 //
-//tlcvet:allow unreached — test support: the tests of netem, ran, epc, apps, trace and device end their chains in a Sink
+//tlcvet:allow unreached — test support: the tests of netem, ran, epc, apps and device end their chains in a Sink
 func (s *Sink) Recv(pkt *Packet) {
 	s.Packets++
 	s.Bytes += uint64(pkt.Size)

@@ -377,10 +377,9 @@ func TestMeterFilterAndForwarding(t *testing.T) {
 	s := sim.NewScheduler()
 	sink := &Sink{}
 	m := NewMeter("m", s, sink)
-	m.Filter = func(p *Packet) bool { return p.Flow == "keep" }
 	s.At(0, func() {
-		m.Recv(&Packet{Size: 10, Flow: "keep"})
-		m.Recv(&Packet{Size: 20, Flow: "skip"})
+		m.Recv(&Packet{Size: 10})
+		m.Recv(&Packet{Size: 20, Background: true}) // forwarded, not counted
 	})
 	s.Run()
 	if m.TotalBytes() != 10 {

@@ -1,7 +1,6 @@
 package protocol
 
 import (
-	"crypto/rsa"
 	"errors"
 	"fmt"
 	"io"
@@ -33,12 +32,11 @@ const (
 // then stops — it does not wait for a verdict (the honest side fails
 // closed and hangs up).
 type Byzantine struct {
-	Mode    string
-	Role    poc.Role
-	Plan    poc.Plan
-	Keys    *poc.KeyPair
-	PeerKey *rsa.PublicKey
-	RNG     *sim.RNG
+	Mode string
+	Role poc.Role
+	Plan poc.Plan
+	Keys *poc.KeyPair
+	RNG  *sim.RNG
 
 	// Volume is the byzantine party's own (inflated) claim.
 	Volume uint64

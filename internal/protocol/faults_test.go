@@ -109,7 +109,7 @@ func TestRunOutcomeAccounting(t *testing.T) {
 		return func(c net.Conn) {
 			b := &Byzantine{
 				Mode: mode, Role: poc.RoleOperator, Plan: plan,
-				Keys: opKeys, PeerKey: edgeKeys.Public, RNG: sim.NewRNG(34), Stale: stale,
+				Keys: opKeys, RNG: sim.NewRNG(34), Stale: stale,
 			}
 			_, _ = b.Run(c) // the honest side's verdict is what the row checks
 		}
@@ -222,7 +222,7 @@ func TestStaleProofRejected(t *testing.T) {
 	edge, _ := parties(core.OptimalStrategy{}, core.OptimalStrategy{}, view, view, 32)
 	byz := &Byzantine{
 		Mode: ByzReplay, Role: poc.RoleOperator, Plan: plan,
-		Keys: opKeys, PeerKey: edgeKeys.Public, RNG: sim.NewRNG(33), Stale: stale,
+		Keys: opKeys, RNG: sim.NewRNG(33), Stale: stale,
 	}
 	ci, cr := net.Pipe()
 	done := make(chan error, 1)
@@ -257,7 +257,7 @@ func TestByzantineForgeriesNeverVerify(t *testing.T) {
 		edge, _ := parties(core.OptimalStrategy{}, core.OptimalStrategy{}, view, view, int64(40+i))
 		byz := &Byzantine{
 			Mode: mode, Role: poc.RoleOperator, Plan: plan,
-			Keys: opKeys, PeerKey: edgeKeys.Public, RNG: sim.NewRNG(int64(50 + i)),
+			Keys: opKeys, RNG: sim.NewRNG(int64(50 + i)),
 		}
 		ci, cr := net.Pipe()
 		type out struct {
@@ -322,9 +322,7 @@ func TestTransientClassification(t *testing.T) {
 func TestRetrierBackoffAndBudget(t *testing.T) {
 	var slept []time.Duration
 	r := &Retrier{
-		MaxAttempts: 4,
-		BaseDelay:   10 * time.Millisecond,
-		MaxDelay:    35 * time.Millisecond,
+		MaxAttempts: 8,
 		Sleep:       func(d time.Duration) { slept = append(slept, d) },
 	}
 	calls := 0
@@ -338,10 +336,12 @@ func TestRetrierBackoffAndBudget(t *testing.T) {
 	if !errors.Is(err, ErrRetryBudget) {
 		t.Fatalf("err = %v, want ErrRetryBudget", err)
 	}
-	if calls != 4 {
-		t.Fatalf("calls = %d, want 4", calls)
+	if calls != 8 {
+		t.Fatalf("calls = %d, want 8", calls)
 	}
-	want := []time.Duration{10 * time.Millisecond, 20 * time.Millisecond, 35 * time.Millisecond}
+	// Doubling from 50ms, capped at 2s.
+	want := []time.Duration{50 * time.Millisecond, 100 * time.Millisecond, 200 * time.Millisecond,
+		400 * time.Millisecond, 800 * time.Millisecond, 1600 * time.Millisecond, 2 * time.Second}
 	if len(slept) != len(want) {
 		t.Fatalf("slept %v", slept)
 	}
@@ -361,41 +361,14 @@ func TestRetrierPermanentErrorStops(t *testing.T) {
 	}
 }
 
-func TestRetrierDeadline(t *testing.T) {
-	elapsed := time.Duration(0)
-	r := &Retrier{
-		MaxAttempts: 10,
-		BaseDelay:   100 * time.Millisecond,
-		Deadline:    150 * time.Millisecond,
-		Sleep:       func(d time.Duration) { elapsed += d },
-		Elapsed:     func() time.Duration { return elapsed },
-	}
-	calls := 0
-	err := r.Do(func(int) error { calls++; return io.ErrUnexpectedEOF })
-	if !errors.Is(err, ErrRetryBudget) {
-		t.Fatalf("err = %v, want ErrRetryBudget", err)
-	}
-	// attempt 1 (free), backoff 100ms fits (100 <= 150), attempt 2,
-	// next backoff 200ms is capped at the 50ms remaining, attempt 3,
-	// budget now exhausted (elapsed == deadline): stop at 3 calls.
-	if calls != 3 {
-		t.Fatalf("calls = %d, want 3", calls)
-	}
-	if elapsed != 150*time.Millisecond {
-		t.Fatalf("slept %s total, want exactly the 150ms deadline", elapsed)
-	}
-}
-
-// TestRetrierBackoffNoOverflow: the doubling loop used to multiply
-// first and clamp after, so with a very large MaxDelay ("effectively
-// uncapped") the duration overflowed negative around attempt 40 — a
-// negative Sleep returns immediately and the retry loop hot-spins.
-// The clamped loop must stay positive, monotone, and saturate.
+// TestRetrierBackoffNoOverflow: a doubling loop that multiplies first
+// and clamps after overflows negative around attempt 40 — a negative
+// Sleep returns immediately and the retry loop hot-spins. The backoff
+// must stay positive, monotone, and saturate at the cap.
 func TestRetrierBackoffNoOverflow(t *testing.T) {
-	r := &Retrier{BaseDelay: time.Second, MaxDelay: 1<<63 - 1}
 	prev := time.Duration(0)
 	for attempt := 0; attempt < 80; attempt++ {
-		d := r.backoff(attempt)
+		d := backoff(attempt)
 		if d <= 0 {
 			t.Fatalf("backoff(%d) = %v, want positive (overflow)", attempt, d)
 		}
@@ -404,42 +377,8 @@ func TestRetrierBackoffNoOverflow(t *testing.T) {
 		}
 		prev = d
 	}
-	if prev != r.MaxDelay {
-		t.Fatalf("backoff(79) = %v, want saturation at MaxDelay", prev)
-	}
-}
-
-// TestRetrierSleepCappedAtDeadline: with an uncapped MaxDelay and many
-// attempts, every backoff must be trimmed to the deadline remaining —
-// the loop sleeps exactly the budget in total and never oversleeps,
-// even where the raw doubled backoff has long since overflowed.
-func TestRetrierSleepCappedAtDeadline(t *testing.T) {
-	elapsed := time.Duration(0)
-	r := &Retrier{
-		MaxAttempts: 50,
-		BaseDelay:   100 * time.Millisecond,
-		MaxDelay:    1<<63 - 1,
-		Deadline:    time.Second,
-		Sleep: func(d time.Duration) {
-			if d <= 0 {
-				t.Fatalf("slept %v, want positive", d)
-			}
-			elapsed += d
-		},
-		Elapsed: func() time.Duration { return elapsed },
-	}
-	calls := 0
-	err := r.Do(func(int) error { calls++; return io.ErrUnexpectedEOF })
-	if !errors.Is(err, ErrRetryBudget) {
-		t.Fatalf("err = %v, want ErrRetryBudget", err)
-	}
-	// Sleeps 100+200+400+300(capped) = the 1s budget exactly; the
-	// fifth call runs with no budget left for a sixth.
-	if calls != 5 {
-		t.Fatalf("calls = %d, want 5", calls)
-	}
-	if elapsed != time.Second {
-		t.Fatalf("slept %s total, want exactly the 1s deadline", elapsed)
+	if prev != retryMaxDelay {
+		t.Fatalf("backoff(79) = %v, want saturation at %v", prev, retryMaxDelay)
 	}
 }
 

@@ -6,8 +6,8 @@ import (
 	"time"
 )
 
-// ErrRetryBudget is returned when a retry loop gives up: attempts
-// exhausted or the deadline would be overrun by the next backoff.
+// ErrRetryBudget is returned when a retry loop gives up with its
+// attempts exhausted.
 var ErrRetryBudget = errors.New("protocol: retry budget exhausted")
 
 // Transient reports whether an error is worth retrying. Protocol
@@ -29,29 +29,22 @@ func Transient(err error) bool {
 	return true
 }
 
-// Retrier bounds re-attempts with exponential backoff and an overall
-// deadline. The clock is injectable so internal/ users stay
-// tlcvet-clean and deterministic: tests pass recorders, cmd/tlcd
-// passes time.Sleep and a time.Since closure. Nil Sleep means no
-// waiting (attempts run back to back); nil Elapsed disables the
-// deadline and only MaxAttempts bounds the loop.
+// Retrier bounds re-attempts with exponential backoff: the first
+// backoff is retryBaseDelay, doubling per attempt up to retryMaxDelay.
+// The sleep is injectable so internal/ users stay tlcvet-clean and
+// deterministic: tests pass recorders, cmd/tlcd passes time.Sleep. Nil
+// Sleep means no waiting (attempts run back to back).
 type Retrier struct {
 	// MaxAttempts caps total tries (default 3).
 	MaxAttempts int
-	// BaseDelay is the first backoff, doubling per attempt (default
-	// 50ms), capped at MaxDelay (default 2s).
-	BaseDelay time.Duration
-	MaxDelay  time.Duration
-	// Deadline bounds the whole loop: once Elapsed() reaches it no
-	// further attempt starts, and backoffs are capped at the budget
-	// remaining so a sleep never overshoots it. Zero means no deadline.
-	Deadline time.Duration
 	// Sleep waits out a backoff; nil skips the wait.
 	Sleep func(time.Duration)
-	// Elapsed reports time spent since the operation started; nil
-	// disables the deadline check.
-	Elapsed func() time.Duration
 }
+
+const (
+	retryBaseDelay = 50 * time.Millisecond
+	retryMaxDelay  = 2 * time.Second
+)
 
 func (r *Retrier) maxAttempts() int {
 	if r.MaxAttempts > 0 {
@@ -60,54 +53,25 @@ func (r *Retrier) maxAttempts() int {
 	return 3
 }
 
-func (r *Retrier) backoff(attempt int) time.Duration {
-	d := r.BaseDelay
-	if d <= 0 {
-		d = 50 * time.Millisecond
-	}
-	max := r.MaxDelay
-	if max <= 0 {
-		max = 2 * time.Second
-	}
-	for i := 0; i < attempt; i++ {
-		// Clamp before doubling: past max/2 the next doubling either
-		// reaches max or overflows time.Duration (attempt ≥ ~40 with a
-		// large MaxDelay flips d negative and the sleep never happens).
-		if d >= max || d > max/2 {
-			return max
-		}
+// backoff returns the wait before attempt+1's retry.
+func backoff(attempt int) time.Duration {
+	d := retryBaseDelay
+	for i := 0; i < attempt && d < retryMaxDelay; i++ {
 		d *= 2
 	}
-	if d > max {
-		return max
-	}
-	return d
+	return min(d, retryMaxDelay)
 }
 
-// Do runs op until it succeeds, fails permanently, or the budget runs
+// Do runs op until it succeeds, fails permanently, or the attempts run
 // out. op receives the attempt index (0-based). The backoff precedes
 // every attempt but the first.
 func (r *Retrier) Do(op func(attempt int) error) error {
 	var last error
 	for attempt := 0; attempt < r.maxAttempts(); attempt++ {
 		if attempt > 0 {
-			d := r.backoff(attempt - 1)
-			if r.Deadline > 0 && r.Elapsed != nil {
-				// Cap the sleep at the remaining budget instead of
-				// refusing the attempt: a retry that still fits the
-				// deadline should run, just without oversleeping it.
-				// (Subtracting also avoids the Elapsed()+d overflow.)
-				remaining := r.Deadline - r.Elapsed()
-				if remaining <= 0 {
-					return fmt.Errorf("%w: deadline before attempt %d: %v", ErrRetryBudget, attempt+1, last)
-				}
-				if d > remaining {
-					d = remaining
-				}
-			}
 			Metrics.Retries.Inc()
 			if r.Sleep != nil {
-				r.Sleep(d)
+				r.Sleep(backoff(attempt - 1))
 			}
 		}
 		err := op(attempt)

@@ -41,17 +41,12 @@ type RoamingConfig struct {
 	// game exactly as in a bilateral run.
 	VendorView   core.View
 	VisitedViewA core.View
-	// VisitedViewB is the visited operator's view of the upstream
-	// segment. Zero means derive it from the settled downstream volume
-	// — the honest relay claims upstream exactly what it countersigned.
-	VisitedViewB core.View
 	// HomeView is the home operator's view of the upstream segment:
 	// Sent is its gateway estimate of what the visited operator pushed,
 	// Received its record of what reached the subscriber.
 	HomeView core.View
 
-	RNG       *sim.RNG
-	MaxRounds int
+	RNG *sim.RNG
 
 	// Verifier, when set, is the home operator's persistent chain
 	// verifier (replay defence across cycles). Nil verifies each run
@@ -72,8 +67,6 @@ type RoamingResult struct {
 	// X1 is the vendor<->visited settled volume, X2 the final
 	// visited<->home one (what the subscriber is billed).
 	X1, X2 uint64
-	// RoundsA and RoundsB count the claims of the two negotiations.
-	RoundsA, RoundsB int
 }
 
 func (cfg *RoamingConfig) rng() *sim.RNG {
@@ -93,13 +86,13 @@ func RunRoaming(cfg RoamingConfig) (*RoamingResult, error) {
 		Role: poc.RoleEdge, Plan: cfg.Plan,
 		Keys: cfg.VendorKeys, PeerKey: cfg.VisitedKeys.Public,
 		Strategy: cfg.VendorStrategy, View: cfg.VendorView,
-		RNG: rng.Fork("vendor"), MaxRounds: cfg.MaxRounds,
+		RNG: rng.Fork("vendor"),
 	}
 	visitedDown := &Party{
 		Role: poc.RoleOperator, Plan: cfg.Plan,
 		Keys: cfg.VisitedKeys, PeerKey: cfg.VendorKeys.Public,
 		Strategy: cfg.VisitedStrategy, View: cfg.VisitedViewA,
-		RNG: rng.Fork("visited-down"), MaxRounds: cfg.MaxRounds,
+		RNG: rng.Fork("visited-down"),
 	}
 	_, resA, err := RunPair(vendor, visitedDown)
 	if err != nil {
@@ -111,22 +104,21 @@ func RunRoaming(cfg RoamingConfig) (*RoamingResult, error) {
 		return nil, err
 	}
 
-	viewB := cfg.VisitedViewB
-	if viewB == (core.View{}) {
-		x1 := float64(cs.Relayed)
-		viewB = core.View{Sent: x1, Received: x1}
-	}
+	// The visited operator's view of the upstream segment: the honest
+	// relay claims upstream exactly what it countersigned.
+	x1 := float64(cs.Relayed)
+	viewB := core.View{Sent: x1, Received: x1}
 	visitedUp := &Party{
 		Role: poc.RoleEdge, Plan: cfg.Plan,
 		Keys: cfg.VisitedKeys, PeerKey: cfg.HomeKeys.Public,
 		Strategy: cfg.VisitedStrategy, View: viewB,
-		RNG: rng.Fork("visited-up"), MaxRounds: cfg.MaxRounds,
+		RNG: rng.Fork("visited-up"),
 	}
 	home := &Party{
 		Role: poc.RoleOperator, Plan: cfg.Plan,
 		Keys: cfg.HomeKeys, PeerKey: cfg.VisitedKeys.Public,
 		Strategy: cfg.HomeStrategy, View: cfg.HomeView,
-		RNG: rng.Fork("home"), MaxRounds: cfg.MaxRounds,
+		RNG: rng.Fork("home"),
 	}
 
 	verifier := cfg.Verifier
@@ -159,11 +151,9 @@ func RunRoaming(cfg RoamingConfig) (*RoamingResult, error) {
 	}
 
 	return &RoamingResult{
-		Chain:   accepted,
-		X1:      resA.X,
-		X2:      resHome.X,
-		RoundsA: resA.Rounds,
-		RoundsB: resHome.Rounds,
+		Chain: accepted,
+		X1:    resA.X,
+		X2:    resHome.X,
 	}, nil
 }
 

@@ -50,7 +50,6 @@ type Radio struct {
 	attachingAt  sim.Time // when a pending re-attach completes
 	attachPend   bool
 	outOfService time.Duration // cumulative no-service time
-	lastPoll     sim.Time
 
 	started bool
 }
@@ -111,7 +110,6 @@ func (r *Radio) poll(now sim.Time) {
 			r.outOfService += r.PollInterval
 		}
 	}
-	r.lastPoll = now
 }
 
 // InCoverage reports whether the instantaneous RSS allows service.

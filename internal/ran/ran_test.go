@@ -10,23 +10,6 @@ import (
 	"tlc/internal/sim"
 )
 
-// OutageTime returns the total scheduled outage duration in [0, until).
-// No binary reads it; TestOutageRSSOutageTime checks it.
-func (o *OutageRSS) OutageTime(until sim.Time) time.Duration {
-	var total time.Duration
-	for _, iv := range o.outages {
-		if iv.Start >= until {
-			break
-		}
-		end := iv.End
-		if end > until {
-			end = until
-		}
-		total += end - iv.Start
-	}
-	return total
-}
-
 // TraceRSS replays an explicit step function of (time, rss) samples:
 // the RSS model these tests script radio conditions with.
 type TraceRSS struct {
@@ -92,23 +75,6 @@ func TestOutageRSSValues(t *testing.T) {
 	}
 	if o.RSS(iv.End) != -90 && !outs[1].Contains(iv.End) {
 		t.Fatalf("RSS at outage end = %v", o.RSS(iv.End))
-	}
-}
-
-func TestOutageRSSOutageTime(t *testing.T) {
-	o := &OutageRSS{Base: -90, Depth: -125, outages: []Interval{
-		{Start: time.Second, End: 2 * time.Second},
-		{Start: 10 * time.Second, End: 13 * time.Second},
-	}}
-	if got := o.OutageTime(20 * time.Second); got != 4*time.Second {
-		t.Fatalf("OutageTime = %v, want 4s", got)
-	}
-	// Truncated by the until bound.
-	if got := o.OutageTime(11 * time.Second); got != 2*time.Second {
-		t.Fatalf("truncated OutageTime = %v, want 2s", got)
-	}
-	if got := o.OutageTime(500 * time.Millisecond); got != 0 {
-		t.Fatalf("early OutageTime = %v, want 0", got)
 	}
 }
 

@@ -1,9 +1,6 @@
 package roaming
 
-import (
-	"tlc/internal/poc"
-	"tlc/internal/sim"
-)
+import "tlc/internal/poc"
 
 // ByzMode enumerates the byzantine visited operator's chain-level
 // attacks. The visited operator is an insider: it holds a genuine key,
@@ -38,8 +35,6 @@ type Forger struct {
 	// Keys is the visited operator's genuine key pair — the insider
 	// can produce valid signatures over forged content.
 	Keys *poc.KeyPair
-	// RNG draws forgery nonces deterministically.
-	RNG *sim.RNG
 	// Stale is a previously settled chain for ByzChainReplay.
 	Stale *poc.Chain
 }

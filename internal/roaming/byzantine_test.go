@@ -70,7 +70,6 @@ func TestByzantineVisitedNeverVerifies(t *testing.T) {
 			forger := &Forger{
 				Mode:  mode,
 				Keys:  byzVisitedKeys,
-				RNG:   sim.NewRNG(1000*int64(mi) + seed),
 				Stale: honest.Chain,
 			}
 			cfg := byzRoamConfig(200 + 100*int64(mi) + seed)
@@ -119,7 +118,7 @@ func TestForgerModesChangeChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, mode := range ByzChainModes {
-		f := &Forger{Mode: mode, Keys: byzVisitedKeys, RNG: sim.NewRNG(7), Stale: staleRes.Chain}
+		f := &Forger{Mode: mode, Keys: byzVisitedKeys, Stale: staleRes.Chain}
 		forged := f.Forge(honest.Chain)
 		data, err := forged.MarshalBinary()
 		if err != nil {

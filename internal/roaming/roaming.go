@@ -81,8 +81,6 @@ type Game struct {
 	Vendor  core.Strategy
 	Visited core.Strategy
 	Home    core.Strategy
-	// MaxRounds caps each segment's negotiation.
-	MaxRounds int
 }
 
 // Outcome is one chained settlement.
@@ -90,8 +88,6 @@ type Outcome struct {
 	// X1 and X2 are the two settled volumes; the subscriber is billed
 	// X2.
 	X1, X2 float64
-	// RoundsA and RoundsB count each segment's claims.
-	RoundsA, RoundsB int
 	// Converged reports whether both segments settled.
 	Converged bool
 }
@@ -107,14 +103,13 @@ func (g Game) Play(t Truth, rng *sim.RNG) (Outcome, error) {
 		Operator:     g.Visited,
 		EdgeView:     vendor,
 		OperatorView: visitedDown,
-		MaxRounds:    g.MaxRounds,
 		RNG:          rng.Fork("down"),
 	})
 	if err != nil {
 		return Outcome{}, err
 	}
 	if !a.Converged {
-		return Outcome{RoundsA: a.Rounds}, nil
+		return Outcome{}, nil
 	}
 	b, err := core.Negotiate(core.Config{
 		C:            g.C,
@@ -122,7 +117,6 @@ func (g Game) Play(t Truth, rng *sim.RNG) (Outcome, error) {
 		Operator:     g.Home,
 		EdgeView:     core.View{Sent: a.X, Received: a.X},
 		OperatorView: home,
-		MaxRounds:    g.MaxRounds,
 		RNG:          rng.Fork("up"),
 	})
 	if err != nil {
@@ -131,8 +125,6 @@ func (g Game) Play(t Truth, rng *sim.RNG) (Outcome, error) {
 	return Outcome{
 		X1:        a.X,
 		X2:        b.X,
-		RoundsA:   a.Rounds,
-		RoundsB:   b.Rounds,
 		Converged: b.Converged,
 	}, nil
 }

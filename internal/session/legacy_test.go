@@ -188,7 +188,7 @@ func TestEngineFailsLegacyPeers(t *testing.T) {
 		return func(c net.Conn) error {
 			b := &protocol.Byzantine{
 				Mode: mode, Role: poc.RoleEdge, Plan: testPlan, Keys: edgeKeys,
-				PeerKey: &opKeys.Private.PublicKey, RNG: sim.NewRNG(34), Stale: earlier.PoC,
+				RNG: sim.NewRNG(34), Stale: earlier.PoC,
 			}
 			_, err := b.Run(c)
 			return err

@@ -234,7 +234,7 @@ func (s *Scheduler) Step() bool {
 // Run executes events until the queue drains, then advances the clock
 // past the last held completion, as its event would have.
 //
-//tlcvet:allow unreached — test support: the tests of sim, netem, ran and trace drain schedulers with it
+//tlcvet:allow unreached — test support: the tests of sim, netem and ran drain schedulers with it
 func (s *Scheduler) Run() {
 	for s.Step() {
 	}

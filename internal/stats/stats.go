@@ -115,22 +115,19 @@ func RenderCDF(name string, s *Sample, rows int) string {
 	return b.String()
 }
 
-// Series is an ordered (x, y) series used for the paper's line figures
-// (gap vs background traffic, gap vs time, ...).
+// Series is an ordered series of y values used for the paper's line
+// figures (gap vs background traffic, gap vs time, ...); Table pairs
+// the i-th value with the i-th shared x.
 type Series struct {
 	Name string
-	X    []float64
 	Y    []float64
 }
 
-// AddPoint appends a point to the series.
-func (s *Series) AddPoint(x, y float64) {
-	s.X = append(s.X, x)
-	s.Y = append(s.Y, y)
-}
+// Add appends the value at the series' next x.
+func (s *Series) Add(y float64) { s.Y = append(s.Y, y) }
 
-// Table renders one or more series that share X values as an aligned
-// text table, one row per X.
+// Table renders one or more series that share x values as an aligned
+// text table, one row per x.
 func Table(header string, xs []float64, series ...*Series) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-12s", header)

@@ -18,13 +18,6 @@ import (
 // Segment numbers are carried in the packet ID space; the sender owns
 // an IDGen and maps IDs to sequence numbers.
 
-// ackMsg models the reverse-path acknowledgement. ACKs ride outside
-// the metered data path (the receiver invokes the sender's Ack
-// directly after the reverse propagation delay).
-type ackMsg struct {
-	cumSeq uint64
-}
-
 // Sender is the reliable sending endpoint.
 type Sender struct {
 	Sched *sim.Scheduler
@@ -46,12 +39,6 @@ type Sender struct {
 	RTO time.Duration
 	// MaxRetries bounds retransmissions per segment.
 	MaxRetries int
-	// BackoffFactor, when > 1, multiplies the timeout per retry of a
-	// segment (exponential backoff), which keeps retransmissions from
-	// hammering a path under injected fault bursts. Values <= 1 keep
-	// the paper's fixed-RTO behaviour exactly.
-	BackoffFactor float64
-
 	// ReverseDelay is the ACK path latency.
 	ReverseDelay time.Duration
 
@@ -116,13 +103,7 @@ func (s *Sender) transmit(seq uint64, retries int) {
 		}
 	}
 	fl := &flight{retries: retries}
-	rto := s.RTO
-	if s.BackoffFactor > 1 {
-		for i := 0; i < retries; i++ {
-			rto = time.Duration(float64(rto) * s.BackoffFactor)
-		}
-	}
-	fl.timer = s.Sched.After(rto, func() {
+	fl.timer = s.Sched.After(s.RTO, func() {
 		s.onTimeout(seq)
 	})
 	s.inFlight[seq] = fl

@@ -155,31 +155,3 @@ func TestWindowLimitsInFlight(t *testing.T) {
 		t.Fatalf("initial burst = %d, want window of 8", got)
 	}
 }
-
-func TestBackoffFactorSlowsRetransmissions(t *testing.T) {
-	// On a fully black-holed path every timer fires; exponential
-	// backoff must space them out while factor <= 1 keeps the paper's
-	// fixed-RTO cadence byte-identically.
-	run := func(factor float64) uint64 {
-		s, snd, _, _ := path(t, 1, 5*time.Millisecond, 100*time.Millisecond)
-		snd.BackoffFactor = factor
-		snd.Transfer(1, nil)
-		s.RunUntil(time.Second)
-		_, _, rtx, _ := snd.Stats()
-		return rtx
-	}
-	fixed := run(0)
-	same := run(1)
-	backed := run(2)
-	if fixed != same {
-		t.Fatalf("factor 1 changed behaviour: %d vs %d retransmissions", same, fixed)
-	}
-	if fixed == 0 {
-		t.Fatal("no retransmissions on a black-holed path")
-	}
-	// Fixed RTO: retries at 100ms intervals. Factor 2: 100+200+400+800
-	// exceeds the 1s horizon after 3 retries.
-	if backed >= fixed {
-		t.Fatalf("backoff did not slow retries: %d vs %d", backed, fixed)
-	}
-}

@@ -14,60 +14,8 @@ import (
 	"tlc/internal/poc"
 )
 
-// This file implements the §8 extensions: the multi-access edge
-// (per-operator TLC instances for devices that combine several 4G/5G
-// operators) and the durable receipt archive both parties keep.
-
-// OperatorAccount is one cellular operator a multi-access edge device
-// uses, with its agreed plan and the usage the edge metered on that
-// operator's network. "The edge should classify its data traffic by
-// operators when generating the charging records" (§8).
-type OperatorAccount struct {
-	Name  string
-	Plan  Plan
-	Keys  *rsa.PublicKey // operator's public key
-	Usage Usage          // edge-side usage view for this operator
-}
-
-// MultiOperatorOutcome is one operator's settlement.
-type MultiOperatorOutcome struct {
-	Operator string
-	Receipt  *Receipt
-	Err      error
-}
-
-// SettleMultiOperator runs one TLC negotiation per operator for a
-// multi-access edge device. Each negotiation is independent: its own
-// plan, keys and usage classification. opKeys maps operator name to
-// that operator's *private* key pair — in production each operator
-// runs its own endpoint; this in-process form serves simulations and
-// tests. Results are sorted by operator name.
-//
-//tlcvet:allow unreached — §8 multi-operator reproduction, which only go test . -run MultiOperator runs
-func SettleMultiOperator(edgeKeys *KeyPair, accounts []OperatorAccount,
-	opKeys map[string]*KeyPair, strategy Strategy, seed int64) []MultiOperatorOutcome {
-	out := make([]MultiOperatorOutcome, 0, len(accounts))
-	for i, acct := range accounts {
-		res := MultiOperatorOutcome{Operator: acct.Name}
-		kp, ok := opKeys[acct.Name]
-		if !ok {
-			res.Err = fmt.Errorf("tlc: no key pair for operator %q", acct.Name)
-			out = append(out, res)
-			continue
-		}
-		opReceipt, _, err := NegotiateLocal(acct.Plan, edgeKeys, kp,
-			acct.Usage, acct.Usage, strategy, strategy, seed+int64(i))
-		if err != nil {
-			res.Err = err
-			out = append(out, res)
-			continue
-		}
-		res.Receipt = opReceipt
-		out = append(out, res)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Operator < out[j].Operator })
-	return out
-}
+// This file implements the durable receipt archive both parties keep
+// (§8).
 
 // Archive is a durable receipt store (one per party, per peer): a
 // ledger directory like tlcd's -ledger-dir, holding one fsynced

@@ -16,6 +16,9 @@ import (
 	"tlc/internal/poc"
 )
 
+// TestSettleMultiOperator settles a multi-access edge device's two
+// operators (§8) with one independent negotiation each: its own plan,
+// keys and usage classification.
 func TestSettleMultiOperator(t *testing.T) {
 	edgeKeys, _ := testKeys(t)
 	opA, err := GenerateKeyPair()
@@ -27,54 +30,32 @@ func TestSettleMultiOperator(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := time.Date(2019, 1, 7, 7, 0, 0, 0, time.UTC)
-	accounts := []OperatorAccount{
-		{
-			Name: "operator-B", Plan: Plan{Start: start, End: start.Add(time.Hour), C: 0.5},
-			Keys: opB.Public(), Usage: Usage{Sent: 500_000, Received: 480_000},
-		},
-		{
-			Name: "operator-A", Plan: Plan{Start: start, End: start.Add(time.Hour), C: 0.25},
-			Keys: opA.Public(), Usage: Usage{Sent: 1_000_000, Received: 900_000},
-		},
+	accounts := []struct {
+		plan  Plan
+		keys  *KeyPair
+		usage Usage
+	}{
+		{Plan{Start: start, End: start.Add(time.Hour), C: 0.25}, opA, Usage{Sent: 1_000_000, Received: 900_000}},
+		{Plan{Start: start, End: start.Add(time.Hour), C: 0.5}, opB, Usage{Sent: 500_000, Received: 480_000}},
 	}
-	keys := map[string]*KeyPair{"operator-A": opA, "operator-B": opB}
-	outcomes := SettleMultiOperator(edgeKeys, accounts, keys, Optimal, 99)
-	if len(outcomes) != 2 {
-		t.Fatalf("outcomes = %d", len(outcomes))
-	}
-	// Sorted by operator name.
-	if outcomes[0].Operator != "operator-A" || outcomes[1].Operator != "operator-B" {
-		t.Fatalf("order: %s, %s", outcomes[0].Operator, outcomes[1].Operator)
-	}
-	for _, o := range outcomes {
-		if o.Err != nil {
-			t.Fatalf("%s: %v", o.Operator, o.Err)
+	receipts := make([]*Receipt, len(accounts))
+	for i, a := range accounts {
+		r, _, err := NegotiateLocal(a.plan, edgeKeys, a.keys, a.usage, a.usage, Optimal, Optimal, 99+int64(i))
+		if err != nil {
+			t.Fatalf("operator %d: %v", i, err)
 		}
+		receipts[i] = r
 	}
 	// Per-operator plans apply independently: c=0.25 for A.
-	wantA := ExpectedCharge(accounts[1].Plan, accounts[1].Usage)
-	if outcomes[0].Receipt.X != wantA {
-		t.Fatalf("operator-A settled %d, want %d", outcomes[0].Receipt.X, wantA)
+	if want := ExpectedCharge(accounts[0].plan, accounts[0].usage); receipts[0].X != want {
+		t.Fatalf("operator-A settled %d, want %d", receipts[0].X, want)
 	}
 	// Each proof verifies under its own operator's key only.
-	if err := Verify(outcomes[0].Receipt.Proof, accounts[1].Plan, edgeKeys.Public(), opA.Public()); err != nil {
+	if err := Verify(receipts[0].Proof, accounts[0].plan, edgeKeys.Public(), opA.Public()); err != nil {
 		t.Fatalf("A proof: %v", err)
 	}
-	if Verify(outcomes[0].Receipt.Proof, accounts[1].Plan, edgeKeys.Public(), opB.Public()) == nil {
+	if Verify(receipts[0].Proof, accounts[0].plan, edgeKeys.Public(), opB.Public()) == nil {
 		t.Fatal("A proof verified with B's key")
-	}
-}
-
-func TestSettleMultiOperatorMissingKey(t *testing.T) {
-	edgeKeys, opKeys := testKeys(t)
-	start := time.Now().Truncate(time.Hour)
-	accounts := []OperatorAccount{{
-		Name: "ghost", Plan: Plan{Start: start, End: start.Add(time.Hour), C: 0.5},
-		Keys: opKeys.Public(), Usage: Usage{Sent: 1, Received: 1},
-	}}
-	outcomes := SettleMultiOperator(edgeKeys, accounts, nil, Optimal, 1)
-	if outcomes[0].Err == nil {
-		t.Fatal("missing operator key not reported")
 	}
 }
 

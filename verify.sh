@@ -22,7 +22,9 @@
 #                buckets and count of each histogram of simulated
 #                values) against registry_{quick,full}.golden; a
 #                failure names the golden, the experiment and its first
-#                differing line
+#                differing line. Each experiment's links must also
+#                balance: packets enqueued plus fault duplicates equal
+#                packets delivered, dropped, in flight and queued
 #   sweep      — parallel sweep engine smoke: ordering, panic
 #                propagation and figure parity under the race detector
 #   shardparity — sharded event engine determinism under the race
@@ -37,6 +39,9 @@
 #                /metrics and /healthz, signal-driven drain, and mux
 #                and legacy connections served side by side by the
 #                session engine
+#   examples   — the quickstart, gaming, vredge and webcam examples run
+#                end to end against the root tlc API and exit 0 (the
+#                ledger stage runs examples/auditor)
 #   tlcdscale  — the sharded session engine under the race detector:
 #                the admission-control overload regression (reject,
 #                never deadlock or leak) and 2,000 sessions over 8
@@ -105,6 +110,12 @@ city_smoke() {
 	go run ./cmd/tlcbench -experiment city -quick -shards 2 -json - >/dev/null
 }
 
+run_examples() {
+	for _ex in quickstart gaming vredge webcam; do
+		go run "./examples/$_ex" >/dev/null
+	done
+}
+
 perfbench_check() {
 	(cd perfbench && go vet ./... && go test -short ./...)
 }
@@ -128,6 +139,7 @@ stage shardparity go test -run ShardParity -race ./internal/sim ./internal/netem
 stage chaos go test -run Chaos -race ./internal/experiment
 stage race go test -race ./...
 stage operator go test -run Operator -race -count=1 ./cmd/tlcd
+stage examples run_examples
 stage tlcdscale go test -run 'EngineOverload|EngineSettlesMuxedSessions' -race -count=1 ./internal/session
 stage ledger go test -run 'Torture|Prop|Golden|Refuses' -short -race ./internal/ledger
 stage ledger go test -run '^$' -fuzz '^FuzzLedgerReplay$' -fuzztime 10s ./internal/ledger
