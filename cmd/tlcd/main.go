@@ -13,14 +13,14 @@
 //
 // The operator serves each connection in its own goroutine (bounded
 // by -max-conns), so one stalled client cannot block the others. A
-// -max-conns below 1, or a -conn-timeout or -mux-conn-timeout of 0 or
-// less, is refused at startup with exit status 2. Its
-// session engine negotiates on every connection, whether the edge
-// opens one negotiation per connection (as tlcd -role edge does) or
-// multiplexes many (TLCMUX1). With -http it also exposes a debug
-// endpoint: Prometheus /metrics, /healthz, expvar under /debug/vars,
-// and net/http/pprof under /debug/pprof/. SIGINT or SIGTERM stops
-// accepting, drains in-flight negotiations (bounded by
+// -max-conns, -ledger-fsync or -retries below 1, or a -conn-timeout or
+// -mux-conn-timeout of 0 or less, is refused at startup with exit
+// status 2. Every connection speaks TLCMUX1 to the operator's session
+// engine: tlcd -role edge settles its cycle as one session on its
+// conn, and a load client multiplexes many. With -http the operator
+// also exposes a debug endpoint: Prometheus /metrics, /healthz, expvar
+// under /debug/vars, and net/http/pprof under /debug/pprof/. SIGINT or
+// SIGTERM stops accepting, drains in-flight negotiations (bounded by
 // -drain-timeout), logs a final metrics snapshot, and exits 0.
 //
 // The -faults flag injects seeded stream faults (corrupted reads,
@@ -34,8 +34,6 @@
 package main
 
 import (
-	"crypto/rsa"
-	"crypto/x509"
 	"encoding/json"
 	"errors"
 	"expvar"
@@ -98,7 +96,7 @@ func main() {
 		auditQ   = flag.String("audit", "", "audit query over -ledger-dir, e.g. subscriber=<fingerprint>,cycle=<id>; prints the report and exits")
 	)
 	flag.Parse()
-	if err := checkServingFlags(*maxConns, *connTO, *muxTO); err != nil {
+	if err := checkServingFlags(*maxConns, *connTO, *muxTO, *ledSync, *retries); err != nil {
 		fmt.Fprintf(os.Stderr, "tlcd: %v\n", err)
 		os.Exit(2)
 	}
@@ -182,7 +180,8 @@ func main() {
 		if *connect == "" {
 			log.Fatal("edge role requires -connect")
 		}
-		runEdge(*connect, plan, keys, usage, strat, *proofOut, spec, *faultSd, *retries, *connTO)
+		runEdge(*connect, negotiationConfig(poc.RoleEdge, plan, keys, usage, strat),
+			*proofOut, spec, *faultSd, *retries, *connTO)
 	default:
 		log.Fatalf("unknown role %q", *role)
 	}
@@ -191,7 +190,7 @@ func main() {
 // wrapFaults interposes the seeded fault-injecting stream when the
 // spec carries stream faults; otherwise the connection passes through
 // untouched.
-func wrapFaults(conn net.Conn, spec *faults.Spec, seed int64) (io.ReadWriter, *faults.Trace) {
+func wrapFaults(conn net.Conn, spec *faults.Spec, seed int64) (io.ReadWriteCloser, *faults.Trace) {
 	if spec == nil || !spec.StreamActive() {
 		return conn, nil
 	}
@@ -202,47 +201,46 @@ func wrapFaults(conn net.Conn, spec *faults.Spec, seed int64) (io.ReadWriter, *f
 	}, tr
 }
 
-// exchangeKeys swaps PKIX-encoded public keys with the operator: the
-// edge writes its key as one frame and reads the operator's.
-func exchangeKeys(conn io.ReadWriter, own *rsa.PublicKey) (*rsa.PublicKey, error) {
-	der, err := x509.MarshalPKIXPublicKey(own)
-	if err != nil {
-		return nil, err
+// negotiationConfig is one side's configuration for the cycle: the
+// plan as the wire carries it, the signing key, strat's claims and the
+// usage view.
+func negotiationConfig(role poc.Role, plan tlc.Plan, keys *tlc.KeyPair, usage tlc.Usage, strat tlc.Strategy) protocol.Config {
+	var coreStrat core.Strategy = core.OptimalStrategy{}
+	switch strat {
+	case tlc.Honest:
+		coreStrat = core.HonestStrategy{}
+	case tlc.RandomSelfish:
+		coreStrat = core.RandomSelfishStrategy{}
 	}
-	if err := protocol.WriteFrame(conn, der); err != nil {
-		return nil, err
+	return protocol.Config{
+		Role:     role,
+		Plan:     poc.Plan{TStart: plan.Start.UnixNano(), TEnd: plan.End.UnixNano(), C: plan.C},
+		Key:      keys.Signer(),
+		Strategy: coreStrat,
+		View:     core.View{Sent: float64(usage.Sent), Received: float64(usage.Received)},
 	}
-	peerDER, err := protocol.ReadFrame(conn)
-	if err != nil {
-		return nil, err
-	}
-	pub, err := x509.ParsePKIXPublicKey(peerDER)
-	if err != nil {
-		return nil, err
-	}
-	rsaPub, ok := pub.(*rsa.PublicKey)
-	if !ok {
-		return nil, fmt.Errorf("peer key is not RSA")
-	}
-	return rsaPub, nil
 }
 
-// settle runs the edge's side of one legacy negotiation: key exchange,
-// then the operator's opening claim and the exchange it starts.
-func settle(conn io.ReadWriter, plan tlc.Plan, keys *tlc.KeyPair,
-	usage tlc.Usage, strat tlc.Strategy, proofOut string) error {
-	peerKey, err := exchangeKeys(conn, keys.Public())
+// settle runs the edge's side of the cycle as one TLCMUX1 session on
+// conn and writes its proof to proofOut. A session that did not
+// settle returns its cause, which protocol.Transient classifies.
+func settle(conn io.ReadWriter, cfg protocol.Config, proofOut string) error {
+	cfg.KeepProof = true
+	res, err := session.RunClient(session.ClientConfig{
+		Config:   cfg,
+		Sessions: 1,
+		Conns:    []io.ReadWriter{conn},
+		Seed:     time.Now().UnixNano(),
+	})
 	if err != nil {
-		return fmt.Errorf("key exchange: %w", err)
+		return err
 	}
-	n := tlc.NewNegotiator(tlc.Edge, plan, keys, peerKey, usage, strat)
-	receipt, err := n.Negotiate(conn, false)
-	if err != nil {
-		return fmt.Errorf("negotiate: %w", err)
+	if res.Settled != 1 {
+		return res.Cause
 	}
-	log.Printf("settled: %d bytes in %d round(s); proof %d bytes",
-		receipt.X, receipt.Rounds, len(receipt.Proof))
-	return writeProof(proofOut, receipt.Proof)
+	r := res.Receipts[0]
+	log.Printf("settled: %d bytes in %d round(s); proof %d bytes", r.X, r.Rounds, len(r.Proof))
+	return writeProof(proofOut, r.Proof)
 }
 
 // writeProof stores a settled proof at path, if one is set.
@@ -273,7 +271,8 @@ type operator struct {
 	verbose      bool
 
 	// engine serves every connection; newEngine builds it. muxTimeout
-	// is the deadline for mux conns, which carry many sessions.
+	// is a conn's deadline once its first frame is read: a conn can
+	// carry many sessions.
 	engine     *session.Engine
 	muxTimeout time.Duration
 
@@ -304,20 +303,7 @@ type operator struct {
 // hooked to the settle log and recorder. Set led and proofOut first;
 // ec carries the table sizing and seed.
 func (o *operator) newEngine(keys *tlc.KeyPair, usage tlc.Usage, strat tlc.Strategy, ec session.EngineConfig) error {
-	var coreStrat core.Strategy = core.OptimalStrategy{}
-	switch strat {
-	case tlc.Honest:
-		coreStrat = core.HonestStrategy{}
-	case tlc.RandomSelfish:
-		coreStrat = core.RandomSelfishStrategy{}
-	}
-	ec.Config = protocol.Config{
-		Role:     poc.RoleOperator,
-		Plan:     poc.Plan{TStart: o.plan.Start.UnixNano(), TEnd: o.plan.End.UnixNano(), C: o.plan.C},
-		Key:      keys.Signer(),
-		Strategy: coreStrat,
-		View:     core.View{Sent: float64(usage.Sent), Received: float64(usage.Received)},
-	}
+	ec.Config = negotiationConfig(poc.RoleOperator, o.plan, keys, usage, strat)
 	start := time.Now()
 	ec.Stopwatch = func() float64 { return time.Since(start).Seconds() }
 	ec.OnSettle = o.onSettle
@@ -540,9 +526,9 @@ func runAudit(w io.Writer, dir, query string) error {
 	return err
 }
 
-// serve hands one accepted connection to the session engine. A mux
-// conn (its first frame a TLCMUX1 hello) carries many sessions, so it
-// gets the longer deadline; per-session progress is bounded by
+// serve hands one accepted connection to the session engine. A conn
+// can carry many sessions, so once its first frame is read it gets the
+// longer -mux-conn-timeout; per-session progress is bounded by
 // admission control, not the socket clock.
 func (o *operator) serve(conn net.Conn) {
 	defer conn.Close() //tlcvet:allow errdiscard — negotiation already settled or failed; close is cleanup
@@ -556,11 +542,9 @@ func (o *operator) serve(conn net.Conn) {
 		log.Printf("first frame from %s: %v", conn.RemoteAddr(), err)
 		return
 	}
-	if _, mux := session.IsHello(first); mux {
-		if err := conn.SetDeadline(time.Now().Add(o.muxTimeout)); err != nil {
-			log.Printf("set mux deadline for %s: %v", conn.RemoteAddr(), err)
-			return
-		}
+	if err := conn.SetDeadline(time.Now().Add(o.muxTimeout)); err != nil {
+		log.Printf("set mux deadline for %s: %v", conn.RemoteAddr(), err)
+		return
 	}
 	if err := o.engine.ServeConn(rw, first); err != nil {
 		log.Printf("conn %s: %v", conn.RemoteAddr(), err)
@@ -647,11 +631,13 @@ func startDebugServer(ln net.Listener) *http.Server {
 	return srv
 }
 
-// checkServingFlags refuses serving limits the operator cannot run
-// with: acceptLoop's connection semaphore needs at least one slot (an
-// unbuffered one blocks the first accepted conn forever, a negative
-// size panics), and a deadline of zero or less times out every read.
-func checkServingFlags(maxConns int, connTimeout, muxConnTimeout time.Duration) error {
+// checkServingFlags refuses limits tlcd cannot run with: acceptLoop's
+// connection semaphore needs at least one slot (an unbuffered one
+// blocks the first accepted conn forever, a negative size panics), a
+// deadline of zero or less times out every read, and the ledger's and
+// the retrier's defaults would silently replace a -ledger-fsync or
+// -retries below 1 (with 16 appends per fsync and 3 attempts).
+func checkServingFlags(maxConns int, connTimeout, muxConnTimeout time.Duration, ledgerFsync, retries int) error {
 	if maxConns < 1 {
 		return fmt.Errorf("-max-conns must be at least 1, got %d", maxConns)
 	}
@@ -661,12 +647,19 @@ func checkServingFlags(maxConns int, connTimeout, muxConnTimeout time.Duration) 
 	if muxConnTimeout <= 0 {
 		return fmt.Errorf("-mux-conn-timeout must be positive, got %v", muxConnTimeout)
 	}
+	if ledgerFsync < 1 {
+		return fmt.Errorf("-ledger-fsync must be at least 1, got %d", ledgerFsync)
+	}
+	if retries < 1 {
+		return fmt.Errorf("-retries must be at least 1, got %d", retries)
+	}
 	return nil
 }
 
-func runEdge(addr string, plan tlc.Plan, keys *tlc.KeyPair, usage tlc.Usage,
-	strat tlc.Strategy, proofOut string, spec *faults.Spec, faultSeed int64,
-	retries int, connTimeout time.Duration) {
+// runEdge settles the edge's cycle against the operator at addr,
+// re-dialing through transient failures up to retries attempts.
+func runEdge(addr string, cfg protocol.Config, proofOut string, spec *faults.Spec,
+	faultSeed int64, retries int, connTimeout time.Duration) {
 	r := &protocol.Retrier{MaxAttempts: retries, Sleep: time.Sleep}
 	attempts := 0
 	err := r.Do(func(attempt int) error {
@@ -682,7 +675,7 @@ func runEdge(addr string, plan tlc.Plan, keys *tlc.KeyPair, usage tlc.Usage,
 		// A fresh fault stream per attempt, seeded off the attempt
 		// index so replays of the whole retry sequence are identical.
 		rw, tr := wrapFaults(conn, spec, faultSeed+int64(attempt))
-		serr := settle(rw, plan, keys, usage, strat, proofOut)
+		serr := settle(rw, cfg, proofOut)
 		if tr != nil {
 			log.Printf("attempt %d fault injection: %s", attempt+1, tr.Summary())
 		}

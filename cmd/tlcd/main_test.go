@@ -19,7 +19,7 @@ import (
 	"time"
 
 	"tlc"
-	"tlc/internal/core"
+	"tlc/internal/faults"
 	"tlc/internal/ledger"
 	"tlc/internal/metrics"
 	"tlc/internal/poc"
@@ -68,6 +68,21 @@ func startOperator(t *testing.T, op *operator, withDebug bool) (addr, debugAddr 
 	return ln.Addr().String(), debugAddr, exited
 }
 
+// stopOperator triggers the operator's shutdown and waits for it to
+// drain and exit.
+func stopOperator(t *testing.T, op *operator, exited chan error) {
+	t.Helper()
+	close(op.stop)
+	select {
+	case err := <-exited:
+		if err != nil {
+			t.Fatalf("operator exit: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("operator did not drain and exit")
+	}
+}
+
 func edgeSettle(t *testing.T, addr string, keys *tlc.KeyPair, plan tlc.Plan, usage tlc.Usage) error {
 	t.Helper()
 	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
@@ -78,7 +93,7 @@ func edgeSettle(t *testing.T, addr string, keys *tlc.KeyPair, plan tlc.Plan, usa
 	if err := conn.SetDeadline(time.Now().Add(5 * time.Second)); err != nil {
 		t.Fatal(err)
 	}
-	return settle(conn, plan, keys, usage, tlc.Honest, "")
+	return settle(conn, negotiationConfig(poc.RoleEdge, plan, keys, usage, tlc.Honest), "")
 }
 
 func scrapeMetric(t *testing.T, debugAddr, series string) (float64, bool) {
@@ -120,7 +135,8 @@ func TestOperatorConcurrentConnsAndScrape(t *testing.T) {
 	op := &operator{
 		plan: plan, once: false, maxConns: 4,
 		connTimeout: 30 * time.Second, drainTimeout: 5 * time.Second,
-		stop: make(chan struct{}),
+		muxTimeout: time.Minute,
+		stop:       make(chan struct{}),
 	}
 	if err := op.newEngine(opKeys, usage, tlc.Honest, session.EngineConfig{}); err != nil {
 		t.Fatal(err)
@@ -168,15 +184,7 @@ func TestOperatorConcurrentConnsAndScrape(t *testing.T) {
 	if err := stalled.Close(); err != nil {
 		t.Fatal(err)
 	}
-	close(op.stop)
-	select {
-	case err := <-exited:
-		if err != nil {
-			t.Fatalf("operator exit: %v", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("operator did not drain and exit")
-	}
+	stopOperator(t, op, exited)
 }
 
 // TestOperatorOnceExits: with once set, serving a single negotiation
@@ -187,6 +195,7 @@ func TestOperatorOnceExits(t *testing.T) {
 	op := &operator{
 		plan: plan, once: true, maxConns: 4,
 		connTimeout: 30 * time.Second, drainTimeout: 5 * time.Second,
+		muxTimeout: time.Minute,
 	}
 	if err := op.newEngine(opKeys, usage, tlc.Honest, session.EngineConfig{}); err != nil {
 		t.Fatal(err)
@@ -205,15 +214,46 @@ func TestOperatorOnceExits(t *testing.T) {
 	}
 }
 
-// TestOperatorMuxAndLegacyCoexist drives both connection flavours at
-// one operator listener: a legacy single-session conn (bare key frame)
-// and multiplexed TLCMUX1 conns carrying many sessions each. The
-// session engine must serve both.
-func TestOperatorMuxAndLegacyCoexist(t *testing.T) {
+// dialEdge dials the operator at addr with a one-minute deadline.
+func dialEdge(t *testing.T, addr string) net.Conn {
+	t.Helper()
+	c, err := net.DialTimeout("tcp", addr, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.SetDeadline(time.Now().Add(time.Minute)); err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// runMuxLoad settles sessions over conns with session.RunClient and
+// then closes the conns, so the operator's drain does not wait on
+// them.
+func runMuxLoad(t *testing.T, cfg protocol.Config, sessions int, conns ...io.ReadWriteCloser) *session.ClientResult {
+	t.Helper()
+	cc := session.ClientConfig{Config: cfg, Sessions: sessions, Seed: 7}
+	for _, c := range conns {
+		cc.Conns = append(cc.Conns, c)
+	}
+	res, err := session.RunClient(cc)
+	for _, c := range conns {
+		_ = c.Close() // the client is done with its conns; res and err decide the test
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// TestOperatorServesEdgeAndMuxConns drives both kinds of client at one
+// operator listener: tlcd's edge, which settles one session on its
+// conn, and multiplexed conns carrying many sessions each.
+func TestOperatorServesEdgeAndMuxConns(t *testing.T) {
 	opKeys, edgeKeys, plan, usage := testParties(t)
 	op := &operator{
 		plan: plan, once: false, maxConns: 4,
-		connTimeout: 30 * time.Second, drainTimeout: 5 * time.Second,
+		connTimeout: 30 * time.Second, drainTimeout: 30 * time.Second,
 		muxTimeout: 2 * time.Minute,
 		stop:       make(chan struct{}),
 	}
@@ -222,60 +262,64 @@ func TestOperatorMuxAndLegacyCoexist(t *testing.T) {
 	}
 	addr, _, exited := startOperator(t, op, false)
 
-	// Legacy conn first: the engine serves it as one session.
 	if err := edgeSettle(t, addr, edgeKeys, plan, usage); err != nil {
-		t.Fatalf("legacy settle against mux-enabled operator: %v", err)
+		t.Fatalf("edge settle: %v", err)
 	}
 
 	const sessions = 40
-	conns := make([]io.ReadWriter, 2)
-	for i := range conns {
-		c, err := net.DialTimeout("tcp", addr, 5*time.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Close() //tlcvet:allow errdiscard — test cleanup; the assertions, not Close, decide this test
-		if err := c.SetDeadline(time.Now().Add(time.Minute)); err != nil {
-			t.Fatal(err)
-		}
-		conns[i] = c
-	}
-	res, err := session.RunClient(session.ClientConfig{
-		Config: protocol.Config{
-			Role:     poc.RoleEdge,
-			Plan:     poc.Plan{TStart: plan.Start.UnixNano(), TEnd: plan.End.UnixNano(), C: plan.C},
-			Key:      edgeKeys.Signer(),
-			Strategy: core.OptimalStrategy{},
-			View:     core.View{Sent: float64(usage.Sent), Received: float64(usage.Received)},
-		},
-		Sessions: sessions,
-		Conns:    conns,
-		Seed:     7,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runMuxLoad(t, negotiationConfig(poc.RoleEdge, plan, edgeKeys, usage, tlc.Optimal), sessions,
+		dialEdge(t, addr), dialEdge(t, addr))
 	if res.Settled != sessions || res.Rejected != 0 || res.Failed != 0 {
 		t.Fatalf("mux settled/rejected/failed = %d/%d/%d, want %d/0/0",
 			res.Settled, res.Rejected, res.Failed, sessions)
 	}
+	stopOperator(t, op, exited)
+}
 
-	close(op.stop)
-	select {
-	case err := <-exited:
-		if err != nil {
-			t.Fatalf("operator exit: %v", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("operator did not drain and exit")
+// TestOperatorEdgeSettlesThroughStreamFaults: with stream faults on
+// both ends, the operator's engine and the edge's client each read a
+// faults.Conn on one goroutine while writing it on another. tlcd's
+// edge settles its one session through them, and a second edge conn
+// pipelines many, so under -race reads and writes overlap on both
+// ends and the wrapper must serialise its draws.
+func TestOperatorEdgeSettlesThroughStreamFaults(t *testing.T) {
+	opKeys, edgeKeys, plan, usage := testParties(t)
+	// Half the writes stall; every read draws for corruption, which
+	// never fires at this probability, so every session settles.
+	spec := &faults.Spec{CorruptP: 1e-12, StallP: 0.5, StallFor: time.Millisecond}
+	op := &operator{
+		plan: plan, once: false, spec: spec, faultSeed: 11, maxConns: 4,
+		connTimeout: 30 * time.Second, drainTimeout: 30 * time.Second,
+		muxTimeout: time.Minute,
+		stop:       make(chan struct{}),
 	}
+	if err := op.newEngine(opKeys, usage, tlc.Optimal, session.EngineConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	addr, _, exited := startOperator(t, op, false)
+	cfg := negotiationConfig(poc.RoleEdge, plan, edgeKeys, usage, tlc.Optimal)
+
+	edge := dialEdge(t, addr)
+	rw, _ := wrapFaults(edge, spec, 1)
+	err := settle(rw, cfg, "")
+	_ = edge.Close() // settled or not, this edge is done; err decides the test
+	if err != nil {
+		t.Fatalf("edge settle through stream faults: %v", err)
+	}
+
+	const sessions = 200
+	mux, _ := wrapFaults(dialEdge(t, addr), spec, 2)
+	if res := runMuxLoad(t, cfg, sessions, mux); res.Settled != sessions {
+		t.Fatalf("mux sessions through stream faults: %+v, want %d settled", res, sessions)
+	}
+	stopOperator(t, op, exited)
 }
 
 // TestOperatorLedgerAudit is the end-to-end durability path: an
-// operator with a real on-disk ledger records settlements from both
-// connection flavours (mux sessions and a legacy conn, all through
-// the engine Recorder), the shutdown flush closes the ledger, and the
-// -audit query path reads the proofs back from the directory.
+// operator with a real on-disk ledger records the settlements of
+// tlcd's edge and of a multiplexed conn through the engine Recorder,
+// the shutdown flush closes the ledger, and the -audit query path
+// reads the proofs back from the directory.
 func TestOperatorLedgerAudit(t *testing.T) {
 	opKeys, edgeKeys, plan, usage := testParties(t)
 	dir := t.TempDir()
@@ -286,7 +330,7 @@ func TestOperatorLedgerAudit(t *testing.T) {
 	cycle := uint64(plan.Start.Unix())
 	op := &operator{
 		plan: plan, once: false, maxConns: 4,
-		connTimeout: 30 * time.Second, drainTimeout: 5 * time.Second,
+		connTimeout: 30 * time.Second, drainTimeout: 30 * time.Second,
 		muxTimeout: 2 * time.Minute,
 		stop:       make(chan struct{}),
 	}
@@ -296,48 +340,19 @@ func TestOperatorLedgerAudit(t *testing.T) {
 	}
 	addr, _, exited := startOperator(t, op, false)
 
-	// One legacy settlement plus a batch of mux sessions.
+	// One edge settlement plus a batch of mux sessions.
 	if err := edgeSettle(t, addr, edgeKeys, plan, usage); err != nil {
-		t.Fatalf("legacy settle: %v", err)
+		t.Fatalf("edge settle: %v", err)
 	}
 	const sessions = 25
-	c, err := net.DialTimeout("tcp", addr, 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close() //tlcvet:allow errdiscard — test cleanup; the assertions, not Close, decide this test
-	if err := c.SetDeadline(time.Now().Add(time.Minute)); err != nil {
-		t.Fatal(err)
-	}
-	res, err := session.RunClient(session.ClientConfig{
-		Config: protocol.Config{
-			Role:     poc.RoleEdge,
-			Plan:     poc.Plan{TStart: plan.Start.UnixNano(), TEnd: plan.End.UnixNano(), C: plan.C},
-			Key:      edgeKeys.Signer(),
-			Strategy: core.OptimalStrategy{},
-			View:     core.View{Sent: float64(usage.Sent), Received: float64(usage.Received)},
-		},
-		Sessions: sessions,
-		Conns:    []io.ReadWriter{c},
-		Seed:     7,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runMuxLoad(t, negotiationConfig(poc.RoleEdge, plan, edgeKeys, usage, tlc.Optimal), sessions,
+		dialEdge(t, addr))
 	if res.Settled != sessions {
 		t.Fatalf("mux settled = %d, want %d", res.Settled, sessions)
 	}
 
 	// Shutdown flushes the group-commit tail and closes the ledger.
-	close(op.stop)
-	select {
-	case err := <-exited:
-		if err != nil {
-			t.Fatalf("operator exit: %v", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("operator did not drain and exit")
-	}
+	stopOperator(t, op, exited)
 	if n := op.ledgerErrs.Load(); n != 0 {
 		t.Fatalf("%d ledger appends failed", n)
 	}
@@ -356,7 +371,7 @@ func TestOperatorLedgerAudit(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := len(rep.PoCs); got != sessions+1 {
-		t.Fatalf("audit found %d PoCs, want %d (mux + legacy)", got, sessions+1)
+		t.Fatalf("audit found %d PoCs, want %d (mux + edge)", got, sessions+1)
 	}
 	var settled uint64
 	for i := range rep.PoCs {
@@ -377,7 +392,7 @@ func TestOperatorLedgerAudit(t *testing.T) {
 	}
 
 	// The receipt archive's audit reads the same directory: Algorithm 2
-	// with one replay set across the mux and legacy sessions, and the
+	// with one replay set across the edge's and the mux sessions, and the
 	// ledger's audit total equals the settled proofs'.
 	archive, err := tlc.OpenArchive(dir)
 	if err != nil {
@@ -489,5 +504,21 @@ func TestRefusesConnTimeoutNotPositive(t *testing.T) {
 func TestRefusesMuxConnTimeoutNotPositive(t *testing.T) {
 	for _, v := range []string{"0s", "-1s"} {
 		wantFlagRefused(t, "-mux-conn-timeout", "-mux-conn-timeout", v)
+	}
+}
+
+// TestRefusesLedgerFsyncBelowOne: the ledger's default turned 0 into
+// an fsync every 16 appends while tlcd logged "fsync every 0".
+func TestRefusesLedgerFsyncBelowOne(t *testing.T) {
+	for _, v := range []string{"0", "-1"} {
+		wantFlagRefused(t, "-ledger-fsync", "-ledger-fsync", v)
+	}
+}
+
+// TestRefusesRetriesBelowOne: the retrier's default turned 0 into 3
+// attempts.
+func TestRefusesRetriesBelowOne(t *testing.T) {
+	for _, v := range []string{"0", "-1"} {
+		wantFlagRefused(t, "-retries", "-retries", v)
 	}
 }

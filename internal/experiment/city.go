@@ -148,7 +148,6 @@ type CellStat struct {
 
 // CityResult is one completed city cycle.
 type CityResult struct {
-	Cfg   CityConfig
 	Cells []CellStat
 	// Shards is the per-worker execution report (events fired, stall
 	// at barriers). Unlike everything else here it depends on the
@@ -599,7 +598,7 @@ func (r *cityRun) publishMetrics() {
 // cell or UE index order; nothing depends on worker completion order.
 func (r *cityRun) collect() *CityResult {
 	cfg := r.cfg
-	res := &CityResult{Cfg: cfg}
+	res := &CityResult{}
 	res.Cells = make([]CellStat, len(r.cells))
 	var queueDrops, lossDrops, forwarded, forwardDrops, lanePkts, inboxPkts uint64
 	for i, c := range r.cells {

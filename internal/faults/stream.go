@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 	"time"
 
 	"tlc/internal/sim"
@@ -29,6 +30,10 @@ type Conn struct {
 	Trace *Trace
 	Stall func(time.Duration)
 
+	// mu serialises the fault draws, the counters and the trace, not
+	// the inner I/O: the session engine and its client read a conn on
+	// one goroutine while writing it on another.
+	mu sync.Mutex
 	// Counters for assertions and metrics.
 	Corrupted uint64
 	Truncated uint64
@@ -39,6 +44,8 @@ type Conn struct {
 // probability CorruptP per successful read.
 func (c *Conn) Read(p []byte) (int, error) {
 	n, err := c.Inner.Read(p)
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	if n > 0 && c.RNG.Bernoulli(c.Spec.CorruptP) {
 		i := 0
 		if n > 1 {
@@ -57,35 +64,41 @@ func (c *Conn) Read(p []byte) (int, error) {
 // a truncate fault writes only the first half, closes the transport
 // if it can, and returns ErrTruncatedWrite.
 func (c *Conn) Write(p []byte) (int, error) {
+	c.mu.Lock()
+	var stall time.Duration
 	if c.RNG.Bernoulli(c.Spec.StallP) {
 		c.Stalls++
 		//tlcvet:allow metricstier — live stream path (see Read); counts must be visible while the connection is still open
 		mStall.Inc()
-		d := c.Spec.StallFor
-		if d <= 0 {
-			d = DefaultStallFor
+		stall = c.Spec.StallFor
+		if stall <= 0 {
+			stall = DefaultStallFor
 		}
-		c.Trace.Addf(0, "stream stall %s", d)
-		if c.Stall != nil {
-			c.Stall(d)
-		}
+		c.Trace.Addf(0, "stream stall %s", stall)
 	}
-	if len(p) > 1 && c.RNG.Bernoulli(c.Spec.TruncateP) {
+	half := len(p) / 2
+	truncate := len(p) > 1 && c.RNG.Bernoulli(c.Spec.TruncateP)
+	if truncate {
 		c.Truncated++
 		//tlcvet:allow metricstier — live stream path (see Read); counts must be visible while the connection is still open
 		mTruncate.Inc()
-		half := len(p) / 2
 		c.Trace.Addf(0, "stream truncate %d of %d bytes", half, len(p))
-		n, err := c.Inner.Write(p[:half])
-		if closer, ok := c.Inner.(io.Closer); ok {
-			_ = closer.Close() // the fault's point is a dead transport
-		}
-		if err != nil {
-			return n, err
-		}
-		return n, fmt.Errorf("%w: wrote %d of %d", ErrTruncatedWrite, n, len(p))
 	}
-	return c.Inner.Write(p)
+	c.mu.Unlock()
+	if stall > 0 && c.Stall != nil {
+		c.Stall(stall)
+	}
+	if !truncate {
+		return c.Inner.Write(p)
+	}
+	n, err := c.Inner.Write(p[:half])
+	if closer, ok := c.Inner.(io.Closer); ok {
+		_ = closer.Close() // the fault's point is a dead transport
+	}
+	if err != nil {
+		return n, err
+	}
+	return n, fmt.Errorf("%w: wrote %d of %d", ErrTruncatedWrite, n, len(p))
 }
 
 // Close closes the wrapped stream when it supports closing.

@@ -63,7 +63,6 @@ type Ledger struct {
 	nextIdx uint64 // index the next segment will get
 	cur     File   // active segment handle
 	curSize int    // bytes written to the active segment
-	curIdx  uint64
 
 	unsynced int    // appends since the last fsync
 	payload  []byte // reused record-encode buffer
@@ -229,7 +228,6 @@ func (l *Ledger) newSegment() error {
 		return fmt.Errorf("ledger: write segment header: %w", err)
 	}
 	l.cur = f
-	l.curIdx = l.nextIdx
 	l.curSize = segHeader
 	l.nextIdx++
 	Metrics.Rotations.Inc()

@@ -45,7 +45,6 @@ type LaneStats struct {
 // the source partition: only that partition's events may call Send,
 // and only the barrier (single-threaded) drains it.
 type Lane struct {
-	Name  string
 	Delay time.Duration  // cross-shard latency; >= the group lookahead
 	Sched *sim.Scheduler // source partition's clock
 	Pool  *PacketPool    // source partition's pool (packets return here)
@@ -61,7 +60,7 @@ func NewLane(name string, delay time.Duration, sched *sim.Scheduler, pool *Packe
 	if delay <= 0 {
 		panic(fmt.Sprintf("netem: non-positive lane delay on %q", name))
 	}
-	return &Lane{Name: name, Delay: delay, Sched: sched, Pool: pool}
+	return &Lane{Delay: delay, Sched: sched, Pool: pool}
 }
 
 // Send puts a packet on the lane. The packet is copied by value and
@@ -92,10 +91,9 @@ type InboxStats struct {
 // every inbound lane. All attached lanes must share one Delay (the
 // FIFO arrival stream depends on it; see the package comment).
 type Inbox struct {
-	Name  string
-	Sched *sim.Scheduler // destination partition's scheduler
-	Pool  *PacketPool    // destination partition's pool
-	Dst   Node           // where arrivals are delivered
+	Name string
+	Pool *PacketPool // destination partition's pool
+	Dst  Node        // where arrivals are delivered
 
 	Stats InboxStats
 
@@ -110,7 +108,7 @@ type Inbox struct {
 // NewInbox returns the receiving half for the partition owning sched
 // and pool, delivering arrivals to dst.
 func NewInbox(name string, sched *sim.Scheduler, pool *PacketPool, dst Node) *Inbox {
-	ib := &Inbox{Name: name, Sched: sched, Pool: pool, Dst: dst}
+	ib := &Inbox{Name: name, Pool: pool, Dst: dst}
 	ib.arrivals = sim.NewFIFO(sched, ib.deliver)
 	return ib
 }

@@ -22,8 +22,6 @@ const (
 	RRCCounterCheck RRCMessageType = 1
 	// RRCCounterCheckResponse: UE → eNodeB, reports the counts.
 	RRCCounterCheckResponse RRCMessageType = 2
-	// RRCConnectionRelease: eNodeB → UE, tears the connection down.
-	RRCConnectionRelease RRCMessageType = 3
 )
 
 // CounterCheckMsg is the eNodeB's query. TransactionID correlates the
@@ -55,12 +53,6 @@ func (m CounterCheckResponseMsg) Marshal() []byte {
 	return b
 }
 
-// ConnectionReleaseMsg releases the RRC connection; Cause 0 means
-// "other" (e.g. inactivity).
-type ConnectionReleaseMsg struct {
-	Cause uint8
-}
-
 // ErrShortRRC reports a truncated RRC message.
 var ErrShortRRC = errors.New("ran: short RRC message")
 
@@ -82,8 +74,6 @@ func ParseRRC(data []byte) (any, error) {
 			ULBytes:       binary.BigEndian.Uint64(data[2:10]),
 			DLBytes:       binary.BigEndian.Uint64(data[10:18]),
 		}, nil
-	case RRCConnectionRelease:
-		return ConnectionReleaseMsg{Cause: data[1]}, nil
 	default:
 		return nil, fmt.Errorf("ran: unknown RRC message type %d", data[0])
 	}

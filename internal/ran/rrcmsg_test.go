@@ -41,18 +41,6 @@ func TestCounterCheckResponseRoundTripProperty(t *testing.T) {
 	}
 }
 
-func TestConnectionReleaseRoundTrip(t *testing.T) {
-	// The base station releases without sending one, so the bytes
-	// are spelled out: type, cause.
-	got, err := ParseRRC([]byte{byte(RRCConnectionRelease), 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m := (ConnectionReleaseMsg{Cause: 3}); got.(ConnectionReleaseMsg) != m {
-		t.Fatalf("round trip: %+v", got)
-	}
-}
-
 func TestParseRRCErrors(t *testing.T) {
 	if _, err := ParseRRC(nil); err == nil {
 		t.Fatal("nil accepted")

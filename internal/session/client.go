@@ -13,10 +13,11 @@ import (
 	"tlc/internal/sim"
 )
 
-// ClientConfig drives a mux load-generation client: Sessions
-// negotiations multiplexed over the given pre-dialed connections.
-// The caller owns the conns (dialing, deadlines, closing) — this
-// package reads no clock and opens no sockets.
+// ClientConfig drives a mux client: Sessions negotiations multiplexed
+// over the given pre-dialed connections. tlcd's edge settles its cycle
+// as one session on one conn; tests load a server with thousands. The
+// caller owns the conns (dialing, deadlines, closing) — this package
+// reads no clock and opens no sockets.
 type ClientConfig struct {
 	// Config is the edge-side negotiation configuration; the client
 	// initiates every session.
@@ -56,6 +57,16 @@ type ClientResult struct {
 	Settled  int
 	Rejected int // admission-control rejections (RejectOverload)
 	Failed   int
+	// Receipts holds one entry per settled session, conn by conn.
+	Receipts []Receipt
+	// Cause is why the first session that did not settle ended (the
+	// opener's failures first, then conn by conn), or nil. It keeps
+	// protocol.Transient's retry contract: a dead conn, a malformed mux
+	// frame and an overload or shutdown reject are transient; a
+	// RejectFailed or RejectBadMessage reject and the client machine's
+	// own verdicts (ErrBadPeer, ErrStaleProof, ErrNoConvergence) are
+	// not.
+	Cause error
 	// Forged-PoC accounting: Sent were emitted, Rejected were refused
 	// by the server (correct), Verified were acknowledged as settled
 	// (a charging-integrity bug — must be zero).
@@ -65,6 +76,15 @@ type ClientResult struct {
 	// Latencies holds one open→settle duration in seconds per settled
 	// session (only when a Stopwatch was injected).
 	Latencies []float64
+}
+
+// Receipt is one settled session as the client saw it: the agreed
+// volume, the rounds it took and the serialized PoC (nil unless
+// Config.KeepProof).
+type Receipt struct {
+	X      uint64
+	Rounds int
+	Proof  []byte
 }
 
 // clientSession is one initiator-side negotiation.
@@ -95,11 +115,9 @@ type clientConn struct {
 	res ClientResult
 }
 
-// RunClient executes the configured load against a mux server and
+// RunClient runs the configured sessions against a mux server and
 // blocks until every session resolves or its connection dies. It
 // leaves no goroutines behind.
-//
-//tlcvet:allow unreached — test support: the tests of session and cmd/tlcd load a mux server with it
 func RunClient(cc ClientConfig) (*ClientResult, error) {
 	if err := cc.Config.Validate(); err != nil {
 		return nil, err
@@ -176,6 +194,7 @@ func RunClient(cc ClientConfig) (*ClientResult, error) {
 	// session when the server's response arrives.
 	openEnv := protocol.Env{RNG: base.Fork("opener"), Nonce: cc.Nonce}
 	openFailed := 0
+	var openErr error
 	for i := 0; i < cc.Sessions; i++ {
 		cn := conns[i%len(conns)]
 		s := &clientSession{sid: uint64(i) + 1, forged: i < cc.Forge}
@@ -189,6 +208,9 @@ func RunClient(cc ClientConfig) (*ClientResult, error) {
 			return nil
 		}); err != nil {
 			openFailed++
+			if openErr == nil {
+				openErr = err
+			}
 			cn.mu.Lock()
 			cn.assigned-- // never pushed; the reader must not wait for it
 			cn.mu.Unlock()
@@ -207,8 +229,12 @@ func RunClient(cc ClientConfig) (*ClientResult, error) {
 	}
 	wg.Wait()
 
-	total := &ClientResult{Failed: openFailed}
+	total := &ClientResult{Failed: openFailed, Cause: openErr}
 	for _, cn := range conns {
+		if total.Cause == nil {
+			total.Cause = cn.res.Cause
+		}
+		total.Receipts = append(total.Receipts, cn.res.Receipts...)
 		total.Settled += cn.res.Settled
 		total.Rejected += cn.res.Rejected
 		total.Failed += cn.res.Failed
@@ -243,12 +269,41 @@ func (cn *clientConn) remaining() int {
 }
 
 // failRemaining resolves every outstanding session as failed after
-// the connection died.
-func (cn *clientConn) failRemaining() {
+// the connection died of err.
+func (cn *clientConn) failRemaining(err error) {
 	cn.mu.Lock()
 	cn.res.Failed += cn.assigned
+	cn.unsettled(fmt.Errorf("session: conn lost with %d session(s) unresolved: %w", cn.assigned, err))
 	cn.assigned = 0
 	cn.mu.Unlock()
+}
+
+// unsettled keeps cause if it is the conn's first session that did
+// not settle.
+func (cn *clientConn) unsettled(cause error) {
+	if cn.res.Cause == nil {
+		cn.res.Cause = cause
+	}
+}
+
+// rejectCause maps a TypeReject payload onto the error the server
+// reported: ErrOverload or ErrEngineStopped, which protocol.Transient
+// retries, or, for a verdict on the exchange, protocol.ErrBadMessage or
+// protocol.ErrBadPeer (RejectFailed and unknown codes), which it does
+// not.
+func rejectCause(code byte, detail []byte) error {
+	var err error
+	switch code {
+	case RejectOverload:
+		err = ErrOverload
+	case RejectShutdown:
+		err = ErrEngineStopped
+	case RejectBadMessage:
+		err = protocol.ErrBadMessage
+	default:
+		err = protocol.ErrBadPeer
+	}
+	return fmt.Errorf("session: rejected by the server: %w: %q", err, detail)
 }
 
 // emit wraps a machine's outbound message for s, applying PoC forgery
@@ -300,13 +355,13 @@ func (cn *clientConn) readLoop(cc *ClientConfig, herd *sync.WaitGroup) {
 			frame, err = fr.ReadFrame()
 			if err != nil {
 				// Connection died: every unresolved session fails.
-				cn.failRemaining()
+				cn.failRemaining(err)
 				break
 			}
 		}
 		typ, sid, payload, err := DecodeMux(frame)
 		if err != nil {
-			cn.failRemaining()
+			cn.failRemaining(err)
 			break
 		}
 		cn.mu.Lock()
@@ -317,10 +372,11 @@ func (cn *clientConn) readLoop(cc *ClientConfig, herd *sync.WaitGroup) {
 		}
 		switch typ {
 		case TypeReject:
-			code := byte(0)
+			code, detail := byte(0), payload
 			if len(payload) > 0 {
-				code = payload[0]
+				code, detail = payload[0], payload[1:]
 			}
+			cn.unsettled(rejectCause(code, detail))
 			switch {
 			case s.forged && code == RejectFailed:
 				cn.res.ForgedRejected++ // the server caught the forgery
@@ -342,6 +398,7 @@ func (cn *clientConn) readLoop(cc *ClientConfig, herd *sync.WaitGroup) {
 				cn.settle(cc, s)
 			default:
 				cn.res.Failed++
+				cn.unsettled(fmt.Errorf("%w: TypeDone for a session this side did not finish at that X", protocol.ErrBadMessage))
 			}
 			cn.resolve(s)
 
@@ -349,6 +406,7 @@ func (cn *clientConn) readLoop(cc *ClientConfig, herd *sync.WaitGroup) {
 			finished, err := s.m.Handle(payload, &cn.env, cn.emit(cc, s))
 			if err != nil {
 				cn.res.Failed++
+				cn.unsettled(err)
 				cn.resolve(s)
 				out := bufPool.Get().(*[]byte)
 				*out = AppendMux((*out)[:0], TypeReject, s.sid, []byte{RejectFailed})
@@ -369,6 +427,7 @@ func (cn *clientConn) readLoop(cc *ClientConfig, herd *sync.WaitGroup) {
 
 func (cn *clientConn) settle(cc *ClientConfig, s *clientSession) {
 	cn.res.Settled++
+	cn.res.Receipts = append(cn.res.Receipts, Receipt{X: s.m.X(), Rounds: s.m.Rounds(), Proof: s.m.Proof()})
 	if cc.Stopwatch != nil {
 		cn.res.Latencies = append(cn.res.Latencies, cc.Stopwatch()-s.openedAt)
 	}

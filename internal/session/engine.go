@@ -174,32 +174,17 @@ type muxConn struct {
 	// identity for settled proofs.
 	peerFP string
 	out    *outQueue
-	// legacy marks a conn whose peer opened with a bare key instead of
-	// a TLCMUX1 hello. It carries one session (sid 0) as bare protocol
-	// frames, with no mux header and no reject or ack frame.
-	legacy bool
 }
 
-// sendData queues one negotiation message for sid: a TypeData frame,
-// or the bare message on a legacy conn.
+// sendData queues one negotiation message for sid as a TypeData frame.
 func (c *muxConn) sendData(sid uint64, msg []byte) {
 	out := bufPool.Get().(*[]byte)
-	if c.legacy {
-		*out = append((*out)[:0], msg...)
-	} else {
-		*out = AppendMux((*out)[:0], TypeData, sid, msg)
-	}
+	*out = AppendMux((*out)[:0], TypeData, sid, msg)
 	c.out.push(out)
 }
 
 // sendReject tells the peer that session sid ended without settling.
-// A legacy conn has no reject frame and carries no other session, so
-// there the reject is the close: the writer flushes and hangs up.
 func (c *muxConn) sendReject(sid uint64, code byte, detail string) {
-	if c.legacy {
-		c.out.close()
-		return
-	}
 	out := bufPool.Get().(*[]byte)
 	*out = AppendMux((*out)[:0], TypeReject, sid, nil)
 	*out = append(*out, code)
@@ -208,22 +193,18 @@ func (c *muxConn) sendReject(sid uint64, code byte, detail string) {
 }
 
 // ServeConn runs one connection to completion. first is the
-// already-read first frame. A TLCMUX1 hello (see IsHello) opens a mux
-// connection that carries many sessions. Any other first frame is a
-// legacy peer's bare PKIX key: the engine answers with its own key,
-// admits the conn's one session and sends its opening claim, since
-// the operator initiates on that wire. The engine closes a legacy
-// conn when that session ends, so the peer learns of a refusal or a
-// failure from the close. ServeConn blocks until the peer hangs up or
-// breaks framing, or a legacy conn's session ends, and returns with
-// no goroutines left behind.
+// already-read first frame, which must be a TLCMUX1 hello (see
+// IsHello); any other first frame is refused with ErrNotHello before
+// the engine writes anything. The conn then carries many sessions,
+// each opened by the peer. ServeConn blocks until the peer hangs up or
+// breaks framing, and returns with no goroutines left behind.
 func (e *Engine) ServeConn(conn io.ReadWriter, first []byte) error {
 	if e.stopped.Load() {
 		return ErrEngineStopped
 	}
-	der, mux := IsHello(first)
-	if !mux {
-		der = first
+	der, ok := IsHello(first)
+	if !ok {
+		return ErrNotHello
 	}
 	peerKey, err := parsePeerKey(der)
 	if err != nil {
@@ -239,7 +220,6 @@ func (e *Engine) ServeConn(conn io.ReadWriter, first []byte) error {
 		id:      e.connID.Add(1),
 		peerKey: peerKey,
 		out:     newOutQueue(),
-		legacy:  !mux,
 	}
 	if e.recorder != nil {
 		fp := sha256.Sum256(der)
@@ -249,29 +229,17 @@ func (e *Engine) ServeConn(conn io.ReadWriter, first []byte) error {
 	go func() {
 		defer close(writerDone)
 		c.writeLoop(conn)
-		if closer, ok := conn.(io.Closer); c.legacy && ok {
-			_ = closer.Close() // the session is over; the close is the peer's only word of it
-		}
 	}()
-	if c.legacy {
-		e.open(c)
-	}
 
 	fr := protocol.NewFrameReader(conn)
 	var readErr error
 	for {
 		frame, err := fr.ReadFrame()
 		if err != nil {
-			// A legacy conn whose session is over was closed by its
-			// writer, which ends this read; that is no failure.
-			if err != io.EOF && !(c.legacy && c.out.isClosed()) {
+			if err != io.EOF {
 				readErr = err
 			}
 			break
-		}
-		if c.legacy {
-			e.dispatch(c, 0, frame)
-			continue
 		}
 		typ, sid, payload, err := DecodeMux(frame)
 		if err != nil {
@@ -394,12 +362,6 @@ func (q *outQueue) empty() bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return len(q.items) == 0
-}
-
-func (q *outQueue) isClosed() bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.closed
 }
 
 // close stops accepting pushes; the writer drains what is queued and

@@ -5,15 +5,18 @@ import (
 	"crypto/x509"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"io"
 	"net"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"tlc/internal/core"
+	"tlc/internal/metrics"
 	"tlc/internal/poc"
 	"tlc/internal/protocol"
 	"tlc/internal/sim"
@@ -225,10 +228,6 @@ func TestEngineForgetsSettledSessions(t *testing.T) {
 func TestEngineClientAbort(t *testing.T) {
 	_, addr, _ := startEngine(t, operatorEngineConfig())
 	failedBefore := Metrics.Failed.Value()
-	edgeDER, err := x509.MarshalPKIXPublicKey(&edgeKeys.Private.PublicKey)
-	if err != nil {
-		t.Fatal(err)
-	}
 	cfg := edgeClientConfig(1, nil).Config
 	type peer struct {
 		conn net.Conn
@@ -243,33 +242,15 @@ func TestEngineClientAbort(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	recv := func(p *peer) (byte, []byte) {
-		t.Helper()
-		frame, err := p.fr.ReadFrame()
-		if err != nil {
-			t.Fatal(err)
-		}
-		typ, sid, payload, err := DecodeMux(frame)
-		if err != nil || sid != 1 {
-			t.Fatalf("frame for sid %d: %v", sid, err)
-		}
-		return typ, payload
-	}
 	// Each conn opens sid 1; the engine's CDA shows it is resident.
 	var peers [2]*peer
 	for i, c := range dialConns(t, addr, 2) {
-		p := &peer{conn: c, fr: protocol.NewFrameReader(c), env: protocol.Env{RNG: sim.NewRNG(int64(i))}}
-		if err := protocol.WriteFrame(c, Hello(edgeDER)); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := p.fr.ReadFrame(); err != nil {
-			t.Fatal(err)
-		}
+		p := &peer{conn: c, fr: sayHello(t, c), env: protocol.Env{RNG: sim.NewRNG(int64(i))}}
 		p.m.Init(&cfg, &opKeys.Private.PublicKey)
 		if err := p.m.Start(&p.env, func(msg []byte) error { send(p, TypeData, msg); return nil }); err != nil {
 			t.Fatal(err)
 		}
-		typ, cda := recv(p)
+		typ, cda := recvSid1(t, p.fr)
 		if typ != TypeData {
 			t.Fatalf("conn %d: answer type %d, want TypeData", i, typ)
 		}
@@ -285,7 +266,7 @@ func TestEngineClientAbort(t *testing.T) {
 	if err := aborter.conn.(*net.TCPConn).CloseWrite(); err != nil {
 		t.Fatal(err)
 	}
-	if typ, payload := recv(aborter); typ != TypeReject || payload[0] != RejectFailed {
+	if typ, payload := recvSid1(t, aborter.fr); typ != TypeReject || payload[0] != RejectFailed {
 		t.Fatalf("abort answered with type %d payload %v, want one RejectFailed", typ, payload)
 	}
 	if frame, err := aborter.fr.ReadFrame(); err != io.EOF {
@@ -304,7 +285,7 @@ func TestEngineClientAbort(t *testing.T) {
 	if err != nil || !finished {
 		t.Fatalf("other conn's session: finished %v, err %v", finished, err)
 	}
-	typ, payload := recv(other)
+	typ, payload := recvSid1(t, other.fr)
 	if typ != TypeDone || len(payload) != 8 || binary.BigEndian.Uint64(payload) != other.m.X() {
 		t.Fatalf("other conn's session ended with type %d payload %v, want TypeDone X=%d", typ, payload, other.m.X())
 	}
@@ -471,4 +452,301 @@ func TestEngineStoppedRejectsNewSessions(t *testing.T) {
 	if res.Settled != 0 {
 		t.Fatalf("stopped engine settled a session: %+v", res)
 	}
+}
+
+// startedEngine builds and starts an engine that is stopped when the
+// test ends.
+func startedEngine(t *testing.T, ec EngineConfig) *Engine {
+	t.Helper()
+	eng, err := NewEngine(ec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.Start()
+	t.Cleanup(eng.Stop)
+	return eng
+}
+
+// serveOne serves the next conn on a fresh loopback listener with eng
+// and reports ServeConn's result on the returned channel; the served
+// end is closed once ServeConn returns. It returns the dialled end.
+func serveOne(t *testing.T, eng *Engine) (*net.TCPConn, <-chan error) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = ln.Close() })
+	served := make(chan error, 1)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			served <- err
+			return
+		}
+		first, err := protocol.ReadFrame(conn)
+		if err == nil {
+			err = eng.ServeConn(conn, first)
+		}
+		_ = conn.Close() // ServeConn's result is what the test checks
+		served <- err
+	}()
+	return dialConns(t, ln.Addr().String(), 1)[0].(*net.TCPConn), served
+}
+
+// sayHello opens a mux conn as the edge: its hello out, the engine's
+// key frame back. It returns the reader for the engine's next frames.
+func sayHello(t *testing.T, c net.Conn) *protocol.FrameReader {
+	t.Helper()
+	der, err := x509.MarshalPKIXPublicKey(&edgeKeys.Private.PublicKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := protocol.WriteFrame(c, Hello(der)); err != nil {
+		t.Fatal(err)
+	}
+	fr := protocol.NewFrameReader(c)
+	if _, err := fr.ReadFrame(); err != nil {
+		t.Fatalf("engine key frame: %v", err)
+	}
+	return fr
+}
+
+// recvSid1 reads the engine's next mux frame, which must be for sid 1.
+func recvSid1(t *testing.T, fr *protocol.FrameReader) (typ byte, payload []byte) {
+	t.Helper()
+	frame, err := fr.ReadFrame()
+	if err != nil {
+		t.Fatal(err)
+	}
+	typ, sid, payload, err := DecodeMux(frame)
+	if err != nil || sid != 1 {
+		t.Fatalf("frame for sid %d: %v", sid, err)
+	}
+	return typ, payload
+}
+
+// protocolCounters snapshots every protocol_*_total counter.
+func protocolCounters() map[string]float64 {
+	out := map[string]float64{}
+	for name, v := range metrics.Default.Snapshot() {
+		if strings.HasPrefix(name, "protocol_") && strings.HasSuffix(name, "_total") {
+			out[name] = v
+		}
+	}
+	return out
+}
+
+// checkCounterDeltas compares every protocol_*_total counter's change
+// since before against want; counters absent from want must not move.
+func checkCounterDeltas(t *testing.T, before, want map[string]float64) {
+	t.Helper()
+	after := protocolCounters()
+	for name := range want {
+		if _, ok := after[name]; !ok {
+			t.Errorf("no counter %s", name)
+		}
+	}
+	for name, v := range after {
+		if got := v - before[name]; got != want[name] {
+			t.Errorf("%s moved by %v, want %v", name, got, want[name])
+		}
+	}
+}
+
+// TestEngineRefusesBareKeyConn: a first frame that is not a TLCMUX1
+// hello, such as a bare PKIX key, is refused with ErrNotHello before
+// the engine writes anything, and no session opens.
+func TestEngineRefusesBareKeyConn(t *testing.T) {
+	eng := startedEngine(t, operatorEngineConfig())
+	opened0 := Metrics.Opened.Value()
+	der, err := x509.MarshalPKIXPublicKey(&edgeKeys.Private.PublicKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	peer, served := serveOne(t, eng)
+	if err := protocol.WriteFrame(peer, der); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-served; !errors.Is(err, ErrNotHello) {
+		t.Fatalf("ServeConn = %v, want ErrNotHello", err)
+	}
+	if n, err := peer.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("peer read after a bare key = %d bytes, %v; want EOF and no key frame", n, err)
+	}
+	if got := Metrics.Opened.Value() - opened0; got != 0 {
+		t.Fatalf("sessions_opened_total moved by %d, want 0", got)
+	}
+}
+
+// TestEngineFailsByzantineMuxPeers: a client that answers the engine's
+// CDA with a forged PoC, or dies mid-frame, moves the same protocol_*
+// counters as the matching row of protocol's TestRunOutcomeAccounting,
+// and the engine ends its session with a TypeReject.
+func TestEngineFailsByzantineMuxPeers(t *testing.T) {
+	eng := startedEngine(t, operatorEngineConfig())
+	op := &protocol.Party{
+		Role: poc.RoleOperator, Plan: testPlan, Keys: opKeys, PeerKey: &edgeKeys.Private.PublicKey,
+		Strategy: core.OptimalStrategy{}, View: testView, RNG: sim.NewRNG(29),
+	}
+	edge := &protocol.Party{
+		Role: poc.RoleEdge, Plan: testPlan, Keys: edgeKeys, PeerKey: &opKeys.Private.PublicKey,
+		Strategy: core.OptimalStrategy{}, View: testView, RNG: sim.NewRNG(30),
+	}
+	earlier, _, err := protocol.RunPair(op, edge)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale, err := earlier.PoC.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := edgeClientConfig(1, nil).Config
+	sendPoC := func(forge func(proof []byte) ([]byte, error)) func(*net.TCPConn, []byte) error {
+		return func(c *net.TCPConn, proof []byte) error {
+			forged, err := forge(proof)
+			if err != nil {
+				return err
+			}
+			return protocol.WriteFrame(c, AppendMux(nil, TypeData, 1, forged))
+		}
+	}
+	const (
+		started   = "protocol_negotiations_started_total"
+		failed    = "protocol_negotiations_failed_total"
+		staleRej  = "protocol_stale_proof_rejections_total"
+		byzRej    = "protocol_byzantine_rejections_total"
+		truncated = "protocol_frame_truncations_total"
+	)
+	cases := []struct {
+		name string
+		// answer replaces the honest PoC the client would send next.
+		answer func(c *net.TCPConn, proof []byte) error
+		code   byte  // the engine's reject
+		served error // what ServeConn returns
+		deltas map[string]float64
+	}{
+		{"replay", sendPoC(func([]byte) ([]byte, error) { return stale, nil }), RejectFailed, nil,
+			map[string]float64{started: 1, failed: 1, staleRej: 1}},
+		{"tamper", sendPoC(func(p []byte) ([]byte, error) {
+			p[len(p)-1] ^= 0xff // inside the outer signature
+			return p, nil
+		}), RejectFailed, nil,
+			map[string]float64{started: 1, failed: 1, byzRej: 1}},
+		{"inflate", sendPoC(func(p []byte) ([]byte, error) {
+			var proof poc.PoC
+			if err := proof.UnmarshalBinary(p); err != nil {
+				return nil, err
+			}
+			proof.X = proof.X*2 + 1<<20 // after signing
+			return proof.MarshalBinary()
+		}), RejectFailed, nil,
+			map[string]float64{started: 1, failed: 1, byzRej: 1}},
+		{"truncated", func(c *net.TCPConn, _ []byte) error {
+			// Announce 100 body bytes, then stop sending after 3.
+			if _, err := c.Write([]byte{0, 0, 0, 100, 9, 9, 9}); err != nil {
+				return err
+			}
+			return c.CloseWrite()
+		}, RejectShutdown, protocol.ErrFrameTruncated,
+			map[string]float64{started: 1, failed: 1, truncated: 1}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			before := protocolCounters()
+			peer, served := serveOne(t, eng)
+			fr := sayHello(t, peer)
+			var m protocol.Machine
+			env := protocol.Env{RNG: sim.NewRNG(31)}
+			m.Init(&cfg, &opKeys.Private.PublicKey)
+			if err := m.Start(&env, func(msg []byte) error {
+				return protocol.WriteFrame(peer, AppendMux(nil, TypeData, 1, msg))
+			}); err != nil {
+				t.Fatal(err)
+			}
+			typ, cda := recvSid1(t, fr)
+			if typ != TypeData {
+				t.Fatalf("answer to the claim: type %d, want TypeData", typ)
+			}
+			var proof []byte
+			if _, err := m.Handle(cda, &env, func(msg []byte) error { proof = msg; return nil }); err != nil || proof == nil {
+				t.Fatalf("honest PoC: %v", err)
+			}
+			if err := tc.answer(peer, proof); err != nil {
+				t.Fatalf("byzantine answer: %v", err)
+			}
+			if typ, payload := recvSid1(t, fr); typ != TypeReject || len(payload) == 0 || payload[0] != tc.code {
+				t.Fatalf("session ended with type %d payload %q, want a TypeReject with code %d", typ, payload, tc.code)
+			}
+			_ = peer.Close() // the verdict is in; ServeConn's result is checked next
+			if err := <-served; !errors.Is(err, tc.served) || (tc.served == nil && err != nil) {
+				t.Fatalf("ServeConn = %v, want %v", err, tc.served)
+			}
+			checkCounterDeltas(t, before, tc.deltas)
+		})
+	}
+	if got := Metrics.Active.Value(); got != 0 {
+		t.Fatalf("sessions_active = %d after the failed peers, want 0", got)
+	}
+}
+
+// TestEngineClientCauseKeepsRetryContract pins ClientResult.Cause to
+// protocol.Transient's retry contract: an overload reject and a conn
+// closed mid-session are transient; a forged PoC's RejectFailed is a
+// verdict, which no retry changes.
+func TestEngineClientCauseKeepsRetryContract(t *testing.T) {
+	t.Run("overload", func(t *testing.T) {
+		ec := operatorEngineConfig()
+		ec.Shards = 1
+		ec.MaxSessions = 1
+		_, addr, _ := startEngine(t, ec)
+		// OpenFirst sends both claims before answering either, so the
+		// first session is still resident when the second arrives.
+		res, err := RunClient(edgeClientConfig(2, dialConns(t, addr, 1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Settled != 1 || res.Rejected != 1 || !errors.Is(res.Cause, ErrOverload) || !protocol.Transient(res.Cause) {
+			t.Fatalf("settled %d rejected %d cause %v; want 1, 1 and a transient ErrOverload", res.Settled, res.Rejected, res.Cause)
+		}
+	})
+	t.Run("conn_closed", func(t *testing.T) {
+		opDER, err := x509.MarshalPKIXPublicKey(&opKeys.Private.PublicKey)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The server takes the hello and the opening claim, then hangs
+		// up mid-session.
+		client, server := net.Pipe()
+		t.Cleanup(func() { _ = client.Close() })
+		go func() {
+			defer server.Close() //tlcvet:allow errdiscard — the hang-up is the fault under test
+			if _, err := protocol.ReadFrame(server); err != nil {
+				return
+			}
+			if err := protocol.WriteFrame(server, opDER); err != nil {
+				return
+			}
+			_, _ = protocol.ReadFrame(server) // the claim, left unanswered
+		}()
+		res, err := RunClient(edgeClientConfig(1, []net.Conn{client}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Failed != 1 || !errors.Is(res.Cause, io.EOF) || !protocol.Transient(res.Cause) {
+			t.Fatalf("failed %d cause %v; want 1 and a transient EOF", res.Failed, res.Cause)
+		}
+	})
+	t.Run("forged_poc", func(t *testing.T) {
+		_, addr, _ := startEngine(t, operatorEngineConfig())
+		cc := edgeClientConfig(1, dialConns(t, addr, 1))
+		cc.Forge = 1
+		res, err := RunClient(cc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.ForgedRejected != 1 || !errors.Is(res.Cause, protocol.ErrBadPeer) || protocol.Transient(res.Cause) {
+			t.Fatalf("forged rejected %d cause %v; want 1 and a permanent verdict", res.ForgedRejected, res.Cause)
+		}
+	})
 }

@@ -20,9 +20,10 @@
 // Negotiations run as event-driven state machines (protocol.Machine,
 // the same one protocol.Party.Run drives over a single conn), not
 // goroutine-per-session: a parked session is a few hundred bytes of
-// table state, which is what makes the million-session table fit. The
-// engine also serves legacy conns, which carry one negotiation each
-// as bare protocol frames (see Magic).
+// table state, which is what makes the million-session table fit.
+// TLCMUX1 is the only wire: a conn opens with a hello (see Magic), and
+// the client initiates every session on it. RunClient is that client,
+// tlcd's edge among its callers.
 //
 // Nothing in this package reads a wall clock (tlcvet's simtime rule);
 // callers in cmd/ inject a Stopwatch for latency observation.
@@ -35,10 +36,8 @@ import (
 )
 
 // Magic opens a mux connection: the client's first frame is Magic
-// followed by its PKIX public key DER. A first frame without the
-// prefix is a legacy one-negotiation-per-conn client's bare DER; the
-// engine serves that conn as one session without the mux header, so
-// both wires share one port and one serving path.
+// followed by its PKIX public key DER. The engine refuses a first
+// frame without the prefix (ErrNotHello) and writes nothing to it.
 var Magic = []byte("TLCMUX1")
 
 // Mux frame types. A mux frame rides inside one protocol frame as
@@ -84,6 +83,9 @@ var (
 	ErrMuxFrame = errors.New("session: malformed mux frame")
 	// ErrEngineStopped is returned for work arriving after Stop.
 	ErrEngineStopped = errors.New("session: engine stopped")
+	// ErrNotHello is ServeConn's refusal of a conn whose first frame
+	// is not a TLCMUX1 hello, such as a bare PKIX key.
+	ErrNotHello = errors.New("session: first frame is not a TLCMUX1 hello")
 )
 
 // AppendMux appends a mux frame body ([type][sid][payload]) to dst

@@ -46,8 +46,8 @@ func TestHelloRoundTrip(t *testing.T) {
 	if !ok || !bytes.Equal(got, der) {
 		t.Fatalf("IsHello(Hello(der)) = (%q, %v)", got, ok)
 	}
-	// A legacy first frame (bare DER, which happens to start with an
-	// ASN.1 SEQUENCE tag, not the magic) is not a hello.
+	// A bare DER key (an ASN.1 SEQUENCE tag, not the magic) is not a
+	// hello.
 	if _, ok := IsHello([]byte{0x30, 0x81, 0x9f, 0x30}); ok {
 		t.Fatal("ASN.1 DER misread as mux hello")
 	}

@@ -61,7 +61,7 @@ type session struct {
 
 // workItem is one queued frame for one session. payload is a pooled
 // copy (the conn reader's buffer is reused per frame); the draining
-// worker recycles it. A nil payload is the session's opening claim.
+// worker recycles it.
 type workItem struct {
 	s       *session
 	payload *[]byte
@@ -113,9 +113,8 @@ func (t *table) shard(k connSid) *shard {
 	return t.shards[k.fnv1a()&t.mask]
 }
 
-// dispatch routes one TypeData payload, or one bare frame on a legacy
-// conn. It runs on the connection's reader goroutine; all crypto
-// happens later on a worker.
+// dispatch routes one TypeData payload. It runs on the connection's
+// reader goroutine; all crypto happens later on a worker.
 func (e *Engine) dispatch(c *muxConn, sid uint64, payload []byte) {
 	key := connSid{conn: c.id, sid: sid}
 	sh := e.table.shard(key)
@@ -144,11 +143,6 @@ func (e *Engine) dispatch(c *muxConn, sid uint64, payload []byte) {
 		}
 	}
 	switch {
-	case s == nil && c.legacy:
-		// The conn's one session is over and its close is on the way;
-		// a legacy peer never opens another.
-		sh.mu.Unlock()
-		return
 	case s == nil:
 		// First frame for this id: admission control, then open.
 		if s = e.admit(sh, c, key); s == nil {
@@ -168,17 +162,6 @@ func (e *Engine) dispatch(c *muxConn, sid uint64, payload []byte) {
 		return
 	}
 	e.enqueue(sh, workItem{s: s, payload: copyToPooled(payload)})
-}
-
-// open admits a legacy conn's one session and queues its opening
-// claim.
-func (e *Engine) open(c *muxConn) {
-	key := connSid{conn: c.id}
-	sh := e.table.shard(key)
-	sh.mu.Lock()
-	if s := e.admit(sh, c, key); s != nil {
-		e.enqueue(sh, workItem{s: s})
-	}
 }
 
 // admit runs admission control for a new session and makes it
@@ -255,25 +238,17 @@ func (e *Engine) drain(sh *shard) {
 	}
 }
 
-// process advances one session by one frame, or sends its opening
-// claim. All RSA work happens here, on a worker, batched with the rest
-// of the shard's backlog.
+// process advances one session by one frame. All RSA work happens
+// here, on a worker, batched with the rest of the shard's backlog.
 func (e *Engine) process(sh *shard, it workItem) {
 	s := it.s
 	if s.state.Load() != stateActive {
 		return
 	}
-	emit := func(msg []byte) error {
+	finished, err := s.m.Handle(*it.payload, &sh.env, func(msg []byte) error {
 		s.conn.sendData(s.key.sid, msg)
 		return nil
-	}
-	var finished bool
-	var err error
-	if it.payload == nil {
-		err = s.m.Start(&sh.env, emit)
-	} else {
-		finished, err = s.m.Handle(*it.payload, &sh.env, emit)
-	}
+	})
 	if err != nil {
 		code := byte(RejectFailed)
 		if errors.Is(err, protocol.ErrBadMessage) {
@@ -300,11 +275,7 @@ func (e *Engine) settleSession(s *session) {
 	if e.stopwatch != nil {
 		protocol.Metrics.NegotiateSeconds.Observe(e.stopwatch() - s.start)
 	}
-	switch {
-	case s.conn.legacy:
-		// No ack on the legacy wire: the conn closes with its session.
-		s.conn.out.close()
-	case !s.m.Finisher():
+	if !s.m.Finisher() {
 		// The peer sent the final PoC; ack settlement with X.
 		out := bufPool.Get().(*[]byte)
 		var xb [8]byte

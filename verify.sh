@@ -36,17 +36,21 @@
 #   race       — full test suite under the race detector
 #   operator   — the live tlcd operator: concurrent connections
 #                (stalled-client regression), a real HTTP scrape of
-#                /metrics and /healthz, signal-driven drain, and mux
-#                and legacy connections served side by side by the
-#                session engine
+#                /metrics and /healthz, signal-driven drain, tlcd's
+#                edge (one TLCMUX1 session per conn) and multiplexed
+#                conns served side by side by the session engine, and
+#                both settling through stream faults on both ends
 #   examples   — the quickstart, gaming, vredge and webcam examples run
 #                end to end against the root tlc API and exit 0 (the
 #                ledger stage runs examples/auditor)
 #   tlcdscale  — the sharded session engine under the race detector:
 #                the admission-control overload regression (reject,
-#                never deadlock or leak) and 2,000 sessions over 8
-#                conns at 1 and 8 shards settling with zero rejections
-#                or failures below the admission cap
+#                never deadlock or leak), 2,000 sessions over 8 conns
+#                at 1 and 8 shards settling with zero rejections or
+#                failures below the admission cap, the refusal of a
+#                first frame that is not a hello, the byzantine failure
+#                classes on a mux conn (each ends in a typed reject)
+#                and the client's retry contract on its typed cause
 #   ledger     — the durable charging ledger: the crash-point torture
 #                sweeps (every kill offset of the tail segment, bit
 #                flips, injected fsync failpoints; the read-only replay
@@ -140,7 +144,7 @@ stage chaos go test -run Chaos -race ./internal/experiment
 stage race go test -race ./...
 stage operator go test -run Operator -race -count=1 ./cmd/tlcd
 stage examples run_examples
-stage tlcdscale go test -run 'EngineOverload|EngineSettlesMuxedSessions' -race -count=1 ./internal/session
+stage tlcdscale go test -run 'EngineOverload|EngineSettlesMuxedSessions|EngineRefusesBareKey|EngineFailsByzantine|EngineClientCause' -race -count=1 ./internal/session
 stage ledger go test -run 'Torture|Prop|Golden|Refuses' -short -race ./internal/ledger
 stage ledger go test -run '^$' -fuzz '^FuzzLedgerReplay$' -fuzztime 10s ./internal/ledger
 stage ledger go run ./examples/auditor
