@@ -399,10 +399,11 @@ func (o *operator) serveWith(ln, debugLn net.Listener) error {
 // acceptLoop accepts until the listener closes, spawning one serving
 // goroutine per connection behind the -max-conns semaphore. Accepting
 // blocks while all slots are busy, which bounds memory and goroutines
-// under a connection flood.
+// under a connection flood. The k-th accepted conn (from 0) draws its
+// stream faults from -fault-seed + k, as the edge's attempt k does.
 func (o *operator) acceptLoop(acceptErr chan<- error) {
 	sem := make(chan struct{}, o.maxConns)
-	for {
+	for k := int64(0); ; k++ {
 		conn, err := o.ln.Accept()
 		if err != nil {
 			if o.closing.Load() {
@@ -416,7 +417,7 @@ func (o *operator) acceptLoop(acceptErr chan<- error) {
 		go func() {
 			defer o.wg.Done()
 			defer func() { <-sem }()
-			o.serve(conn)
+			o.serve(conn, o.faultSeed+k)
 			o.firstOnce.Do(func() { close(o.firstDone) })
 		}()
 	}
@@ -526,17 +527,18 @@ func runAudit(w io.Writer, dir, query string) error {
 	return err
 }
 
-// serve hands one accepted connection to the session engine. A conn
-// can carry many sessions, so once its first frame is read it gets the
-// longer -mux-conn-timeout; per-session progress is bounded by
-// admission control, not the socket clock.
-func (o *operator) serve(conn net.Conn) {
+// serve hands one accepted connection to the session engine, its
+// stream faults drawn from faultSeed. A conn can carry many sessions,
+// so once its first frame is read it gets the longer
+// -mux-conn-timeout; per-session progress is bounded by admission
+// control, not the socket clock.
+func (o *operator) serve(conn net.Conn, faultSeed int64) {
 	defer conn.Close() //tlcvet:allow errdiscard — negotiation already settled or failed; close is cleanup
 	if err := conn.SetDeadline(time.Now().Add(o.connTimeout)); err != nil {
 		log.Printf("set deadline for %s: %v", conn.RemoteAddr(), err)
 		return
 	}
-	rw, tr := wrapFaults(conn, o.spec, o.faultSeed)
+	rw, tr := wrapFaults(conn, o.spec, faultSeed)
 	first, err := protocol.ReadFrame(rw)
 	if err != nil {
 		log.Printf("first frame from %s: %v", conn.RemoteAddr(), err)

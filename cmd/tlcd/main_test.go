@@ -9,12 +9,15 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log"
 	"net"
 	"net/http"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -277,11 +280,10 @@ func TestOperatorServesEdgeAndMuxConns(t *testing.T) {
 }
 
 // TestOperatorEdgeSettlesThroughStreamFaults: with stream faults on
-// both ends, the operator's engine and the edge's client each read a
-// faults.Conn on one goroutine while writing it on another. tlcd's
-// edge settles its one session through them, and a second edge conn
-// pipelines many, so under -race reads and writes overlap on both
-// ends and the wrapper must serialise its draws.
+// both ends, tlcd's edge settles its one session through them, and a
+// second edge conn pipelines many. The operator's engine reads its
+// faults.Conn on one goroutine while writing it on another, so under
+// -race the wrapper must serialise its draws.
 func TestOperatorEdgeSettlesThroughStreamFaults(t *testing.T) {
 	opKeys, edgeKeys, plan, usage := testParties(t)
 	// Half the writes stall; every read draws for corruption, which
@@ -313,6 +315,67 @@ func TestOperatorEdgeSettlesThroughStreamFaults(t *testing.T) {
 		t.Fatalf("mux sessions through stream faults: %+v, want %d settled", res, sessions)
 	}
 	stopOperator(t, op, exited)
+}
+
+// lockedBuffer is a log destination the operator's goroutines may
+// write while the test reads it.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// TestOperatorSeedsEachConnsFaults: the operator draws each accepted
+// conn's stream faults from its own seed, -fault-seed plus the conn's
+// accept index, so a fault that ends one edge's attempt does not end
+// every retry at the same byte. Two edges settle the same exchange in
+// turn; each conn of the operator writes four times (the key frame's
+// header and body, the CDA and the done ack), and at this seed the
+// two conns stall a different number of those writes. Seeded alike,
+// they would log the same trace.
+func TestOperatorSeedsEachConnsFaults(t *testing.T) {
+	var logs lockedBuffer
+	log.SetOutput(&logs)
+	t.Cleanup(func() { log.SetOutput(os.Stderr) })
+	opKeys, edgeKeys, plan, usage := testParties(t)
+	op := &operator{
+		plan: plan, once: false, maxConns: 4,
+		spec: &faults.Spec{StallP: 0.5, StallFor: time.Millisecond}, faultSeed: 1,
+		connTimeout: 30 * time.Second, drainTimeout: 5 * time.Second,
+		muxTimeout: time.Minute,
+		stop:       make(chan struct{}),
+	}
+	if err := op.newEngine(opKeys, usage, tlc.Honest, session.EngineConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	addr, _, exited := startOperator(t, op, false)
+	for i := 0; i < 2; i++ {
+		if err := edgeSettle(t, addr, edgeKeys, plan, usage); err != nil {
+			t.Fatalf("edge %d: %v", i, err)
+		}
+	}
+	stopOperator(t, op, exited)
+
+	var traces []string
+	for _, line := range strings.Split(logs.String(), "\n") {
+		if _, trace, ok := strings.Cut(line, "fault injection: "); ok {
+			traces = append(traces, trace)
+		}
+	}
+	if len(traces) != 2 || traces[0] == traces[1] {
+		t.Fatalf("operator fault traces %q, want two that differ", traces)
+	}
 }
 
 // TestOperatorLedgerAudit is the end-to-end durability path: an

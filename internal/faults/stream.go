@@ -31,8 +31,8 @@ type Conn struct {
 	Stall func(time.Duration)
 
 	// mu serialises the fault draws, the counters and the trace, not
-	// the inner I/O: the session engine and its client read a conn on
-	// one goroutine while writing it on another.
+	// the inner I/O: the session engine reads a conn on one goroutine
+	// while writing it on another.
 	mu sync.Mutex
 	// Counters for assertions and metrics.
 	Corrupted uint64

@@ -9,8 +9,8 @@ import (
 // FrameReader reads length-prefixed frames, reusing one internal body
 // buffer across calls, so a steady stream of frames costs zero
 // allocations after the buffer has grown to the largest frame seen.
-// It is the one frame decoder: the session engine, Party.Run and
-// ReadFrame (one read through a fresh reader) all use it.
+// It is the one frame decoder: the session engine and its mux client,
+// Party.Run and ReadFrame (one read through a fresh reader) all use it.
 //
 // The returned slice aliases the internal buffer and is only valid
 // until the next ReadFrame call; callers that queue frames must copy.

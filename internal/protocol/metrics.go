@@ -1,6 +1,10 @@
 package protocol
 
-import "tlc/internal/metrics"
+import (
+	"errors"
+
+	"tlc/internal/metrics"
+)
 
 // Metrics are the negotiation-layer instruments, observed inline:
 // unlike the simulated substrates, protocol runs serve live peers
@@ -56,4 +60,20 @@ var Metrics = struct {
 	NegotiateSeconds: metrics.Default.Histogram("protocol_negotiate_seconds",
 		"negotiation round-trip latency in seconds (observed by live servers)",
 		metrics.DefBuckets),
+}
+
+// CountFailure counts one side's failed negotiation, and its cause
+// when that is a replayed proof, a peer message that failed
+// validation or a stream that died mid-frame. Every path that fails a
+// negotiation counts it here, so the classification is one rule.
+func CountFailure(cause error) {
+	Metrics.NegotiationsFailed.Inc()
+	switch {
+	case errors.Is(cause, ErrStaleProof):
+		Metrics.StaleProofRejections.Inc()
+	case errors.Is(cause, ErrBadPeer):
+		Metrics.ByzantineRejections.Inc()
+	case errors.Is(cause, ErrFrameTruncated):
+		Metrics.FrameTruncations.Inc()
+	}
 }

@@ -3,9 +3,9 @@
 // internal/poc, exchanged with length-prefixed framing, drive the
 // Algorithm 1 game of internal/core. Machine is the one implementation
 // of that exchange. Party.Run drives a machine over any stream
-// transport (TCP in cmd/tlcd), RunPair pumps two machines in memory
-// (simulation), and internal/session multiplexes machines over shared
-// connections.
+// transport (the root package's Negotiator), RunPair pumps two
+// machines in memory (simulation), and internal/session multiplexes
+// machines over shared connections: the TLCMUX1 wire cmd/tlcd speaks.
 package protocol
 
 import (
@@ -161,15 +161,7 @@ func record(m *Machine, err error) (*Result, error) {
 		err = res.PoC.UnmarshalBinary(m.proof)
 	}
 	if err != nil {
-		Metrics.NegotiationsFailed.Inc()
-		switch {
-		case errors.Is(err, ErrStaleProof):
-			Metrics.StaleProofRejections.Inc()
-		case errors.Is(err, ErrBadPeer):
-			Metrics.ByzantineRejections.Inc()
-		case errors.Is(err, ErrFrameTruncated):
-			Metrics.FrameTruncations.Inc()
-		}
+		CountFailure(err)
 		return nil, err
 	}
 	Metrics.NegotiationsSettled.Inc()

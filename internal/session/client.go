@@ -1,6 +1,7 @@
 package session
 
 import (
+	"bufio"
 	"crypto/rsa"
 	"crypto/x509"
 	"encoding/binary"
@@ -30,20 +31,16 @@ type ClientConfig struct {
 	Conns []io.ReadWriter
 	// Seed derives the client's deterministic strategy RNG streams.
 	Seed int64
-	// Nonce overrides nonce randomness (nil = crypto/rand).
-	Nonce io.Reader
-	// Stopwatch (optional) timestamps session open/settle for latency
-	// measurement, in seconds from an arbitrary origin.
-	Stopwatch func() float64
 	// OpenFirst holds response processing until every session's
-	// opening claim has been queued AND the server has answered each
+	// opening claim has been sent AND the server has answered each
 	// one (the server responds exactly once per inbound frame, so one
 	// buffered response per opened session means every admitted
-	// session is resident server-side simultaneously). This is the
-	// thundering-herd shape the engine is sized for, and it makes the
-	// server's peak-active count deterministic: admitted == peak.
-	// When false, sessions settle while later ones are still opening
-	// (steady-state shape).
+	// session is resident server-side simultaneously). Each conn waits
+	// at that barrier for every other. This is the thundering-herd
+	// shape the engine is sized for, and it makes the server's
+	// peak-active count deterministic: admitted == peak. When false,
+	// a conn's sessions settle as soon as its own claims are sent,
+	// while other conns are still opening (steady-state shape).
 	OpenFirst bool
 	// Forge tampers the final PoC signature of the first Forge
 	// sessions; a correct server must answer TypeReject, never
@@ -59,13 +56,12 @@ type ClientResult struct {
 	Failed   int
 	// Receipts holds one entry per settled session, conn by conn.
 	Receipts []Receipt
-	// Cause is why the first session that did not settle ended (the
-	// opener's failures first, then conn by conn), or nil. It keeps
-	// protocol.Transient's retry contract: a dead conn, a malformed mux
-	// frame and an overload or shutdown reject are transient; a
-	// RejectFailed or RejectBadMessage reject and the client machine's
-	// own verdicts (ErrBadPeer, ErrStaleProof, ErrNoConvergence) are
-	// not.
+	// Cause is why the first session that did not settle ended (conn
+	// by conn), or nil. It keeps protocol.Transient's retry contract:
+	// a dead conn, a malformed mux frame and an overload or shutdown
+	// reject are transient; a RejectFailed or RejectBadMessage reject
+	// and the client machine's own verdicts (ErrBadPeer, ErrStaleProof,
+	// ErrNoConvergence) are not.
 	Cause error
 	// Forged-PoC accounting: Sent were emitted, Rejected were refused
 	// by the server (correct), Verified were acknowledged as settled
@@ -73,9 +69,6 @@ type ClientResult struct {
 	ForgedSent     int
 	ForgedRejected int
 	ForgedVerified int
-	// Latencies holds one open→settle duration in seconds per settled
-	// session (only when a Stopwatch was injected).
-	Latencies []float64
 }
 
 // Receipt is one settled session as the client saw it: the agreed
@@ -89,35 +82,37 @@ type Receipt struct {
 
 // clientSession is one initiator-side negotiation.
 type clientSession struct {
-	sid      uint64
-	m        protocol.Machine
-	forged   bool
-	resolved bool
-	openedAt float64
+	m      protocol.Machine
+	forged bool
 }
 
-// clientConn is one mux connection's client-side state. The table and
-// counters are touched by the opener only up to the gate and by the
-// reader goroutine after it; the table mutex publishes each session's
-// machine state from opener to reader.
+// clientConn is one mux conn's client state. It does no I/O: open
+// signs a session's opening claim and handle answers one inbound mux
+// frame, each appending the length-prefixed frames this side owes to
+// out, which the conn's loop writes. A session leaves the table once
+// it resolves, so the conn is done when the table is empty. One
+// goroutine owns it.
 type clientConn struct {
-	rw        io.ReadWriter
+	cfg       *ClientConfig
 	serverKey *rsa.PublicKey
-	out       *outQueue
 	env       protocol.Env
+	table     map[uint64]*clientSession
+	out       []byte
+	res       ClientResult
+}
 
-	mu       sync.Mutex
-	table    map[uint64]*clientSession
-	assigned int
-	opened   int
-
-	// reader-goroutine-local outcome counters
-	res ClientResult
+func newClientConn(cc *ClientConfig, serverKey *rsa.PublicKey, rng *sim.RNG) *clientConn {
+	return &clientConn{
+		cfg:       cc,
+		serverKey: serverKey,
+		env:       protocol.Env{RNG: rng},
+		table:     make(map[uint64]*clientSession),
+	}
 }
 
 // RunClient runs the configured sessions against a mux server and
-// blocks until every session resolves or its connection dies. It
-// leaves no goroutines behind.
+// blocks until every session resolves or its connection dies. Each
+// conn runs on one goroutine, and RunClient leaves none behind.
 func RunClient(cc ClientConfig) (*ClientResult, error) {
 	if err := cc.Config.Validate(); err != nil {
 		return nil, err
@@ -141,95 +136,29 @@ func RunClient(cc ClientConfig) (*ClientResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("session: key frame on conn %d: %w", i, err)
 		}
-		parsed, err := x509.ParsePKIXPublicKey(keyFrame)
+		serverKey, err := parsePeerKey(keyFrame)
 		if err != nil {
-			return nil, fmt.Errorf("session: server key on conn %d: %w", i, err)
+			return nil, fmt.Errorf("session: conn %d: %w", i, err)
 		}
-		serverKey, ok := parsed.(*rsa.PublicKey)
-		if !ok {
-			return nil, fmt.Errorf("session: server key on conn %d is %T, want RSA", i, parsed)
-		}
-		conns[i] = &clientConn{
-			rw:        rw,
-			serverKey: serverKey,
-			out:       newOutQueue(),
-			env:       protocol.Env{RNG: base.Fork("conn" + strconv.Itoa(i)), Nonce: cc.Nonce},
-			table:     make(map[uint64]*clientSession),
-		}
-	}
-	// Round-robin assignment is deterministic, so each conn's session
-	// count is known before any reader starts.
-	for i := 0; i < cc.Sessions; i++ {
-		conns[i%len(conns)].assigned++
+		conns[i] = newClientConn(&cc, serverKey, base.Fork("conn"+strconv.Itoa(i)))
 	}
 
-	gate := make(chan struct{})
-	if !cc.OpenFirst {
-		close(gate)
-	}
-	// herd holds every OpenFirst reader until all of them have buffered
-	// their conn's responses, so no session advances while another
-	// conn's are still being admitted.
-	var herd sync.WaitGroup
+	var herd *sync.WaitGroup
 	if cc.OpenFirst {
+		herd = new(sync.WaitGroup)
 		herd.Add(len(conns))
 	}
 	var wg sync.WaitGroup
-	for _, cn := range conns {
-		wg.Add(2)
-		go func(cn *clientConn) {
+	wg.Add(len(conns))
+	for i, cn := range conns {
+		go func() {
 			defer wg.Done()
-			cn.writeLoop()
-		}(cn)
-		go func(cn *clientConn) {
-			defer wg.Done()
-			<-gate
-			cn.readLoop(&cc, &herd)
-		}(cn)
-	}
-
-	// Open every session: sign the opening claim, publish the machine
-	// through the table mutex, then queue the frame. Publishing before
-	// the push is the ordering that guarantees the reader finds the
-	// session when the server's response arrives.
-	openEnv := protocol.Env{RNG: base.Fork("opener"), Nonce: cc.Nonce}
-	openFailed := 0
-	var openErr error
-	for i := 0; i < cc.Sessions; i++ {
-		cn := conns[i%len(conns)]
-		s := &clientSession{sid: uint64(i) + 1, forged: i < cc.Forge}
-		s.m.Init(&cc.Config, cn.serverKey)
-		if cc.Stopwatch != nil {
-			s.openedAt = cc.Stopwatch()
-		}
-		var opening []byte
-		if err := s.m.Start(&openEnv, func(msg []byte) error {
-			opening = append(opening, msg...)
-			return nil
-		}); err != nil {
-			openFailed++
-			if openErr == nil {
-				openErr = err
-			}
-			cn.mu.Lock()
-			cn.assigned-- // never pushed; the reader must not wait for it
-			cn.mu.Unlock()
-			continue
-		}
-		cn.mu.Lock()
-		cn.table[s.sid] = s
-		cn.opened++
-		cn.mu.Unlock()
-		out := bufPool.Get().(*[]byte)
-		*out = AppendMux((*out)[:0], TypeData, s.sid, opening)
-		cn.out.push(out)
-	}
-	if cc.OpenFirst {
-		close(gate)
+			cn.loop(cc.Conns[i], i, len(conns), herd)
+		}()
 	}
 	wg.Wait()
 
-	total := &ClientResult{Failed: openFailed, Cause: openErr}
+	total := &ClientResult{}
 	for _, cn := range conns {
 		if total.Cause == nil {
 			total.Cause = cn.res.Cause
@@ -241,41 +170,182 @@ func RunClient(cc ClientConfig) (*ClientResult, error) {
 		total.ForgedSent += cn.res.ForgedSent
 		total.ForgedRejected += cn.res.ForgedRejected
 		total.ForgedVerified += cn.res.ForgedVerified
-		total.Latencies = append(total.Latencies, cn.res.Latencies...)
 	}
 	return total, nil
 }
 
-// writeLoop mirrors the server's: single writer, batched flushes.
-func (cn *clientConn) writeLoop() {
-	mc := &muxConn{out: cn.out}
-	mc.writeLoop(cn.rw)
+// loop drives conn k of n over rw: it opens sessions k, k+n, … (sid =
+// index+1), then feeds each frame it reads to the state until every
+// session resolves or the conn dies, writing what the state owes and
+// flushing before each blocking read. With herd set, the conn first
+// reads one answer per opened session and waits for every other conn
+// to do the same before it handles any.
+func (cn *clientConn) loop(rw io.ReadWriter, k, n int, herd *sync.WaitGroup) {
+	bw := bufio.NewWriterSize(rw, 64<<10)
+	fr := protocol.NewFrameReader(rw)
+	// send writes what the state owes; next flushes it and reads the
+	// server's next frame. After the conn's first error both do
+	// nothing, and the sessions still open fail of that error.
+	var err error
+	send := func() {
+		if err == nil {
+			_, err = bw.Write(cn.out)
+		}
+		cn.out = cn.out[:0]
+	}
+	next := func() (frame []byte) {
+		if err == nil {
+			err = bw.Flush()
+		}
+		if err == nil {
+			frame, err = fr.ReadFrame()
+		}
+		return frame
+	}
+
+	for i := k; i < cn.cfg.Sessions; i += n {
+		cn.open(uint64(i)+1, i < cn.cfg.Forge)
+		send()
+	}
+	if herd != nil {
+		var answers [][]byte
+		for len(answers) < len(cn.table) {
+			frame := next()
+			if err != nil {
+				break
+			}
+			answers = append(answers, append([]byte(nil), frame...))
+		}
+		herd.Done()
+		herd.Wait()
+		for _, frame := range answers {
+			cn.handle(frame)
+			send()
+		}
+	}
+	for len(cn.table) > 0 {
+		frame := next()
+		if err != nil {
+			cn.failAll(err)
+			return
+		}
+		cn.handle(frame)
+		send()
+	}
+	// Every session resolved; a reject owed for the last one still goes.
+	_ = bw.Flush() // best effort: no session waits on these bytes
 }
 
-// resolve marks a session finished; the reader exits once every
-// assigned session resolved.
-func (cn *clientConn) resolve(s *clientSession) {
-	s.resolved = true
-	cn.mu.Lock()
-	cn.assigned--
-	cn.mu.Unlock()
+// queue appends one length-prefixed mux frame to out.
+func (cn *clientConn) queue(typ byte, sid uint64, payload []byte) {
+	cn.out = binary.BigEndian.AppendUint32(cn.out, uint32(muxHeaderSize+len(payload)))
+	cn.out = AppendMux(cn.out, typ, sid, payload)
 }
 
-// remaining is the count of assigned-but-unresolved sessions.
-func (cn *clientConn) remaining() int {
-	cn.mu.Lock()
-	defer cn.mu.Unlock()
-	return cn.assigned
+// open starts session sid with its signed opening claim; forged, it
+// will tamper with its final PoC.
+func (cn *clientConn) open(sid uint64, forged bool) {
+	s := &clientSession{forged: forged}
+	s.m.Init(&cn.cfg.Config, cn.serverKey)
+	if err := s.m.Start(&cn.env, cn.emit(sid, s)); err != nil {
+		cn.res.Failed++
+		cn.unsettled(err)
+		return
+	}
+	cn.table[sid] = s
 }
 
-// failRemaining resolves every outstanding session as failed after
-// the connection died of err.
-func (cn *clientConn) failRemaining(err error) {
-	cn.mu.Lock()
-	cn.res.Failed += cn.assigned
-	cn.unsettled(fmt.Errorf("session: conn lost with %d session(s) unresolved: %w", cn.assigned, err))
-	cn.assigned = 0
-	cn.mu.Unlock()
+// emit queues a machine's outbound message for session sid, applying
+// PoC forgery when configured.
+func (cn *clientConn) emit(sid uint64, s *clientSession) func([]byte) error {
+	return func(msg []byte) error {
+		if s.forged && len(msg) > 0 && msg[0] == 3 {
+			// Flip the tail of the PoC — inside the outer signature —
+			// so the server's Algorithm 2 verification must fail.
+			msg[len(msg)-1] ^= 0xff
+			cn.res.ForgedSent++
+		}
+		cn.queue(TypeData, sid, msg)
+		return nil
+	}
+}
+
+// handle answers one server frame. A frame for a session this conn
+// does not hold open is ignored; one that is not a mux frame fails
+// every open session, since the conn's framing is suspect.
+func (cn *clientConn) handle(frame []byte) {
+	typ, sid, payload, err := DecodeMux(frame)
+	if err != nil {
+		cn.failAll(err)
+		return
+	}
+	s := cn.table[sid]
+	if s == nil {
+		return
+	}
+	switch typ {
+	case TypeReject:
+		code, detail := byte(0), payload
+		if len(payload) > 0 {
+			code, detail = payload[0], payload[1:]
+		}
+		cn.unsettled(rejectCause(code, detail))
+		switch {
+		case s.forged && code == RejectFailed:
+			cn.res.ForgedRejected++ // the server caught the forgery
+		case code == RejectOverload:
+			cn.res.Rejected++
+		default:
+			cn.res.Failed++
+		}
+
+	case TypeDone:
+		switch {
+		case s.forged:
+			// The server settled a tampered PoC: charging integrity is
+			// broken. Surfaced, never expected.
+			cn.res.ForgedVerified++
+		case s.m.Done() && s.m.Finisher() && len(payload) == 8 &&
+			binary.BigEndian.Uint64(payload) == s.m.X():
+			cn.settle(s)
+		default:
+			cn.res.Failed++
+			cn.unsettled(fmt.Errorf("%w: TypeDone for a session this side did not finish at that X", protocol.ErrBadMessage))
+		}
+
+	case TypeData:
+		finished, err := s.m.Handle(payload, &cn.env, cn.emit(sid, s))
+		switch {
+		case err != nil:
+			cn.res.Failed++
+			cn.unsettled(err)
+			cn.queue(TypeReject, sid, []byte{RejectFailed})
+		case finished && !s.m.Finisher():
+			// The server sent the final PoC; settled without an ack.
+			cn.settle(s)
+		default:
+			// Still negotiating, or this side sent the final PoC
+			// (possibly forged) and TypeDone or TypeReject resolves it.
+			return
+		}
+	}
+	delete(cn.table, sid)
+}
+
+func (cn *clientConn) settle(s *clientSession) {
+	cn.res.Settled++
+	cn.res.Receipts = append(cn.res.Receipts, Receipt{X: s.m.X(), Rounds: s.m.Rounds(), Proof: s.m.Proof()})
+}
+
+// failAll fails every open session after the conn died of err or
+// broke framing.
+func (cn *clientConn) failAll(err error) {
+	if len(cn.table) == 0 {
+		return
+	}
+	cn.res.Failed += len(cn.table)
+	cn.unsettled(fmt.Errorf("session: conn lost with %d session(s) unresolved: %w", len(cn.table), err))
+	clear(cn.table)
 }
 
 // unsettled keeps cause if it is the conn's first session that did
@@ -304,131 +374,4 @@ func rejectCause(code byte, detail []byte) error {
 		err = protocol.ErrBadPeer
 	}
 	return fmt.Errorf("session: rejected by the server: %w: %q", err, detail)
-}
-
-// emit wraps a machine's outbound message for s, applying PoC forgery
-// when configured.
-func (cn *clientConn) emit(cc *ClientConfig, s *clientSession) func([]byte) error {
-	return func(msg []byte) error {
-		if s.forged && len(msg) > 0 && msg[0] == 3 {
-			// Flip the tail of the PoC — inside the outer signature —
-			// so the server's Algorithm 2 verification must fail.
-			msg[len(msg)-1] ^= 0xff
-			cn.res.ForgedSent++
-		}
-		out := bufPool.Get().(*[]byte)
-		*out = AppendMux((*out)[:0], TypeData, s.sid, msg)
-		cn.out.push(out)
-		return nil
-	}
-}
-
-// readLoop processes server frames until every assigned session
-// resolves or the connection dies, then shuts the writer down.
-func (cn *clientConn) readLoop(cc *ClientConfig, herd *sync.WaitGroup) {
-	fr := protocol.NewFrameReader(cn.rw)
-
-	// OpenFirst phase: buffer one response per opened session, and
-	// wait for every other conn's reader to do the same, before
-	// advancing any negotiation. A read error here falls through to
-	// the main loop, which fails whatever never resolved.
-	var buffered [][]byte
-	if cc.OpenFirst {
-		for len(buffered) < cn.opened {
-			frame, err := fr.ReadFrame()
-			if err != nil {
-				break
-			}
-			buffered = append(buffered, append([]byte(nil), frame...))
-		}
-		herd.Done()
-		herd.Wait()
-	}
-
-	for cn.remaining() > 0 {
-		var frame []byte
-		if len(buffered) > 0 {
-			frame = buffered[0]
-			buffered = buffered[1:]
-		} else {
-			var err error
-			frame, err = fr.ReadFrame()
-			if err != nil {
-				// Connection died: every unresolved session fails.
-				cn.failRemaining(err)
-				break
-			}
-		}
-		typ, sid, payload, err := DecodeMux(frame)
-		if err != nil {
-			cn.failRemaining(err)
-			break
-		}
-		cn.mu.Lock()
-		s := cn.table[sid]
-		cn.mu.Unlock()
-		if s == nil || s.resolved {
-			continue
-		}
-		switch typ {
-		case TypeReject:
-			code, detail := byte(0), payload
-			if len(payload) > 0 {
-				code, detail = payload[0], payload[1:]
-			}
-			cn.unsettled(rejectCause(code, detail))
-			switch {
-			case s.forged && code == RejectFailed:
-				cn.res.ForgedRejected++ // the server caught the forgery
-			case code == RejectOverload:
-				cn.res.Rejected++
-			default:
-				cn.res.Failed++
-			}
-			cn.resolve(s)
-
-		case TypeDone:
-			switch {
-			case s.forged:
-				// The server settled a tampered PoC: charging
-				// integrity is broken. Surfaced, never expected.
-				cn.res.ForgedVerified++
-			case s.m.Done() && s.m.Finisher() && len(payload) == 8 &&
-				binary.BigEndian.Uint64(payload) == s.m.X():
-				cn.settle(cc, s)
-			default:
-				cn.res.Failed++
-				cn.unsettled(fmt.Errorf("%w: TypeDone for a session this side did not finish at that X", protocol.ErrBadMessage))
-			}
-			cn.resolve(s)
-
-		case TypeData:
-			finished, err := s.m.Handle(payload, &cn.env, cn.emit(cc, s))
-			if err != nil {
-				cn.res.Failed++
-				cn.unsettled(err)
-				cn.resolve(s)
-				out := bufPool.Get().(*[]byte)
-				*out = AppendMux((*out)[:0], TypeReject, s.sid, []byte{RejectFailed})
-				cn.out.push(out)
-				continue
-			}
-			if finished && !s.m.Finisher() {
-				// Server sent the final PoC; settled without an ack.
-				cn.settle(cc, s)
-				cn.resolve(s)
-			}
-			// finished && Finisher(): we sent the PoC (possibly
-			// forged); resolution arrives as TypeDone or TypeReject.
-		}
-	}
-	cn.out.close()
-}
-
-func (cn *clientConn) settle(cc *ClientConfig, s *clientSession) {
-	cn.res.Settled++
-	cn.res.Receipts = append(cn.res.Receipts, Receipt{X: s.m.X(), Rounds: s.m.Rounds(), Proof: s.m.Proof()})
-	if cc.Stopwatch != nil {
-		cn.res.Latencies = append(cn.res.Latencies, cc.Stopwatch()-s.openedAt)
-	}
 }

@@ -257,14 +257,10 @@ func (e *Engine) ServeConn(conn io.ReadWriter, first []byte) error {
 		}
 	}
 
-	// Teardown: fail whatever is still resident for this conn before
-	// its id could ever be observed again, then let the writer flush
-	// and exit. The sweep is table-wide, so it also evicts sessions
-	// another muxConn admitted under the same id: a reused conn id can
-	// never alias a dead conn's sessions. Workers may be settling
-	// these sessions concurrently; the per-session state CAS
-	// arbitrates.
-	e.evictConn(c.id, readErr)
+	// Teardown: fail whatever is still resident for this conn, then
+	// let the writer flush and exit. Workers may be settling these
+	// sessions concurrently; the per-session state CAS arbitrates.
+	e.evictConn(c, readErr)
 	c.out.close()
 	<-writerDone
 	return readErr

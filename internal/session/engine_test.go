@@ -11,7 +11,6 @@ import (
 	"runtime"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -161,8 +160,6 @@ func TestEngineSettlesMuxedSessions(t *testing.T) {
 			conns := dialConns(t, addr, tc.conns)
 			cc := edgeClientConfig(tc.sessions, conns)
 			cc.OpenFirst = tc.openFirst
-			var ticks atomic.Int64
-			cc.Stopwatch = func() float64 { return float64(ticks.Add(1)) }
 			res, err := RunClient(cc)
 			if err != nil {
 				t.Fatal(err)
@@ -170,9 +167,6 @@ func TestEngineSettlesMuxedSessions(t *testing.T) {
 			if res.Settled != tc.sessions || res.Rejected != 0 || res.Failed != 0 {
 				t.Fatalf("settled/rejected/failed = %d/%d/%d, want %d/0/0",
 					res.Settled, res.Rejected, res.Failed, tc.sessions)
-			}
-			if len(res.Latencies) != tc.sessions {
-				t.Fatalf("latencies = %d, want %d", len(res.Latencies), tc.sessions)
 			}
 			if got := eng.PeakActive(); tc.openFirst && got != int64(tc.sessions) {
 				t.Fatalf("peak active = %d, want %d", got, tc.sessions)

@@ -18,12 +18,13 @@
 //     across sessions; the peer key is parsed once per connection.
 //
 // Negotiations run as event-driven state machines (protocol.Machine,
-// the same one protocol.Party.Run drives over a single conn), not
-// goroutine-per-session: a parked session is a few hundred bytes of
-// table state, which is what makes the million-session table fit.
-// TLCMUX1 is the only wire: a conn opens with a hello (see Magic), and
-// the client initiates every session on it. RunClient is that client,
-// tlcd's edge among its callers.
+// the one every negotiation path drives), not goroutine-per-session: a
+// parked session is a few hundred bytes of table state, which is what
+// makes the million-session table fit. TLCMUX1 is the only wire: a
+// conn opens with a hello (see Magic), and the client initiates every
+// session on it. RunClient is that client, and tlcd's edge runs it: one
+// goroutine per conn writes and reads for a per-conn state that does
+// no I/O itself.
 //
 // Nothing in this package reads a wall clock (tlcvet's simtime rule);
 // callers in cmd/ inject a Stopwatch for latency observation.

@@ -25,11 +25,6 @@ var Metrics = struct {
 	// BatchSize is the distribution of per-shard batch sizes drained
 	// by crypto workers; mass above 1 is scheduling amortisation won.
 	BatchSize *metrics.Histogram
-	// StaleEvicted counts sessions evicted by the dispatch alias guard:
-	// a resident session whose conn id was reused by a newer connection
-	// before the dead conn's teardown sweep ran. Nonzero means conn ids
-	// are being recycled under live sessions — worth alarming on.
-	StaleEvicted *metrics.Counter
 }{
 	Active: metrics.Default.Gauge("sessions_active",
 		"charging sessions currently resident in the engine's shard tables"),
@@ -43,8 +38,6 @@ var Metrics = struct {
 		"sessions refused by admission control (shard table or queue full)"),
 	Backpressure: metrics.Default.Counter("session_backpressure_total",
 		"frames dropped because an admitted session's shard queue was full"),
-	StaleEvicted: metrics.Default.Counter("sessions_stale_evicted_total",
-		"stale sessions evicted because their conn id was reused by a newer connection"),
 	BatchSize: metrics.Default.Histogram("session_crypto_batch_size",
 		"sessions advanced per crypto-worker shard drain",
 		[]float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}),

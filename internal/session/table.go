@@ -12,12 +12,13 @@ import (
 	"tlc/internal/sim"
 )
 
-// connSid identifies a session: the engine-assigned connection id plus
-// the client-chosen session id. Shard placement hashes the pair, but
-// the table key is the pair itself — hash collisions share a shard,
-// never a session.
+// connSid identifies a session: the conn that carries it plus the
+// client-chosen session id. Keying by the conn itself, not its id,
+// means no other conn can reach the session. Shard placement hashes
+// the conn's id and the sid, but the table key is the pair itself —
+// hash collisions share a shard, never a session.
 type connSid struct {
-	conn uint64
+	conn *muxConn
 	sid  uint64
 }
 
@@ -27,7 +28,7 @@ type connSid struct {
 func (k connSid) fnv1a() uint64 {
 	h := uint64(14695981039346656037)
 	for i := 0; i < 64; i += 8 {
-		h ^= (k.conn >> i) & 0xff
+		h ^= (k.conn.id >> i) & 0xff
 		h *= 1099511628211
 	}
 	for i := 0; i < 64; i += 8 {
@@ -48,9 +49,8 @@ const (
 // A parked session owns no goroutine — this struct in a shard's map
 // is its entire footprint.
 type session struct {
-	key  connSid
-	conn *muxConn
-	m    protocol.Machine
+	key connSid
+	m   protocol.Machine
 	// state transitions exactly once from active via CAS; the winner
 	// performs removal and metric accounting.
 	state atomic.Int32
@@ -116,32 +116,11 @@ func (t *table) shard(k connSid) *shard {
 // dispatch routes one TypeData payload. It runs on the connection's
 // reader goroutine; all crypto happens later on a worker.
 func (e *Engine) dispatch(c *muxConn, sid uint64, payload []byte) {
-	key := connSid{conn: c.id, sid: sid}
+	key := connSid{conn: c, sid: sid}
 	sh := e.table.shard(key)
 
 	sh.mu.Lock()
 	s := sh.sessions[key]
-	if s != nil && s.conn != c {
-		// Stale resident: a session keyed (conn, sid) whose muxConn is
-		// not the one dispatching that conn id — the id was reused
-		// after a reconnect before the dead conn's sessions were swept.
-		// Without this guard the new client's frames would feed the
-		// dead conn's machine (and its replies would go to the dead
-		// writer). Evict the stale session and admit this one fresh.
-		sh.mu.Unlock()
-		Metrics.StaleEvicted.Inc()
-		e.failSession(s, RejectShutdown, nil)
-		sh.mu.Lock()
-		s = sh.sessions[key]
-		if s != nil && s.conn != c {
-			// A settle/fail racing the eviction removes the entry via
-			// the state CAS; nothing else can re-insert under a conn id
-			// owned by this reader. Drop the frame if the map is still
-			// settling out — the client will retransmit or time out.
-			sh.mu.Unlock()
-			return
-		}
-	}
 	switch {
 	case s == nil:
 		// First frame for this id: admission control, then open.
@@ -179,7 +158,7 @@ func (e *Engine) admit(sh *shard, c *muxConn, key connSid) *session {
 		c.sendReject(key.sid, RejectOverload, ErrOverload.Error())
 		return nil
 	}
-	s := &session{key: key, conn: c}
+	s := &session{key: key}
 	s.m.Init(&e.cfg, c.peerKey)
 	if e.stopwatch != nil {
 		s.start = e.stopwatch()
@@ -246,7 +225,7 @@ func (e *Engine) process(sh *shard, it workItem) {
 		return
 	}
 	finished, err := s.m.Handle(*it.payload, &sh.env, func(msg []byte) error {
-		s.conn.sendData(s.key.sid, msg)
+		s.key.conn.sendData(s.key.sid, msg)
 		return nil
 	})
 	if err != nil {
@@ -281,16 +260,16 @@ func (e *Engine) settleSession(s *session) {
 		var xb [8]byte
 		binary.BigEndian.PutUint64(xb[:], s.m.X())
 		*out = AppendMux((*out)[:0], TypeDone, s.key.sid, xb[:])
-		s.conn.out.push(out)
+		s.key.conn.out.push(out)
 	}
 	if e.onSettle != nil {
-		e.onSettle(s.key.conn, s.key.sid, s.m.X(), s.m.Rounds())
+		e.onSettle(s.key.conn.id, s.key.sid, s.m.X(), s.m.Rounds())
 	}
 	if e.recorder != nil {
 		e.recorder(ProofRecord{
-			Conn:   s.key.conn,
+			Conn:   s.key.conn.id,
 			SID:    s.key.sid,
-			PeerFP: s.conn.peerFP,
+			PeerFP: s.key.conn.peerFP,
 			X:      s.m.X(),
 			Rounds: s.m.Rounds(),
 			Proof:  s.m.Proof(),
@@ -306,50 +285,36 @@ func (e *Engine) failSession(s *session, code byte, cause error) {
 	}
 	e.removeSession(s)
 	Metrics.Failed.Inc()
-	protocol.Metrics.NegotiationsFailed.Inc()
-	switch {
-	case errors.Is(cause, protocol.ErrStaleProof):
-		protocol.Metrics.StaleProofRejections.Inc()
-	case errors.Is(cause, protocol.ErrBadPeer):
-		protocol.Metrics.ByzantineRejections.Inc()
-	case errors.Is(cause, protocol.ErrFrameTruncated):
-		protocol.Metrics.FrameTruncations.Inc()
-	}
+	protocol.CountFailure(cause)
 	detail := ""
 	if cause != nil {
 		detail = cause.Error()
 	}
-	s.conn.sendReject(s.key.sid, code, detail)
+	s.key.conn.sendReject(s.key.sid, code, detail)
 }
 
-// abort fails a session its client gave up on. Only a session this
-// conn owns is failed, so a reused conn id cannot abort another conn's
-// session.
+// abort fails a session its client gave up on.
 func (e *Engine) abort(c *muxConn, sid uint64) {
-	key := connSid{conn: c.id, sid: sid}
+	key := connSid{conn: c, sid: sid}
 	sh := e.table.shard(key)
 	sh.mu.Lock()
 	s := sh.sessions[key]
 	sh.mu.Unlock()
-	if s != nil && s.conn == c {
+	if s != nil {
 		e.failSession(s, RejectFailed, nil)
 	}
 }
 
-// evictConn fails every session still resident in the table under
-// conn id, with cause the error that ended the conn (nil for a clean
-// hang-up). The sweep is table-wide, so it also catches sessions
-// admitted by a *different* muxConn carrying the same id: a
-// connection id can never be reused while a dead conn's sessions
-// still alias its keys. Victims are collected under the shard lock but
-// failed outside it (failSession re-enters the shard lock through
-// removeSession).
-func (e *Engine) evictConn(id uint64, cause error) {
+// evictConn fails every session conn still holds in the table, with
+// cause the error that ended the conn (nil for a clean hang-up).
+// Victims are collected under the shard lock but failed outside it
+// (failSession re-enters the shard lock through removeSession).
+func (e *Engine) evictConn(c *muxConn, cause error) {
 	var victims []*session
 	for _, sh := range e.table.shards {
 		sh.mu.Lock()
 		for k, s := range sh.sessions {
-			if k.conn == id {
+			if k.conn == c {
 				victims = append(victims, s)
 			}
 		}

@@ -106,13 +106,26 @@ func expandBraces(s string) []string {
 }
 
 // TestReadmeCataloguesEveryRegisteredSeries fails, naming the series,
-// when a registered series has no row in README's metric catalogue.
+// when a registered series has no row in README's metric catalogue,
+// or when the catalogue names a series that nothing registers.
 func TestReadmeCataloguesEveryRegisteredSeries(t *testing.T) {
 	exact, anyLabels := catalogueSeries(t)
+	registered, bases := map[string]bool{}, map[string]bool{}
 	for _, name := range registeredSeries(t) {
 		base, _, _ := strings.Cut(name, "{")
+		registered[name], bases[base] = true, true
 		if !exact[name] && !anyLabels[base] {
 			t.Errorf("series %s is registered but README's metric catalogue has no row for it", name)
+		}
+	}
+	for name := range exact {
+		if !registered[name] {
+			t.Errorf("README's metric catalogue lists %s but nothing registers it", name)
+		}
+	}
+	for base := range anyLabels {
+		if !bases[base] {
+			t.Errorf("README's metric catalogue lists %s{…} but nothing registers it", base)
 		}
 	}
 }

@@ -38,8 +38,9 @@
 #                (stalled-client regression), a real HTTP scrape of
 #                /metrics and /healthz, signal-driven drain, tlcd's
 #                edge (one TLCMUX1 session per conn) and multiplexed
-#                conns served side by side by the session engine, and
-#                both settling through stream faults on both ends
+#                conns served side by side by the session engine,
+#                both settling through stream faults on both ends, and
+#                each accepted conn drawing its faults from its own seed
 #   examples   — the quickstart, gaming, vredge and webcam examples run
 #                end to end against the root tlc API and exit 0 (the
 #                ledger stage runs examples/auditor)
@@ -49,8 +50,12 @@
 #                at 1 and 8 shards settling with zero rejections or
 #                failures below the admission cap, the refusal of a
 #                first frame that is not a hello, the byzantine failure
-#                classes on a mux conn (each ends in a typed reject)
-#                and the client's retry contract on its typed cause
+#                classes on a mux conn (each ends in a typed reject),
+#                the client's retry contract on its typed cause, the
+#                mux client's per-conn state (one loop per client conn
+#                drives it) fed scripted frames with no socket, and the
+#                table's per-conn teardown sweep and abort, keyed by
+#                the conn itself
 #   ledger     — the durable charging ledger: the crash-point torture
 #                sweeps (every kill offset of the tail segment, bit
 #                flips, injected fsync failpoints; the read-only replay
@@ -144,7 +149,7 @@ stage chaos go test -run Chaos -race ./internal/experiment
 stage race go test -race ./...
 stage operator go test -run Operator -race -count=1 ./cmd/tlcd
 stage examples run_examples
-stage tlcdscale go test -run 'EngineOverload|EngineSettlesMuxedSessions|EngineRefusesBareKey|EngineFailsByzantine|EngineClientCause' -race -count=1 ./internal/session
+stage tlcdscale go test -run 'EngineOverload|EngineSettlesMuxedSessions|EngineRefusesBareKey|EngineFailsByzantine|EngineClientCause|ClientConnAnswersScriptedFrames|EvictConnSweepsTable|AbortIgnoresConnIDAlias' -race -count=1 ./internal/session
 stage ledger go test -run 'Torture|Prop|Golden|Refuses' -short -race ./internal/ledger
 stage ledger go test -run '^$' -fuzz '^FuzzLedgerReplay$' -fuzztime 10s ./internal/ledger
 stage ledger go run ./examples/auditor
