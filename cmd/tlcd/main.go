@@ -13,15 +13,16 @@
 //
 // The operator serves each connection in its own goroutine (bounded
 // by -max-conns), so one stalled client cannot block the others. A
-// -max-conns, -ledger-fsync or -retries below 1, or a -conn-timeout or
-// -mux-conn-timeout of 0 or less, is refused at startup with exit
-// status 2. Every connection speaks TLCMUX1 to the operator's session
-// engine: tlcd -role edge settles its cycle as one session on its
-// conn, and a load client multiplexes many. With -http the operator
-// also exposes a debug endpoint: Prometheus /metrics, /healthz, expvar
-// under /debug/vars, and net/http/pprof under /debug/pprof/. SIGINT or
-// SIGTERM stops accepting, drains in-flight negotiations (bounded by
-// -drain-timeout), logs a final metrics snapshot, and exits 0.
+// -max-conns, -max-sessions, -ledger-fsync or -retries below 1, or a
+// -conn-timeout or -mux-conn-timeout of 0 or less, is refused at
+// startup with exit status 2. Every connection speaks TLCMUX1 to the
+// operator's session engine: tlcd -role edge settles its cycle as one
+// session on its conn, and a load client multiplexes many. With -http
+// the operator also exposes a debug endpoint: Prometheus /metrics,
+// /healthz, expvar under /debug/vars, and net/http/pprof under
+// /debug/pprof/. SIGINT or SIGTERM stops accepting, drains in-flight
+// negotiations (bounded by -drain-timeout), logs a final metrics
+// snapshot, and exits 0.
 //
 // The -faults flag injects seeded stream faults (corrupted reads,
 // truncated writes, write stalls) into the live connection, and
@@ -85,10 +86,7 @@ func main() {
 		maxConns = flag.Int("max-conns", 64, "operator: max concurrent negotiations")
 		connTO   = flag.Duration("conn-timeout", time.Minute, "per-connection read/write deadline")
 		drainTO  = flag.Duration("drain-timeout", 30*time.Second, "operator shutdown: max wait for in-flight negotiations")
-		shards   = flag.Int("session-shards", 8, "operator: session-table shards (power of two)")
-		workers  = flag.Int("session-workers", 2, "operator: crypto worker pool size")
-		maxSess  = flag.Int("max-sessions", 1<<20, "operator: resident session cap across all shards")
-		pending  = flag.Int("session-pending", 1024, "operator: queued frames per shard before overload rejection")
+		maxSess  = flag.Int("max-sessions", 1<<20, "operator: resident session cap across all conns")
 		muxTO    = flag.Duration("mux-conn-timeout", 15*time.Minute, "deadline for multiplexed connections (carry many sessions, so much longer than -conn-timeout)")
 		verbose  = flag.Bool("v", false, "log every settlement instead of a 1-in-1024 sample")
 		ledDir   = flag.String("ledger-dir", "", "operator: durable settlement ledger directory (empty = no ledger)")
@@ -96,7 +94,7 @@ func main() {
 		auditQ   = flag.String("audit", "", "audit query over -ledger-dir, e.g. subscriber=<fingerprint>,cycle=<id>; prints the report and exits")
 	)
 	flag.Parse()
-	if err := checkServingFlags(*maxConns, *connTO, *muxTO, *ledSync, *retries); err != nil {
+	if err := checkServingFlags(*maxConns, *maxSess, *connTO, *muxTO, *ledSync, *retries); err != nil {
 		fmt.Fprintf(os.Stderr, "tlcd: %v\n", err)
 		os.Exit(2)
 	}
@@ -167,9 +165,7 @@ func main() {
 				*ledDir, op.cycle, *ledSync)
 		}
 		if err := op.newEngine(keys, usage, strat, session.EngineConfig{
-			Shards: *shards, Workers: *workers,
-			MaxSessions: *maxSess, MaxPending: *pending,
-			Seed: time.Now().UnixNano(),
+			MaxSessions: *maxSess, Seed: time.Now().UnixNano(),
 		}); err != nil {
 			log.Fatal(err)
 		}
@@ -300,14 +296,12 @@ type operator struct {
 // newEngine builds the session engine that negotiates on every
 // connection: the operator's side of the plan, signed with keys and
 // claimed from usage under strat, timed by a process stopwatch, and
-// hooked to the settle log and recorder. Set led and proofOut first;
-// ec carries the table sizing and seed.
+// hooked to record. ec carries the session cap and seed.
 func (o *operator) newEngine(keys *tlc.KeyPair, usage tlc.Usage, strat tlc.Strategy, ec session.EngineConfig) error {
 	ec.Config = negotiationConfig(poc.RoleOperator, o.plan, keys, usage, strat)
 	start := time.Now()
 	ec.Stopwatch = func() float64 { return time.Since(start).Seconds() }
-	ec.OnSettle = o.onSettle
-	ec.Recorder = o.recorder()
+	ec.Recorder = o.record
 	eng, err := session.NewEngine(ec)
 	o.engine = eng
 	return err
@@ -425,36 +419,26 @@ func (o *operator) acceptLoop(acceptErr chan<- error) {
 
 // settleLogCount samples the settlement log line: at session-engine
 // scale an unconditional log.Printf per settlement serializes every
-// crypto worker behind the log mutex. The first settlement always
+// conn's reader behind the log mutex. The first settlement always
 // logs (single-shot runs keep their line); -v restores every line.
 var settleLogCount atomic.Uint64
 
 const settleLogSample = 1024
 
-// onSettle is the session engine's per-settlement hook. It runs on a
-// crypto worker, so the non-logging case is one atomic increment.
-func (o *operator) onSettle(conn, sid, x uint64, rounds int) {
+// record is the session engine's settlement hook, run on the reader of
+// the conn that settled: it logs a sample of settlements, appends each
+// proof to the ledger, if any, and writes it to -proof-out, if set.
+func (o *operator) record(pr session.ProofRecord) {
 	n := settleLogCount.Add(1)
 	if o.verbose || (n-1)%settleLogSample == 0 {
 		log.Printf("settled: %d bytes in %d round(s) (conn %d sid %d; %d total)",
-			x, rounds, conn, sid, n)
+			pr.X, pr.Rounds, pr.Conn, pr.SID, n)
 	}
-}
-
-// recorder is the session engine's settlement hook, or nil with
-// neither a ledger nor -proof-out (which keeps KeepProof off and the
-// engine's settle path allocation-free).
-func (o *operator) recorder() func(session.ProofRecord) {
-	if o.led == nil && o.proofOut == "" {
-		return nil
+	if o.led != nil {
+		o.recordProof(pr)
 	}
-	return func(pr session.ProofRecord) {
-		if o.led != nil {
-			o.recordProof(pr)
-		}
-		if err := writeProof(o.proofOut, pr.Proof); err != nil {
-			log.Printf("-proof-out: %v", err)
-		}
+	if err := writeProof(o.proofOut, pr.Proof); err != nil {
+		log.Printf("-proof-out: %v", err)
 	}
 }
 
@@ -636,12 +620,16 @@ func startDebugServer(ln net.Listener) *http.Server {
 // checkServingFlags refuses limits tlcd cannot run with: acceptLoop's
 // connection semaphore needs at least one slot (an unbuffered one
 // blocks the first accepted conn forever, a negative size panics), a
-// deadline of zero or less times out every read, and the ledger's and
-// the retrier's defaults would silently replace a -ledger-fsync or
-// -retries below 1 (with 16 appends per fsync and 3 attempts).
-func checkServingFlags(maxConns int, connTimeout, muxConnTimeout time.Duration, ledgerFsync, retries int) error {
+// deadline of zero or less times out every read, and the engine's,
+// the ledger's and the retrier's defaults would silently replace a
+// -max-sessions, -ledger-fsync or -retries below 1 (with 1<<20
+// sessions, 16 appends per fsync and 3 attempts).
+func checkServingFlags(maxConns, maxSessions int, connTimeout, muxConnTimeout time.Duration, ledgerFsync, retries int) error {
 	if maxConns < 1 {
 		return fmt.Errorf("-max-conns must be at least 1, got %d", maxConns)
+	}
+	if maxSessions < 1 {
+		return fmt.Errorf("-max-sessions must be at least 1, got %d", maxSessions)
 	}
 	if connTimeout <= 0 {
 		return fmt.Errorf("-conn-timeout must be positive, got %v", connTimeout)

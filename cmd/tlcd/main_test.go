@@ -260,7 +260,7 @@ func TestOperatorServesEdgeAndMuxConns(t *testing.T) {
 		muxTimeout: 2 * time.Minute,
 		stop:       make(chan struct{}),
 	}
-	if err := op.newEngine(opKeys, usage, tlc.Optimal, session.EngineConfig{Shards: 2, Workers: 2, Seed: 42}); err != nil {
+	if err := op.newEngine(opKeys, usage, tlc.Optimal, session.EngineConfig{Seed: 42}); err != nil {
 		t.Fatal(err)
 	}
 	addr, _, exited := startOperator(t, op, false)
@@ -398,7 +398,7 @@ func TestOperatorLedgerAudit(t *testing.T) {
 		stop:       make(chan struct{}),
 	}
 	op.led, op.cycle = led, cycle
-	if err := op.newEngine(opKeys, usage, tlc.Optimal, session.EngineConfig{Shards: 2, Workers: 2, Seed: 42}); err != nil {
+	if err := op.newEngine(opKeys, usage, tlc.Optimal, session.EngineConfig{Seed: 42}); err != nil {
 		t.Fatal(err)
 	}
 	addr, _, exited := startOperator(t, op, false)
@@ -583,5 +583,13 @@ func TestRefusesLedgerFsyncBelowOne(t *testing.T) {
 func TestRefusesRetriesBelowOne(t *testing.T) {
 	for _, v := range []string{"0", "-1"} {
 		wantFlagRefused(t, "-retries", "-retries", v)
+	}
+}
+
+// TestRefusesMaxSessionsBelowOne: the engine's default turned 0 into a
+// cap of 1<<20 sessions.
+func TestRefusesMaxSessionsBelowOne(t *testing.T) {
+	for _, v := range []string{"0", "-1"} {
+		wantFlagRefused(t, "-max-sessions", "-max-sessions", v)
 	}
 }

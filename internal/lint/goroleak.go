@@ -9,10 +9,9 @@ import (
 // GoroLeak guards goroutine lifecycle in the long-lived components:
 // cmd/tlcd (a daemon that must drain cleanly on SIGTERM),
 // internal/protocol (whose parties tlcd spawns per connection),
-// internal/session (whose crypto workers and per-conn writer
-// goroutines live as long as the daemon) and internal/sim (whose
-// shard workers must all park before RunUntil
-// returns, even when a partition panics). Every
+// internal/session (whose per-conn writer goroutines live as long as
+// their conns) and internal/sim (whose shard workers must all park
+// before RunUntil returns, even when a partition panics). Every
 // `go` statement there must have a reachable stop path: each
 // unconditional `for` loop in the spawned body — or in an in-package
 // function it statically calls, transitively — must be able to leave

@@ -22,19 +22,12 @@ func parsePeerKey(der []byte) (*rsa.PublicKey, error) {
 	return key, nil
 }
 
-// bufPool recycles payload buffers: the conn reader's FrameReader
-// buffer is only valid until its next read, so each queued payload is
-// copied into a pooled buffer and returned after the worker consumes
-// it. Pooled as *[]byte to keep the slice header off the heap.
+// bufPool recycles outbound frame buffers: the reader fills one per
+// frame it owes the peer and the conn's writer returns it once the
+// frame is written. Pooled as *[]byte to keep the slice header off the
+// heap.
 var bufPool = sync.Pool{
 	New: func() any { b := make([]byte, 0, 2048); return &b },
-}
-
-// copyToPooled copies p into a pooled buffer.
-func copyToPooled(p []byte) *[]byte {
-	bp := bufPool.Get().(*[]byte)
-	*bp = append((*bp)[:0], p...)
-	return bp
 }
 
 // recycle returns a pooled buffer.

@@ -1,11 +1,13 @@
 package session
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"crypto/x509"
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"runtime"
@@ -135,27 +137,23 @@ func dialConns(t *testing.T, addr string, n int) []net.Conn {
 
 func TestEngineSettlesMuxedSessions(t *testing.T) {
 	cases := []struct {
-		name                    string
-		sessions, conns, shards int
-		maxPending              int
-		openFirst               bool
+		name            string
+		sessions, conns int
+		openFirst       bool
 	}{
 		// Every claim is queued before any response, so resident
 		// sessions peak at the full load.
-		{name: "herd", sessions: 300, conns: 3, shards: 4, openFirst: true},
-		// Sessions settle while later ones open, with the pending queue
-		// sized to the load: nothing is refused below the session cap.
-		{name: "steady_shards1", sessions: 2000, conns: 8, shards: 1, maxPending: 2000},
-		{name: "steady_shards8", sessions: 2000, conns: 8, shards: 8, maxPending: 2000},
+		{name: "herd", sessions: 300, conns: 3, openFirst: true},
+		// Sessions settle while later ones open: nothing is refused
+		// below the session cap. Each conn holds its own sessions, so
+		// the conn count is the number of session-table shards.
+		{name: "steady_shards1", sessions: 2000, conns: 1},
+		{name: "steady_shards8", sessions: 2000, conns: 8},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			settledBefore := Metrics.Settled.Value()
-			ec := operatorEngineConfig()
-			ec.Shards = tc.shards
-			ec.Workers = 2
-			ec.MaxPending = tc.maxPending
-			eng, addr, _ := startEngine(t, ec)
+			eng, addr, _ := startEngine(t, operatorEngineConfig())
 
 			conns := dialConns(t, addr, tc.conns)
 			cc := edgeClientConfig(tc.sessions, conns)
@@ -210,8 +208,8 @@ func TestEngineForgetsSettledSessions(t *testing.T) {
 	}
 	const few, many = 500, 2500
 	perSession := (heapAfter(many) - heapAfter(few)) / (many - few)
-	// The bound leaves room for the shard maps, which keep the buckets
-	// their peak residency grew, but not for a record per session.
+	// The bound leaves room for the conn's session map, which keeps the
+	// buckets its peak residency grew, but not for a record per session.
 	if perSession > 200 {
 		t.Fatalf("an open conn retains %.0f B per settled session, want <= 200", perSession)
 	}
@@ -291,6 +289,157 @@ func TestEngineClientAbort(t *testing.T) {
 	}
 }
 
+// TestEngineSettlesFramesReadBeforeHangUp: a peer that sends the final
+// PoC of every session in one write and then hangs up gets each one
+// acked with TypeDone and recorded. The conn's EOF comes right after
+// those PoCs, so no session whose final PoC the engine read may be
+// evicted unsettled.
+func TestEngineSettlesFramesReadBeforeHangUp(t *testing.T) {
+	var mu sync.Mutex
+	recorded := map[uint64]bool{}
+	ec := operatorEngineConfig()
+	ec.Recorder = func(pr ProofRecord) {
+		mu.Lock()
+		recorded[pr.SID] = true
+		mu.Unlock()
+	}
+	peer, served := serveOne(t, startedEngine(t, ec))
+	fr := sayHello(t, peer)
+
+	const sessions = 50
+	cfg := edgeClientConfig(1, nil).Config
+	env := protocol.Env{RNG: sim.NewRNG(5)}
+	var batch bytes.Buffer
+	send := func(sid uint64) func([]byte) error {
+		return func(msg []byte) error {
+			return protocol.WriteFrame(&batch, AppendMux(nil, TypeData, sid, msg))
+		}
+	}
+	flush := func() {
+		t.Helper()
+		if _, err := peer.Write(batch.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+		batch.Reset()
+	}
+	machines := make([]protocol.Machine, sessions+1) // by sid
+	for sid := uint64(1); sid <= sessions; sid++ {
+		machines[sid].Init(&cfg, &opKeys.Private.PublicKey)
+		if err := machines[sid].Start(&env, send(sid)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	flush()
+	cdas := map[uint64][]byte{}
+	for len(cdas) < sessions {
+		frame, err := fr.ReadFrame()
+		if err != nil {
+			t.Fatal(err)
+		}
+		typ, sid, payload, err := DecodeMux(frame)
+		if err != nil || typ != TypeData || sid < 1 || sid > sessions {
+			t.Fatalf("answer to a claim: type %d sid %d err %v, want a CDA", typ, sid, err)
+		}
+		cdas[sid] = append([]byte(nil), payload...)
+	}
+	for sid := uint64(1); sid <= sessions; sid++ {
+		if finished, err := machines[sid].Handle(cdas[sid], &env, send(sid)); err != nil || !finished {
+			t.Fatalf("sid %d final PoC: finished %v, err %v", sid, finished, err)
+		}
+	}
+	flush()
+	if err := peer.CloseWrite(); err != nil {
+		t.Fatal(err)
+	}
+
+	done, other := 0, ""
+	for {
+		frame, err := fr.ReadFrame()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		typ, sid, payload, err := DecodeMux(frame)
+		switch {
+		case err == nil && typ == TypeDone && sid >= 1 && sid <= sessions &&
+			len(payload) == 8 && binary.BigEndian.Uint64(payload) == machines[sid].X():
+			done++
+		case other == "":
+			other = fmt.Sprintf("; sid %d ended with type %d payload %q (err %v)", sid, typ, payload, err)
+		}
+	}
+	if err := <-served; err != nil {
+		t.Fatalf("ServeConn = %v, want a clean hang-up", err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if done != sessions || len(recorded) != sessions {
+		t.Fatalf("%d TypeDone and %d recorded of %d sessions whose final PoC was sent%s",
+			done, len(recorded), sessions, other)
+	}
+}
+
+// TestEvictConnFailsEverySession: a conn's teardown fails every session
+// it still holds with RejectShutdown and returns sessions_active to 0.
+// The conn is built by hand and fed its claims on the test's goroutine,
+// with no socket and no writer, so the engine's answers stay queued.
+func TestEvictConnFailsEverySession(t *testing.T) {
+	eng, err := NewEngine(operatorEngineConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &muxConn{
+		id:       1,
+		peerKey:  &edgeKeys.Private.PublicKey,
+		env:      protocol.Env{RNG: sim.NewRNG(1)},
+		sessions: map[uint64]*session{},
+		out:      newOutQueue(),
+	}
+	failedBefore := Metrics.Failed.Value()
+	cfg := edgeClientConfig(1, nil).Config
+	env := protocol.Env{RNG: sim.NewRNG(2)}
+	const sessions = 16
+	for sid := uint64(1); sid <= sessions; sid++ {
+		var m protocol.Machine
+		m.Init(&cfg, &opKeys.Private.PublicKey)
+		if err := m.Start(&env, func(claim []byte) error { eng.dispatch(c, sid, claim); return nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(c.sessions) != sessions || eng.active.Load() != sessions {
+		t.Fatalf("%d sessions on the conn, %d active; want %d", len(c.sessions), eng.active.Load(), sessions)
+	}
+
+	eng.evictConn(c, nil)
+
+	if len(c.sessions) != 0 || eng.active.Load() != 0 || Metrics.Active.Value() != 0 {
+		t.Fatalf("after evictConn: %d on the conn, %d active, sessions_active %d; want 0",
+			len(c.sessions), eng.active.Load(), Metrics.Active.Value())
+	}
+	if got := Metrics.Failed.Value() - failedBefore; got != sessions {
+		t.Fatalf("sessions_failed_total moved by %d, want %d", got, sessions)
+	}
+	c.out.close()
+	queued, _ := c.out.popAll(nil)
+	cdas, shutdown := map[uint64]bool{}, map[uint64]bool{}
+	for _, bp := range queued {
+		typ, sid, payload, err := DecodeMux(*bp)
+		switch {
+		case err == nil && typ == TypeData && !shutdown[sid]:
+			cdas[sid] = true
+		case err == nil && typ == TypeReject && len(payload) > 0 && payload[0] == RejectShutdown:
+			shutdown[sid] = true
+		default:
+			t.Fatalf("queued frame type %d sid %d payload %q (err %v)", typ, sid, payload, err)
+		}
+	}
+	if len(cdas) != sessions || len(shutdown) != sessions {
+		t.Fatalf("queued %d CDAs and %d RejectShutdown, want %d of each", len(cdas), len(shutdown), sessions)
+	}
+}
+
 // TestEngineOverloadRejectsNotCollapses is the admission-control
 // regression run under -race by verify.sh: a load far beyond the
 // session cap must split cleanly into settled + typed rejections —
@@ -299,10 +448,7 @@ func TestEngineOverloadRejectsNotCollapses(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 
 	ec := operatorEngineConfig()
-	ec.Shards = 4
-	ec.Workers = 2
-	ec.MaxSessions = 64 // 16 per shard; load is 8x over capacity
-	ec.MaxPending = 32
+	ec.MaxSessions = 64 // load is 8x over capacity
 	eng, addr, stop := startEngine(t, ec)
 
 	const sessions = 512
@@ -375,8 +521,6 @@ func TestEngineRecorderCapturesSettlements(t *testing.T) {
 	var mu sync.Mutex
 	var recs []ProofRecord
 	ec := operatorEngineConfig()
-	ec.Shards = 4
-	ec.Workers = 2
 	ec.Recorder = func(pr ProofRecord) {
 		mu.Lock()
 		recs = append(recs, pr)
@@ -691,7 +835,6 @@ func TestEngineFailsByzantineMuxPeers(t *testing.T) {
 func TestEngineClientCauseKeepsRetryContract(t *testing.T) {
 	t.Run("overload", func(t *testing.T) {
 		ec := operatorEngineConfig()
-		ec.Shards = 1
 		ec.MaxSessions = 1
 		_, addr, _ := startEngine(t, ec)
 		// OpenFirst sends both claims before answering either, so the

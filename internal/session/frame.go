@@ -1,30 +1,28 @@
-// Package session is tlcd's sharded session engine: the live-path
-// machinery that lets one daemon terminate 10⁵–10⁶ concurrent
-// charging negotiations.
+// Package session is tlcd's session engine: the live-path machinery
+// that lets one daemon terminate many concurrent charging
+// negotiations over few connections.
 //
-// Three layers (DESIGN.md "Session engine"):
+// Two layers (DESIGN.md "Session engine"):
 //
 //   - a mux framing layer over internal/protocol's length-prefixed
 //     frames, so one TCP connection carries thousands of interleaved
 //     negotiations and key exchange happens once per connection, not
 //     once per charging cycle;
-//   - a session table split into power-of-two shards (per-shard
-//     mutex, fingerprint-hashed session ids) with admission control:
-//     a bounded per-shard pending queue that rejects new work with a
-//     typed overload frame instead of growing goroutines without
-//     bound;
-//   - a PoC crypto pipeline: a small worker pool drains the per-shard
-//     queues in batches, so RSA sign/verify work amortises scheduling
-//     across sessions; the peer key is parsed once per connection.
+//   - per-connection session ownership: each conn's reader goroutine
+//     holds that conn's sessions and strategy RNG, admits a session
+//     under one MaxSessions cap (refusing with a typed overload frame
+//     instead of growing without bound), and advances it inline, RSA
+//     sign and verify included, so the server's crypto parallelism is
+//     its number of conns. A writer goroutine per conn batches the
+//     answers into few syscalls.
 //
 // Negotiations run as event-driven state machines (protocol.Machine,
 // the one every negotiation path drives), not goroutine-per-session: a
-// parked session is a few hundred bytes of table state, which is what
-// makes the million-session table fit. TLCMUX1 is the only wire: a
-// conn opens with a hello (see Magic), and the client initiates every
-// session on it. RunClient is that client, and tlcd's edge runs it: one
-// goroutine per conn writes and reads for a per-conn state that does
-// no I/O itself.
+// parked session is a few hundred bytes of per-conn state. TLCMUX1 is
+// the only wire: a conn opens with a hello (see Magic), and the client
+// initiates every session on it. RunClient is that client, and tlcd's
+// edge runs it: one goroutine per conn writes and reads for a per-conn
+// state that does no I/O itself.
 //
 // Nothing in this package reads a wall clock (tlcvet's simtime rule);
 // callers in cmd/ inject a Stopwatch for latency observation.
@@ -56,8 +54,8 @@ const (
 
 // Reject codes carried by TypeReject frames.
 const (
-	// RejectOverload: admission control refused the session (shard
-	// table or pending queue full). The client may retry later.
+	// RejectOverload: admission control refused the session
+	// (MaxSessions resident). The client may retry later.
 	RejectOverload byte = 1
 	// RejectBadMessage: the frame could not be parsed as a
 	// negotiation message.
@@ -75,9 +73,9 @@ const muxHeaderSize = 1 + 8
 // Errors surfaced by the engine and the mux codec.
 var (
 	// ErrOverload is the typed admission-control rejection: the
-	// target shard's session table or pending queue is full. Clients
-	// see it via a TypeReject/RejectOverload frame.
-	ErrOverload = errors.New("session: shard overloaded")
+	// engine already holds MaxSessions resident sessions. Clients see
+	// it via a TypeReject/RejectOverload frame.
+	ErrOverload = errors.New("session: engine overloaded")
 	// ErrMuxFrame marks a frame too short or otherwise unparseable as
 	// a mux frame; the connection's framing is suspect and the caller
 	// closes it.

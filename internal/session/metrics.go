@@ -8,26 +8,22 @@ import "tlc/internal/metrics"
 // additionally feeds protocol.Metrics, so a negotiation it settles
 // counts exactly like one Party.Run or RunPair settles.
 var Metrics = struct {
-	// Active is the sessions currently resident in the shard tables
+	// Active is the sessions currently resident on the engine's conns
 	// (opened, not yet settled/failed/rejected).
 	Active *metrics.Gauge
 	// Opened/Settled/Failed count session outcomes; Rejected counts
-	// admission-control refusals (shard table or pending queue full),
-	// which are not Failed — the work was never admitted.
+	// admission-control refusals (MaxSessions resident), which are not
+	// Failed — the work was never admitted.
 	Opened   *metrics.Counter
 	Settled  *metrics.Counter
 	Failed   *metrics.Counter
 	Rejected *metrics.Counter
-	// Backpressure counts frames dropped because an already-admitted
-	// session's shard queue was full; the session is failed rather
-	// than the queue grown.
-	Backpressure *metrics.Counter
-	// BatchSize is the distribution of per-shard batch sizes drained
-	// by crypto workers; mass above 1 is scheduling amortisation won.
+	// BatchSize is the distribution of frames carried by one flush of
+	// a conn's writer; mass above 1 is syscalls saved.
 	BatchSize *metrics.Histogram
 }{
 	Active: metrics.Default.Gauge("sessions_active",
-		"charging sessions currently resident in the engine's shard tables"),
+		"charging sessions currently resident on the engine's conns"),
 	Opened: metrics.Default.Counter("sessions_opened_total",
 		"charging sessions admitted into the engine"),
 	Settled: metrics.Default.Counter("sessions_settled_total",
@@ -35,10 +31,8 @@ var Metrics = struct {
 	Failed: metrics.Default.Counter("sessions_failed_total",
 		"charging sessions torn down by validation or transport errors"),
 	Rejected: metrics.Default.Counter("sessions_rejected_total",
-		"sessions refused by admission control (shard table or queue full)"),
-	Backpressure: metrics.Default.Counter("session_backpressure_total",
-		"frames dropped because an admitted session's shard queue was full"),
+		"sessions refused by admission control (MaxSessions resident)"),
 	BatchSize: metrics.Default.Histogram("session_crypto_batch_size",
-		"sessions advanced per crypto-worker shard drain",
+		"mux frames carried by one flush of a conn's writer",
 		[]float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}),
 }

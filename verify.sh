@@ -44,18 +44,20 @@
 #   examples   — the quickstart, gaming, vredge and webcam examples run
 #                end to end against the root tlc API and exit 0 (the
 #                ledger stage runs examples/auditor)
-#   tlcdscale  — the sharded session engine under the race detector:
-#                the admission-control overload regression (reject,
-#                never deadlock or leak), 2,000 sessions over 8 conns
-#                at 1 and 8 shards settling with zero rejections or
-#                failures below the admission cap, the refusal of a
-#                first frame that is not a hello, the byzantine failure
-#                classes on a mux conn (each ends in a typed reject),
-#                the client's retry contract on its typed cause, the
-#                mux client's per-conn state (one loop per client conn
-#                drives it) fed scripted frames with no socket, and the
-#                table's per-conn teardown sweep and abort, keyed by
-#                the conn itself
+#   tlcdscale  — the session engine (one reader and one writer per
+#                engine conn, the reader running its sessions' crypto)
+#                under the race detector: the admission-control
+#                overload regression (reject, never deadlock or leak),
+#                2,000 sessions over 8 conns settling with zero
+#                rejections or failures below the admission cap, the
+#                refusal of a first frame that is not a hello, the
+#                byzantine failure classes on a mux conn (each ends in
+#                a typed reject), the client's retry contract on its
+#                typed cause, the mux client's per-conn state (one
+#                loop per client conn drives it) fed scripted frames
+#                with no socket, every final PoC read before a hang-up
+#                settling and recorded, and a conn's socket-free
+#                teardown failing each session it holds
 #   ledger     — the durable charging ledger: the crash-point torture
 #                sweeps (every kill offset of the tail segment, bit
 #                flips, injected fsync failpoints; the read-only replay
@@ -149,7 +151,7 @@ stage chaos go test -run Chaos -race ./internal/experiment
 stage race go test -race ./...
 stage operator go test -run Operator -race -count=1 ./cmd/tlcd
 stage examples run_examples
-stage tlcdscale go test -run 'EngineOverload|EngineSettlesMuxedSessions|EngineRefusesBareKey|EngineFailsByzantine|EngineClientCause|ClientConnAnswersScriptedFrames|EvictConnSweepsTable|AbortIgnoresConnIDAlias' -race -count=1 ./internal/session
+stage tlcdscale go test -run 'EngineOverload|EngineSettlesMuxedSessions|EngineRefusesBareKey|EngineFailsByzantine|EngineClientCause|ClientConnAnswersScriptedFrames|EngineSettlesFramesReadBeforeHangUp|EvictConnFailsEverySession' -race -count=1 ./internal/session
 stage ledger go test -run 'Torture|Prop|Golden|Refuses' -short -race ./internal/ledger
 stage ledger go test -run '^$' -fuzz '^FuzzLedgerReplay$' -fuzztime 10s ./internal/ledger
 stage ledger go run ./examples/auditor
