@@ -176,8 +176,11 @@ func main() {
 		if *connect == "" {
 			log.Fatal("edge role requires -connect")
 		}
-		runEdge(*connect, negotiationConfig(poc.RoleEdge, plan, keys, usage, strat),
+		attempts, err := runEdge(*connect, negotiationConfig(poc.RoleEdge, plan, keys, usage, strat),
 			*proofOut, spec, *faultSd, *retries, *connTO)
+		if err != nil {
+			log.Fatalf("after %d attempt(s): %v", attempts, err)
+		}
 	default:
 		log.Fatalf("unknown role %q", *role)
 	}
@@ -647,12 +650,12 @@ func checkServingFlags(maxConns, maxSessions int, connTimeout, muxConnTimeout ti
 }
 
 // runEdge settles the edge's cycle against the operator at addr,
-// re-dialing through transient failures up to retries attempts.
+// re-dialing through transient failures up to retries attempts, and
+// returns the attempts it made.
 func runEdge(addr string, cfg protocol.Config, proofOut string, spec *faults.Spec,
-	faultSeed int64, retries int, connTimeout time.Duration) {
+	faultSeed int64, retries int, connTimeout time.Duration) (attempts int, err error) {
 	r := &protocol.Retrier{MaxAttempts: retries, Sleep: time.Sleep}
-	attempts := 0
-	err := r.Do(func(attempt int) error {
+	err = r.Do(func(attempt int) error {
 		attempts++
 		conn, err := net.DialTimeout("tcp", addr, 10*time.Second)
 		if err != nil {
@@ -671,7 +674,5 @@ func runEdge(addr string, cfg protocol.Config, proofOut string, spec *faults.Spe
 		}
 		return serr
 	})
-	if err != nil {
-		log.Fatalf("after %d attempt(s): %v", attempts, err)
-	}
+	return attempts, err
 }

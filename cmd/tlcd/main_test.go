@@ -317,6 +317,37 @@ func TestOperatorEdgeSettlesThroughStreamFaults(t *testing.T) {
 	stopOperator(t, op, exited)
 }
 
+// TestOperatorEdgeRetriesThroughCorruption: an operator that damages
+// what it reads (-faults corrupt=0.15) fails each frame whose checksum
+// breaks, and the edge retries that as a transport fault, so at
+// -retries 5 it settles at -fault-seed 7 (in 4 attempts) and 8 (in 3).
+// Before frames carried a checksum, a damaged byte inside a signed
+// message read as a forged signature: the operator rejected the
+// session as failed, and the edge stopped after one attempt at both
+// seeds.
+func TestOperatorEdgeRetriesThroughCorruption(t *testing.T) {
+	opKeys, edgeKeys, plan, usage := testParties(t)
+	cfg := negotiationConfig(poc.RoleEdge, plan, edgeKeys, usage, tlc.Optimal)
+	for _, seed := range []int64{7, 8} {
+		op := &operator{
+			plan: plan, once: false, spec: &faults.Spec{CorruptP: 0.15}, faultSeed: seed, maxConns: 4,
+			connTimeout: 10 * time.Second, drainTimeout: 10 * time.Second,
+			muxTimeout: time.Minute,
+			stop:       make(chan struct{}),
+		}
+		if err := op.newEngine(opKeys, usage, tlc.Optimal, session.EngineConfig{}); err != nil {
+			t.Fatal(err)
+		}
+		addr, _, exited := startOperator(t, op, false)
+		attempts, err := runEdge(addr, cfg, "", nil, 1, 5, 10*time.Second)
+		stopOperator(t, op, exited)
+		if err != nil {
+			t.Fatalf("-fault-seed %d: the edge gave up after %d attempt(s): %v", seed, attempts, err)
+		}
+		t.Logf("-fault-seed %d: settled in %d attempt(s)", seed, attempts)
+	}
+}
+
 // lockedBuffer is a log destination the operator's goroutines may
 // write while the test reads it.
 type lockedBuffer struct {

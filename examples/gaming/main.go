@@ -35,8 +35,10 @@ func main() {
 	fmt.Printf("legacy gap %.2f%% | TLC-optimal gap %.2f%%\n",
 		rep.Legacy.GapRatio*100, rep.TLCOptimal.GapRatio*100)
 
-	// 2. Settle the cycle over TCP: the operator listens, the game
-	//    vendor dials in.
+	// 2. Settle the cycle over TCP as one TLCMUX1 session, the wire
+	//    tlcd speaks: the operator listens and opens the session, the
+	//    game vendor dials in and serves it. Each side pinned the
+	//    other's key beforehand, and Negotiate closes the conn.
 	edgeKeys, err := tlc.GenerateKeyPair()
 	if err != nil {
 		log.Fatal(err)
@@ -66,7 +68,6 @@ func main() {
 			opCh <- result{nil, err}
 			return
 		}
-		defer conn.Close() //tlcvet:allow errdiscard — demo teardown after the negotiation result is captured
 		op := tlc.NewNegotiator(tlc.Operator, plan, opKeys, edgeKeys.Public(), usage, tlc.Optimal)
 		r, err := op.Negotiate(conn, true)
 		opCh <- result{r, err}
@@ -76,7 +77,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer conn.Close() //tlcvet:allow errdiscard — demo teardown after the negotiation result is captured
 	edge := tlc.NewNegotiator(tlc.Edge, plan, edgeKeys, opKeys.Public(), usage, tlc.Optimal)
 	edgeReceipt, err := edge.Negotiate(conn, false)
 	if err != nil {

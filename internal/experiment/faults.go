@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"strings"
@@ -250,8 +249,8 @@ func byzKeyPairs() (*poc.KeyPair, *poc.KeyPair, error) {
 	return byzKeys.edge, byzKeys.op, byzKeys.err
 }
 
-// byzantineBattery runs every adversarial mode against an honest edge
-// over an in-memory connection and scores the outcome: every exchange
+// byzantineBattery runs every adversarial mode against an honest
+// edge's machine, in memory, and scores the outcome: every exchange
 // must end in a typed rejection, and no frame the adversary sent may
 // ever verify as a proof of charge — statelessly for forgeries,
 // statefully (replay set) for replayed genuine proofs.
@@ -307,15 +306,14 @@ func byzantineBattery(seeds int) (forgedVerified, typedRejections, runs int) {
 				Stale:  stale,
 			}
 
-			wire := &byzWire{byz: byz}
-			_, runErr := edge.Run(wire, true)
+			forged, runErr := byz.Play(edge)
 
 			if runErr != nil && (errors.Is(runErr, protocol.ErrBadPeer) ||
 				errors.Is(runErr, protocol.ErrBadMessage) ||
 				errors.Is(runErr, protocol.ErrStaleProof)) {
 				typedRejections++
 			}
-			for _, frame := range wire.sent {
+			for _, frame := range forged {
 				if len(frame) == 0 || frame[0] != 3 {
 					continue
 				}
@@ -339,38 +337,3 @@ func byzantineBattery(seeds int) (forgedVerified, typedRejections, runs int) {
 	}
 	return forgedVerified, typedRejections, runs
 }
-
-// byzWire is the honest edge's connection to a byzantine responder,
-// in memory: the first whole frame the edge writes is answered at
-// once, so the exchange runs on the caller's goroutine. Once the
-// responder's frames are read, the edge reads io.EOF, as from a peer
-// that hung up.
-type byzWire struct {
-	byz      *protocol.Byzantine
-	in       []byte       // what the edge wrote before the answer
-	answered bool         // the responder has answered
-	out      bytes.Buffer // the responder's framed answer
-	sent     [][]byte     // the frames the responder sent
-}
-
-func (w *byzWire) Write(p []byte) (int, error) {
-	if w.answered {
-		return len(p), nil
-	}
-	w.in = append(w.in, p...)
-	opening, err := protocol.ReadFrame(bytes.NewReader(w.in))
-	if err != nil {
-		return len(p), nil // not a whole frame yet
-	}
-	w.answered = true
-	// A responder that fails sends nothing, and the edge reads EOF.
-	w.sent, _ = w.byz.Respond(opening)
-	for _, frame := range w.sent {
-		if err := protocol.WriteFrame(&w.out, frame); err != nil {
-			return len(p), err
-		}
-	}
-	return len(p), nil
-}
-
-func (w *byzWire) Read(p []byte) (int, error) { return w.out.Read(p) }

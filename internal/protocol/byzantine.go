@@ -29,8 +29,7 @@ const (
 
 // Byzantine is a dishonest negotiation responder. It answers the
 // honest initiator's opening CDR with the forgery its Mode prescribes,
-// then stops — it does not wait for a verdict (the honest side fails
-// closed and hangs up).
+// then stops — it does not wait for a verdict.
 type Byzantine struct {
 	Mode string
 	Role poc.Role
@@ -44,26 +43,34 @@ type Byzantine struct {
 	Stale *poc.PoC
 }
 
-// Run plays one adversarial exchange as the responder over conn: it
-// reads the opening frame, answers it and writes the answer. It
-// returns every frame it sent, so test batteries can assert that none
-// of them ever verifies as a PoC.
-//
-//tlcvet:allow unreached — test support: the tests of protocol and session play byzantine peers over a conn with it
-func (b *Byzantine) Run(conn io.ReadWriter) (sent [][]byte, err error) {
-	frame, err := ReadFrame(conn)
-	if err != nil {
-		return nil, fmt.Errorf("byzantine: reading opening claim: %w", err)
-	}
-	if sent, err = b.Respond(frame); err != nil {
-		return nil, err
-	}
-	for _, data := range sent {
-		if err := WriteFrame(conn, data); err != nil {
-			return sent, err
+// Play runs one adversarial exchange in memory, on the caller's
+// goroutine: p's machine opens as the initiator, b answers the opening
+// claim and stops, and p's machine handles each answer in turn. It
+// counts p's side as one negotiation, started and then settled or
+// failed by cause. It returns every frame b sent, so a battery can
+// check that none of them verifies as a PoC, and p's verdict. A b that
+// fails to answer sends nothing.
+func (b *Byzantine) Play(p *Party) (sent [][]byte, err error) {
+	Metrics.NegotiationsStarted.Inc()
+	m, env, err := p.machine()
+	if err == nil {
+		var opening []byte
+		if err = m.Start(env, func(msg []byte) error { opening = msg; return nil }); err == nil {
+			sent, err = b.Respond(opening)
 		}
 	}
-	return sent, nil
+	for _, frame := range sent {
+		if err != nil || m.Done() {
+			break
+		}
+		// b reads nothing after its answer, so what p emits is dropped.
+		_, err = m.Handle(frame, env, func([]byte) error { return nil })
+	}
+	if err == nil && !m.Done() {
+		err = fmt.Errorf("byzantine: hung up after its answer: %w", io.EOF)
+	}
+	_, err = record(m, err)
+	return sent, err
 }
 
 // Respond answers the opening frame with the forgery Mode prescribes

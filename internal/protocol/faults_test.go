@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"io"
-	"net"
 	"strings"
 	"testing"
 	"time"
@@ -32,19 +31,11 @@ func TestReadFrameTruncatedHeader(t *testing.T) {
 }
 
 func TestReadFrameTruncatedBody(t *testing.T) {
-	_, err := ReadFrame(bytes.NewReader([]byte{0, 0, 0, 10, 1, 2, 3}))
+	_, err := ReadFrame(bytes.NewReader([]byte{0, 0, 0, 10, 0, 0, 0, 0, 1, 2, 3}))
 	if !errors.Is(err, ErrFrameTruncated) {
 		t.Fatalf("partial body: %v, want ErrFrameTruncated", err)
 	}
 }
-
-// closableHalf wraps one end of a pipe recording whether Run closed it.
-type closableHalf struct {
-	net.Conn
-	closed bool
-}
-
-func (c *closableHalf) Close() error { c.closed = true; return c.Conn.Close() }
 
 // protocolCounters snapshots every protocol_*_total counter.
 func protocolCounters() map[string]float64 {
@@ -74,28 +65,10 @@ func checkCounterDeltas(t *testing.T, before map[string]float64, want map[string
 	}
 }
 
-// runAgainst runs edge as the initiator over a pipe whose far end is
-// played by peer, and reports whether Run closed its end.
-func runAgainst(edge *Party, peer func(net.Conn)) (closed bool, err error) {
-	ci, cr := net.Pipe()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		peer(cr)
-	}()
-	wrapped := &closableHalf{Conn: ci}
-	_, err = edge.Run(wrapped, true)
-	closed = wrapped.closed
-	_ = ci.Close() // unblocks a peer still waiting on us
-	<-done
-	return closed, err
-}
-
-// TestRunOutcomeAccounting pins how Run and RunPair account each
-// outcome: the protocol_*_total counters it moves, the typed error it
-// returns, and whether a desynchronised or replayed stream gets its
-// transport closed. A failed RunPair classifies only the side that
-// failed; its peer counts as failed, unclassified.
+// TestRunOutcomeAccounting pins how RunPair and Byzantine.Play
+// account each outcome: the protocol_*_total counters it moves and the
+// typed error it returns. A failed RunPair classifies only the side
+// that failed; its peer counts as failed, unclassified.
 func TestRunOutcomeAccounting(t *testing.T) {
 	view := core.View{Sent: 1000, Received: 900}
 	e0, o0 := parties(core.OptimalStrategy{}, core.OptimalStrategy{}, view, view, 29)
@@ -105,83 +78,57 @@ func TestRunOutcomeAccounting(t *testing.T) {
 	}
 	stale := ro.PoC
 
-	byzantine := func(mode string) func(net.Conn) {
-		return func(c net.Conn) {
-			b := &Byzantine{
-				Mode: mode, Role: poc.RoleOperator, Plan: plan,
-				Keys: opKeys, RNG: sim.NewRNG(34), Stale: stale,
-			}
-			_, _ = b.Run(c) // the honest side's verdict is what the row checks
+	byzantine := func(mode string, seed int64) error {
+		edge, _ := parties(core.OptimalStrategy{}, core.OptimalStrategy{}, view, view, seed)
+		b := &Byzantine{
+			Mode: mode, Role: poc.RoleOperator, Plan: plan,
+			Keys: opKeys, RNG: sim.NewRNG(34), Stale: stale,
 		}
+		_, err := b.Play(edge)
+		return err
 	}
 	const (
-		started   = "protocol_negotiations_started_total"
-		settled   = "protocol_negotiations_settled_total"
-		failed    = "protocol_negotiations_failed_total"
-		rounds    = "protocol_rounds_total"
-		staleRej  = "protocol_stale_proof_rejections_total"
-		byzRej    = "protocol_byzantine_rejections_total"
-		truncated = "protocol_frame_truncations_total"
+		started  = "protocol_negotiations_started_total"
+		settled  = "protocol_negotiations_settled_total"
+		failed   = "protocol_negotiations_failed_total"
+		rounds   = "protocol_rounds_total"
+		staleRej = "protocol_stale_proof_rejections_total"
+		byzRej   = "protocol_byzantine_rejections_total"
 	)
 	cases := []struct {
 		name   string
-		run    func() (closed bool, err error)
+		run    func() error
 		want   error
 		deltas map[string]float64
-		closed bool
 	}{
 		{
 			name: "settled",
-			run: func() (bool, error) {
+			run: func() error {
 				edge, op := parties(core.OptimalStrategy{}, core.OptimalStrategy{}, view, view, 30)
 				_, _, err := RunPair(op, edge)
-				return false, err
+				return err
 			},
 			deltas: map[string]float64{started: 2, settled: 2, rounds: 2},
 		},
 		{
-			name: "stale_proof",
-			run: func() (bool, error) {
-				edge, _ := parties(core.OptimalStrategy{}, core.OptimalStrategy{}, view, view, 31)
-				return runAgainst(edge, byzantine(ByzReplay))
-			},
+			name:   "stale_proof",
+			run:    func() error { return byzantine(ByzReplay, 31) },
 			want:   ErrStaleProof,
 			deltas: map[string]float64{started: 1, failed: 1, staleRej: 1},
-			closed: true,
 		},
 		{
-			name: "bad_peer",
-			run: func() (bool, error) {
-				edge, _ := parties(core.OptimalStrategy{}, core.OptimalStrategy{}, view, view, 32)
-				return runAgainst(edge, byzantine(ByzTamper))
-			},
+			name:   "bad_peer",
+			run:    func() error { return byzantine(ByzTamper, 32) },
 			want:   ErrBadPeer,
 			deltas: map[string]float64{started: 1, failed: 1, byzRej: 1},
 		},
 		{
-			name: "truncated",
-			run: func() (bool, error) {
-				edge, _ := parties(core.OptimalStrategy{}, core.OptimalStrategy{}, view, view, 33)
-				return runAgainst(edge, func(c net.Conn) {
-					if _, err := ReadFrame(c); err != nil {
-						return
-					}
-					// Announce 100 body bytes, then die after 3.
-					_, _ = c.Write([]byte{0, 0, 0, 100, 9, 9, 9})
-					_ = c.Close()
-				})
-			},
-			want:   ErrFrameTruncated,
-			deltas: map[string]float64{started: 1, failed: 1, truncated: 1},
-			closed: true,
-		},
-		{
 			name: "no_convergence",
-			run: func() (bool, error) {
+			run: func() error {
 				edge, op := parties(core.OptimalStrategy{}, rejectAll{}, view, view, 34)
 				op.MaxRounds, edge.MaxRounds = 8, 256
 				_, _, err := RunPair(op, edge)
-				return false, err
+				return err
 			},
 			want:   ErrNoConvergence,
 			deltas: map[string]float64{started: 2, failed: 2},
@@ -190,12 +137,8 @@ func TestRunOutcomeAccounting(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			before := protocolCounters()
-			closed, err := tc.run()
-			if !errors.Is(err, tc.want) {
+			if err := tc.run(); !errors.Is(err, tc.want) {
 				t.Fatalf("err = %v, want %v", err, tc.want)
-			}
-			if closed != tc.closed {
-				t.Errorf("conn closed = %v, want %v", closed, tc.closed)
 			}
 			checkCounterDeltas(t, before, tc.deltas)
 		})
@@ -224,19 +167,12 @@ func TestStaleProofRejected(t *testing.T) {
 		Mode: ByzReplay, Role: poc.RoleOperator, Plan: plan,
 		Keys: opKeys, RNG: sim.NewRNG(33), Stale: stale,
 	}
-	ci, cr := net.Pipe()
-	done := make(chan error, 1)
-	go func() {
-		_, err := byz.Run(cr)
-		done <- err
-	}()
-	_, err = edge.Run(ci, true)
+	sent, err := byz.Play(edge)
 	if !errors.Is(err, ErrStaleProof) {
 		t.Fatalf("err = %v, want ErrStaleProof", err)
 	}
-	_ = ci.Close()
-	if berr := <-done; berr != nil {
-		t.Fatalf("byzantine side: %v", berr)
+	if len(sent) != 1 {
+		t.Fatalf("byzantine side sent %d frames, want the one stale proof", len(sent))
 	}
 
 	// The stateful verifier also refuses the second sighting.
@@ -259,30 +195,18 @@ func TestByzantineForgeriesNeverVerify(t *testing.T) {
 			Mode: mode, Role: poc.RoleOperator, Plan: plan,
 			Keys: opKeys, RNG: sim.NewRNG(int64(50 + i)),
 		}
-		ci, cr := net.Pipe()
-		type out struct {
-			sent [][]byte
-			err  error
-		}
-		done := make(chan out, 1)
-		go func() {
-			sent, err := byz.Run(cr)
-			done <- out{sent, err}
-		}()
-		_, err := edge.Run(ci, true)
+		sent, err := byz.Play(edge)
 		if err == nil {
 			t.Fatalf("%s: honest side accepted a forgery", mode)
 		}
 		if !errors.Is(err, ErrBadPeer) && !errors.Is(err, ErrBadMessage) {
 			t.Fatalf("%s: err = %v, want a typed protocol rejection", mode, err)
 		}
-		_ = ci.Close()
-		o := <-done
-		if o.err != nil {
-			t.Fatalf("%s: byzantine side: %v", mode, o.err)
+		if len(sent) == 0 {
+			t.Fatalf("%s: byzantine side sent nothing", mode)
 		}
 		// No frame the adversary emitted may ever verify as a PoC.
-		for _, data := range o.sent {
+		for _, data := range sent {
 			if len(data) == 0 || data[0] != 3 {
 				continue
 			}
@@ -310,6 +234,7 @@ func TestTransientClassification(t *testing.T) {
 		{ErrNoConvergence, false},
 		{ErrStaleProof, false},
 		{ErrFrameTruncated, true},
+		{ErrFrameCorrupt, true},
 		{io.ErrUnexpectedEOF, true},
 		{errors.New("connection reset"), true},
 	} {
@@ -379,59 +304,5 @@ func TestRetrierBackoffNoOverflow(t *testing.T) {
 	}
 	if prev != retryMaxDelay {
 		t.Fatalf("backoff(79) = %v, want saturation at %v", prev, retryMaxDelay)
-	}
-}
-
-// TestRunWithRetryRecoversFromTruncation: the first dial hits a
-// transport that dies mid-frame; the retry dials again and settles.
-// Each attempt runs the party over a fresh conn inside Retrier.Do, as
-// tlcd's edge does.
-func TestRunWithRetryRecoversFromTruncation(t *testing.T) {
-	view := core.View{Sent: 1000, Received: 900}
-	dials := 0
-	dial := func() io.ReadWriteCloser {
-		dials++
-		ci, cr := net.Pipe()
-		if dials == 1 {
-			go func() {
-				if _, err := ReadFrame(cr); err != nil {
-					_ = cr.Close()
-					return
-				}
-				_, _ = cr.Write([]byte{0, 0, 1, 0, 2}) // announce 256, die
-				_ = cr.Close()
-			}()
-			return ci
-		}
-		op := &Party{
-			Role: poc.RoleOperator, Plan: plan, Keys: opKeys, PeerKey: edgeKeys.Public,
-			Strategy: core.OptimalStrategy{}, View: view, RNG: sim.NewRNG(61),
-		}
-		go func() {
-			_, _ = op.Run(cr, false)
-			_ = cr.Close()
-		}()
-		return ci
-	}
-	edge := &Party{
-		Role: poc.RoleEdge, Plan: plan, Keys: edgeKeys, PeerKey: opKeys.Public,
-		Strategy: core.OptimalStrategy{}, View: view, RNG: sim.NewRNG(60),
-	}
-	var res *Result
-	err := (&Retrier{MaxAttempts: 3}).Do(func(int) error {
-		conn := dial()
-		defer conn.Close() //tlcvet:allow errdiscard — test teardown; Run already closed on framing faults
-		var err error
-		res, err = edge.Run(conn, true)
-		return err
-	})
-	if err != nil {
-		t.Fatalf("retry did not recover: %v", err)
-	}
-	if dials != 2 {
-		t.Fatalf("dials = %d, want 2", dials)
-	}
-	if err := poc.VerifyStateless(res.PoC, plan, edgeKeys.Public, opKeys.Public); err != nil {
-		t.Fatalf("settled proof invalid: %v", err)
 	}
 }

@@ -62,8 +62,9 @@ type Env struct {
 // CDR/CDA/PoC exchange, as an explicit state machine: Start sends the
 // initiator's opening claim and Handle takes one peer message in and
 // emits at most one message out. It is the only wire implementation of
-// the game. Party.Run drives one over a stream, RunPair pumps two
-// in memory, and the session engine multiplexes thousands per conn.
+// the game. RunPair pumps two in memory, Byzantine.Play runs one
+// against a dishonest peer, and internal/session drives them over
+// TLCMUX1 conns, thousands per conn.
 // Peer failures come back typed (ErrBadPeer, ErrStaleProof,
 // ErrBadMessage, ErrNoConvergence).
 type Machine struct {

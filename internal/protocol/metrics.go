@@ -20,7 +20,7 @@ import (
 // clean without waivers.
 var Metrics = struct {
 	// NegotiationsStarted/Settled/Failed count negotiation outcomes,
-	// one per side: Party.Run, RunPair and the session engine.
+	// one per side: RunPair, Byzantine.Play and the session engine.
 	NegotiationsStarted *metrics.Counter
 	NegotiationsSettled *metrics.Counter
 	NegotiationsFailed  *metrics.Counter

@@ -1,11 +1,12 @@
 // Package protocol runs TLC's negotiation (Figure 7) as an
 // application-layer protocol: the signed CDR/CDA/PoC messages of
-// internal/poc, exchanged with length-prefixed framing, drive the
-// Algorithm 1 game of internal/core. Machine is the one implementation
-// of that exchange. Party.Run drives a machine over any stream
-// transport (the root package's Negotiator), RunPair pumps two
-// machines in memory (simulation), and internal/session multiplexes
-// machines over shared connections: the TLCMUX1 wire cmd/tlcd speaks.
+// internal/poc, exchanged in checksummed frames, drive the Algorithm 1
+// game of internal/core. Machine is the one implementation of that
+// exchange. RunPair pumps two machines in memory (simulation),
+// Byzantine.Play runs one against a dishonest peer in memory, and
+// internal/session multiplexes machines over shared connections: the
+// TLCMUX1 wire, the only one cmd/tlcd and the root package's
+// Negotiator speak.
 package protocol
 
 import (
@@ -13,9 +14,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
-	"net"
-	"time"
 
 	"tlc/internal/core"
 	"tlc/internal/poc"
@@ -26,13 +26,26 @@ import (
 // with RSA-3072.
 const MaxFrame = 64 * 1024
 
-// WriteFrame writes one length-prefixed message.
+// FrameHeaderSize is a frame's header: the body length and the body's
+// CRC-32C, each a big-endian u32. The ledger frames its records in the
+// same [len][crc32c] shape, but little-endian.
+const FrameHeaderSize = 8
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// frameHeader returns the header of the frame that carries body.
+func frameHeader(body []byte) (hdr [FrameHeaderSize]byte) {
+	binary.BigEndian.PutUint32(hdr[:4], uint32(len(body)))
+	binary.BigEndian.PutUint32(hdr[4:], crc32.Checksum(body, castagnoli))
+	return hdr
+}
+
+// WriteFrame writes one frame: [len u32][crc32c u32][data].
 func WriteFrame(w io.Writer, data []byte) error {
 	if len(data) > MaxFrame {
 		return fmt.Errorf("protocol: frame of %d bytes exceeds max %d", len(data), MaxFrame)
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(data)))
+	hdr := frameHeader(data)
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
@@ -40,8 +53,16 @@ func WriteFrame(w io.Writer, data []byte) error {
 	return err
 }
 
-// ReadFrame reads one length-prefixed message into a fresh buffer the
-// caller may keep; FrameReader.ReadFrame documents the semantics.
+// PutFrameHeader fills the first FrameHeaderSize bytes of frame with
+// the header of the body after them, so a caller can reserve the
+// header, append the body in place and frame it without a copy.
+func PutFrameHeader(frame []byte) {
+	hdr := frameHeader(frame[FrameHeaderSize:])
+	copy(frame, hdr[:])
+}
+
+// ReadFrame reads one frame into a fresh buffer the caller may keep;
+// FrameReader.ReadFrame documents the semantics.
 func ReadFrame(r io.Reader) ([]byte, error) {
 	return NewFrameReader(r).ReadFrame()
 }
@@ -52,24 +73,17 @@ var (
 	ErrBadMessage    = errors.New("protocol: malformed or unexpected message")
 	ErrBadPeer       = errors.New("protocol: peer message failed validation")
 	// ErrFrameTruncated marks a stream that died mid-frame; the
-	// connection is unusable (the framing is desynchronised) and Run
-	// closes it.
+	// connection is unusable (the framing is desynchronised).
 	ErrFrameTruncated = errors.New("protocol: frame truncated")
+	// ErrFrameCorrupt marks a frame whose body fails its checksum: the
+	// transport damaged it, so it is not the peer's message, and the
+	// framing is suspect. A retry on a fresh conn may clear it.
+	ErrFrameCorrupt = errors.New("protocol: frame checksum mismatch")
 	// ErrStaleProof marks a syntactically valid, correctly signed PoC
 	// that does not embed the CDA this party sent in this exchange — a
 	// replayed proof from an earlier negotiation.
 	ErrStaleProof = errors.New("protocol: stale proof")
 )
-
-// closeConn tears the transport down after a failure that leaves it
-// unusable: a half-read stream can never resynchronise, so leaving it
-// open would wedge the peer, and a peer replaying a stale proof gets no
-// further exchange on the same conn.
-func closeConn(conn io.ReadWriter) {
-	if c, ok := conn.(io.Closer); ok {
-		_ = c.Close() // already failing; the close result adds nothing
-	}
-}
 
 // Party is one side of the negotiation.
 type Party struct {
@@ -83,24 +97,20 @@ type Party struct {
 	Strategy core.Strategy
 	View     core.View
 
-	// RNG drives randomized strategies and nonce generation in
-	// deterministic runs; nil uses a zero-seeded stream (nonces are
-	// then deterministic — fine for simulation, not for production;
-	// pass a crypto/rand-backed reader via NonceSource for that).
+	// RNG drives randomized strategies and nonce generation; nil uses
+	// a zero-seeded stream. Nonces are then deterministic, which suits
+	// simulation only: a live negotiation runs on internal/session,
+	// which draws them from crypto/rand.
 	RNG *sim.RNG
-	// NonceSource overrides the nonce randomness (defaults to RNG).
-	NonceSource io.Reader
 
 	// MaxRounds caps claims sent by this party.
 	MaxRounds int
-	// Timeout applies per message exchange when the transport is a
-	// net.Conn.
-	Timeout time.Duration
 }
 
 // Result is the settled negotiation.
 type Result struct {
 	PoC    *poc.PoC
+	Proof  []byte // PoC serialized, as the machine built or received it
 	X      uint64
 	Rounds int // claims this party sent or answered
 }
@@ -112,33 +122,23 @@ func (p *Party) rng() *sim.RNG {
 	return p.RNG
 }
 
-func (p *Party) nonceSource() io.Reader {
-	if p.NonceSource != nil {
-		return p.NonceSource
+// Config is the configuration the party's machines run with. It keeps
+// the final proof, which record decodes and a live receipt carries.
+func (p *Party) Config() Config {
+	cfg := Config{
+		Role: p.Role, Plan: p.Plan, Strategy: p.Strategy, View: p.View,
+		MaxRounds: p.MaxRounds, KeepProof: true,
 	}
-	return p.rng()
-}
-
-func (p *Party) deadline(conn io.ReadWriter) {
-	if p.Timeout <= 0 {
-		return
+	if p.Keys != nil {
+		cfg.Key = p.Keys.Private
 	}
-	if c, ok := conn.(net.Conn); ok {
-		//tlcvet:allow simtime — real network I/O deadline on a live conn, not simulated control flow
-		_ = c.SetDeadline(time.Now().Add(p.Timeout))
-	}
+	return cfg
 }
 
 // machine builds the party's negotiation machine and the environment
 // it advances in.
 func (p *Party) machine() (*Machine, *Env, error) {
-	cfg := &Config{
-		Role: p.Role, Plan: p.Plan, Strategy: p.Strategy, View: p.View,
-		MaxRounds: p.MaxRounds, KeepProof: true, // record decodes the kept proof
-	}
-	if p.Keys != nil {
-		cfg.Key = p.Keys.Private
-	}
+	cfg := p.Config()
 	if err := cfg.Validate(); err != nil {
 		return nil, nil, err
 	}
@@ -146,8 +146,8 @@ func (p *Party) machine() (*Machine, *Env, error) {
 		return nil, nil, errors.New("protocol: Party.PeerKey is required")
 	}
 	m := new(Machine)
-	m.Init(cfg, p.PeerKey)
-	return m, &Env{RNG: p.rng(), Nonce: p.nonceSource()}, nil
+	m.Init(&cfg, p.PeerKey)
+	return m, &Env{RNG: p.rng(), Nonce: p.rng()}, nil
 }
 
 // record counts one side's finished negotiation in Metrics, settled
@@ -156,7 +156,7 @@ func (p *Party) machine() (*Machine, *Env, error) {
 func record(m *Machine, err error) (*Result, error) {
 	var res *Result
 	if err == nil {
-		res = &Result{PoC: new(poc.PoC), X: m.x, Rounds: m.rounds}
+		res = &Result{PoC: new(poc.PoC), Proof: m.proof, X: m.x, Rounds: m.rounds}
 		// The machine built or verified these bytes; they always decode.
 		err = res.PoC.UnmarshalBinary(m.proof)
 	}
@@ -167,38 +167,6 @@ func record(m *Machine, err error) (*Result, error) {
 	Metrics.NegotiationsSettled.Inc()
 	Metrics.RoundsTotal.Add(uint64(res.Rounds))
 	return res, nil
-}
-
-// Run executes the negotiation over the transport: it reads a frame,
-// hands it to the party's Machine and writes what the machine emits,
-// until the machine settles or fails. The initiator sends the first
-// CDR; the responder waits for it. On success both sides hold the same
-// doubly signed PoC.
-func (p *Party) Run(conn io.ReadWriter, initiate bool) (*Result, error) {
-	Metrics.NegotiationsStarted.Inc()
-	m, env, err := p.machine()
-	if err != nil {
-		return record(nil, err)
-	}
-	emit := func(msg []byte) error {
-		p.deadline(conn)
-		return WriteFrame(conn, msg)
-	}
-	if initiate {
-		err = m.Start(env, emit)
-	}
-	fr := NewFrameReader(conn)
-	for err == nil && !m.Done() {
-		p.deadline(conn)
-		var frame []byte
-		if frame, err = fr.ReadFrame(); err == nil {
-			_, err = m.Handle(frame, env, emit)
-		}
-	}
-	if errors.Is(err, ErrFrameTruncated) || errors.Is(err, ErrStaleProof) {
-		closeConn(conn)
-	}
-	return record(m, err)
 }
 
 // RunPair negotiates between two parties in memory and returns their

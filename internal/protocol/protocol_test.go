@@ -3,7 +3,6 @@ package protocol
 import (
 	"bytes"
 	"errors"
-	"net"
 	"strings"
 	"testing"
 	"time"
@@ -64,13 +63,13 @@ func TestFrameLimits(t *testing.T) {
 	}
 	// A forged oversized header is rejected on read.
 	buf.Reset()
-	buf.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF})
-	if _, err := ReadFrame(&buf); err == nil {
-		t.Fatal("oversized header accepted")
+	buf.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0})
+	if _, err := ReadFrame(&buf); err == nil || errors.Is(err, ErrFrameTruncated) {
+		t.Fatalf("oversized header: %v, want the size refusal", err)
 	}
 	// Truncated frame.
 	buf.Reset()
-	buf.Write([]byte{0, 0, 0, 10, 1, 2})
+	buf.Write([]byte{0, 0, 0, 10, 0, 0, 0, 0, 1, 2})
 	if _, err := ReadFrame(&buf); err == nil {
 		t.Fatal("truncated frame accepted")
 	}
@@ -190,90 +189,15 @@ func TestRunPairReportsFailingSide(t *testing.T) {
 	})
 }
 
-func TestRunOverTCP(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close() //tlcvet:allow errdiscard — test cleanup; the assertions, not Close, decide this test
-
-	view := core.View{Sent: 5000, Received: 4600}
-	edge, op := parties(core.OptimalStrategy{}, core.OptimalStrategy{}, view, view, 4)
-	edge.Timeout, op.Timeout = 5*time.Second, 5*time.Second
-
-	type outcome struct {
-		res *Result
-		err error
-	}
-	ch := make(chan outcome, 1)
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			ch <- outcome{nil, err}
-			return
-		}
-		defer conn.Close() //tlcvet:allow errdiscard — test cleanup; the assertions, not Close, decide this test
-		res, err := edge.Run(conn, false)
-		ch <- outcome{res, err}
-	}()
-
-	conn, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close() //tlcvet:allow errdiscard — test cleanup; the assertions, not Close, decide this test
-	ro, err := op.Run(conn, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	re := <-ch
-	if re.err != nil {
-		t.Fatal(re.err)
-	}
-	if ro.X != re.res.X || ro.X != 4800 {
-		t.Fatalf("TCP negotiation X = %d / %d, want 4800", ro.X, re.res.X)
-	}
-}
-
 func TestMissingConfig(t *testing.T) {
-	p := &Party{Role: poc.RoleEdge}
-	if _, err := p.Run(nil, true); err == nil {
-		t.Fatal("missing config accepted")
-	}
-}
-
-// tamperConn flips a byte in the first CDR frame that passes through.
-type tamperConn struct {
-	net.Conn
-	tampered bool
-}
-
-func (c *tamperConn) Read(b []byte) (int, error) {
-	n, err := c.Conn.Read(b)
-	if err == nil && !c.tampered && n > 20 {
-		b[12] ^= 0xFF // corrupt a plan byte inside the payload
-		c.tampered = true
-	}
-	return n, err
-}
-
-func TestTamperedMessageRejected(t *testing.T) {
 	view := core.View{Sent: 1000, Received: 900}
 	edge, op := parties(core.OptimalStrategy{}, core.OptimalStrategy{}, view, view, 5)
-	ci, cr := net.Pipe()
-	defer ci.Close() //tlcvet:allow errdiscard — test cleanup; the assertions, not Close, decide this test
-	defer cr.Close() //tlcvet:allow errdiscard — test cleanup; the assertions, not Close, decide this test
-	go func() {
-		_, _ = op.Run(ci, true)
-		_ = ci.Close()
-	}()
-	_, err := edge.Run(&tamperConn{Conn: cr}, false)
-	if err == nil {
-		t.Fatal("tampered stream accepted")
+	if _, _, err := RunPair(&Party{Role: poc.RoleEdge}, op); err == nil {
+		t.Fatal("an initiator without keys or strategy accepted")
 	}
-	if !errors.Is(err, ErrBadPeer) && !errors.Is(err, ErrBadMessage) &&
-		!strings.Contains(err.Error(), "closed") {
-		t.Fatalf("unexpected error: %v", err)
+	edge.PeerKey = nil
+	if _, _, err := RunPair(op, edge); err == nil || !strings.HasPrefix(err.Error(), "responder: ") {
+		t.Fatalf("err = %v, want the responder's missing peer key", err)
 	}
 }
 

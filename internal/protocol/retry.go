@@ -13,8 +13,8 @@ var ErrRetryBudget = errors.New("protocol: retry budget exhausted")
 // Transient reports whether an error is worth retrying. Protocol
 // verdicts — a peer that failed validation, a malformed message, a
 // stale proof, exhausted rounds — are permanent: retrying replays the
-// same doomed exchange. Everything else (truncated frames, connection
-// resets, timeouts) is transport weather and may clear.
+// same doomed exchange. Everything else (truncated or corrupt frames,
+// connection resets, timeouts) is transport weather and may clear.
 func Transient(err error) bool {
 	if err == nil {
 		return false

@@ -29,6 +29,12 @@ type ClientConfig struct {
 	// Conns carries the sessions; each must be freshly connected to a
 	// mux-capable tlcd.
 	Conns []io.ReadWriter
+	// ServerKey, when set, is the server's key as exchanged at setup
+	// (§5.3.1): a conn whose key frame carries another key fails the
+	// run with protocol.ErrBadPeer before any session opens on it, so
+	// the client signs nothing for an impostor. The root package's
+	// Negotiator sets it; tlcd's edge takes the key its operator sends.
+	ServerKey *rsa.PublicKey
 	// Seed derives the client's deterministic strategy RNG streams.
 	Seed int64
 	// OpenFirst holds response processing until every session's
@@ -88,10 +94,9 @@ type clientSession struct {
 
 // clientConn is one mux conn's client state. It does no I/O: open
 // signs a session's opening claim and handle answers one inbound mux
-// frame, each appending the length-prefixed frames this side owes to
-// out, which the conn's loop writes. A session leaves the table once
-// it resolves, so the conn is done when the table is empty. One
-// goroutine owns it.
+// frame, each appending the frames this side owes to out, which the
+// conn's loop writes. A session leaves the table once it resolves, so
+// the conn is done when the table is empty. One goroutine owns it.
 type clientConn struct {
 	cfg       *ClientConfig
 	serverKey *rsa.PublicKey
@@ -139,6 +144,9 @@ func RunClient(cc ClientConfig) (*ClientResult, error) {
 		serverKey, err := parsePeerKey(keyFrame)
 		if err != nil {
 			return nil, fmt.Errorf("session: conn %d: %w", i, err)
+		}
+		if cc.ServerKey != nil && !cc.ServerKey.Equal(serverKey) {
+			return nil, fmt.Errorf("session: conn %d: %w: the key frame does not carry the pinned server key", i, protocol.ErrBadPeer)
 		}
 		conns[i] = newClientConn(&cc, serverKey, base.Fork("conn"+strconv.Itoa(i)))
 	}
@@ -236,10 +244,11 @@ func (cn *clientConn) loop(rw io.ReadWriter, k, n int, herd *sync.WaitGroup) {
 	_ = bw.Flush() // best effort: no session waits on these bytes
 }
 
-// queue appends one length-prefixed mux frame to out.
+// queue appends one mux frame to out, framed in place.
 func (cn *clientConn) queue(typ byte, sid uint64, payload []byte) {
-	cn.out = binary.BigEndian.AppendUint32(cn.out, uint32(muxHeaderSize+len(payload)))
-	cn.out = AppendMux(cn.out, typ, sid, payload)
+	start := len(cn.out)
+	cn.out = AppendMux(append(cn.out, make([]byte, protocol.FrameHeaderSize)...), typ, sid, payload)
+	protocol.PutFrameHeader(cn.out[start:])
 }
 
 // open starts session sid with its signed opening claim; forged, it

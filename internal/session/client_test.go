@@ -29,7 +29,7 @@ func scriptedClient(n int) *clientConn {
 	return cn
 }
 
-// drainOut decodes the length-prefixed mux frames cn queued and
+// drainOut decodes the mux frames cn queued and
 // empties its queue.
 func drainOut(t *testing.T, cn *clientConn) []muxOut {
 	t.Helper()

@@ -782,7 +782,7 @@ func TestEngineFailsByzantineMuxPeers(t *testing.T) {
 			map[string]float64{started: 1, failed: 1, byzRej: 1}},
 		{"truncated", func(c *net.TCPConn, _ []byte) error {
 			// Announce 100 body bytes, then stop sending after 3.
-			if _, err := c.Write([]byte{0, 0, 0, 100, 9, 9, 9}); err != nil {
+			if _, err := c.Write([]byte{0, 0, 0, 100, 0, 0, 0, 0, 9, 9, 9}); err != nil {
 				return err
 			}
 			return c.CloseWrite()
@@ -829,9 +829,10 @@ func TestEngineFailsByzantineMuxPeers(t *testing.T) {
 }
 
 // TestEngineClientCauseKeepsRetryContract pins ClientResult.Cause to
-// protocol.Transient's retry contract: an overload reject and a conn
-// closed mid-session are transient; a forged PoC's RejectFailed is a
-// verdict, which no retry changes.
+// protocol.Transient's retry contract: an overload reject, a conn
+// closed mid-session, a frame cut short and a frame that fails its
+// checksum are transient; a forged PoC's RejectFailed is a verdict,
+// which no retry changes.
 func TestEngineClientCauseKeepsRetryContract(t *testing.T) {
 	t.Run("overload", func(t *testing.T) {
 		ec := operatorEngineConfig()
@@ -847,33 +848,52 @@ func TestEngineClientCauseKeepsRetryContract(t *testing.T) {
 			t.Fatalf("settled %d rejected %d cause %v; want 1, 1 and a transient ErrOverload", res.Settled, res.Rejected, res.Cause)
 		}
 	})
-	t.Run("conn_closed", func(t *testing.T) {
-		opDER, err := x509.MarshalPKIXPublicKey(&opKeys.Private.PublicKey)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// The server takes the hello and the opening claim, then hangs
-		// up mid-session.
-		client, server := net.Pipe()
-		t.Cleanup(func() { _ = client.Close() })
-		go func() {
-			defer server.Close() //tlcvet:allow errdiscard — the hang-up is the fault under test
-			if _, err := protocol.ReadFrame(server); err != nil {
-				return
+	// The server takes the hello and the opening claim, writes wire
+	// and hangs up mid-session.
+	corrupt := AppendMux(make([]byte, protocol.FrameHeaderSize), TypeData, 1, []byte{2, 0, 0})
+	protocol.PutFrameHeader(corrupt)
+	corrupt[len(corrupt)-1] ^= 0xff
+	for _, tc := range []struct {
+		name string
+		wire []byte
+		want error
+	}{
+		{"conn_closed", nil, io.EOF},
+		// Announce 100 body bytes, then die after 3.
+		{"truncated", []byte{0, 0, 0, 100, 0, 0, 0, 0, 9, 9, 9}, protocol.ErrFrameTruncated},
+		{"corrupt", corrupt, protocol.ErrFrameCorrupt},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opDER, err := x509.MarshalPKIXPublicKey(&opKeys.Private.PublicKey)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if err := protocol.WriteFrame(server, opDER); err != nil {
-				return
+			client, server := net.Pipe()
+			t.Cleanup(func() { _ = client.Close() })
+			go func() {
+				defer server.Close() //tlcvet:allow errdiscard — the hang-up is the fault under test
+				if _, err := protocol.ReadFrame(server); err != nil {
+					return
+				}
+				if err := protocol.WriteFrame(server, opDER); err != nil {
+					return
+				}
+				if _, err := protocol.ReadFrame(server); err != nil { // the claim, left unanswered
+					return
+				}
+				if len(tc.wire) > 0 {
+					_, _ = server.Write(tc.wire)
+				}
+			}()
+			res, err := RunClient(edgeClientConfig(1, []net.Conn{client}))
+			if err != nil {
+				t.Fatal(err)
 			}
-			_, _ = protocol.ReadFrame(server) // the claim, left unanswered
-		}()
-		res, err := RunClient(edgeClientConfig(1, []net.Conn{client}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Failed != 1 || !errors.Is(res.Cause, io.EOF) || !protocol.Transient(res.Cause) {
-			t.Fatalf("failed %d cause %v; want 1 and a transient EOF", res.Failed, res.Cause)
-		}
-	})
+			if res.Failed != 1 || !errors.Is(res.Cause, tc.want) || !protocol.Transient(res.Cause) {
+				t.Fatalf("failed %d cause %v; want 1 and a transient %v", res.Failed, res.Cause, tc.want)
+			}
+		})
+	}
 	t.Run("forged_poc", func(t *testing.T) {
 		_, addr, _ := startEngine(t, operatorEngineConfig())
 		cc := edgeClientConfig(1, dialConns(t, addr, 1))

@@ -4,7 +4,7 @@
 //
 // Two layers (DESIGN.md "Session engine"):
 //
-//   - a mux framing layer over internal/protocol's length-prefixed
+//   - a mux framing layer inside internal/protocol's checksummed
 //     frames, so one TCP connection carries thousands of interleaved
 //     negotiations and key exchange happens once per connection, not
 //     once per charging cycle;
@@ -19,10 +19,11 @@
 // Negotiations run as event-driven state machines (protocol.Machine,
 // the one every negotiation path drives), not goroutine-per-session: a
 // parked session is a few hundred bytes of per-conn state. TLCMUX1 is
-// the only wire: a conn opens with a hello (see Magic), and the client
-// initiates every session on it. RunClient is that client, and tlcd's
-// edge runs it: one goroutine per conn writes and reads for a per-conn
-// state that does no I/O itself.
+// the only live wire: a conn opens with a hello (see Magic), and the
+// client initiates every session on it. RunClient is that client:
+// tlcd's edge and the root package's Negotiator run it, one goroutine
+// per conn writing and reading for a per-conn state that does no I/O
+// itself. The Negotiator's responder serves its conn with an Engine.
 //
 // Nothing in this package reads a wall clock (tlcvet's simtime rule);
 // callers in cmd/ inject a Stopwatch for latency observation.

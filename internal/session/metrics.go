@@ -6,7 +6,7 @@ import "tlc/internal/metrics"
 // live path (same discipline as protocol.Metrics: single atomic ops on
 // pre-registered instruments, no locks, no clock reads). The engine
 // additionally feeds protocol.Metrics, so a negotiation it settles
-// counts exactly like one Party.Run or RunPair settles.
+// counts exactly like one side of a RunPair settles.
 var Metrics = struct {
 	// Active is the sessions currently resident on the engine's conns
 	// (opened, not yet settled/failed/rejected).

@@ -14,7 +14,9 @@
 //
 //	edge := tlc.NewNegotiator(tlc.Edge, plan, keys, peer.Public(),
 //		tlc.Usage{Sent: 1_000_000, Received: 930_000}, tlc.Optimal)
-//	receipt, err := edge.Negotiate(conn, false) // over any net.Conn
+//	// One TLCMUX1 session over conn, a net.Conn whose peer calls
+//	// Negotiate(conn, true); Negotiate closes conn.
+//	receipt, err := edge.Negotiate(conn, false)
 //
 //	// Any third party can audit the receipt:
 //	err = tlc.Verify(receipt.Proof, plan, keys.Public(), peer.Public())
@@ -25,17 +27,19 @@
 package tlc
 
 import (
-	"crypto/rand"
 	"crypto/rsa"
+	"crypto/x509"
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"time"
 
 	"tlc/internal/core"
 	"tlc/internal/keyio"
 	"tlc/internal/poc"
 	"tlc/internal/protocol"
+	"tlc/internal/session"
 	"tlc/internal/sim"
 )
 
@@ -167,60 +171,112 @@ type Receipt struct {
 
 // Negotiator drives one side of a TLC negotiation.
 type Negotiator struct {
-	party *protocol.Party
+	party protocol.Party
 }
 
 // NewNegotiator builds a negotiator. The peer's public key must have
-// been exchanged beforehand (§5.3.1's key setup).
+// been exchanged beforehand (§5.3.1's key setup): Negotiate settles
+// only with its holder.
 func NewNegotiator(role Role, plan Plan, keys *KeyPair, peer *rsa.PublicKey, usage Usage, strategy Strategy) *Negotiator {
 	r := poc.RoleEdge
 	if role == Operator {
 		r = poc.RoleOperator
 	}
-	return &Negotiator{party: &protocol.Party{
+	return &Negotiator{party: protocol.Party{
 		Role:     r,
 		Plan:     plan.wire(),
 		Keys:     keys.inner,
 		PeerKey:  peer,
 		Strategy: strategy.core(),
 		View:     core.View{Sent: float64(usage.Sent), Received: float64(usage.Received)},
-		// Nonces are what make a PoC unforgeable, so a live negotiator
-		// draws them from crypto/rand; RNG only drives the strategy.
-		RNG:         sim.NewRNG(time.Now().UnixNano()),
-		NonceSource: rand.Reader,
-		Timeout:     30 * time.Second,
 	}}
 }
 
-// SetTimeout overrides the per-message network timeout.
-//
-//tlcvet:allow unreached — the root tlc package's exported API
-func (n *Negotiator) SetTimeout(d time.Duration) { n.party.Timeout = d }
-
-// SetMaxRounds overrides the negotiation round cap.
-//
-//tlcvet:allow unreached — the root tlc package's exported API
-func (n *Negotiator) SetMaxRounds(r int) { n.party.MaxRounds = r }
-
-// SetSeed makes the negotiator's randomness deterministic (tests and
-// simulations): strategy and nonces both draw from the seeded stream.
-func (n *Negotiator) SetSeed(seed int64) {
-	n.party.RNG = sim.NewRNG(seed)
-	n.party.NonceSource = nil
+// Negotiate settles one cycle with the peer over conn as one TLCMUX1
+// session, tlcd's wire; set initiate on exactly one side. Each side
+// refuses a peer that does not present the key pinned at NewNegotiator
+// with protocol.ErrBadPeer before it signs anything: the initiator
+// checks the responder's key frame before it opens its session as a
+// mux client, and the responder checks the initiator's hello before it
+// serves one session at a time until the peer hangs up. Nonces come
+// from crypto/rand. A net.Conn gets one 30 s deadline for the whole
+// exchange, and Negotiate closes conn before it returns. On success
+// both sides hold the same receipt.
+func (n *Negotiator) Negotiate(conn io.ReadWriteCloser, initiate bool) (*Receipt, error) {
+	defer func() { _ = conn.Close() }() // the exchange is over; closing it changes no receipt
+	if n.party.PeerKey == nil {
+		return nil, errors.New("tlc: the peer's public key is required")
+	}
+	if c, ok := conn.(net.Conn); ok {
+		if err := c.SetDeadline(time.Now().Add(30 * time.Second)); err != nil {
+			return nil, fmt.Errorf("tlc: set the negotiation deadline: %w", err)
+		}
+	}
+	if initiate {
+		return n.initiate(conn)
+	}
+	return n.respond(conn)
 }
 
-// Negotiate runs the protocol over the transport; set initiate on
-// exactly one side. On success both sides hold the same receipt.
-func (n *Negotiator) Negotiate(conn io.ReadWriter, initiate bool) (*Receipt, error) {
-	res, err := n.party.Run(conn, initiate)
+// initiate opens the cycle as the one session of a mux client on conn
+// and counts it in protocol.Metrics, as the engine counts the
+// responder's.
+func (n *Negotiator) initiate(conn io.ReadWriter) (*Receipt, error) {
+	protocol.Metrics.NegotiationsStarted.Inc()
+	res, err := session.RunClient(session.ClientConfig{
+		Config: n.party.Config(), Sessions: 1, Conns: []io.ReadWriter{conn},
+		ServerKey: n.party.PeerKey, Seed: time.Now().UnixNano(),
+	})
+	if err == nil && res.Settled != 1 {
+		err = res.Cause
+	}
+	if err != nil {
+		protocol.CountFailure(err)
+		return nil, err
+	}
+	protocol.Metrics.NegotiationsSettled.Inc()
+	protocol.Metrics.RoundsTotal.Add(uint64(res.Receipts[0].Rounds))
+	r := Receipt(res.Receipts[0])
+	return &r, nil
+}
+
+// respond serves conn with an engine that admits one session at a time
+// and stops at the first settlement, which it keeps. The engine counts
+// the sessions it admits; a refused hello counts as one failed
+// negotiation.
+func (n *Negotiator) respond(conn io.ReadWriter) (*Receipt, error) {
+	hello, err := protocol.ReadFrame(conn)
+	if err != nil {
+		return nil, fmt.Errorf("tlc: read the peer's hello: %w", err)
+	}
+	der, _ := session.IsHello(hello) // a frame that is no hello carries no key
+	if key, err := x509.ParsePKIXPublicKey(der); err != nil || !n.party.PeerKey.Equal(key) {
+		err := fmt.Errorf("%w: the hello does not carry the peer's key", protocol.ErrBadPeer)
+		protocol.Metrics.NegotiationsStarted.Inc()
+		protocol.CountFailure(err)
+		return nil, err
+	}
+	var r *Receipt
+	var eng *session.Engine
+	eng, err = session.NewEngine(session.EngineConfig{
+		Config: n.party.Config(), MaxSessions: 1, Seed: time.Now().UnixNano(),
+		// It runs on ServeConn's goroutine, this one, and only once:
+		// the engine admits no session after Stop.
+		Recorder: func(pr session.ProofRecord) {
+			r = &Receipt{X: pr.X, Rounds: pr.Rounds, Proof: pr.Proof}
+			eng.Stop()
+		},
+	})
 	if err != nil {
 		return nil, err
 	}
-	proof, err := res.PoC.MarshalBinary()
-	if err != nil {
+	if err := eng.ServeConn(conn, hello); r == nil {
+		if err == nil {
+			err = errors.New("tlc: the peer hung up without settling")
+		}
 		return nil, err
 	}
-	return &Receipt{X: res.X, Rounds: res.Rounds, Proof: proof}, nil
+	return r, nil
 }
 
 // Verify runs Algorithm 2 public verification on a serialized proof:
@@ -273,31 +329,14 @@ func NegotiateLocal(plan Plan, edgeKeys, opKeys *KeyPair, edgeUsage, opUsage Usa
 	if err := plan.Validate(); err != nil {
 		return nil, nil, err
 	}
-	edge := NewNegotiator(Edge, plan, edgeKeys, opKeys.Public(), edgeUsage, edgeStrategy)
-	op := NewNegotiator(Operator, plan, opKeys, edgeKeys.Public(), opUsage, opStrategy)
-	edge.SetSeed(seed)
-	op.SetSeed(seed + 1)
-	ro, re, err := protocol.RunPair(op.party, edge.party)
+	edge := NewNegotiator(Edge, plan, edgeKeys, opKeys.Public(), edgeUsage, edgeStrategy).party
+	op := NewNegotiator(Operator, plan, opKeys, edgeKeys.Public(), opUsage, opStrategy).party
+	edge.RNG, op.RNG = sim.NewRNG(seed), sim.NewRNG(seed+1)
+	ro, re, err := protocol.RunPair(&op, &edge)
 	if err != nil {
 		return nil, nil, err
 	}
-	opReceipt, err := receiptFrom(ro)
-	if err != nil {
-		return nil, nil, err
-	}
-	edgeReceipt, err := receiptFrom(re)
-	if err != nil {
-		return nil, nil, err
-	}
-	return opReceipt, edgeReceipt, nil
-}
-
-func receiptFrom(res *protocol.Result) (*Receipt, error) {
-	proof, err := res.PoC.MarshalBinary()
-	if err != nil {
-		return nil, err
-	}
-	return &Receipt{X: res.X, Rounds: res.Rounds, Proof: proof}, nil
+	return &Receipt{X: ro.X, Rounds: ro.Rounds, Proof: ro.Proof}, &Receipt{X: re.X, Rounds: re.Rounds, Proof: re.Proof}, nil
 }
 
 // LoadKeyPair reads a PKCS#8 PEM private key (as written by

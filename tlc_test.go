@@ -2,10 +2,16 @@ package tlc
 
 import (
 	"bytes"
-	"crypto/rand"
+	"errors"
+	"io"
 	"net"
+	"strings"
 	"testing"
 	"time"
+
+	"tlc/internal/metrics"
+	"tlc/internal/protocol"
+	"tlc/internal/session"
 )
 
 var (
@@ -79,20 +85,39 @@ func TestNegotiateLocalAndVerify(t *testing.T) {
 	}
 }
 
+// negotiatePair runs initiator against responder over an in-memory
+// net.Conn and returns each side's outcome.
+func negotiatePair(initiator, responder *Negotiator) (ri, rr *Receipt, erri, errr error) {
+	ci, cr := net.Pipe()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		rr, errr = responder.Negotiate(cr, false)
+	}()
+	ri, erri = initiator.Negotiate(ci, true)
+	<-done
+	return ri, rr, erri, errr
+}
+
 // TestNegotiatorNonceSource: a live negotiator draws its nonces from
-// crypto/rand, and SetSeed puts them back on the seeded stream, so
-// NegotiateLocal stays byte-identical for a seed.
+// crypto/rand, so two live negotiations of one cycle sign different
+// proofs, while NegotiateLocal stays byte-identical for a seed.
 func TestNegotiatorNonceSource(t *testing.T) {
 	edgeKeys, opKeys := testKeys(t)
 	plan := testPlan()
 	usage := Usage{Sent: 1_000_000, Received: 930_000}
-	n := NewNegotiator(Edge, plan, edgeKeys, opKeys.Public(), usage, Optimal)
-	if n.party.NonceSource != rand.Reader {
-		t.Fatalf("live nonce source = %T, want crypto/rand", n.party.NonceSource)
+	var proofs [2][]byte
+	for i := range proofs {
+		op := NewNegotiator(Operator, plan, opKeys, edgeKeys.Public(), usage, Optimal)
+		edge := NewNegotiator(Edge, plan, edgeKeys, opKeys.Public(), usage, Optimal)
+		r, _, err, rerr := negotiatePair(op, edge)
+		if err != nil || rerr != nil {
+			t.Fatalf("live negotiation %d: %v / %v", i, err, rerr)
+		}
+		proofs[i] = r.Proof
 	}
-	n.SetSeed(3)
-	if n.party.NonceSource != nil {
-		t.Fatalf("seeded nonce source = %T, want the seeded RNG", n.party.NonceSource)
+	if bytes.Equal(proofs[0], proofs[1]) {
+		t.Fatal("two live negotiations of one cycle signed the same proof")
 	}
 	a, _, err := NegotiateLocal(plan, edgeKeys, opKeys, usage, usage, Optimal, Optimal, 5)
 	if err != nil {
@@ -104,6 +129,156 @@ func TestNegotiatorNonceSource(t *testing.T) {
 	}
 	if !bytes.Equal(a.Proof, b.Proof) {
 		t.Fatal("NegotiateLocal with one seed returned different proofs")
+	}
+}
+
+// TestNegotiateRefusesImpostors: each side pinned the other's key, so
+// a peer holding another key leaves the honest side with ErrBadPeer
+// and no receipt, and the honest side signs nothing for it: an
+// impostor initiator is refused at its hello, an impostor responder at
+// its key frame, each before a session opens. So the impostor ends
+// without a receipt too, and only the refusal counts as a byzantine
+// rejection.
+func TestNegotiateRefusesImpostors(t *testing.T) {
+	edgeKeys, opKeys := testKeys(t)
+	impostor, err := GenerateKeyPair()
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := testPlan()
+	usage := Usage{Sent: 1_000_000, Received: 930_000}
+
+	// The impostor initiator counts one failure too: the responder
+	// hangs up on it.
+	before := protocolCounters()
+	fake := NewNegotiator(Operator, plan, impostor, edgeKeys.Public(), usage, Optimal)
+	edge := NewNegotiator(Edge, plan, edgeKeys, opKeys.Public(), usage, Optimal)
+	fr, r, ferr, err := negotiatePair(fake, edge)
+	if r != nil || !errors.Is(err, protocol.ErrBadPeer) {
+		t.Fatalf("responder facing an impostor: holds a receipt %v, err %v; want no receipt and ErrBadPeer", r != nil, err)
+	}
+	if fr != nil || ferr == nil {
+		t.Fatalf("impostor initiator: holds a receipt %v, err %v; want no receipt and an error", fr != nil, ferr)
+	}
+	checkCounterDeltas(t, before, map[string]float64{
+		"protocol_negotiations_started_total": 2, "protocol_negotiations_failed_total": 2,
+		"protocol_byzantine_rejections_total": 1,
+	})
+
+	// The impostor responder admits no session, so its engine counts
+	// nothing.
+	before = protocolCounters()
+	op := NewNegotiator(Operator, plan, opKeys, edgeKeys.Public(), usage, Optimal)
+	fake = NewNegotiator(Edge, plan, impostor, opKeys.Public(), usage, Optimal)
+	r, fr, err, ferr = negotiatePair(op, fake)
+	if r != nil || !errors.Is(err, protocol.ErrBadPeer) {
+		t.Fatalf("initiator facing an impostor: holds a receipt %v, err %v; want no receipt and ErrBadPeer", r != nil, err)
+	}
+	if fr != nil || ferr == nil {
+		t.Fatalf("impostor responder: holds a receipt %v, err %v; want no receipt and an error", fr != nil, ferr)
+	}
+	checkCounterDeltas(t, before, map[string]float64{
+		"protocol_negotiations_started_total": 1, "protocol_negotiations_failed_total": 1,
+		"protocol_byzantine_rejections_total": 1,
+	})
+}
+
+// TestNegotiateRequiresPeerKey: a negotiator built without the peer's
+// key returns an error on either side before it reads or writes conn,
+// and still closes it.
+func TestNegotiateRequiresPeerKey(t *testing.T) {
+	edgeKeys, _ := testKeys(t)
+	for _, initiate := range []bool{true, false} {
+		n := NewNegotiator(Edge, testPlan(), edgeKeys, nil, Usage{Sent: 1, Received: 1}, Optimal)
+		conn := &noIOConn{t: t}
+		if r, err := n.Negotiate(conn, initiate); r != nil || err == nil {
+			t.Errorf("initiate=%v: holds a receipt %v, err %v; want no receipt and an error", initiate, r != nil, err)
+		}
+		if !conn.closed {
+			t.Errorf("initiate=%v: conn left open", initiate)
+		}
+	}
+}
+
+// noIOConn fails the test on any read or write and records its close.
+type noIOConn struct {
+	t      *testing.T
+	closed bool
+}
+
+func (c *noIOConn) Read([]byte) (int, error) {
+	c.t.Error("Negotiate read conn")
+	return 0, io.EOF
+}
+
+func (c *noIOConn) Write([]byte) (int, error) {
+	c.t.Error("Negotiate wrote conn")
+	return 0, io.ErrClosedPipe
+}
+
+func (c *noIOConn) Close() error {
+	c.closed = true
+	return nil
+}
+
+// protocolCounters snapshots every protocol_*_total counter.
+func protocolCounters() map[string]float64 {
+	out := map[string]float64{}
+	for name, v := range metrics.Default.Snapshot() {
+		if strings.HasPrefix(name, "protocol_") && strings.HasSuffix(name, "_total") {
+			out[name] = v
+		}
+	}
+	return out
+}
+
+// checkCounterDeltas compares every protocol_*_total counter's change
+// since before against want; counters absent from want must not move.
+func checkCounterDeltas(t *testing.T, before, want map[string]float64) {
+	t.Helper()
+	for name, v := range protocolCounters() {
+		if got := v - before[name]; got != want[name] {
+			t.Errorf("%s moved by %v, want %v", name, got, want[name])
+		}
+	}
+}
+
+// TestNegotiateSettlesOneSession: a library responder settles one
+// cycle per call. A client that opens two sessions on it settles one,
+// the second is refused, and the responder returns the one receipt.
+func TestNegotiateSettlesOneSession(t *testing.T) {
+	edgeKeys, opKeys := testKeys(t)
+	plan := testPlan()
+	usage := Usage{Sent: 1_000_000, Received: 930_000}
+	op := NewNegotiator(Operator, plan, opKeys, edgeKeys.Public(), usage, Optimal)
+	edge := NewNegotiator(Edge, plan, edgeKeys, opKeys.Public(), usage, Optimal)
+
+	ci, cr := net.Pipe()
+	type outcome struct {
+		r   *Receipt
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		r, err := edge.Negotiate(cr, false)
+		done <- outcome{r, err}
+	}()
+	res, err := session.RunClient(session.ClientConfig{
+		Config: op.party.Config(), Sessions: 2, Conns: []io.ReadWriter{ci}, Seed: 1,
+	})
+	_ = ci.Close() // the client is done; the responder returns on the hang-up
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Settled != 1 || res.Rejected != 1 || !errors.Is(res.Cause, session.ErrOverload) {
+		t.Fatalf("client: settled %d rejected %d cause %v; want 1, 1 and ErrOverload", res.Settled, res.Rejected, res.Cause)
+	}
+	got := <-done
+	if got.err != nil {
+		t.Fatalf("responder: %v", got.err)
+	}
+	if !bytes.Equal(got.r.Proof, res.Receipts[0].Proof) {
+		t.Fatal("the responder's receipt is not the settled session's proof")
 	}
 }
 
@@ -160,9 +335,7 @@ func TestNegotiateOverTCP(t *testing.T) {
 			ch <- res{nil, err}
 			return
 		}
-		defer conn.Close() //tlcvet:allow errdiscard — test cleanup; the assertions, not Close, decide this test
 		edge := NewNegotiator(Edge, plan, edgeKeys, opKeys.Public(), usage, Optimal)
-		edge.SetSeed(1)
 		r, err := edge.Negotiate(conn, false)
 		ch <- res{r, err}
 	}()
@@ -170,10 +343,8 @@ func TestNegotiateOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close() //tlcvet:allow errdiscard — test cleanup; the assertions, not Close, decide this test
+	before := protocolCounters()
 	op := NewNegotiator(Operator, plan, opKeys, edgeKeys.Public(), usage, Optimal)
-	op.SetSeed(2)
-	op.SetTimeout(5 * time.Second)
 	opReceipt, err := op.Negotiate(conn, true)
 	if err != nil {
 		t.Fatal(err)
@@ -182,6 +353,12 @@ func TestNegotiateOverTCP(t *testing.T) {
 	if edgeRes.err != nil {
 		t.Fatal(edgeRes.err)
 	}
+	// Once per side, as RunPair counts: the initiator counts its call
+	// and the responder's engine its session.
+	checkCounterDeltas(t, before, map[string]float64{
+		"protocol_negotiations_started_total": 2, "protocol_negotiations_settled_total": 2,
+		"protocol_rounds_total": float64(opReceipt.Rounds + edgeRes.r.Rounds),
+	})
 	if opReceipt.X != edgeRes.r.X {
 		t.Fatalf("receipts disagree: %d vs %d", opReceipt.X, edgeRes.r.X)
 	}

@@ -39,8 +39,11 @@
 #                /metrics and /healthz, signal-driven drain, tlcd's
 #                edge (one TLCMUX1 session per conn) and multiplexed
 #                conns served side by side by the session engine,
-#                both settling through stream faults on both ends, and
-#                each accepted conn drawing its faults from its own seed
+#                both settling through stream faults on both ends,
+#                each accepted conn drawing its faults from its own
+#                seed, and the edge retrying through an operator that
+#                corrupts its reads (a frame failing its CRC-32C is a
+#                transient fault, not a forgery) until it settles
 #   examples   — the quickstart, gaming, vredge and webcam examples run
 #                end to end against the root tlc API and exit 0 (the
 #                ledger stage runs examples/auditor)
@@ -100,9 +103,11 @@
 #                worker parity), all under the race detector, plus a
 #                short coverage-guided fuzz of the chain verifier
 #   fuzz       — short coverage-guided smoke on the adversarial
-#                surfaces: the protocol framing decoder, the mux frame
-#                decoder and the PoC verifier (forged proofs must
-#                never verify)
+#                surfaces: the protocol framing decoder (8-byte
+#                [len][crc32c] header; a parsed frame with a flipped
+#                body byte must read as ErrFrameCorrupt, never as a
+#                frame), the mux frame decoder and the PoC verifier
+#                (forged proofs must never verify)
 set -eu
 cd "$(dirname "$0")"
 
