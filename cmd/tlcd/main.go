@@ -94,7 +94,7 @@ func main() {
 		auditQ   = flag.String("audit", "", "audit query over -ledger-dir, e.g. subscriber=<fingerprint>,cycle=<id>; prints the report and exits")
 	)
 	flag.Parse()
-	if err := checkServingFlags(*maxConns, *maxSess, *connTO, *muxTO, *ledSync, *retries); err != nil {
+	if err := checkServingFlags(*maxConns, *maxSess, *connTO, *muxTO, *ledSync, *retries, *c, *cycleDur); err != nil {
 		fmt.Fprintf(os.Stderr, "tlcd: %v\n", err)
 		os.Exit(2)
 	}
@@ -515,10 +515,11 @@ func runAudit(w io.Writer, dir, query string) error {
 }
 
 // serve hands one accepted connection to the session engine, its
-// stream faults drawn from faultSeed. A conn can carry many sessions,
-// so once its first frame is read it gets the longer
-// -mux-conn-timeout; per-session progress is bounded by admission
-// control, not the socket clock.
+// stream faults drawn from faultSeed, and logs the conn's fault trace
+// however the conn ends. A conn can carry many sessions, so once its
+// first frame is read it gets the longer -mux-conn-timeout;
+// per-session progress is bounded by admission control, not the
+// socket clock.
 func (o *operator) serve(conn net.Conn, faultSeed int64) {
 	defer conn.Close() //tlcvet:allow errdiscard — negotiation already settled or failed; close is cleanup
 	if err := conn.SetDeadline(time.Now().Add(o.connTimeout)); err != nil {
@@ -526,6 +527,9 @@ func (o *operator) serve(conn net.Conn, faultSeed int64) {
 		return
 	}
 	rw, tr := wrapFaults(conn, o.spec, faultSeed)
+	if tr != nil {
+		defer func() { log.Printf("fault injection: %s", tr.Summary()) }()
+	}
 	first, err := protocol.ReadFrame(rw)
 	if err != nil {
 		log.Printf("first frame from %s: %v", conn.RemoteAddr(), err)
@@ -537,9 +541,6 @@ func (o *operator) serve(conn net.Conn, faultSeed int64) {
 	}
 	if err := o.engine.ServeConn(rw, first); err != nil {
 		log.Printf("conn %s: %v", conn.RemoteAddr(), err)
-	}
-	if tr != nil {
-		log.Printf("fault injection: %s", tr.Summary())
 	}
 }
 
@@ -626,8 +627,12 @@ func startDebugServer(ln net.Listener) *http.Server {
 // deadline of zero or less times out every read, and the engine's,
 // the ledger's and the retrier's defaults would silently replace a
 // -max-sessions, -ledger-fsync or -retries below 1 (with 1<<20
-// sessions, 16 appends per fsync and 3 attempts).
-func checkServingFlags(maxConns, maxSessions int, connTimeout, muxConnTimeout time.Duration, ledgerFsync, retries int) error {
+// sessions, 16 appends per fsync and 3 attempts). It also refuses a
+// plan that tlc.Plan.Validate, and so tlcverify, refuses: a lost-data
+// weight -c outside [0, 1] or a -cycle-dur of zero or less (an empty
+// cycle) would settle proofs no verifier accepts.
+func checkServingFlags(maxConns, maxSessions int, connTimeout, muxConnTimeout time.Duration, ledgerFsync, retries int,
+	c float64, cycleDur time.Duration) error {
 	if maxConns < 1 {
 		return fmt.Errorf("-max-conns must be at least 1, got %d", maxConns)
 	}
@@ -645,6 +650,12 @@ func checkServingFlags(maxConns, maxSessions int, connTimeout, muxConnTimeout ti
 	}
 	if retries < 1 {
 		return fmt.Errorf("-retries must be at least 1, got %d", retries)
+	}
+	if !(c >= 0 && c <= 1) {
+		return fmt.Errorf("-c must be within [0, 1], got %v", c)
+	}
+	if cycleDur <= 0 {
+		return fmt.Errorf("-cycle-dur must be positive, got %v", cycleDur)
 	}
 	return nil
 }

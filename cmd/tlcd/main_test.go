@@ -370,11 +370,13 @@ func (b *lockedBuffer) String() string {
 // TestOperatorSeedsEachConnsFaults: the operator draws each accepted
 // conn's stream faults from its own seed, -fault-seed plus the conn's
 // accept index, so a fault that ends one edge's attempt does not end
-// every retry at the same byte. Two edges settle the same exchange in
-// turn; each conn of the operator writes four times (the key frame's
-// header and body, the CDA and the done ack), and at this seed the
-// two conns stall a different number of those writes. Seeded alike,
-// they would log the same trace.
+// every retry at the same byte, and it logs one trace per accepted
+// conn, however the conn ends. The first conn hangs up before its
+// hello and writes nothing. Then two edges settle the same exchange in
+// turn; each of their conns of the operator writes three times (the key
+// frame, the CDA and the done ack), and at this seed the two conns
+// stall one and two of those writes. Seeded alike, they would log the
+// same trace.
 func TestOperatorSeedsEachConnsFaults(t *testing.T) {
 	var logs lockedBuffer
 	log.SetOutput(&logs)
@@ -382,7 +384,7 @@ func TestOperatorSeedsEachConnsFaults(t *testing.T) {
 	opKeys, edgeKeys, plan, usage := testParties(t)
 	op := &operator{
 		plan: plan, once: false, maxConns: 4,
-		spec: &faults.Spec{StallP: 0.5, StallFor: time.Millisecond}, faultSeed: 1,
+		spec: &faults.Spec{StallP: 0.5, StallFor: time.Millisecond}, faultSeed: 5,
 		connTimeout: 30 * time.Second, drainTimeout: 5 * time.Second,
 		muxTimeout: time.Minute,
 		stop:       make(chan struct{}),
@@ -391,6 +393,15 @@ func TestOperatorSeedsEachConnsFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	addr, _, exited := startOperator(t, op, false)
+	// Accepted first, since the edges dial after it: its hang-up
+	// reaches the operator before either edge settles.
+	hangUp, err := net.DialTimeout("tcp", addr, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := hangUp.Close(); err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 2; i++ {
 		if err := edgeSettle(t, addr, edgeKeys, plan, usage); err != nil {
 			t.Fatalf("edge %d: %v", i, err)
@@ -404,8 +415,8 @@ func TestOperatorSeedsEachConnsFaults(t *testing.T) {
 			traces = append(traces, trace)
 		}
 	}
-	if len(traces) != 2 || traces[0] == traces[1] {
-		t.Fatalf("operator fault traces %q, want two that differ", traces)
+	if len(traces) != 3 || traces[0] == traces[1] || traces[0] == traces[2] || traces[1] == traces[2] {
+		t.Fatalf("operator fault traces %q, want three that differ", traces)
 	}
 }
 
@@ -606,6 +617,18 @@ func TestRefusesMuxConnTimeoutNotPositive(t *testing.T) {
 func TestRefusesLedgerFsyncBelowOne(t *testing.T) {
 	for _, v := range []string{"0", "-1"} {
 		wantFlagRefused(t, "-ledger-fsync", "-ledger-fsync", v)
+	}
+}
+
+// TestRefusesPlanItsVerifierRefuses: an operator and an edge at -c 1.5
+// settled a proof, and so did an empty cycle (-cycle-dur -1h), though
+// tlcverify refuses both plans.
+func TestRefusesPlanItsVerifierRefuses(t *testing.T) {
+	for _, v := range []string{"1.5", "-0.5"} {
+		wantFlagRefused(t, "-c", "-c", v)
+	}
+	for _, v := range []string{"0s", "-1h"} {
+		wantFlagRefused(t, "-cycle-dur", "-cycle-dur", v)
 	}
 }
 

@@ -31,10 +31,50 @@ func TestReadFrameTruncatedHeader(t *testing.T) {
 }
 
 func TestReadFrameTruncatedBody(t *testing.T) {
-	_, err := ReadFrame(bytes.NewReader([]byte{0, 0, 0, 10, 0, 0, 0, 0, 1, 2, 3}))
+	// A valid header announcing 10 body bytes, then only 3 of them.
+	var wire bytes.Buffer
+	if err := WriteFrame(&wire, []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}); err != nil {
+		t.Fatal(err)
+	}
+	_, err := ReadFrame(bytes.NewReader(wire.Bytes()[:FrameHeaderSize+3]))
 	if !errors.Is(err, ErrFrameTruncated) {
 		t.Fatalf("partial body: %v, want ErrFrameTruncated", err)
 	}
+}
+
+// TestReadFrameRefusesDamagedLength: every single-bit flip of a valid
+// header's length word reads as ErrFrameCorrupt at the header, so a
+// damaged length never leaves the reader waiting for a body.
+func TestReadFrameRefusesDamagedLength(t *testing.T) {
+	for _, n := range []int{0, 1, 185, 576, MaxFrame} {
+		var wire bytes.Buffer
+		if err := WriteFrame(&wire, bytes.Repeat([]byte{7}, n)); err != nil {
+			t.Fatal(err)
+		}
+		for bit := 0; bit < 32; bit++ {
+			hdr := bytes.Clone(wire.Bytes()[:FrameHeaderSize])
+			hdr[3-bit/8] ^= 1 << (bit % 8)
+			if _, err := ReadFrame(&headerOnly{t: t, hdr: hdr}); !errors.Is(err, ErrFrameCorrupt) {
+				t.Fatalf("%d-byte body, length bit %d flipped: %v, want ErrFrameCorrupt", n, bit, err)
+			}
+		}
+	}
+}
+
+// headerOnly serves one frame header and fails the test on any read
+// past it.
+type headerOnly struct {
+	t   *testing.T
+	hdr []byte
+}
+
+func (r *headerOnly) Read(p []byte) (int, error) {
+	if len(r.hdr) == 0 {
+		r.t.Fatal("ReadFrame read past the header")
+	}
+	n := copy(p, r.hdr)
+	r.hdr = r.hdr[n:]
+	return n, nil
 }
 
 // protocolCounters snapshots every protocol_*_total counter.

@@ -33,9 +33,10 @@ func NewFrameReader(r io.Reader) *FrameReader {
 // or mid-body is a truncation, not a clean EOF: it returns
 // ErrFrameTruncated so callers can fail closed (close the connection)
 // instead of leaving the peer mid-exchange on a half-consumed stream.
-// A body that fails its checksum returns ErrFrameCorrupt, never the
-// body: damaged bytes must not reach a signature check, where they
-// would read as a forgery.
+// A length word that fails its check returns ErrFrameCorrupt before
+// any body byte is read, and so does a body that fails its checksum,
+// never the body: damaged bytes must not reach a signature check,
+// where they would read as a forgery.
 func (fr *FrameReader) ReadFrame() ([]byte, error) {
 	if n, err := io.ReadFull(fr.r, fr.hdr[:]); err != nil {
 		if n > 0 {
@@ -43,7 +44,11 @@ func (fr *FrameReader) ReadFrame() ([]byte, error) {
 		}
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(fr.hdr[:4])
+	word := binary.BigEndian.Uint32(fr.hdr[:4])
+	n := word & (1<<lenBits - 1)
+	if word>>lenBits != lenCheck(n) {
+		return nil, fmt.Errorf("%w: the header's length word %#08x fails its check", ErrFrameCorrupt, word)
+	}
 	if n > MaxFrame {
 		return nil, fmt.Errorf("protocol: frame of %d bytes exceeds max %d", n, MaxFrame)
 	}

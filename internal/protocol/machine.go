@@ -102,8 +102,8 @@ func (m *Machine) Finisher() bool { return m.finisher }
 func (m *Machine) Rounds() int    { return m.rounds }
 
 // Proof returns the serialized final PoC of a settled machine, or nil
-// unless Config.KeepProof was set. The slice is owned by the machine
-// (never aliases a pooled transport buffer).
+// unless Config.KeepProof was set. The slice is owned by the machine:
+// it never aliases a frame handed to Handle.
 func (m *Machine) Proof() []byte { return m.proof }
 
 func (m *Machine) coreRole() core.Role {
@@ -280,8 +280,8 @@ func (m *Machine) Handle(frame []byte, env *Env, emit func([]byte) error) (finis
 		}
 		m.done, m.finisher, m.x = true, false, proof.X
 		if m.cfg.KeepProof {
-			// frame may be a pooled transport buffer recycled after
-			// this call; the retained proof must be a copy.
+			// frame may alias a frame reader's buffer, which its next
+			// read reuses; the retained proof must be a copy.
 			m.proof = append([]byte(nil), frame...)
 		}
 		return true, nil

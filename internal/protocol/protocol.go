@@ -26,21 +26,44 @@ import (
 // with RSA-3072.
 const MaxFrame = 64 * 1024
 
-// FrameHeaderSize is a frame's header: the body length and the body's
-// CRC-32C, each a big-endian u32. The ledger frames its records in the
-// same [len][crc32c] shape, but little-endian.
+// FrameHeaderSize is a frame's header: a length word and the body's
+// CRC-32C, each a big-endian u32. A body of up to MaxFrame bytes needs
+// the word's low lenBits bits; the 15 above them carry lenCheck of that
+// length, so a damaged length fails at the header instead of leaving
+// the reader waiting for a body that never comes. The ledger frames
+// its records in a [len][crc32c] shape too, but little-endian and with
+// a bare length.
 const FrameHeaderSize = 8
+
+// lenBits is the width of a header's length field.
+const lenBits = 17
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
+// lenCheck is the CRC-15 (CAN's polynomial, 0x4599) of a body length's
+// lenBits bits. It detects every flip of one or two bits in the length
+// word; a table-driven CRC would move its input to the heap.
+func lenCheck(n uint32) uint32 {
+	var c uint32
+	for i := lenBits - 1; i >= 0; i-- {
+		if (n>>i^c>>14)&1 != 0 {
+			c = c<<1 ^ 0x4599
+		} else {
+			c <<= 1
+		}
+	}
+	return c & 0x7fff
+}
+
 // frameHeader returns the header of the frame that carries body.
 func frameHeader(body []byte) (hdr [FrameHeaderSize]byte) {
-	binary.BigEndian.PutUint32(hdr[:4], uint32(len(body)))
+	n := uint32(len(body))
+	binary.BigEndian.PutUint32(hdr[:4], lenCheck(n)<<lenBits|n)
 	binary.BigEndian.PutUint32(hdr[4:], crc32.Checksum(body, castagnoli))
 	return hdr
 }
 
-// WriteFrame writes one frame: [len u32][crc32c u32][data].
+// WriteFrame writes one frame: [length word u32][crc32c u32][data].
 func WriteFrame(w io.Writer, data []byte) error {
 	if len(data) > MaxFrame {
 		return fmt.Errorf("protocol: frame of %d bytes exceeds max %d", len(data), MaxFrame)
@@ -54,8 +77,9 @@ func WriteFrame(w io.Writer, data []byte) error {
 }
 
 // PutFrameHeader fills the first FrameHeaderSize bytes of frame with
-// the header of the body after them, so a caller can reserve the
-// header, append the body in place and frame it without a copy.
+// the header of the body after them, which must be at most MaxFrame
+// bytes, so a caller can reserve the header, append the body in place
+// and frame it without a copy.
 func PutFrameHeader(frame []byte) {
 	hdr := frameHeader(frame[FrameHeaderSize:])
 	copy(frame, hdr[:])

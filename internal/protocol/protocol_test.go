@@ -61,17 +61,22 @@ func TestFrameLimits(t *testing.T) {
 	if err := WriteFrame(&buf, make([]byte, MaxFrame+1)); err == nil {
 		t.Fatal("oversized frame written")
 	}
-	// A forged oversized header is rejected on read.
+	// A forged oversized header, its length word passing its check, is
+	// rejected on read.
 	buf.Reset()
-	buf.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0})
-	if _, err := ReadFrame(&buf); err == nil || errors.Is(err, ErrFrameTruncated) {
+	hdr := frameHeader(make([]byte, MaxFrame+1))
+	buf.Write(hdr[:])
+	if _, err := ReadFrame(&buf); err == nil || errors.Is(err, ErrFrameTruncated) || errors.Is(err, ErrFrameCorrupt) {
 		t.Fatalf("oversized header: %v, want the size refusal", err)
 	}
-	// Truncated frame.
+	// Truncated frame: a valid header announcing 10 bytes, then 2.
 	buf.Reset()
-	buf.Write([]byte{0, 0, 0, 10, 0, 0, 0, 0, 1, 2})
-	if _, err := ReadFrame(&buf); err == nil {
-		t.Fatal("truncated frame accepted")
+	if err := WriteFrame(&buf, make([]byte, 10)); err != nil {
+		t.Fatal(err)
+	}
+	buf.Truncate(FrameHeaderSize + 2)
+	if _, err := ReadFrame(&buf); !errors.Is(err, ErrFrameTruncated) {
+		t.Fatalf("truncated frame: %v, want ErrFrameTruncated", err)
 	}
 }
 

@@ -1,7 +1,6 @@
 package session
 
 import (
-	"bufio"
 	"crypto/rsa"
 	"crypto/x509"
 	"encoding/binary"
@@ -184,27 +183,24 @@ func RunClient(cc ClientConfig) (*ClientResult, error) {
 
 // loop drives conn k of n over rw: it opens sessions k, k+n, … (sid =
 // index+1), then feeds each frame it reads to the state until every
-// session resolves or the conn dies, writing what the state owes and
-// flushing before each blocking read. With herd set, the conn first
+// session resolves or the conn dies, writing what the state owes in
+// one call before each blocking read. With herd set, the conn first
 // reads one answer per opened session and waits for every other conn
 // to do the same before it handles any.
 func (cn *clientConn) loop(rw io.ReadWriter, k, n int, herd *sync.WaitGroup) {
-	bw := bufio.NewWriterSize(rw, 64<<10)
 	fr := protocol.NewFrameReader(rw)
-	// send writes what the state owes; next flushes it and reads the
+	// write writes what the state owes; next writes it and reads the
 	// server's next frame. After the conn's first error both do
 	// nothing, and the sessions still open fail of that error.
 	var err error
-	send := func() {
-		if err == nil {
-			_, err = bw.Write(cn.out)
+	write := func() {
+		if err == nil && len(cn.out) > 0 {
+			_, err = rw.Write(cn.out)
 		}
 		cn.out = cn.out[:0]
 	}
 	next := func() (frame []byte) {
-		if err == nil {
-			err = bw.Flush()
-		}
+		write()
 		if err == nil {
 			frame, err = fr.ReadFrame()
 		}
@@ -213,7 +209,6 @@ func (cn *clientConn) loop(rw io.ReadWriter, k, n int, herd *sync.WaitGroup) {
 
 	for i := k; i < cn.cfg.Sessions; i += n {
 		cn.open(uint64(i)+1, i < cn.cfg.Forge)
-		send()
 	}
 	if herd != nil {
 		var answers [][]byte
@@ -228,7 +223,6 @@ func (cn *clientConn) loop(rw io.ReadWriter, k, n int, herd *sync.WaitGroup) {
 		herd.Wait()
 		for _, frame := range answers {
 			cn.handle(frame)
-			send()
 		}
 	}
 	for len(cn.table) > 0 {
@@ -238,17 +232,9 @@ func (cn *clientConn) loop(rw io.ReadWriter, k, n int, herd *sync.WaitGroup) {
 			return
 		}
 		cn.handle(frame)
-		send()
 	}
 	// Every session resolved; a reject owed for the last one still goes.
-	_ = bw.Flush() // best effort: no session waits on these bytes
-}
-
-// queue appends one mux frame to out, framed in place.
-func (cn *clientConn) queue(typ byte, sid uint64, payload []byte) {
-	start := len(cn.out)
-	cn.out = AppendMux(append(cn.out, make([]byte, protocol.FrameHeaderSize)...), typ, sid, payload)
-	protocol.PutFrameHeader(cn.out[start:])
+	write() // best effort: no session waits on these bytes
 }
 
 // open starts session sid with its signed opening claim; forged, it
@@ -274,7 +260,7 @@ func (cn *clientConn) emit(sid uint64, s *clientSession) func([]byte) error {
 			msg[len(msg)-1] ^= 0xff
 			cn.res.ForgedSent++
 		}
-		cn.queue(TypeData, sid, msg)
+		cn.out = appendFrame(cn.out, TypeData, sid, msg)
 		return nil
 	}
 }
@@ -328,7 +314,7 @@ func (cn *clientConn) handle(frame []byte) {
 		case err != nil:
 			cn.res.Failed++
 			cn.unsettled(err)
-			cn.queue(TypeReject, sid, []byte{RejectFailed})
+			cn.out = appendFrame(cn.out, TypeReject, sid, []byte{RejectFailed})
 		case finished && !s.m.Finisher():
 			// The server sent the final PoC; settled without an ack.
 			cn.settle(s)

@@ -1,7 +1,6 @@
 package session
 
 import (
-	"bufio"
 	"crypto/rsa"
 	"crypto/sha256"
 	"crypto/x509"
@@ -42,7 +41,8 @@ type EngineConfig struct {
 	Stopwatch func() float64
 	// Recorder, if set, receives every settlement's durable record —
 	// the serialized PoC plus routing identity — on the reader of the
-	// conn that carried it, after the peer's TypeDone is queued.
+	// conn that carried it, once the frames of the step that settled it,
+	// the peer's TypeDone among them, are handed to the conn's writer.
 	// Setting it turns on Config.KeepProof so the proof bytes survive
 	// the transport buffers. The conn reads no further frame until it
 	// returns, so a slow recorder slows only that conn.
@@ -105,10 +105,13 @@ func (e *Engine) Stop() { e.stopped.Store(true) }
 // sessions since the engine started.
 func (e *Engine) PeakActive() int64 { return e.peakActive.Load() }
 
-// muxConn is the engine's per-connection state. Its reader goroutine
-// owns sessions and env; the outbound queue is the one thing it shares,
-// with the conn's writer goroutine.
+// muxConn is one conn's engine state. It does no I/O: newMuxConn opens
+// it from the conn's hello and handle advances it by one inbound
+// frame, each appending the frames the engine owes to out and each
+// settlement to settled, which ServeConn hands on after the step. One
+// goroutine owns it.
 type muxConn struct {
+	e       *Engine
 	id      uint64
 	peerKey *rsa.PublicKey
 	// peerFP is the hex SHA-256 fingerprint of the peer's PKIX DER,
@@ -117,7 +120,9 @@ type muxConn struct {
 	peerFP   string
 	env      protocol.Env
 	sessions map[uint64]*session
-	out      *outQueue
+	out      []byte
+	frames   int // mux frames in out
+	settled  []ProofRecord
 }
 
 // session is one open negotiation on a conn. It owns no goroutine —
@@ -129,120 +134,144 @@ type session struct {
 	start float64
 }
 
-// send queues one mux frame for the conn's writer.
-func (c *muxConn) send(typ byte, sid uint64, payload []byte) {
-	out := bufPool.Get().(*[]byte)
-	*out = AppendMux((*out)[:0], typ, sid, payload)
-	c.out.push(out)
-}
-
-// sendReject tells the peer that session sid ended without settling.
-func (c *muxConn) sendReject(sid uint64, code byte, detail string) {
-	out := bufPool.Get().(*[]byte)
-	*out = AppendMux((*out)[:0], TypeReject, sid, nil)
-	*out = append(*out, code)
-	*out = append(*out, detail...)
-	c.out.push(out)
+// newMuxConn opens a conn from its first frame, which must be a
+// TLCMUX1 hello. Key exchange completes with the engine's PKIX DER,
+// once per connection: the key frame is the first thing in out.
+func (e *Engine) newMuxConn(first []byte) (*muxConn, error) {
+	if e.stopped.Load() {
+		return nil, ErrEngineStopped
+	}
+	der, ok := IsHello(first)
+	if !ok {
+		return nil, ErrNotHello
+	}
+	peerKey, err := parsePeerKey(der)
+	if err != nil {
+		return nil, err
+	}
+	id := e.connID.Add(1)
+	c := &muxConn{
+		e:        e,
+		id:       id,
+		peerKey:  peerKey,
+		env:      protocol.Env{RNG: sim.NewRNG(sim.SeedForCell(e.cfg.Seed, int(id)))},
+		sessions: make(map[uint64]*session),
+		out:      append(make([]byte, protocol.FrameHeaderSize), e.ownDER...),
+	}
+	protocol.PutFrameHeader(c.out)
+	if e.cfg.Recorder != nil {
+		fp := sha256.Sum256(der)
+		c.peerFP = hex.EncodeToString(fp[:])
+	}
+	return c, nil
 }
 
 // ServeConn runs one connection to completion. first is the
 // already-read first frame, which must be a TLCMUX1 hello (see
 // IsHello); any other first frame is refused with ErrNotHello before
 // the engine writes anything. The conn then carries many sessions,
-// each opened by the peer, and ServeConn's goroutine runs all of them:
-// it reads one frame at a time and advances its session, crypto
-// included, before it reads the next. So every frame read before the
-// peer hangs up settles or fails before the conn is torn down.
-// ServeConn blocks until the peer hangs up or breaks framing, and
-// returns with no goroutines left behind.
+// each opened by the peer. ServeConn's goroutine is the conn's reader
+// and drives its state: it reads one frame, lets the state advance that
+// frame's session, crypto included, and hands the frames the step owes
+// to the conn's writer, then the step's settlements to the Recorder,
+// before it reads the next. So every frame read before the peer hangs
+// up settles or fails before the conn is torn down. ServeConn blocks
+// until the peer hangs up or breaks framing, and returns with no
+// goroutines left behind.
 func (e *Engine) ServeConn(conn io.ReadWriter, first []byte) error {
-	if e.stopped.Load() {
-		return ErrEngineStopped
-	}
-	der, ok := IsHello(first)
-	if !ok {
-		return ErrNotHello
-	}
-	peerKey, err := parsePeerKey(der)
+	c, err := e.newMuxConn(first)
 	if err != nil {
 		return err
-	}
-	// Key exchange completes with our PKIX DER; it happens once per
-	// connection, not once per session.
-	if err := protocol.WriteFrame(conn, e.ownDER); err != nil {
-		return fmt.Errorf("session: write key frame: %w", err)
-	}
-
-	id := e.connID.Add(1)
-	c := &muxConn{
-		id:       id,
-		peerKey:  peerKey,
-		env:      protocol.Env{RNG: sim.NewRNG(sim.SeedForCell(e.cfg.Seed, int(id)))},
-		sessions: make(map[uint64]*session),
-		out:      newOutQueue(),
-	}
-	if e.cfg.Recorder != nil {
-		fp := sha256.Sum256(der)
-		c.peerFP = hex.EncodeToString(fp[:])
 	}
 	// The writer is its own goroutine so that a peer which writes
 	// before it reads, as RunClient does, never blocks this reader on
 	// its own answers.
+	w := newConnWriter()
 	writerDone := make(chan struct{})
 	go func() {
 		defer close(writerDone)
-		c.writeLoop(conn)
+		w.run(conn)
 	}()
+	deliver := func() {
+		w.put(c.out, c.frames)
+		c.out, c.frames = c.out[:0], 0
+		for i, pr := range c.settled {
+			e.cfg.Recorder(pr)
+			c.settled[i] = ProofRecord{}
+		}
+		c.settled = c.settled[:0]
+	}
+	deliver() // the key frame
 
 	fr := protocol.NewFrameReader(conn)
 	var readErr error
 	for {
 		frame, err := fr.ReadFrame()
+		if err == nil {
+			err = c.handle(frame)
+		}
 		if err != nil {
 			if err != io.EOF {
 				readErr = err
 			}
 			break
 		}
-		typ, sid, payload, err := DecodeMux(frame)
-		if err != nil {
-			// Framing is suspect; drop the whole connection.
-			readErr = err
-			break
-		}
-		switch typ {
-		case TypeData:
-			e.dispatch(c, sid, payload)
-		case TypeReject:
-			// The client gave up on the session.
-			if c.sessions[sid] != nil {
-				e.failSession(c, sid, RejectFailed, nil)
-			}
-		case TypeDone:
-			// Servers never expect acks; ignore.
-		}
+		deliver()
 	}
 
 	// Teardown: what is still resident never got its final frame.
-	e.evictConn(c, readErr)
-	c.out.close()
+	c.evict(readErr)
+	deliver()
+	w.close()
 	<-writerDone
 	return readErr
 }
 
-// dispatch advances session sid of c by one TypeData payload, opening
-// it on its first frame. It runs on c's reader, which owns the
-// session, so Handle's RSA work runs here inline, on the frame
+// handle advances c by one inbound frame. A frame that is not a mux
+// frame returns its error: the conn's framing is suspect, and the
+// driver drops the whole connection.
+func (c *muxConn) handle(frame []byte) error {
+	typ, sid, payload, err := DecodeMux(frame)
+	if err != nil {
+		return err
+	}
+	switch typ {
+	case TypeData:
+		c.dispatch(sid, payload)
+	case TypeReject:
+		// The client gave up on the session.
+		if c.sessions[sid] != nil {
+			c.failSession(sid, RejectFailed, nil)
+		}
+	case TypeDone:
+		// Servers never expect acks; ignore.
+	}
+	return nil
+}
+
+// queue appends one mux frame the engine owes the peer to out.
+func (c *muxConn) queue(typ byte, sid uint64, payload []byte) {
+	c.out = appendFrame(c.out, typ, sid, payload)
+	c.frames++
+}
+
+// reject tells the peer that session sid ended without settling.
+func (c *muxConn) reject(sid uint64, code byte, detail string) {
+	c.queue(TypeReject, sid, append([]byte{code}, detail...))
+}
+
+// dispatch advances session sid by one TypeData payload, opening it on
+// its first frame. Handle's RSA work runs here inline, on the frame
 // reader's own buffer: Handle retains no frame.
-func (e *Engine) dispatch(c *muxConn, sid uint64, payload []byte) {
+func (c *muxConn) dispatch(sid uint64, payload []byte) {
 	s := c.sessions[sid]
 	if s == nil {
-		if s = e.admit(c, sid); s == nil {
+		if s = c.admit(sid); s == nil {
 			return
 		}
 	}
 	finished, err := s.m.Handle(payload, &c.env, func(msg []byte) error {
-		c.send(TypeData, sid, msg)
+		c.queue(TypeData, sid, msg)
 		return nil
 	})
 	switch {
@@ -251,24 +280,25 @@ func (e *Engine) dispatch(c *muxConn, sid uint64, payload []byte) {
 		if errors.Is(err, protocol.ErrBadMessage) {
 			code = RejectBadMessage
 		}
-		e.failSession(c, sid, code, err)
+		c.failSession(sid, code, err)
 	case finished:
-		e.settleSession(c, sid, s)
+		c.settleSession(sid, s)
 	}
 }
 
-// admit opens session sid on c, or refuses it with a typed reject when
-// the engine is stopping or MaxSessions sessions are resident.
-func (e *Engine) admit(c *muxConn, sid uint64) *session {
+// admit opens session sid, or refuses it with a typed reject when the
+// engine is stopping or MaxSessions sessions are resident.
+func (c *muxConn) admit(sid uint64) *session {
+	e := c.e
 	if e.stopped.Load() {
-		c.sendReject(sid, RejectShutdown, "engine stopping")
+		c.reject(sid, RejectShutdown, "engine stopping")
 		return nil
 	}
 	active := e.active.Add(1)
 	if active > int64(e.cfg.MaxSessions) {
 		e.active.Add(-1)
 		Metrics.Rejected.Inc()
-		c.sendReject(sid, RejectOverload, ErrOverload.Error())
+		c.reject(sid, RejectOverload, ErrOverload.Error())
 		return nil
 	}
 	s := &session{}
@@ -290,23 +320,23 @@ func (e *Engine) admit(c *muxConn, sid uint64) *session {
 }
 
 // settleSession ends a settled session: it acknowledges the peer with
-// X if the peer signed the final PoC, then hands the proof to the
+// X if the peer signed the final PoC, and keeps the proof for the
 // recorder.
-func (e *Engine) settleSession(c *muxConn, sid uint64, s *session) {
-	e.release(c, sid)
+func (c *muxConn) settleSession(sid uint64, s *session) {
+	c.release(sid)
 	Metrics.Settled.Inc()
 	protocol.Metrics.NegotiationsSettled.Inc()
 	protocol.Metrics.RoundsTotal.Add(uint64(s.m.Rounds()))
-	if e.cfg.Stopwatch != nil {
-		protocol.Metrics.NegotiateSeconds.Observe(e.cfg.Stopwatch() - s.start)
+	if c.e.cfg.Stopwatch != nil {
+		protocol.Metrics.NegotiateSeconds.Observe(c.e.cfg.Stopwatch() - s.start)
 	}
 	if !s.m.Finisher() {
 		var xb [8]byte
 		binary.BigEndian.PutUint64(xb[:], s.m.X())
-		c.send(TypeDone, sid, xb[:])
+		c.queue(TypeDone, sid, xb[:])
 	}
-	if e.cfg.Recorder != nil {
-		e.cfg.Recorder(ProofRecord{
+	if c.e.cfg.Recorder != nil {
+		c.settled = append(c.settled, ProofRecord{
 			Conn:   c.id,
 			SID:    sid,
 			PeerFP: c.peerFP,
@@ -319,148 +349,100 @@ func (e *Engine) settleSession(c *muxConn, sid uint64, s *session) {
 
 // failSession tears down an admitted session after a validation or
 // transport failure, notifying the peer with code.
-func (e *Engine) failSession(c *muxConn, sid uint64, code byte, cause error) {
-	e.release(c, sid)
+func (c *muxConn) failSession(sid uint64, code byte, cause error) {
+	c.release(sid)
 	Metrics.Failed.Inc()
 	protocol.CountFailure(cause)
 	detail := ""
 	if cause != nil {
 		detail = cause.Error()
 	}
-	c.sendReject(sid, code, detail)
+	c.reject(sid, code, detail)
 }
 
-// evictConn fails every session c still holds, with cause the error
-// that ended the conn (nil for a clean hang-up).
-func (e *Engine) evictConn(c *muxConn, cause error) {
+// evict fails every session c still holds, with cause the error that
+// ended the conn (nil for a clean hang-up).
+func (c *muxConn) evict(cause error) {
 	for sid := range c.sessions {
-		e.failSession(c, sid, RejectShutdown, cause)
+		c.failSession(sid, RejectShutdown, cause)
 	}
 }
 
 // release removes session sid from its conn and the resident count.
-func (e *Engine) release(c *muxConn, sid uint64) {
+func (c *muxConn) release(sid uint64) {
 	delete(c.sessions, sid)
-	Metrics.Active.Set(e.active.Add(-1))
+	Metrics.Active.Set(c.e.active.Add(-1))
 }
 
-// writeLoop is the connection's single writer: it batches queued
-// frames through one bufio.Writer and flushes only when the queue
-// momentarily empties, so the answers the reader queues while the
-// writer is busy coalesce into one syscall; BatchSize observes each
-// flush's frame count. Exits when the queue closes (conn teardown) or a
-// write fails (peer gone — the queue goes dead and pushes become
-// drops, so a dead conn never wedges its reader).
-func (c *muxConn) writeLoop(w io.Writer) {
-	bw := bufio.NewWriterSize(w, 64<<10)
-	var batch []*[]byte
-	frames := 0
-	for {
-		var ok bool
-		batch, ok = c.out.popAll(batch[:0])
-		if !ok {
-			_ = bw.Flush() // best-effort final flush on a closing conn
-			return
-		}
-		for i, bp := range batch {
-			if err := protocol.WriteFrame(bw, *bp); err != nil {
-				for _, rest := range batch[i:] {
-					recycle(rest)
-				}
-				c.out.markDead()
-				return
-			}
-			recycle(bp)
-			batch[i] = nil
-		}
-		frames += len(batch)
-		if c.out.empty() {
-			if err := bw.Flush(); err != nil {
-				c.out.markDead()
-				return
-			}
-			Metrics.BatchSize.Observe(float64(frames))
-			frames = 0
-		}
-	}
-}
-
-// outQueue is an unbounded single-producer single-consumer queue of
-// pooled frame buffers, from a conn's reader to its writer. Unbounded
-// is deliberate: the reader must never block on a peer that has not
-// started reading yet.
-type outQueue struct {
+// connWriter is a conn's writer. The reader puts each step's frames
+// into one mutex-guarded buffer, and run swaps the buffer out and
+// writes it in one call, so the frames put while a write is in flight
+// go out together in the next. The buffer is unbounded, so the reader
+// never blocks on a peer that has not started reading; after a failed
+// write it drops what it is handed, so a dead conn never wedges its
+// reader.
+type connWriter struct {
 	mu     sync.Mutex
-	cond   *sync.Cond
-	items  []*[]byte
-	closed bool // conn tearing down: drain, then writer exits
-	dead   bool // writer gone: pushes become drops
+	ready  sync.Cond
+	buf    []byte
+	frames int  // mux frames in buf
+	closed bool // conn tearing down: write what is left, then exit
+	dead   bool // a write failed: puts are dropped
 }
 
-func newOutQueue() *outQueue {
-	q := &outQueue{}
-	q.cond = sync.NewCond(&q.mu)
-	return q
+func newConnWriter() *connWriter {
+	w := &connWriter{}
+	w.ready.L = &w.mu
+	return w
 }
 
-// push enqueues a pooled buffer, recycling it immediately when the
-// writer is gone.
-func (q *outQueue) push(bp *[]byte) {
-	q.mu.Lock()
-	if q.closed || q.dead {
-		q.mu.Unlock()
-		recycle(bp)
+// put appends b, which holds frames mux frames, to the buffer.
+func (w *connWriter) put(b []byte, frames int) {
+	if len(b) == 0 {
 		return
 	}
-	q.items = append(q.items, bp)
-	q.cond.Signal()
-	q.mu.Unlock()
+	w.mu.Lock()
+	if !w.dead {
+		w.buf = append(w.buf, b...)
+		w.frames += frames
+		w.ready.Signal()
+	}
+	w.mu.Unlock()
 }
 
-// popAll blocks for the next batch; ok=false means closed-and-drained
-// or dead.
-func (q *outQueue) popAll(batch []*[]byte) ([]*[]byte, bool) {
-	q.mu.Lock()
-	for len(q.items) == 0 && !q.closed && !q.dead {
-		q.cond.Wait()
-	}
-	if q.dead || len(q.items) == 0 {
-		q.mu.Unlock()
-		return batch, false
-	}
-	batch = append(batch, q.items...)
-	for i := range q.items {
-		q.items[i] = nil
-	}
-	q.items = q.items[:0]
-	q.mu.Unlock()
-	return batch, true
+// close lets run write what is buffered and exit.
+func (w *connWriter) close() {
+	w.mu.Lock()
+	w.closed = true
+	w.ready.Signal()
+	w.mu.Unlock()
 }
 
-func (q *outQueue) empty() bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return len(q.items) == 0
-}
-
-// close stops accepting pushes; the writer drains what is queued and
-// exits.
-func (q *outQueue) close() {
-	q.mu.Lock()
-	q.closed = true
-	q.cond.Broadcast()
-	q.mu.Unlock()
-}
-
-// markDead drops the backlog and makes future pushes no-ops.
-func (q *outQueue) markDead() {
-	q.mu.Lock()
-	q.dead = true
-	for i, bp := range q.items {
-		recycle(bp)
-		q.items[i] = nil
+// run writes the buffer in one call per batch until it is closed and
+// empty or a write fails; BatchSize observes each write's mux frames.
+func (w *connWriter) run(conn io.Writer) {
+	var batch []byte
+	for {
+		w.mu.Lock()
+		for len(w.buf) == 0 && !w.closed {
+			w.ready.Wait()
+		}
+		if len(w.buf) == 0 {
+			w.mu.Unlock()
+			return
+		}
+		batch, w.buf = w.buf, batch[:0]
+		frames := w.frames
+		w.frames = 0
+		w.mu.Unlock()
+		if _, err := conn.Write(batch); err != nil {
+			w.mu.Lock()
+			w.dead, w.buf = true, nil
+			w.mu.Unlock()
+			return
+		}
+		if frames > 0 {
+			Metrics.BatchSize.Observe(float64(frames))
+		}
 	}
-	q.items = q.items[:0]
-	q.cond.Broadcast()
-	q.mu.Unlock()
 }

@@ -196,9 +196,6 @@ func TestEngineForgetsSettledSessions(t *testing.T) {
 		if res.Settled != sessions {
 			t.Fatalf("settled = %d, want %d", res.Settled, sessions)
 		}
-		// Two collections: the first moves pooled buffers to the
-		// victim cache, the second frees them.
-		runtime.GC()
 		runtime.GC()
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
@@ -383,19 +380,21 @@ func TestEngineSettlesFramesReadBeforeHangUp(t *testing.T) {
 
 // TestEvictConnFailsEverySession: a conn's teardown fails every session
 // it still holds with RejectShutdown and returns sessions_active to 0.
-// The conn is built by hand and fed its claims on the test's goroutine,
-// with no socket and no writer, so the engine's answers stay queued.
+// The conn state is opened from a hello and fed its claims on the
+// test's goroutine, with no socket and no writer, so the engine's
+// answers stay in its out buffer behind the key frame.
 func TestEvictConnFailsEverySession(t *testing.T) {
 	eng, err := NewEngine(operatorEngineConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := &muxConn{
-		id:       1,
-		peerKey:  &edgeKeys.Private.PublicKey,
-		env:      protocol.Env{RNG: sim.NewRNG(1)},
-		sessions: map[uint64]*session{},
-		out:      newOutQueue(),
+	edgeDER, err := x509.MarshalPKIXPublicKey(&edgeKeys.Private.PublicKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := eng.newMuxConn(Hello(edgeDER))
+	if err != nil {
+		t.Fatal(err)
 	}
 	failedBefore := Metrics.Failed.Value()
 	cfg := edgeClientConfig(1, nil).Config
@@ -404,7 +403,7 @@ func TestEvictConnFailsEverySession(t *testing.T) {
 	for sid := uint64(1); sid <= sessions; sid++ {
 		var m protocol.Machine
 		m.Init(&cfg, &opKeys.Private.PublicKey)
-		if err := m.Start(&env, func(claim []byte) error { eng.dispatch(c, sid, claim); return nil }); err != nil {
+		if err := m.Start(&env, func(claim []byte) error { return c.handle(AppendMux(nil, TypeData, sid, claim)) }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -412,20 +411,29 @@ func TestEvictConnFailsEverySession(t *testing.T) {
 		t.Fatalf("%d sessions on the conn, %d active; want %d", len(c.sessions), eng.active.Load(), sessions)
 	}
 
-	eng.evictConn(c, nil)
+	c.evict(nil)
 
 	if len(c.sessions) != 0 || eng.active.Load() != 0 || Metrics.Active.Value() != 0 {
-		t.Fatalf("after evictConn: %d on the conn, %d active, sessions_active %d; want 0",
+		t.Fatalf("after evict: %d on the conn, %d active, sessions_active %d; want 0",
 			len(c.sessions), eng.active.Load(), Metrics.Active.Value())
 	}
 	if got := Metrics.Failed.Value() - failedBefore; got != sessions {
 		t.Fatalf("sessions_failed_total moved by %d, want %d", got, sessions)
 	}
-	c.out.close()
-	queued, _ := c.out.popAll(nil)
+	fr := protocol.NewFrameReader(bytes.NewReader(c.out))
+	if key, err := fr.ReadFrame(); err != nil || !bytes.Equal(key, eng.ownDER) {
+		t.Fatalf("first frame %q (err %v), want the engine's key", key, err)
+	}
 	cdas, shutdown := map[uint64]bool{}, map[uint64]bool{}
-	for _, bp := range queued {
-		typ, sid, payload, err := DecodeMux(*bp)
+	for {
+		frame, err := fr.ReadFrame()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		typ, sid, payload, err := DecodeMux(frame)
 		switch {
 		case err == nil && typ == TypeData && !shutdown[sid]:
 			cdas[sid] = true
@@ -435,8 +443,8 @@ func TestEvictConnFailsEverySession(t *testing.T) {
 			t.Fatalf("queued frame type %d sid %d payload %q (err %v)", typ, sid, payload, err)
 		}
 	}
-	if len(cdas) != sessions || len(shutdown) != sessions {
-		t.Fatalf("queued %d CDAs and %d RejectShutdown, want %d of each", len(cdas), len(shutdown), sessions)
+	if len(cdas) != sessions || len(shutdown) != sessions || c.frames != 2*sessions {
+		t.Fatalf("queued %d CDAs and %d RejectShutdown in %d frames, want %d of each", len(cdas), len(shutdown), c.frames, sessions)
 	}
 }
 
@@ -664,6 +672,14 @@ func recvSid1(t *testing.T, fr *protocol.FrameReader) (typ byte, payload []byte)
 	return typ, payload
 }
 
+// truncatedFrame is a valid header announcing 100 body bytes, followed
+// by only 3 of them.
+func truncatedFrame() []byte {
+	frame := append(make([]byte, protocol.FrameHeaderSize), bytes.Repeat([]byte{9}, 100)...)
+	protocol.PutFrameHeader(frame)
+	return frame[:protocol.FrameHeaderSize+3]
+}
+
 // protocolCounters snapshots every protocol_*_total counter.
 func protocolCounters() map[string]float64 {
 	out := map[string]float64{}
@@ -781,8 +797,7 @@ func TestEngineFailsByzantineMuxPeers(t *testing.T) {
 		}), RejectFailed, nil,
 			map[string]float64{started: 1, failed: 1, byzRej: 1}},
 		{"truncated", func(c *net.TCPConn, _ []byte) error {
-			// Announce 100 body bytes, then stop sending after 3.
-			if _, err := c.Write([]byte{0, 0, 0, 100, 0, 0, 0, 0, 9, 9, 9}); err != nil {
+			if _, err := c.Write(truncatedFrame()); err != nil {
 				return err
 			}
 			return c.CloseWrite()
@@ -859,8 +874,7 @@ func TestEngineClientCauseKeepsRetryContract(t *testing.T) {
 		want error
 	}{
 		{"conn_closed", nil, io.EOF},
-		// Announce 100 body bytes, then die after 3.
-		{"truncated", []byte{0, 0, 0, 100, 0, 0, 0, 0, 9, 9, 9}, protocol.ErrFrameTruncated},
+		{"truncated", truncatedFrame(), protocol.ErrFrameTruncated},
 		{"corrupt", corrupt, protocol.ErrFrameCorrupt},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

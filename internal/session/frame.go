@@ -8,13 +8,14 @@
 //     frames, so one TCP connection carries thousands of interleaved
 //     negotiations and key exchange happens once per connection, not
 //     once per charging cycle;
-//   - per-connection session ownership: each conn's reader goroutine
-//     holds that conn's sessions and strategy RNG, admits a session
-//     under one MaxSessions cap (refusing with a typed overload frame
-//     instead of growing without bound), and advances it inline, RSA
-//     sign and verify included, so the server's crypto parallelism is
-//     its number of conns. A writer goroutine per conn batches the
-//     answers into few syscalls.
+//   - per-connection session ownership: each conn's state holds that
+//     conn's sessions and strategy RNG, admits a session under one
+//     MaxSessions cap (refusing with a typed overload frame instead of
+//     growing without bound), and advances it one inbound frame at a
+//     time, RSA sign and verify included. The state does no I/O:
+//     ServeConn's goroutine, the conn's reader, drives it, so the
+//     server's crypto parallelism is its number of conns, and a writer
+//     goroutine per conn writes each batch of answers in one call.
 //
 // Negotiations run as event-driven state machines (protocol.Machine,
 // the one every negotiation path drives), not goroutine-per-session: a
@@ -30,9 +31,13 @@
 package session
 
 import (
+	"crypto/rsa"
+	"crypto/x509"
 	"encoding/binary"
 	"errors"
 	"fmt"
+
+	"tlc/internal/protocol"
 )
 
 // Magic opens a mux connection: the client's first frame is Magic
@@ -98,6 +103,16 @@ func AppendMux(dst []byte, typ byte, sid uint64, payload []byte) []byte {
 	return append(dst, payload...)
 }
 
+// appendFrame appends one mux frame to dst as a whole protocol frame:
+// it reserves the header, appends the mux body after it and fills the
+// header, so a conn's state frames what it owes in place.
+func appendFrame(dst []byte, typ byte, sid uint64, payload []byte) []byte {
+	start := len(dst)
+	dst = AppendMux(append(dst, make([]byte, protocol.FrameHeaderSize)...), typ, sid, payload)
+	protocol.PutFrameHeader(dst[start:])
+	return dst
+}
+
 // DecodeMux splits a mux frame body into its type, session id and
 // payload. The payload aliases frame. It never panics on adversarial
 // input (FuzzDecodeMux).
@@ -135,4 +150,19 @@ func Hello(der []byte) []byte {
 	out := make([]byte, 0, len(Magic)+len(der))
 	out = append(out, Magic...)
 	return append(out, der...)
+}
+
+// parsePeerKey parses a peer's PKIX DER key frame. Nothing is trusted
+// beyond "this DER parses as RSA": the negotiation itself
+// authenticates every message against the key.
+func parsePeerKey(der []byte) (*rsa.PublicKey, error) {
+	parsed, err := x509.ParsePKIXPublicKey(der)
+	if err != nil {
+		return nil, fmt.Errorf("session: parse peer key: %w", err)
+	}
+	key, ok := parsed.(*rsa.PublicKey)
+	if !ok {
+		return nil, fmt.Errorf("session: peer key is %T, want RSA", parsed)
+	}
+	return key, nil
 }

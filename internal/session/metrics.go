@@ -18,8 +18,8 @@ var Metrics = struct {
 	Settled  *metrics.Counter
 	Failed   *metrics.Counter
 	Rejected *metrics.Counter
-	// BatchSize is the distribution of frames carried by one flush of
-	// a conn's writer; mass above 1 is syscalls saved.
+	// BatchSize is the distribution of mux frames carried by one write
+	// of a conn's writer; mass above 1 is syscalls saved.
 	BatchSize *metrics.Histogram
 }{
 	Active: metrics.Default.Gauge("sessions_active",

@@ -48,19 +48,25 @@
 #                end to end against the root tlc API and exit 0 (the
 #                ledger stage runs examples/auditor)
 #   tlcdscale  — the session engine (one reader and one writer per
-#                engine conn, the reader running its sessions' crypto)
-#                under the race detector: the admission-control
-#                overload regression (reject, never deadlock or leak),
-#                2,000 sessions over 8 conns settling with zero
-#                rejections or failures below the admission cap, the
-#                refusal of a first frame that is not a hello, the
-#                byzantine failure classes on a mux conn (each ends in
-#                a typed reject), the client's retry contract on its
-#                typed cause, the mux client's per-conn state (one
-#                loop per client conn drives it) fed scripted frames
-#                with no socket, every final PoC read before a hang-up
-#                settling and recorded, and a conn's socket-free
-#                teardown failing each session it holds
+#                engine conn; the reader drives the conn's state, which
+#                does no I/O, and runs its sessions' crypto) under the
+#                race detector: the admission-control overload
+#                regression (reject, never deadlock or leak), 2,000
+#                sessions over 8 conns settling with zero rejections or
+#                failures below the admission cap, the refusal of a
+#                first frame that is not a hello, the byzantine failure
+#                classes on a mux conn (each ends in a typed reject),
+#                the client's retry contract on its typed cause, the mux
+#                client's per-conn state (one loop per client conn
+#                drives it) fed scripted frames with no socket, every
+#                final PoC read before a hang-up settling and recorded,
+#                a conn's socket-free teardown failing each session it
+#                holds, and the seeded explorer: 200 seeds of client and
+#                engine conn states joined by in-memory frame queues on
+#                one goroutine, with conn deaths, hang-ups, Stop and
+#                forged PoCs, checking the resident count, the cap, one
+#                end per session and the recorded proofs after every
+#                step
 #   ledger     — the durable charging ledger: the crash-point torture
 #                sweeps (every kill offset of the tail segment, bit
 #                flips, injected fsync failpoints; the read-only replay
@@ -104,10 +110,12 @@
 #                short coverage-guided fuzz of the chain verifier
 #   fuzz       — short coverage-guided smoke on the adversarial
 #                surfaces: the protocol framing decoder (8-byte
-#                [len][crc32c] header; a parsed frame with a flipped
-#                body byte must read as ErrFrameCorrupt, never as a
-#                frame), the mux frame decoder and the PoC verifier
-#                (forged proofs must never verify)
+#                [len][crc32c] header whose length word carries a check
+#                over the length; a parsed frame with a flipped length
+#                bit or body byte must read as ErrFrameCorrupt, never as
+#                a frame, and a damaged length must fail at the header),
+#                the mux frame decoder and the PoC verifier (forged
+#                proofs must never verify)
 set -eu
 cd "$(dirname "$0")"
 
@@ -156,7 +164,7 @@ stage chaos go test -run Chaos -race ./internal/experiment
 stage race go test -race ./...
 stage operator go test -run Operator -race -count=1 ./cmd/tlcd
 stage examples run_examples
-stage tlcdscale go test -run 'EngineOverload|EngineSettlesMuxedSessions|EngineRefusesBareKey|EngineFailsByzantine|EngineClientCause|ClientConnAnswersScriptedFrames|EngineSettlesFramesReadBeforeHangUp|EvictConnFailsEverySession' -race -count=1 ./internal/session
+stage tlcdscale go test -run 'EngineOverload|EngineSettlesMuxedSessions|EngineRefusesBareKey|EngineFailsByzantine|EngineClientCause|ClientConnAnswersScriptedFrames|EngineSettlesFramesReadBeforeHangUp|EvictConnFailsEverySession|Explore' -race -count=1 ./internal/session
 stage ledger go test -run 'Torture|Prop|Golden|Refuses' -short -race ./internal/ledger
 stage ledger go test -run '^$' -fuzz '^FuzzLedgerReplay$' -fuzztime 10s ./internal/ledger
 stage ledger go run ./examples/auditor
